@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rings
 from .errors import InputError
 from .groups import (
     axis_subgroup,
     coset_closure,
+    double_coset_labels,
     fixer,
     transvection_table,
     transvections,
@@ -88,16 +90,23 @@ class _Ctx:
             self.instance._caches[key] = fx.codes
         return self.instance._caches[key]
 
-    def perm(self, code):
-        return self.instance.perm(self.instance.mat_of_code(code))
+    def positions(self, codes) -> np.ndarray:
+        """Positions in GL of the codes of GL members."""
+        return np.searchsorted(self.g.codes, codes)
 
-    def inverse_code(self, code) -> int:
-        cache = self.instance._caches.setdefault("inverse_codes", {})
-        out = cache.get(code)
-        if out is None:
-            out = self.instance.code_of_mat(self.instance.inv(self.instance.mat_of_code(code)))
-            cache[code] = out
-        return out
+    def rows(self, positions) -> np.ndarray:
+        """Lattice permutations of the GL elements at these positions, one row
+        each: perm_table rows, or act_batch rows above PERM_TABLE_LIMIT."""
+        table = self.instance.perm_table()
+        if table is not None:
+            return table[positions]
+        return self.code_rows(self.g.codes[positions])
+
+    def code_rows(self, codes) -> np.ndarray:
+        """Lattice permutations of any matrix codes, through act_batch."""
+        codes = np.asarray(codes, dtype=np.int64)
+        mats = rings.unpack_matrices(codes, self.instance.modulus, self.n)
+        return np.stack([self.instance.act_batch(mats, x) for x in range(len(self.lat))], axis=1)
 
     def atom_image_support(self, i, j):
         """[g(e_i)]_j for every group element, from the shared per-atom cache."""
@@ -105,25 +114,20 @@ class _Ctx:
 
         return _atom_image_supports(self.instance, i)[:, j]
 
-    def leq_mask(self, elements, bound):
-        return self.lat.meet_table[elements, int(bound)] == elements
-
-    def double_coset_key(self, code) -> int:
-        from .groups import double_coset_key
-
-        return double_coset_key(self.instance, code)
-
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
-        key = ("closure_with", tuple(sorted(self.double_coset_key(c) for c in codes_tuple)))
-        if key not in self.instance._caches:
-            self.instance._caches[key] = coset_closure(
-                self.instance, self.diag, list(codes_tuple)
-            )
-        return self.instance._caches[key]
+        return self.closure_of_keys(double_coset_labels(self.instance, codes_tuple).tolist())
 
-    def group_sample(self, rng, size):
-        return [int(c) for c in rng.choice(self.g.codes, size=size, replace=True)]
+    def closure_of_keys(self, keys):
+        """<D, a_1, ...> for any a_k with these double-coset keys.
+
+        A key is the code of some d a d' (d, d' in D), and <D, a> = <D, d a d'>:
+        each lies in the group the other generates with D.
+        """
+        key = ("closure_with", tuple(sorted(keys)))
+        if key not in self.instance._caches:
+            self.instance._caches[key] = coset_closure(self.instance, self.diag, list(key[1]))
+        return self.instance._caches[key]
 
 
 # -- individual conditions ----------------------------------------------------
@@ -143,21 +147,26 @@ def _cond_2(ctx, mode, rng, samples):
 
 
 def _iter_group(ctx, rng, samples):
+    """GL positions of the outer elements: all of them, or a seeded sample."""
     if samples is None:
-        return [int(c) for c in ctx.g.codes.tolist()], True
-    return ctx.group_sample(rng, samples), False
+        return np.arange(len(ctx.g)), True
+    return rng.choice(len(ctx.g), size=samples, replace=True), False
+
+
+def _coded_rows(ctx, positions):
+    """(code, permutation row) of the GL elements at these positions, in order."""
+    return list(zip(ctx.g.codes[positions].tolist(), ctx.rows(positions)))
 
 
 def _cond_3(ctx, mode, rng, samples):
-    codes, exhaustive = _iter_group(ctx, rng, samples)
+    pos, exhaustive = _iter_group(ctx, rng, samples)
+    outer = _coded_rows(ctx, pos)
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
-        hi = ctx.axis(i)
-        hi_perms = [(int(c), ctx.perm(int(c))) for c in hi.codes.tolist()]
+        hi_perms = _coded_rows(ctx, ctx.positions(ctx.axis(i).codes))
         downset = ctx.frame.atom_downsets[i]
-        for a_code in codes:
-            pa = ctx.perm(a_code)
+        for a_code, pa in outer:
             if int(ctx.support[pa[e_i], i]) != e_i:
                 continue
             hit = None
@@ -178,14 +187,15 @@ def _cond_3(ctx, mode, rng, samples):
 def _cond_4(ctx, mode, rng, samples):
     """mode 'weak': the witness may depend on the outer element; 'strong': one
     witness per (t, i) works for all of them."""
-    codes, exhaustive = _iter_group(ctx, rng, samples)
+    pos, exhaustive = _iter_group(ctx, rng, samples)
     lbar_fixer = set(ctx.lbar0_fixer_codes().tolist())
-    # permutations of every outer element and its inverse, computed once
-    outer = [(a, ctx.perm(a), ctx.perm(ctx.inverse_code(a))) for a in codes]
+    rows = ctx.rows(pos)
+    # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
+    outer = list(zip(ctx.g.codes[pos].tolist(), rows, np.argsort(rows, axis=1)))
     found = None
     for t in range(ctx.n):
         ht = [c for c in ctx.axis(t).codes.tolist() if c in lbar_fixer]
-        ht_perms = [(int(c), ctx.perm(int(c))) for c in ht]
+        ht_perms = _coded_rows(ctx, ctx.positions(ht))
         for i in range(ctx.n):
             downset = ctx.frame.atom_downsets[i]
             rs = [r for r in range(ctx.n) if r != i]
@@ -220,7 +230,8 @@ def _cond_4(ctx, mode, rng, samples):
 
 
 def _cond_5(ctx, mode, rng, samples):
-    codes, exhaustive = _iter_group(ctx, rng, samples)
+    pos, exhaustive = _iter_group(ctx, rng, samples)
+    outer = _coded_rows(ctx, pos)
     inst = ctx.instance
     mats_all = ctx.g.mats()
     found = None
@@ -246,8 +257,7 @@ def _cond_5(ctx, mode, rng, samples):
                     for j in range(ctx.n)
                 )
             ]
-            for g_code in codes:
-                pg = ctx.perm(g_code)
+            for g_code, pg in outer:
                 if int(ctx.support[pg[u], i]) != e_i:
                     continue
                 hit = next(
@@ -275,6 +285,7 @@ def _cond_6(ctx, mode, rng, samples):
         exhaustive = True
     else:
         idx = rng.integers(0, len(ctx.g), size=(samples, 2))
+        frows, grows = ctx.rows(idx[:, 0]), ctx.rows(idx[:, 1])
         exhaustive = False
     for i in range(ctx.n):
         for j in range(ctx.n):
@@ -304,10 +315,9 @@ def _cond_6(ctx, mode, rng, samples):
                             None,
                         )
             else:
-                for f_i, g_i in idx.tolist():
+                for f_i, g_i, pf, pg in zip(*idx.T.tolist(), frows, grows):
                     if not ctx.lat.leq(int(sij[f_i]), int(sij[g_i])):
                         continue
-                    pf, pg = ctx.perm(int(ctx.g.codes[f_i])), ctx.perm(int(ctx.g.codes[g_i]))
                     for x in xs:
                         if not ctx.lat.leq(
                             int(ctx.support[pf[x], j]), int(ctx.support[pg[x], j])
@@ -348,8 +358,7 @@ def _cond_7(ctx, mode, rng, samples):
 
 def _cond_8(ctx, mode, rng, samples):
     inst = ctx.instance
-    codes, exhaustive = _iter_group(ctx, rng, samples)
-    code_to_idx = {int(c): k for k, c in enumerate(ctx.g.codes.tolist())}
+    pos, exhaustive = _iter_group(ctx, rng, samples)
     found = None
     for i in range(ctx.n):
         for j in range(ctx.n):
@@ -367,8 +376,8 @@ def _cond_8(ctx, mode, rng, samples):
             for x in _realisable(ctx, i, j):
                 sig_sets[x] = set(sig[table == x].tolist())
             sij = ctx.atom_image_support(i, j)
-            for code in codes:
-                gi = code_to_idx[code]
+            for gi in pos.tolist():
+                code = int(ctx.g.codes[gi])
                 x = int(sij[gi])
                 if int(sig[gi]) not in sig_sets.get(x, set()):
                     return False, {"i": i, "j": j, "f": code}, found, exhaustive, samples
@@ -410,9 +419,7 @@ def _cond_9(ctx, mode, rng, samples):
                 if x not in real:
                     continue
                 t_codes = transvections(inst, i, j, x)
-                imgs = inst.act_batch(
-                    np.stack([inst.mat_of_code(int(c)) for c in t_codes.tolist()]), w
-                )
+                imgs = inst.act_batch(rings.unpack_matrices(t_codes, inst.modulus, ctx.n), w)
                 hits = np.nonzero(imgs == ctx.atoms[i])[0]
                 if hits.size == 0:
                     return (
@@ -436,26 +443,26 @@ def _cond_10(ctx, mode, rng, samples):
                 continue
             real = _realisable(ctx, i, j)
             reps: dict[int, list[int]] = {}
+            key_of: dict[int, int] = {}
             for x in real:
                 codes = transvections(inst, i, j, x)
                 if samples is not None:
                     # sampled profile: a few members per value, no dedup pass
                     pick = rng.choice(codes.size, size=min(3, codes.size), replace=False)
-                    reps[x] = sorted(int(codes[int(t)]) for t in pick)
-                else:
+                    codes = np.sort(codes[pick])
+                keys = double_coset_labels(inst, codes)
+                key_of.update(zip(codes.tolist(), keys.tolist()))
+                if samples is None:
                     # one representative per double coset; the generated
                     # closure <D, a> only depends on those, so this is exact
-                    seen = {}
-                    for c in codes.tolist():
-                        key = ctx.double_coset_key(int(c))
-                        seen.setdefault(key, int(c))
-                    reps[x] = sorted(seen.values())
+                    codes = codes[np.unique(keys, return_index=True)[1]]
+                reps[x] = sorted(codes.tolist())
             for s in range(1, max_tuple + 1):
                 for xs in itertools.product(real, repeat=s):
                     bound = ctx.lat.join_many(xs)
                     ys = [y for y in real if ctx.lat.leq(y, bound)]
                     for a_tuple in itertools.product(*(reps[x] for x in xs)):
-                        closure = ctx.closure_with(a_tuple)
+                        closure = ctx.closure_of_keys([key_of[a] for a in a_tuple])
                         for y in ys:
                             t_codes = transvections(inst, i, j, y)
                             ok = closure.contains_many(t_codes)
@@ -478,41 +485,51 @@ def _cond_10(ctx, mode, rng, samples):
 
 
 def _cond_11(ctx, mode, rng, samples):
-    inst = ctx.instance
-    codes, exhaustive = _iter_group(ctx, rng, samples)
+    """One array program over outer elements a, axis rows (t, h) and pairs (i, j)."""
+    pos, exhaustive = _iter_group(ctx, rng, samples)
     pairs = [(i, j) for i in range(ctx.n) for j in range(ctx.n) if i != j]
-    tx_sets = {
-        (i, j, x): transvections(inst, i, j, x)
-        for (i, j) in pairs
-        for x in _realisable(ctx, i, j)
+    ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
+    pa = ctx.rows(pos)
+    # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
+    painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
+    cols, xs = [], []
+    for t in range(ctx.n):
+        h_codes = ctx.axis(t).codes
+        ph = ctx.rows(ctx.positions(h_codes))
+        # x reads h only through its row: equal rows give equal x, keep the first
+        first = np.sort(np.unique(ph, axis=0, return_index=True)[1])
+        cols += [(t, int(h_codes[f])) for f in first]
+        img = ph[first][:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
+        img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
+        xs.append(ctx.support[img[:, :, ii], jj])  # [a, h, (i, j)] = x
+    xs = np.concatenate(xs, axis=1)
+    a_codes = ctx.g.codes[pos]
+    # <D, a> = <D, d a d'>, each lying in the other's group with D: one closure per label
+    keys, firsts, label = np.unique(
+        double_coset_labels(ctx.instance, a_codes), return_index=True, return_inverse=True
+    )
+    tables = [transvection_table(ctx.instance, i, j) for i, j in pairs]
+    fails = np.zeros(xs.shape, dtype=bool)
+    for k in np.argsort(firsts):
+        # a failure before this label's first use already is the first failure
+        if fails.any() and firsts[k] > np.argmax(fails.any(axis=(1, 2))):
+            break
+        inside = ctx.closure_of_keys([int(keys[k])]).gl_mask()
+        meets = np.zeros((len(pairs), len(ctx.lat)), dtype=bool)
+        for p, table in enumerate(tables):
+            # T(i, j, x) = {g : table[g] = x}: the closure meets it iff a member has table x
+            meets[p, table[inside & (table >= 0)]] = True
+        mine = label == k
+        fails[mine] = ~meets[np.arange(len(pairs)), xs[mine]]
+    if not fails.any():
+        return True, None, None, exhaustive, samples
+    # C order of [a, (t, h), (i, j)] is the nested loop order: argmax is the first failure
+    a, col, p = np.unravel_index(int(np.argmax(fails)), fails.shape)
+    t, h = cols[col]
+    witness = {
+        "a": int(a_codes[a]), "t": t, "h": h, "i": ii[p], "j": jj[p], "x": int(xs[a, col, p])
     }
-    for a_code in codes:
-        pa = ctx.perm(a_code)
-        painv = ctx.perm(inst.code_of_mat(inst.inv(inst.mat_of_code(a_code))))
-        closure = ctx.closure_with((a_code,))
-        for t in range(ctx.n):
-            # distinct permutations only; scalar-like members repeat them
-            seen = set()
-            ht_perms = []
-            for h_code in ctx.axis(t).codes.tolist():
-                ph = ctx.perm(int(h_code))
-                key = ph.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    ht_perms.append((int(h_code), ph))
-            for h_code, ph in ht_perms:
-                for i, j in pairs:
-                    x = int(ctx.support[pa[ph[painv[ctx.atoms[i]]]], j])
-                    t_codes = tx_sets.get((i, j, x))
-                    if t_codes is None or not bool(np.any(closure.contains_many(t_codes))):
-                        return (
-                            False,
-                            {"a": a_code, "t": t, "h": h_code, "i": i, "j": j, "x": x},
-                            None,
-                            exhaustive,
-                            samples,
-                        )
-    return True, None, None, exhaustive, samples
+    return False, witness, None, exhaustive, samples
 
 
 def _cond_12(ctx, mode, rng, samples):
@@ -539,10 +556,9 @@ def _prime_1(ctx, mode, rng, samples):
             if x != e_i and int(ctx.support[x, i]) == e_i
         ]
         hit = None
-        for h_code in ctx.axis(i).codes.tolist():
-            ph = ctx.perm(int(h_code))
+        for h_code, ph in _coded_rows(ctx, ctx.positions(ctx.axis(i).codes)):
             if all(ph[x] != x for x in targets):
-                hit = int(h_code)
+                hit = h_code
                 break
         if hit is None:
             return False, {"i": i}, found, True, None
@@ -558,10 +574,10 @@ def _prime_2(ctx, mode, rng, samples):
     for x in atoms_l:
         key = tuple(int(v) for v in ctx.support[x])
         orbits.setdefault(key, []).append(x)
-    diag_perms = [ctx.perm(int(c)) for c in ctx.diag.codes.tolist()]
+    diag_perms = ctx.rows(ctx.positions(ctx.diag.codes))
     for key, members in orbits.items():
         base = members[0]
-        reach = {int(p[base]) for p in diag_perms}
+        reach = set(diag_perms[:, base].tolist())
         missing = [y for y in members if y not in reach]
         if missing:
             return False, {"x": base, "y": missing[0]}, None, True, None
@@ -672,12 +688,11 @@ def replay_witness(instance, witness: dict) -> bool:
 
 def _replay_cond_3(ctx, mode, w):
     i, a_code = w["i"], w["a"]
-    pa = ctx.perm(a_code)
+    pa = ctx.code_rows([a_code])[0]
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
-    for h_code in ctx.axis(i).codes.tolist():
-        ph = ctx.perm(int(h_code))
+    for ph in ctx.rows(ctx.positions(ctx.axis(i).codes)):
         if all(
             int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
             for x in ctx.frame.atom_downsets[i]
@@ -687,7 +702,7 @@ def _replay_cond_3(ctx, mode, w):
 
 
 def _replay_cond_6(ctx, mode, w):
-    pf, pg = ctx.perm(w["f"]), ctx.perm(w["g"])
+    pf, pg = ctx.code_rows([w["f"], w["g"]])
     i, j, x = w["i"], w["j"], w["x"]
     if not ctx.lat.leq(
         int(ctx.support[pf[ctx.atoms[i]], j]), int(ctx.support[pg[ctx.atoms[i]], j])
@@ -702,7 +717,7 @@ def _replay_cond_9(ctx, mode, w):
     t_codes = transvections(inst, i, j, x)
     if t_codes.size == 0:
         return False
-    imgs = inst.act_batch(np.stack([inst.mat_of_code(int(c)) for c in t_codes.tolist()]), welt)
+    imgs = inst.act_batch(rings.unpack_matrices(t_codes, inst.modulus, ctx.n), welt)
     return not bool(np.any(imgs == ctx.atoms[i]))
 
 

@@ -388,12 +388,6 @@ class Instance:
         raise InputError(f"element {x} is not an ideal multiple of atom {atom}")
 
 
-def build_submodule_lattice(ring: RingSpec, n: int, cap: int = DEFAULT_LATTICE_CAP):
-    """(lattice, frame) of all submodules of the rank-n free module."""
-    instance = Instance(ring, n, lattice_cap=cap)
-    return instance.lattice, instance.frame
-
-
 def enumerate_group(instance: Instance, kind: str, cap: int = DEFAULT_GROUP_CAP):
     """Exact enumeration of the full matrix group or its diagonal subgroup."""
     if kind in ("GL", "gl"):

@@ -75,6 +75,7 @@ class Subgroup:
         self.closed = closed
         self._mats = None
         self._gl_mask = None
+        self._fingerprint = None
 
     def __len__(self):
         return int(self.codes.size)
@@ -115,8 +116,13 @@ class Subgroup:
         return hash(self.codes.tobytes())
 
     def fingerprint(self) -> str:
-        """Stable across processes; used to deduplicate sweep work."""
-        return hashlib.sha1(self.codes.tobytes()).hexdigest()[:16]
+        """Stable across processes; used to deduplicate sweep work.
+
+        Computed once: `intern_subgroup` only swaps `codes` for an equal array.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha1(self.codes.tobytes()).hexdigest()[:16]
+        return self._fingerprint
 
     def __repr__(self):
         return f"Subgroup(order={len(self)})"
@@ -427,11 +433,6 @@ def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
     return instance.gl().codes[table == int(x)]
 
 
-def transvections_in(instance, i: int, j: int, x: int, subgroup: Subgroup) -> np.ndarray:
-    codes = transvections(instance, i, j, x)
-    return codes[subgroup.contains_many(codes)]
-
-
 def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
     """Whether two subgroups meet every transvection set identically."""
     m1 = f1.gl_mask()
@@ -525,6 +526,31 @@ def double_coset_key(instance, code: int) -> int:
         low = int(rings.pack_matrices(prods, m).min())
         best = low if best is None else min(best, low)
     return best
+
+
+def double_coset_labels(instance, codes) -> np.ndarray:
+    """double_coset_key of every listed code, one pass over D a D per double coset.
+
+    Each pass labels every listed code inside D a D: double cosets partition
+    GL, so b lies in D a D exactly when D b D = D a D and their keys agree.
+    """
+    uniq, back = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
+    labels = np.full(uniq.size, -1, dtype=np.int64)
+    d_mats = instance.diagonal().mats()
+    m = instance.modulus
+    for k in range(uniq.size):
+        if labels[k] >= 0:
+            continue
+        left = rings.mat_mul(d_mats, instance.mat_of_code(int(uniq[k]))[None, :, :], m)
+        best, inside = int(uniq[k]), np.zeros(uniq.size, dtype=bool)
+        for start in range(0, left.shape[0], 128):
+            prods = rings.mat_mul(left[start : start + 128, None], d_mats[None, :], m)
+            orbit = rings.pack_matrices(prods, m).ravel()
+            best = min(best, int(orbit.min()))
+            idx = np.minimum(np.searchsorted(uniq, orbit), uniq.size - 1)
+            inside[idx[uniq[idx] == orbit]] = True
+        labels[inside] = best
+    return labels[back]
 
 
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):

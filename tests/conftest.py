@@ -20,6 +20,26 @@ def f2():
 
 
 @pytest.fixture(scope="session")
+def f3():
+    return Instance(RingSpec(3, 1), 2)
+
+
+@pytest.fixture(scope="session")
+def f5():
+    return Instance(RingSpec(5, 1), 2)
+
+
+@pytest.fixture(scope="session")
+def z9():
+    return Instance(RingSpec(3, 2), 2)
+
+
+@pytest.fixture(scope="session")
+def f3n3():
+    return Instance(RingSpec(3, 1), 3)
+
+
+@pytest.fixture(scope="session")
 def z49():
     return Instance(RingSpec(7, 2), 2)
 

@@ -8,7 +8,17 @@ from netgalois.axioms import (
     check_condition,
     replay_witness,
 )
-from netgalois.groups import transvection_table, transvections
+from netgalois.glnr import Instance
+from netgalois.groups import (
+    Subgroup,
+    axis_subgroup,
+    coset_closure,
+    double_coset_key,
+    double_coset_labels,
+    transvection_table,
+    transvections,
+)
+from netgalois.rings import RingSpec
 
 
 def test_structural_conditions_trivial(f7, z4, z49):
@@ -146,3 +156,117 @@ def test_witness_replay_rejects_fixed_instance(f7, f2):
             replay_witness(f7, v.witness)
         except (KeyError, IndexError):
             pytest.fail("replay crashed on foreign witness")
+
+
+def _reference_cond_11(inst, samples=None, seed=0):
+    """Condition 11 as a per-element loop, the brute force the array program
+    must match: for each outer a, each distinct axis permutation h and each
+    pair (i, j), some member of T(i, j, x) with x = [a h a^-1 e_i]_j must lie
+    in <D, a>.  Returns (holds, witness) with the first failure in
+    (a, t, h, (i, j)) order."""
+    g = inst.gl()
+    if samples is None:
+        codes = g.codes.tolist()
+    else:
+        codes = np.random.default_rng(seed).choice(g.codes, size=samples, replace=True).tolist()
+
+    def perm(code):
+        return inst.perm(inst.mat_of_code(int(code)))
+
+    pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j]
+    axis_perms = []
+    for t in range(inst.n):
+        seen, hs = set(), []
+        for h_code in axis_subgroup(inst, t).codes.tolist():
+            ph = perm(h_code)
+            if ph.tobytes() not in seen:
+                seen.add(ph.tobytes())
+                hs.append((h_code, ph))
+        axis_perms.append(hs)
+    closures = {}
+    for a_code in codes:
+        pa = perm(a_code)
+        painv = perm(inst.code_of_mat(inst.inv(inst.mat_of_code(a_code))))
+        key = double_coset_key(inst, a_code)
+        if key not in closures:
+            closures[key] = coset_closure(inst, inst.diagonal(), [a_code])
+        closure = closures[key]
+        for t, hs in enumerate(axis_perms):
+            for h_code, ph in hs:
+                for i, j in pairs:
+                    x = int(inst.support_table[pa[ph[painv[inst.atoms[i]]]], j])
+                    if not np.any(closure.contains_many(transvections(inst, i, j, x))):
+                        return False, {"a": a_code, "t": t, "h": h_code, "i": i, "j": j, "x": x}
+    return True, None
+
+
+def _assert_cond_11_matches_reference(inst, samples=None, seed=0):
+    holds, witness = _reference_cond_11(inst, samples=samples, seed=seed)
+    for cid in ("11", "4'"):
+        v = check_condition(inst, cid, seed=seed, samples=samples)
+        assert v.holds == holds, (cid, v.witness, witness)
+        assert v.exhaustive == (samples is None)
+        if witness is None:
+            assert v.witness is None
+        else:
+            assert v.witness == {"condition": cid, "mode": "as_stated", **witness}
+    return witness
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f5", "f7", "z9"])
+def test_condition_11_matches_reference_exhaustively(name, request):
+    _assert_cond_11_matches_reference(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name,samples", [("f5", 7), ("z9", 20), ("f3n3", 30)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_condition_11_matches_reference_sampled(name, samples, seed, request):
+    _assert_cond_11_matches_reference(request.getfixturevalue(name), samples=samples, seed=seed)
+
+
+def test_condition_11_first_failure_witnesses(f3, f5, z9):
+    expected = [
+        (f3, {"a": 41, "t": 0, "h": 29, "i": 0, "j": 1, "x": 1}),
+        (f5, {"a": 159, "t": 0, "h": 127, "i": 0, "j": 1, "x": 1}),
+        (z9, {"a": 821, "t": 0, "h": 731, "i": 0, "j": 1, "x": 5}),
+    ]
+    for inst, witness in expected:
+        v = check_condition(inst, "11")
+        assert not v.holds
+        assert v.witness == {"condition": "11", "mode": "as_stated", **witness}
+        assert replay_witness(inst, v.witness)
+
+
+def test_double_coset_labels_match_keys(f3, f7, z4):
+    for inst in (f3, f7):
+        codes = inst.gl().codes
+        assert double_coset_labels(inst, codes).tolist() == [
+            double_coset_key(inst, c) for c in codes.tolist()
+        ]
+    sample = np.random.default_rng(0).choice(z4.gl().codes, size=12, replace=True)
+    assert double_coset_labels(z4, sample).tolist() == [
+        double_coset_key(z4, c) for c in sample.tolist()
+    ]
+
+
+def test_condition_11_call_counts(monkeypatch):
+    """The exhaustive F7 check makes no per-element permutation or
+    membership calls: only the axis subgroups call Instance.perm (once per
+    diagonal element and axis), and each double-coset label costs one
+    membership pass."""
+    inst = Instance(RingSpec(7, 1), 2)
+    calls = {"perm": 0, "contains_many": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Instance, "perm", counted("perm", Instance.perm))
+    monkeypatch.setattr(Subgroup, "contains_many", counted("contains_many", Subgroup.contains_many))
+    assert check_condition(inst, "11").holds
+    labels = np.unique(double_coset_labels(inst, inst.gl().codes))
+    assert calls["perm"] <= 2 * len(inst.diagonal())
+    assert calls["contains_many"] <= labels.size

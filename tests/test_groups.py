@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from netgalois.groups import (
     galois_phi,
     galois_psi,
     generating_subset,
+    intern_subgroup,
     is_normal_in,
     normalizer,
     normalizes,
@@ -340,3 +343,13 @@ def test_subgroup_json_roundtrip(f7):
         Subgroup.from_json(f7, {"schema_version": 1, "generators": [[[1, 1], [1, 1]]]})
     with pytest.raises(InputError):
         Subgroup.from_json(f7, {"schema_version": 2, "generators": [[[1, 0], [0, 1]]]})
+
+
+def test_fingerprint_is_cached_and_survives_interning(f7):
+    pooled = borel(f7)
+    copy = Subgroup(f7, pooled.codes.copy(), closed=True)
+    first = copy.fingerprint()
+    assert intern_subgroup(f7, copy) is copy
+    assert copy.codes is pooled.codes
+    assert copy.fingerprint() == first
+    assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
