@@ -29,6 +29,10 @@ from .rings import RingSpec
 DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_LATTICE_CAP = 2_000
 PERM_TABLE_LIMIT = 100_000
+# act_batch works through this many matrices at a time, so its temporaries
+# (about 64 bytes per matrix) stay small and are reused instead of being
+# page-faulted in afresh for every GL-sized batch
+ACT_CHUNK = 1 << 14
 
 
 def _sumset_codes(codes_a: np.ndarray, codes_b: np.ndarray, modulus: int, n: int) -> np.ndarray:
@@ -219,9 +223,12 @@ class Instance:
         if rows.size == 0:
             return np.full(k, x, dtype=np.int64)
         out = np.full(k, self.lattice.bottom, dtype=np.int64)
-        for row in rows:
-            codes = rings.pack_vectors(rings.mat_vec(mats, row, self.modulus), self.modulus)
-            out = self.lattice.join_table[out, self.cyclic_index[codes]]
+        for start in range(0, k, ACT_CHUNK):
+            block = mats[start : start + ACT_CHUNK]
+            acc = out[start : start + ACT_CHUNK]
+            for row in rows:
+                codes = rings.pack_vectors(rings.mat_vec(block, row, self.modulus), self.modulus)
+                acc[:] = self.lattice.join_table[acc, self.cyclic_index[codes]]
         return out
 
     def perm(self, mat: np.ndarray) -> np.ndarray:

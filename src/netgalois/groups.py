@@ -119,9 +119,12 @@ class Subgroup:
         """Stable across processes; used to deduplicate sweep work.
 
         Computed once: `intern_subgroup` only swaps `codes` for an equal array.
+        Hashes the array's own buffer, the same bytes as `codes.tobytes()`
+        without the copy.
         """
         if self._fingerprint is None:
-            self._fingerprint = hashlib.sha1(self.codes.tobytes()).hexdigest()[:16]
+            buf = np.ascontiguousarray(self.codes)
+            self._fingerprint = hashlib.sha1(buf).hexdigest()[:16]
         return self._fingerprint
 
     def __repr__(self):

@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from netgalois import glnr
 from netgalois.errors import CapExceeded, InputError
 from netgalois.glnr import (
     DNet,
@@ -125,6 +126,16 @@ def test_matrix_action_against_raw_image(f7, z4):
                 ]
                 assert len(target) == 1
                 assert inst.act(g, x) == target[0]
+
+
+def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch):
+    """A batch split into chunks, the last one partial, gives the same images."""
+    monkeypatch.setattr(glnr, "ACT_CHUNK", 7)
+    mats = f7.gl().mats()[:30]
+    for x in range(len(f7.lattice)):
+        imgs = f7.act_batch(mats, x)
+        assert imgs.dtype == np.int64
+        assert imgs.tolist() == [f7.act(g, x) for g in mats]
 
 
 def test_identity_and_diagonal_fix_coordinates(f7):
