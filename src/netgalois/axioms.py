@@ -24,6 +24,7 @@ from .groups import (
     axis_subgroup,
     coset_closure,
     double_coset_labels,
+    fix_mask,
     fixer,
     transvection_table,
     transvections,
@@ -81,13 +82,6 @@ class _Ctx:
         key = ("axis_subgroup", i)
         if key not in self.instance._caches:
             self.instance._caches[key] = axis_subgroup(self.instance, i)
-        return self.instance._caches[key]
-
-    def lbar0_fixer_codes(self):
-        key = "lbar0_fixer_codes"
-        if key not in self.instance._caches:
-            fx = fixer(self.instance, self.frame.lbar0)
-            self.instance._caches[key] = fx.codes
         return self.instance._caches[key]
 
     def positions(self, codes) -> np.ndarray:
@@ -188,7 +182,7 @@ def _cond_4(ctx, mode, rng, samples):
     """mode 'weak': the witness may depend on the outer element; 'strong': one
     witness per (t, i) works for all of them."""
     pos, exhaustive = _iter_group(ctx, rng, samples)
-    lbar_fixer = set(ctx.lbar0_fixer_codes().tolist())
+    lbar_fixer = set(fixer(ctx.instance, ctx.frame.lbar0).codes.tolist())
     rows = ctx.rows(pos)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     outer = list(zip(ctx.g.codes[pos].tolist(), rows, np.argsort(rows, axis=1)))
@@ -233,7 +227,6 @@ def _cond_5(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
     outer = _coded_rows(ctx, pos)
     inst = ctx.instance
-    mats_all = ctx.g.mats()
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
@@ -241,8 +234,8 @@ def _cond_5(ctx, mode, rng, samples):
         keep = np.ones(len(ctx.g), dtype=bool)
         for s in range(ctx.n):
             if s != i:
-                keep &= inst.act_batch(mats_all, ctx.atoms[s]) == ctx.atoms[s]
-        w_vals = inst.act_batch(mats_all, e_i)
+                keep &= fix_mask(inst, ctx.atoms[s])
+        w_vals = inst.act_batch(ctx.g.mats(), e_i)
         w_to_t = {}
         for idx in np.nonzero(keep)[0].tolist():
             w_to_t.setdefault(int(w_vals[idx]), int(ctx.g.codes[idx]))

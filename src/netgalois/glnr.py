@@ -395,15 +395,6 @@ class Instance:
         raise InputError(f"element {x} is not an ideal multiple of atom {atom}")
 
 
-def enumerate_group(instance: Instance, kind: str, cap: int = DEFAULT_GROUP_CAP):
-    """Exact enumeration of the full matrix group or its diagonal subgroup."""
-    if kind in ("GL", "gl"):
-        return instance.gl(cap=cap)
-    if kind in ("D", "diagonal"):
-        return instance.diagonal()
-    raise InputError(f"unknown group kind {kind!r}; expected 'GL' or 'D'")
-
-
 @dataclass(frozen=True)
 class Ideal:
     """Principal ideal (p^level) of the chain ring."""

@@ -5,7 +5,8 @@ Subgroups are explicit: a sorted array of packed matrix codes.  Target orders
 stay below a few million, so full enumeration beats stabiliser chains and is
 exactly reproducible; all set iterations run in canonical code order.  The
 matrix group acts non-faithfully (scalar-like units act trivially), and
-fixers absorb that kernel automatically.
+fixers absorb that kernel automatically.  Every fixer is an AND of per-element
+GL fix masks (`fix_mask`), each computed once per instance and cached.
 """
 
 from __future__ import annotations
@@ -20,46 +21,6 @@ from .lattice import SublatticeHandle
 
 DEFAULT_CLOSURE_CAP = 10_000_000
 _BFS_CHUNK = 1 << 18
-
-
-class GroupElement:
-    """A matrix together with its cached lattice permutation."""
-
-    def __init__(self, instance, mat):
-        self.instance = instance
-        self.mat = np.asarray(mat, dtype=np.int64) % instance.modulus
-        self.code = instance.code_of_mat(self.mat)
-
-    @property
-    def perm(self) -> np.ndarray:
-        return self.instance.perm(self.mat)
-
-    def apply(self, x: int) -> int:
-        return int(self.perm[x])
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.instance, rings.mat_mul(self.mat, other.mat, self.instance.modulus))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.instance, self.instance.inv(self.mat))
-
-    def is_lattice_automorphism(self) -> bool:
-        lat = self.instance.lattice
-        perm = self.perm
-        if sorted(perm.tolist()) != list(range(len(lat))):
-            return False
-        return np.array_equal(perm[lat.meet_table], lat.meet_table[np.ix_(perm, perm)]) and np.array_equal(
-            perm[lat.join_table], lat.join_table[np.ix_(perm, perm)]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __repr__(self):
-        return f"GroupElement({self.mat.tolist()})"
 
 
 class Subgroup:
@@ -99,7 +60,7 @@ class Subgroup:
 
     def gl_mask(self) -> np.ndarray:
         """Membership mask aligned with the ambient GL code order (cached)."""
-        if getattr(self, "_gl_mask", None) is None:
+        if self._gl_mask is None:
             self._gl_mask = self.contains_many(self.instance.gl().codes)
         return self._gl_mask
 
@@ -288,14 +249,29 @@ def fixes_mask(instance, mats: np.ndarray, x: int) -> np.ndarray:
     return mask
 
 
-def fixer(instance, elements, ambient: Subgroup | None = None) -> Subgroup:
-    """All ambient matrices fixing every listed element; ambient defaults to GL."""
-    amb = ambient if ambient is not None else instance.gl()
-    mats = amb.mats()
-    mask = np.ones(len(amb), dtype=bool)
-    for x in sorted(set(int(e) for e in elements)):
-        mask &= fixes_mask(instance, mats, x)
-    return intern_subgroup(instance, Subgroup(instance, amb.codes[mask], closed=True))
+def fix_mask(instance, x: int) -> np.ndarray:
+    """Mask over GL (aligned with `gl().codes`) of the matrices fixing x.
+
+    Computed once per lattice element and cached: every fixer and every
+    "g fixes x" test over GL reads it.  `act_batch(g, x) == x` and
+    `fixes_mask` both state g(x) = x, and g(x) <= x forces equality for an
+    invertible g on a finite module, so one kernel serves both.
+    """
+    masks = instance._caches.setdefault("fix_masks", {})
+    x = int(x)
+    mask = masks.get(x)
+    if mask is None:
+        mask = masks[x] = fixes_mask(instance, instance.gl().mats(), x)
+    return mask
+
+
+def fixer(instance, elements) -> Subgroup:
+    """All GL matrices fixing every listed element: an AND of `fix_mask`s."""
+    g = instance.gl()
+    mask = np.ones(len(g), dtype=bool)
+    for x in set(int(e) for e in elements):
+        mask &= fix_mask(instance, x)
+    return intern_subgroup(instance, Subgroup(instance, g.codes[mask], closed=True))
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -411,7 +387,7 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
         for xs in frame.atom_downsets[s]:
             if xs == lat.bottom:
                 continue
-            ok &= instance.act_batch(mats, xs) == xs
+            ok &= fix_mask(instance, xs)
     for xi in frame.atom_downsets[i]:
         if xi == lat.bottom:
             continue

@@ -20,10 +20,12 @@ from .groups import (
     Subgroup,
     conjugation_closure_check,
     coset_closure,
+    fix_mask,
     fixer,
     fixer_contains_stabiliser,
     galois_psi,
     generating_subset,
+    intern_subgroup,
     is_normal_in,
     normalizes,
     same_transvections,
@@ -182,12 +184,9 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
             st = _atom_image_supports(instance, i)
             for j in range(n):
                 bounded &= _leq_mask(instance, st[:, j], int(net.tau[i, j]))
-        k_members = canonical_sublattice(instance, net).members
-        fix_masks = _element_fix_masks(instance)
         fixes = np.ones(len(g), dtype=bool)
-        for x in k_members:
-            cached = fix_masks.get(int(x))
-            fixes &= cached if cached is not None else instance.act_batch(mats, x) == x
+        for x in canonical_sublattice(instance, net).members:
+            fixes &= fix_mask(instance, x)
         diff = bounded != fixes
         if bool(np.any(diff)):
             idx = int(np.argmax(diff))
@@ -293,8 +292,6 @@ def net_fixer(instance, net: NetCollection, cap: int = 10_000_000) -> Subgroup:
     closure = coset_closure(instance, instance.diagonal(), reps, cap=cap)
     if not np.array_equal(closure.codes, fx.codes):
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
-    from .groups import intern_subgroup
-
     result = intern_subgroup(
         instance,
         Subgroup(
@@ -391,52 +388,40 @@ def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
 # -- equivalence classes and closed objects -----------------------------------
 
 
-def _element_fix_masks(instance) -> dict:
-    """Per element of the base sublattice, the GL mask of matrices fixing it."""
-    cached = instance._caches.get("l0p_fix_masks")
+def _net_fixer_generators(instance) -> dict:
+    """Fingerprint -> verified generating set of every valid net's fixer."""
+    cached = instance._caches.get("net_fixer_generators")
     if cached is None:
-        from .groups import fixes_mask
-
-        mats = instance.gl().mats()
-        cached = {x: fixes_mask(instance, mats, x) for x in instance.l0_prime().members}
-        instance._caches["l0p_fix_masks"] = cached
+        cached = {}
+        for net in enumerate_net_collections(instance):
+            fx = net_fixer(instance, net)
+            cached.setdefault(fx.fingerprint(), fx.generator_codes)
+        instance._caches["net_fixer_generators"] = cached
     return cached
 
 
-def _masked_fixer(instance, members) -> Subgroup:
-    from .groups import intern_subgroup
-
-    masks = _element_fix_masks(instance)
-    g = instance.gl()
-    mask = np.ones(len(g), dtype=bool)
-    for x in members:
-        mask &= masks[int(x)]
-    return intern_subgroup(instance, Subgroup(instance, g.codes[mask], closed=True))
+def _fixer_with_known_generators(instance, members) -> Subgroup:
+    """Fixer of a member set, picking up a verified generating set whenever
+    it coincides with a net fixer (every closed subgroup does here)."""
+    fx = fixer(instance, members)
+    known = _net_fixer_generators(instance).get(fx.fingerprint())
+    if known:
+        return Subgroup(instance, fx.codes, generator_codes=known, closed=True)
+    return fx
 
 
 def _sublattice_fixers(instance, bound: int = 32):
     """(handle, fixer) for every sublattice of the base sublattice.
 
-    Fixers come from cached per-element masks; where a fixer coincides with a
-    net fixer the verified generating set is attached, which keeps later
-    normality tests on generator level.
+    Where a fixer coincides with a net fixer the verified generating set is
+    attached, which keeps later normality tests on generator level.
     """
     cached = instance._caches.get("sublattice_fixers")
     if cached is not None:
         return cached
     l0p = instance.l0_prime()
     handles = instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound)
-    gens_by_fp = {}
-    for net in enumerate_net_collections(instance):
-        fx = net_fixer(instance, net)
-        gens_by_fp[fx.fingerprint()] = fx.generator_codes
-    fixers = []
-    for h in handles:
-        fx = _masked_fixer(instance, h.members)
-        known = gens_by_fp.get(fx.fingerprint())
-        if known:
-            fx = Subgroup(instance, fx.codes, generator_codes=known, closed=True)
-        fixers.append((h, fx))
+    fixers = [(h, _fixer_with_known_generators(instance, h.members)) for h in handles]
     instance._caches["sublattice_fixers"] = fixers
     return fixers
 
@@ -446,7 +431,7 @@ def fixer_class(instance, members, bound: int = 32) -> EquivClass:
     members = tuple(sorted(set(int(x) for x in members)))
     if not set(members) <= set(instance.l0_prime().members):
         raise InputError("equivalence classes live inside the base sublattice")
-    target = _masked_fixer(instance, members)
+    target = fixer(instance, members)
     reps = [
         h
         for h, fx in _sublattice_fixers(instance, bound)
@@ -469,20 +454,6 @@ def closed_sublattice(instance, net: NetCollection) -> SublatticeHandle:
     """Fixed part of the base sublattice under the net's fixer: the closed
     object on the lattice side, maximal in its equivalence class."""
     return galois_psi(instance, net_fixer(instance, net))
-
-
-def _fixer_with_known_generators(instance, members) -> Subgroup:
-    """Fixer of a member set, picking up a verified generating set whenever
-    it coincides with a net fixer (every closed subgroup does here)."""
-    if set(int(x) for x in members) <= set(instance.l0_prime().members):
-        fx = _masked_fixer(instance, members)
-    else:
-        fx = fixer(instance, members)
-    for net in enumerate_net_collections(instance):
-        nf = net_fixer(instance, net)
-        if nf.fingerprint() == fx.fingerprint():
-            return Subgroup(instance, fx.codes, generator_codes=nf.generator_codes, closed=True)
-    return fx
 
 
 # -- the per-subgroup verification bundle -------------------------------------

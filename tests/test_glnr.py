@@ -284,15 +284,6 @@ def test_dnet_json_roundtrip(z49):
         DNet.from_json(z49.ring, {"schema_version": 1})
 
 
-def test_enumerate_group_wrapper(f7):
-    from netgalois.glnr import enumerate_group
-
-    assert len(enumerate_group(f7, "GL")) == 2016
-    assert len(enumerate_group(f7, "D")) == 36
-    with pytest.raises(InputError):
-        enumerate_group(f7, "SL")
-
-
 def test_rank_three_lattice(f7n3):
     # subspace counts by rank: 1 + 57 + 57 + 1
     assert len(f7n3.lattice) == 116

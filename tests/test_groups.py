@@ -6,13 +6,13 @@ import pytest
 from netgalois.errors import CapExceeded, InputError
 from netgalois.glnr import gl_order
 from netgalois.groups import (
-    GroupElement,
     Subgroup,
     axis_subgroup,
     close_subgroup,
     coset_closure,
     conjugation_closure_check,
     double_coset_key,
+    fix_mask,
     fixed_lattice,
     fixer,
     galois_phi,
@@ -97,13 +97,6 @@ def test_every_group_element_acts_as_lattice_automorphism(f7):
         assert np.array_equal(perm[lat.join_table], lat.join_table[np.ix_(perm, perm)])
 
 
-def test_group_element_wrapper(f7):
-    g = GroupElement(f7, f7.elementary(0, 1, 3))
-    assert g.is_lattice_automorphism()
-    assert (g * g.inverse()).code == f7.code_of_mat(f7.identity)
-    assert g.apply(f7.lattice.bottom) == f7.lattice.bottom
-
-
 def test_action_composition_ten_thousand_triples(f7):
     """act(a @ b, x) == act(a, act(b, x)) on 10^4 random triples, checked
     through the precomputed image table."""
@@ -146,6 +139,51 @@ def test_fixer_examples(f7):
     units = f7.ring.units()
     expect = sorted(f7.code_of_mat(np.diag([u, u])) for u in units)
     assert scalars.codes.tolist() == expect
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
+def test_fix_masks_and_fixers_agree_with_brute_force(name, request):
+    """fix_mask against the action on all of GL; fixer against the AND of
+    those brute-force masks, for L0', the componentwise span, the whole
+    lattice and each valid net's canonical sublattice."""
+    from netgalois.nets import canonical_sublattice, enumerate_net_collections
+
+    inst = request.getfixturevalue(name)
+    g = inst.gl()
+    brute = [inst.act_batch(g.mats(), x) == x for x in range(len(inst.lattice))]
+    for x, expect in enumerate(brute):
+        assert np.array_equal(fix_mask(inst, x), expect)
+    sets = [inst.l0_prime().members, inst.frame.lbar0, range(len(inst.lattice))]
+    sets += [canonical_sublattice(inst, net).members for net in enumerate_net_collections(inst)]
+    for members in sets:
+        expect = np.ones(len(g), dtype=bool)
+        for x in members:
+            expect &= brute[x]
+        assert np.array_equal(fixer(inst, members).codes, g.codes[expect])
+
+
+@pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
+def test_fixes_mask_runs_once_per_element(ring, monkeypatch):
+    """Set-up plus one sandwich verification on a fresh instance passes all
+    of GL through the fixes_mask kernel at most once per lattice element."""
+    from netgalois import groups, sweep
+    from netgalois.glnr import Instance, verify_sandwich
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(*ring), 2)
+    calls = []
+    kernel = groups.fixes_mask
+
+    def counted(instance, mats, x):
+        calls.append(int(x))
+        return kernel(instance, mats, x)
+
+    monkeypatch.setattr(groups, "fixes_mask", counted)
+    sweep.prewarm(inst, cap=10_000_000)
+    sub = coset_closure(inst, inst.diagonal(), [inst.code_of_mat(inst.elementary(0, 1, 1))])
+    verify_sandwich(inst, sub)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_fixed_lattice_examples(f7, z49):
