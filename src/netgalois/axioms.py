@@ -21,6 +21,7 @@ import numpy as np
 from . import rings
 from .errors import InputError
 from .groups import (
+    atom_image_supports,
     axis_subgroup,
     coset_closure,
     double_coset_labels,
@@ -104,9 +105,7 @@ class _Ctx:
 
     def atom_image_support(self, i, j):
         """[g(e_i)]_j for every group element, from the shared per-atom cache."""
-        from .nets import _atom_image_supports
-
-        return _atom_image_supports(self.instance, i)[:, j]
+        return atom_image_supports(self.instance, i)[:, j]
 
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
@@ -270,16 +269,33 @@ def _cond_5(ctx, mode, rng, samples):
     return True, None, found, exhaustive, samples
 
 
+def _first_order_violation(lat, a, b):
+    """First (f, g) in row-major order with a[f] <= a[g] but not b[f] <= b[g],
+    else None; the same pair as argwhere over the |G| x |G| table.
+
+    Both tests read only the pairs (a[f], b[f]) and (a[g], b[g]), so a table
+    over the distinct pairs decides every (f, g): f is the first element whose
+    pair has a violating row, g the first element of any pair in that row.
+    """
+    size = len(lat)
+    key = np.asarray(a, dtype=np.int64) * size + np.asarray(b, dtype=np.int64)
+    uniq, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    ca, cb = uniq // size, uniq % size
+    meet = lat.meet_table
+    viol = (meet[ca[:, None], ca] == ca[:, None]) & (meet[cb[:, None], cb] != cb[:, None])
+    bad = viol.any(axis=1)[cls]
+    if not bool(bad.any()):
+        return None
+    f = int(np.argmax(bad))
+    return f, int(first[viol[cls[f]]].min())
+
+
 def _cond_6(ctx, mode, rng, samples):
     inst = ctx.instance
     l0p = set(inst.l0_prime().members)
-    if samples is None:
-        idx = np.arange(len(ctx.g))
-        exhaustive = True
-    else:
+    if samples is not None:
         idx = rng.integers(0, len(ctx.g), size=(samples, 2))
         frows, grows = ctx.rows(idx[:, 0]), ctx.rows(idx[:, 1])
-        exhaustive = False
     for i in range(ctx.n):
         for j in range(ctx.n):
             if i == j:
@@ -287,13 +303,11 @@ def _cond_6(ctx, mode, rng, samples):
             sij = ctx.atom_image_support(i, j)
             xs = [x for x in ctx.frame.atom_downsets[i] if x in l0p]
             if samples is None:
-                hyp = ctx.lat.meet_table[sij[:, None], sij[None, :]] == sij[:, None]
                 for x in xs:
                     sx = ctx.support[inst.act_batch(ctx.g.mats(), x)][:, j]
-                    concl = ctx.lat.meet_table[sx[:, None], sx[None, :]] == sx[:, None]
-                    viol = hyp & ~concl
-                    if bool(np.any(viol)):
-                        f_idx, g_idx = np.argwhere(viol)[0]
+                    hit = _first_order_violation(ctx.lat, sij, sx)
+                    if hit is not None:
+                        f_idx, g_idx = hit
                         return (
                             False,
                             {

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rings
 from .errors import CapExceeded, InputError
+from .glnr import PERM_TABLE_LIMIT, gl_order
 from .lattice import SublatticeHandle
 
 DEFAULT_CLOSURE_CAP = 10_000_000
@@ -364,6 +365,17 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
     return int(st[j])
 
 
+def atom_image_supports(instance, i: int) -> np.ndarray:
+    """Support rows of every GL member's image of atom i, cached."""
+    key = ("atom_image_supports", i)
+    cached = instance._caches.get(key)
+    if cached is None:
+        img = instance.act_batch(instance.gl().mats(), instance.atoms[i])
+        cached = instance.support_table[img]
+        instance._caches[key] = cached
+    return cached
+
+
 def transvection_table(instance, i: int, j: int) -> np.ndarray:
     """Per GL member, the x of its transvection class for (i, j), else -1.
 
@@ -388,13 +400,13 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
             if xs == lat.bottom:
                 continue
             ok &= fix_mask(instance, xs)
+    # for xi = e_i the support clause is the st[:, i] == e_i test below
     for xi in frame.atom_downsets[i]:
-        if xi == lat.bottom:
+        if xi in (lat.bottom, frame.atoms[i]):
             continue
         img = instance.act_batch(mats, xi)
         ok &= instance.support_table[img, i] == xi
-    img_ei = instance.act_batch(mats, frame.atoms[i])
-    st = instance.support_table[img_ei]
+    st = atom_image_supports(instance, i)
     for kk in range(instance.n):
         if kk == i:
             ok &= st[:, kk] == frame.atoms[i]
@@ -494,7 +506,21 @@ def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
 
 
 def double_coset_key(instance, code: int) -> int:
-    """min packed code over D a D; closures <D, a> depend only on this."""
+    """min packed code over D a D; closures <D, a> depend only on this.
+
+    Up to PERM_TABLE_LIMIT the first call labels all of GL in one
+    `double_coset_labels` pass, cached, and every call looks its code up.
+    Above it (4.8M elements on Z/49) that pass would cost about 10^8
+    products, so each call enumerates its own D a D.
+    """
+    if gl_order(instance.ring, instance.n) <= PERM_TABLE_LIMIT:
+        g = instance.gl()
+        labels = instance._caches.get("gl_double_coset_labels")
+        if labels is None:
+            labels = instance._caches["gl_double_coset_labels"] = double_coset_labels(
+                instance, g.codes
+            )
+        return int(labels[np.searchsorted(g.codes, code)])
     d_mats = instance.diagonal().mats()
     a = instance.mat_of_code(code)
     m = instance.modulus
@@ -535,18 +561,32 @@ def double_coset_labels(instance, codes) -> np.ndarray:
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):
     """Explicit check that f^-1 s f stays in the subgroup.
 
-    Exhaustive over all (f, s) pairs unless a sample count is given; returns
-    (holds, witness codes).
+    Exhaustive over all (f, s) pairs, one f per left coset of the subgroup,
+    unless a sample count is given; returns (holds, witness codes).
     """
     sub_mats = subgroup.mats()
+    m = instance.modulus
     if samples is None:
-        for f_code in ambient.codes.tolist():
-            codes = conjugate_codes(instance, instance.mat_of_code(f_code), sub_mats)
+        # (fg)^-1 s (fg) = g^-1 (f^-1 s f) g, so for g in G, f^-1 s f and
+        # (fg)^-1 s (fg) lie in G together (even when G is not inside F):
+        # one f per left coset fG decides the whole coset.  Ascending order
+        # reaches each coset at its smallest code, so no f before the first
+        # failing one fails and the witness is the all-f loop's.
+        amb = ambient.codes
+        seen = np.zeros(amb.size, dtype=bool)
+        for k in range(amb.size):
+            if seen[k]:
+                continue
+            f_code = int(amb[k])
+            f_mat = instance.mat_of_code(f_code)
+            coset = rings.pack_matrices(rings.mat_mul(f_mat[None, :, :], sub_mats, m), m)
+            idx = np.minimum(np.searchsorted(amb, coset), amb.size - 1)
+            seen[idx[amb[idx] == coset]] = True
+            codes = conjugate_codes(instance, f_mat, sub_mats)
             bad = ~subgroup.contains_many(codes)
             if bool(np.any(bad)):
-                return False, (int(f_code), int(subgroup.codes[np.argmax(bad)]))
+                return False, (f_code, int(subgroup.codes[np.argmax(bad)]))
         return True, None
-    m = instance.modulus
     fs = rng.choice(ambient.codes, size=samples, replace=True)
     ss = rng.choice(subgroup.codes, size=samples, replace=True)
     f_mats = rings.unpack_matrices(fs, m, instance.n)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .groups import (
     Subgroup,
+    atom_image_supports,
     conjugation_closure_check,
     coset_closure,
     fix_mask,
@@ -153,17 +154,6 @@ def _leq_mask(instance, elements: np.ndarray, bound: int) -> np.ndarray:
     return instance.lattice.meet_table[elements, int(bound)] == elements
 
 
-def _atom_image_supports(instance, i: int) -> np.ndarray:
-    """Support rows of every GL member's image of atom i, cached."""
-    key = ("atom_image_supports", i)
-    cached = instance._caches.get(key)
-    if cached is None:
-        img = instance.act_batch(instance.gl().mats(), instance.atoms[i])
-        cached = instance.support_table[img]
-        instance._caches[key] = cached
-    return cached
-
-
 def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     """Check the membership clause of the net-collection definition.
 
@@ -181,7 +171,7 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     if mode == "aggregate":
         bounded = np.ones(len(g), dtype=bool)
         for i in range(n):
-            st = _atom_image_supports(instance, i)
+            st = atom_image_supports(instance, i)
             for j in range(n):
                 bounded &= _leq_mask(instance, st[:, j], int(net.tau[i, j]))
         fixes = np.ones(len(g), dtype=bool)

@@ -3,10 +3,14 @@ generated by the frame stabiliser plus one extra group element.
 
 Distinct extra elements mostly generate the same handful of subgroups, so
 closures are cached by double coset of the extra element and verifications
-by subgroup fingerprint.  Worker processes fork after the parent prewarms
-the shared caches; results are merged in extra-element order and per-check
-randomness is seeded from the subgroup fingerprint, so reports are
-byte-identical for any worker count.
+by subgroup fingerprint.  While GL has at most PERM_TABLE_LIMIT elements,
+the first row's `double_coset_key` labels all of GL in one pass (one orbit
+of D a D per double coset) and every row looks its label up; above it each
+row enumerates its own D a D.  The exhaustive normality check conjugates
+by one element per left coset of the canonical fixer.  Worker processes
+fork after the parent prewarms the shared caches; results are merged in
+extra-element order and per-check randomness is seeded from the subgroup
+fingerprint, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations

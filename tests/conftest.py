@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from netgalois.glnr import Instance
-from netgalois.rings import RingSpec
+from netgalois.rings import RingSpec, pack_matrices
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,19 @@ def f7n3():
 @pytest.fixture(scope="session")
 def small_instances(f7, z4, f2):
     return {"f7": f7, "z4": z4, "f2": f2}
+
+
+def _orbit_min(inst, code):
+    """Smallest code over D a D, enumerated with numpy one left factor at a
+    time: the reference for the double-coset keys and labels."""
+    d_mats = inst.diagonal().mats().astype(np.int64)
+    a = inst.mat_of_code(int(code))
+    return min(
+        int(pack_matrices((d1 @ a @ d_mats) % inst.modulus, inst.modulus).min())
+        for d1 in d_mats
+    )
+
+
+@pytest.fixture(scope="session")
+def orbit_min():
+    return _orbit_min

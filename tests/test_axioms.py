@@ -4,6 +4,7 @@ import pytest
 from netgalois.axioms import (
     CONDITION_IDS,
     PRIME_IDS,
+    _first_order_violation,
     check_all,
     check_condition,
     replay_witness,
@@ -237,16 +238,37 @@ def test_condition_11_first_failure_witnesses(f3, f5, z9):
         assert replay_witness(inst, v.witness)
 
 
-def test_double_coset_labels_match_keys(f3, f7, z4):
+def test_double_coset_labels_match_keys(f3, f7, z4, orbit_min):
     for inst in (f3, f7):
         codes = inst.gl().codes
-        assert double_coset_labels(inst, codes).tolist() == [
-            double_coset_key(inst, c) for c in codes.tolist()
-        ]
+        expected = [orbit_min(inst, c) for c in codes.tolist()]
+        assert double_coset_labels(inst, codes).tolist() == expected
+        assert [double_coset_key(inst, c) for c in codes.tolist()] == expected
     sample = np.random.default_rng(0).choice(z4.gl().codes, size=12, replace=True)
-    assert double_coset_labels(z4, sample).tolist() == [
-        double_coset_key(z4, c) for c in sample.tolist()
-    ]
+    expected = [orbit_min(z4, c) for c in sample.tolist()]
+    assert double_coset_labels(z4, sample).tolist() == expected
+    assert [double_coset_key(z4, c) for c in sample.tolist()] == expected
+
+
+def test_condition_6_pair_classes_match_full_table(f7, z9):
+    """The pair-class search returns argwhere's first (f, g) over the full
+    |G| x |G| table, on random support arrays that hold and that fail."""
+    rng = np.random.default_rng(6)
+    outcomes = []
+    for inst in (f7, z9):
+        lat = inst.lattice
+        for trial in range(40):
+            pool = rng.choice(len(lat), size=int(rng.integers(1, 5)), replace=False)
+            a = rng.choice(pool, size=int(rng.integers(1, 200)))
+            b = a.copy() if trial % 5 == 0 else rng.choice(pool, size=a.size)
+            hyp = lat.meet_table[a[:, None], a[None, :]] == a[:, None]
+            concl = lat.meet_table[b[:, None], b[None, :]] == b[:, None]
+            viol = np.argwhere(hyp & ~concl)
+            expected = tuple(int(v) for v in viol[0]) if viol.size else None
+            assert _first_order_violation(lat, a, b) == expected
+            outcomes.append(expected)
+    assert None in outcomes
+    assert any(w is not None and w[0] > 0 for w in outcomes)
 
 
 def test_condition_11_call_counts(monkeypatch):

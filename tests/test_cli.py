@@ -174,6 +174,23 @@ def test_sweep_jobs_determinism(f7_spec, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_f11_exhaustive_sweep_any_jobs(tmp_path):
+    spec = tmp_path / "f11n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 11, "k": 1}, "n": 2}))
+    a = str(tmp_path / "a.json")
+    b = str(tmp_path / "b.json")
+    base = ["sweep", "--instance", str(spec), "--family", "cyclic-over-D"]
+    assert main(base + ["--jobs", "1", "--out", a]) == 0
+    assert main(base + ["--jobs", "2", "--out", b]) == 0
+    report = read(a)
+    assert report["count"] == len(report["rows"]) == 13200 and report["all_hold"] is True
+    details = report["subgroups"].values()
+    assert sorted(d["order"] for d in details) == [100, 200, 1100, 1100, 13200]
+    normal = [c for d in details for c in d["checks"] if c["id"] == "canonical_fixer_normal"]
+    assert len(normal) == 5 and all(c["details"]["samples"] == "exhaustive" for c in normal)
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
 def test_cap_env_var(f7_spec, tmp_path, monkeypatch):
     monkeypatch.setenv("NETGALOIS_CAP", "10")
     sub_path = str(tmp_path / "gl.json")

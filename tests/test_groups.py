@@ -10,8 +10,10 @@ from netgalois.groups import (
     axis_subgroup,
     close_subgroup,
     coset_closure,
+    conjugate_codes,
     conjugation_closure_check,
     double_coset_key,
+    double_coset_labels,
     fix_mask,
     fixed_lattice,
     fixer,
@@ -341,6 +343,69 @@ def test_conjugation_closure_check(f7):
     assert holds
 
 
+def _all_f_conjugation_check(inst, subgroup, ambient):
+    """Reference: conjugate the subgroup by every ambient f in code order."""
+    sub_mats = subgroup.mats()
+    for f_code in ambient.codes.tolist():
+        codes = conjugate_codes(inst, inst.mat_of_code(f_code), sub_mats)
+        bad = ~subgroup.contains_many(codes)
+        if bool(np.any(bad)):
+            return False, (int(f_code), int(subgroup.codes[np.argmax(bad)]))
+    return True, None
+
+
+def _sweep_subgroups(inst):
+    """(F, G(K(F))) for every distinct subgroup <D, g> the sweep verifies."""
+    from netgalois.nets import net_fixer, transvection_ideals
+
+    seen = {}
+    for key in np.unique(double_coset_labels(inst, inst.gl().codes)).tolist():
+        f = coset_closure(inst, inst.diagonal(), [key])
+        seen.setdefault(f.fingerprint(), f)
+    return [(f, net_fixer(inst, transvection_ideals(inst, f))) for f in seen.values()]
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
+def test_conjugation_check_matches_all_f_reference(name, request):
+    inst = request.getfixturevalue(name)
+    gl = inst.gl()
+    d = inst.diagonal()
+    pairs = _sweep_subgroups(inst)
+    # non-normal pairs: D and the upper triangular group in GL, the fixer of
+    # an element D moves (if any) in GL, and that fixer against the smallest
+    # sweep subgroup, which need not contain it
+    upper = coset_closure(inst, d, [inst.code_of_mat(inst.elementary(0, 1, 1))])
+    l0p = inst.l0_prime().members
+    moved = fixer(inst, [x for x in range(len(inst.lattice)) if x not in l0p][:1])
+    pairs += [(d, gl), (upper, gl), (moved, gl), (moved, min(pairs, key=lambda p: len(p[0]))[0])]
+    verdicts = []
+    for subgroup, ambient in pairs:
+        expected = _all_f_conjugation_check(inst, subgroup, ambient)
+        assert conjugation_closure_check(inst, subgroup, ambient) == expected
+        verdicts.append(expected[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
+    from netgalois import groups
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(7, 1), 2)
+    calls = []
+    original = groups.conjugate_codes
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "conjugate_codes", counted)
+    for f, gk in _sweep_subgroups(inst):
+        calls.clear()
+        assert conjugation_closure_check(inst, gk, f)[0]
+        assert len(calls) <= len(f) // len(gk)
+
+
 def test_same_transvections(f7):
     d = f7.diagonal()
     gl = f7.gl()
@@ -357,17 +422,22 @@ def test_generating_subset(f7):
     assert np.array_equal(closed.codes, b.codes)
 
 
-def test_double_coset_key_invariance(f7):
+def test_double_coset_key_invariance(f7, z49, orbit_min):
     rng = np.random.default_rng(9)
     d_codes = f7.diagonal().codes
     from netgalois.rings import mat_mul, pack_matrices
 
     for code in rng.choice(f7.gl().codes, size=5).tolist():
         key = double_coset_key(f7, int(code))
+        assert key == orbit_min(f7, code)
         d1 = f7.mat_of_code(int(rng.choice(d_codes)))
         d2 = f7.mat_of_code(int(rng.choice(d_codes)))
         moved = mat_mul(mat_mul(d1, f7.mat_of_code(int(code)), f7.modulus), d2, f7.modulus)
         assert double_coset_key(f7, int(pack_matrices(moved, f7.modulus))) == key
+    # above PERM_TABLE_LIMIT each key enumerates its own D a D
+    for mat in ([[1, 3], [5, 2]], [[7, 1], [1, 0]]):
+        code = z49.code_of_mat(np.array(mat))
+        assert double_coset_key(z49, code) == orbit_min(z49, code)
 
 
 def test_subgroup_json_roundtrip(f7):
