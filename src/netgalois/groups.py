@@ -6,7 +6,10 @@ stay below a few million, so full enumeration beats stabiliser chains and is
 exactly reproducible; all set iterations run in canonical code order.  The
 matrix group acts non-faithfully (scalar-like units act trivially), and
 fixers absorb that kernel automatically.  Every fixer is an AND of per-element
-GL fix masks (`fix_mask`), each computed once per instance and cached.
+GL fix masks (`fix_mask`), each computed once per instance and cached.  Every
+closure is one BFS on the cosets of a seed subgroup (`coset_closure`) that
+steps a whole frontier per round in batched products; `close_subgroup` runs
+it over the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ class Subgroup:
         if self._gl_mask is None:
             self._gl_mask = self.contains_many(self.instance.gl().codes)
         return self._gl_mask
-
-    def generator_mats(self) -> list[np.ndarray]:
-        return [self.instance.mat_of_code(c) for c in self.generator_codes]
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return bool(np.all(other.contains_many(self.codes)))
@@ -144,82 +144,58 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
 
 
 def close_subgroup(instance, generator_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
-    """Breadth-first product closure of the generators (plus identity).
-
-    In a finite ambient group, closure under products alone already yields
-    the subgroup, inverses included.
-    """
-    m = instance.modulus
-    gen_codes = sorted(set(int(c) for c in generator_codes))
-    ident = instance.code_of_mat(instance.identity)
-    members = np.unique(np.array([ident] + gen_codes, dtype=np.int64))
-    if not gen_codes:
-        return Subgroup(instance, members, generator_codes=(), closed=True)
-    gens = np.stack([instance.mat_of_code(c) for c in gen_codes])
-    frontier = rings.unpack_matrices(members, m, instance.n)
-    while frontier.shape[0]:
-        new_codes = []
-        for start in range(0, frontier.shape[0], _BFS_CHUNK):
-            block = frontier[start : start + _BFS_CHUNK]
-            prods = rings.mat_mul(block[:, None], gens[None, :], m)
-            new_codes.append(np.unique(rings.pack_matrices(prods, m)))
-        cand = np.unique(np.concatenate(new_codes))
-        idx = np.searchsorted(members, cand)
-        idx = np.minimum(idx, members.size - 1)
-        fresh = cand[members[idx] != cand]
-        if not fresh.size:
-            break
-        members = np.union1d(members, fresh)
-        if members.size > cap:
-            raise CapExceeded(
-                f"subgroup closure passed cap {cap}", int(members.size)
-            )
-        frontier = rings.unpack_matrices(fresh, m, instance.n)
-    return Subgroup(instance, members, generator_codes=tuple(gen_codes), closed=True)
+    """Closure of the generators (plus identity): `coset_closure` over the
+    trivial subgroup, whose cosets are single elements."""
+    trivial = Subgroup(instance, [instance.code_of_mat(instance.identity)], closed=True)
+    return coset_closure(instance, trivial, generator_codes, cap=cap)
 
 
 def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
-    """Closure of <seed, extras> by BFS on left cosets of the seed subgroup.
+    """Closure of <seed, extras> by BFS on the cosets S y of the seed S.
 
-    Far fewer rounds than element-level BFS when the seed is large; each
-    visited coset contributes its full code block, so the member set is exact.
+    The generators of <seed, extras> act on these cosets from the right, so
+    the BFS from S reaches every coset.  Each round steps the whole frontier:
+    a candidate's key is the smallest code of S y, computed in chunks of at
+    most _BFS_CHUNK products, and a key not visited before adds its coset's
+    full code block, so the member set is exact.  In a finite group closure
+    under products already yields the subgroup, inverses included.
     """
-    m = instance.modulus
+    m, n = instance.modulus, instance.n
     if not seed.closed:
         raise InputError("coset closure needs a closed seed subgroup")
     extra_codes = sorted(set(int(c) for c in extra_codes))
-    right_gens = [instance.mat_of_code(c) for c in (list(seed.generator_codes) + extra_codes)]
-    if not right_gens:
+    gen_codes = list(seed.generator_codes) + extra_codes
+    if not gen_codes:
         return seed
+    gens = rings.unpack_matrices(np.array(gen_codes, dtype=np.int64), m, n)
     seed_mats = seed.mats()
-    ident = instance.identity
-    first = rings.pack_matrices(rings.mat_mul(seed_mats, ident, m), m)
-    reps = {int(first.min()): ident}
-    blocks = [first]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gam in right_gens:
-                y = rings.mat_mul(x, gam, m)
-                codes = rings.pack_matrices(rings.mat_mul(seed_mats, y, m), m)
-                key = int(codes.min())
-                if key not in reps:
-                    reps[key] = y
-                    blocks.append(codes)
-                    nxt.append(y)
-                    if len(reps) * len(seed) > cap:
-                        raise CapExceeded(
-                            f"coset closure passed cap {cap}", len(reps) * len(seed)
-                        )
-        frontier = nxt
+    step = max(1, _BFS_CHUNK // len(seed))
+    keys, blocks, fresh = seed.codes[:1], [seed.codes], [instance.identity[None]]
+    while fresh:
+        frontier = rings.mat_mul(np.concatenate(fresh)[:, None], gens[None], m).reshape(-1, n, n)
+        fresh = []
+        for start in range(0, frontier.shape[0], step):
+            ys = frontier[start : start + step]
+            codes = rings.pack_matrices(rings.mat_mul(seed_mats[None], ys[:, None], m), m)
+            new, first = np.unique(codes.min(axis=1), return_index=True)
+            unseen = ~np.isin(new, keys, assume_unique=True)
+            if unseen.any():
+                keys = np.union1d(keys, new[unseen])
+                first = first[unseen]
+                blocks.append(codes[first].ravel())
+                fresh.append(ys[first])
+                if keys.size * len(seed) > cap:
+                    raise CapExceeded(f"coset closure passed cap {cap}", keys.size * len(seed))
     codes = np.sort(np.concatenate(blocks))
-    gens = tuple(seed.generator_codes) + tuple(extra_codes)
-    return intern_subgroup(instance, Subgroup(instance, codes, generator_codes=gens, closed=True))
+    return intern_subgroup(instance, Subgroup(instance, codes, generator_codes=gen_codes, closed=True))
 
 
 def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> list[int]:
-    """Small generating set found greedily; exact by construction."""
+    """Small generating set found greedily; exact by construction.
+
+    Each new generator is the smallest member outside the closure so far,
+    and the closure grows by one `coset_closure` step over the previous one.
+    """
     if subgroup.generator_codes:
         return list(subgroup.generator_codes)
     gens: list[int] = []
@@ -227,7 +203,7 @@ def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> lis
     while len(current) < len(subgroup):
         missing = subgroup.codes[~current.contains_many(subgroup.codes)]
         gens.append(int(missing[0]))
-        current = close_subgroup(subgroup.instance, gens, cap=cap)
+        current = coset_closure(subgroup.instance, current, gens[-1:], cap=cap)
     if not current.is_subset_of(subgroup):
         raise InputError("member set is not closed; cannot extract generators")
     return gens
@@ -441,13 +417,12 @@ def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
 # -- normalizers and conjugation --------------------------------------------
 
 
-def conjugate_codes(instance, f_mat: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Codes of f^-1 s f for a batch of s."""
+def conjugate_codes(instance, f_mats: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Codes of f^-1 s f for a batch of s, by one f or by a batch of f
+    aligned with the s (numpy broadcasting)."""
     m = instance.modulus
-    f_inv = instance.inv(f_mat)
-    return rings.pack_matrices(
-        rings.mat_mul(rings.mat_mul(f_inv[None, :, :], mats, m), f_mat[None, :, :], m), m
-    )
+    f_inv = rings.inv_batch(f_mats, instance.ring)
+    return rings.pack_matrices(rings.mat_mul(rings.mat_mul(f_inv, mats, m), f_mats, m), m)
 
 
 def normalizes(instance, f_code: int, subgroup: Subgroup, gens: list[int] | None = None) -> bool:
@@ -458,7 +433,7 @@ def normalizes(instance, f_code: int, subgroup: Subgroup, gens: list[int] | None
     """
     f = instance.mat_of_code(f_code)
     gen_codes = gens if gens is not None else generating_subset(subgroup)
-    mats = np.stack([instance.mat_of_code(c) for c in gen_codes])
+    mats = rings.unpack_matrices(np.array(gen_codes, dtype=np.int64), instance.modulus, instance.n)
     return bool(np.all(subgroup.contains_many(conjugate_codes(instance, f, mats))))
 
 
@@ -466,15 +441,10 @@ def normalizer(instance, subgroup: Subgroup, ambient: Subgroup) -> Subgroup:
     """All ambient elements conjugating the subgroup onto itself."""
     if not subgroup.is_subset_of(ambient):
         raise InputError("normalizer expects the subgroup inside the ambient group")
-    m = instance.modulus
-    gens = generating_subset(subgroup)
     amb_mats = ambient.mats()
-    amb_inv = rings.inv_batch(amb_mats, instance.ring)
     mask = np.ones(len(ambient), dtype=bool)
-    for c in gens:
-        gm = instance.mat_of_code(c)
-        conj = rings.mat_mul(rings.mat_mul(amb_inv, gm[None, :, :], m), amb_mats, m)
-        mask &= subgroup.contains_many(rings.pack_matrices(conj, m))
+    for c in generating_subset(subgroup):
+        mask &= subgroup.contains_many(conjugate_codes(instance, amb_mats, instance.mat_of_code(c)))
     return Subgroup(instance, ambient.codes[mask], closed=True)
 
 
@@ -511,26 +481,17 @@ def double_coset_key(instance, code: int) -> int:
     Up to PERM_TABLE_LIMIT the first call labels all of GL in one
     `double_coset_labels` pass, cached, and every call looks its code up.
     Above it (4.8M elements on Z/49) that pass would cost about 10^8
-    products, so each call enumerates its own D a D.
+    products, so each call labels its own code, enumerating one D a D.
     """
-    if gl_order(instance.ring, instance.n) <= PERM_TABLE_LIMIT:
-        g = instance.gl()
-        labels = instance._caches.get("gl_double_coset_labels")
-        if labels is None:
-            labels = instance._caches["gl_double_coset_labels"] = double_coset_labels(
-                instance, g.codes
-            )
-        return int(labels[np.searchsorted(g.codes, code)])
-    d_mats = instance.diagonal().mats()
-    a = instance.mat_of_code(code)
-    m = instance.modulus
-    left = rings.mat_mul(d_mats, a[None, :, :], m)
-    best = None
-    for start in range(0, left.shape[0], 128):
-        prods = rings.mat_mul(left[start : start + 128, None], d_mats[None, :], m)
-        low = int(rings.pack_matrices(prods, m).min())
-        best = low if best is None else min(best, low)
-    return best
+    if gl_order(instance.ring, instance.n) > PERM_TABLE_LIMIT:
+        return int(double_coset_labels(instance, [code])[0])
+    g = instance.gl()
+    labels = instance._caches.get("gl_double_coset_labels")
+    if labels is None:
+        labels = instance._caches["gl_double_coset_labels"] = double_coset_labels(
+            instance, g.codes
+        )
+    return int(labels[np.searchsorted(g.codes, code)])
 
 
 def double_coset_labels(instance, codes) -> np.ndarray:
@@ -591,11 +552,7 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
     ss = rng.choice(subgroup.codes, size=samples, replace=True)
     f_mats = rings.unpack_matrices(fs, m, instance.n)
     s_mats = rings.unpack_matrices(ss, m, instance.n)
-    f_inv = rings.inv_batch(f_mats, instance.ring)
-    conj = rings.pack_matrices(
-        rings.mat_mul(rings.mat_mul(f_inv, s_mats, m), f_mats, m), m
-    )
-    bad = ~subgroup.contains_many(conj)
+    bad = ~subgroup.contains_many(conjugate_codes(instance, f_mats, s_mats))
     if bool(np.any(bad)):
         k = int(np.argmax(bad))
         return False, (int(fs[k]), int(ss[k]))

@@ -8,8 +8,6 @@ immutable after construction and safe to share across worker processes.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import InputError
@@ -383,8 +381,3 @@ def chain(length: int) -> FiniteLattice:
     meet = np.minimum.outer(idx, idx)
     join = np.maximum.outer(idx, idx)
     return FiniteLattice(meet, join, [str(i) for i in range(n)])
-
-
-def load_lattice(path) -> FiniteLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FiniteLattice.from_json(json.load(fh))

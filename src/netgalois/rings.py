@@ -55,10 +55,6 @@ class RingSpec:
     def unit_count(self) -> int:
         return self.p**self.k - self.p ** (self.k - 1)
 
-    @property
-    def residue_field_size(self) -> int:
-        return self.p
-
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
 

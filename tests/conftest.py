@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netgalois.glnr import Instance
-from netgalois.rings import RingSpec, pack_matrices
+from netgalois.rings import RingSpec, pack_matrices, unpack_matrices
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +70,25 @@ def _orbit_min(inst, code):
 @pytest.fixture(scope="session")
 def orbit_min():
     return _orbit_min
+
+
+def _element_closure(inst, generator_codes):
+    """Sorted codes of <generators>, by element BFS: multiply the newest
+    members by every generator until no product is new.  The reference for
+    `coset_closure` and `close_subgroup`."""
+    m = inst.modulus
+    ident = inst.code_of_mat(inst.identity)
+    gens = np.stack([inst.mat_of_code(int(c)) for c in generator_codes] + [inst.identity])
+    members = np.unique(np.array([ident] + [int(c) for c in generator_codes], dtype=np.int64))
+    frontier = members
+    while frontier.size:
+        mats = unpack_matrices(frontier, m, inst.n)
+        prods = np.unique(pack_matrices((mats[:, None] @ gens[None]) % m, m))
+        frontier = np.setdiff1d(prods, members)
+        members = np.union1d(members, frontier)
+    return members
+
+
+@pytest.fixture(scope="session")
+def element_closure():
+    return _element_closure

@@ -61,14 +61,67 @@ def test_close_subgroup_cap(f7):
     ]
     with pytest.raises(CapExceeded):
         close_subgroup(f7, gens, cap=100)
+    with pytest.raises(CapExceeded):
+        coset_closure(f7, f7.diagonal(), gens[-2:], cap=100)
 
 
-def test_coset_closure_matches_plain_closure(f7):
+def test_coset_closure_matches_plain_closure(f7, element_closure):
     rng = np.random.default_rng(5)
     for code in rng.choice(f7.gl().codes, size=6, replace=False).tolist():
         fast = coset_closure(f7, f7.diagonal(), [int(code)])
-        slow = close_subgroup(f7, f7.diagonal_generator_codes() + [int(code)])
-        assert np.array_equal(fast.codes, slow.codes)
+        slow = element_closure(f7, f7.diagonal_generator_codes() + [int(code)])
+        assert np.array_equal(fast.codes, slow)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_coset_closure_matches_element_bfs(name, request, element_closure):
+    """Seeds: the trivial group, D, the Borel group and a previous closure;
+    extras: a random element, two more, and an element of D."""
+    inst = request.getfixturevalue(name)
+    d = inst.diagonal()
+    rng = np.random.default_rng(11)
+    codes = [int(c) for c in rng.choice(inst.gl().codes, size=4, replace=False)]
+    seeds = [
+        close_subgroup(inst, []),
+        d,
+        coset_closure(inst, d, [inst.code_of_mat(inst.elementary(0, 1, 1))]),
+        coset_closure(inst, d, codes[:1]),
+    ]
+    for seed in seeds:
+        assert np.array_equal(seed.codes, element_closure(inst, seed.generator_codes))
+        for extras in (codes[1:2], codes[2:], [int(d.codes[-1])]):
+            got = coset_closure(inst, seed, extras)
+            gens = seed.generator_codes + tuple(sorted(set(extras)))
+            assert got.generator_codes == gens
+            assert np.array_equal(got.codes, element_closure(inst, gens))
+    got = close_subgroup(inst, codes[:2])
+    assert got.generator_codes == tuple(sorted(codes[:2]))
+    assert np.array_equal(got.codes, element_closure(inst, codes[:2]))
+
+
+def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
+    """<D, g> = GL visits all 56 cosets of D in fewer `mat_mul` calls than
+    cosets: each BFS round multiplies its frontier in batched calls."""
+    from netgalois import rings
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    keys = np.unique(double_coset_labels(f7, f7.gl().codes)).tolist()
+    g = next(k for k in keys if len(coset_closure(f7, f7.diagonal(), [k])) == 2016)
+    inst = Instance(RingSpec(7, 1), 2)
+    d = inst.diagonal()
+    calls = []
+    original = rings.mat_mul
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(rings, "mat_mul", counted)
+    full = coset_closure(inst, d, [g])
+    assert len(full) // len(d) == 56
+    assert np.array_equal(full.codes, f7.gl().codes)
+    assert len(calls) < 56
 
 
 def test_subgroup_closure_invariants(f7):
@@ -415,11 +468,32 @@ def test_same_transvections(f7):
     assert not same_transvections(f7, b, gl)
 
 
-def test_generating_subset(f7):
+def test_generating_subset(f7, element_closure):
     b = fixer(f7, [f7.element_by_label("0,1;0,0")])  # no recorded generators
     gens = generating_subset(b)
-    closed = close_subgroup(f7, gens)
-    assert np.array_equal(closed.codes, b.codes)
+    assert np.array_equal(element_closure(f7, gens), b.codes)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_generating_subset_matches_greedy_reference(name, request, element_closure):
+    """The greedy loop re-closing from scratch on the element BFS picks the
+    same generators, in the same order."""
+    inst = request.getfixturevalue(name)
+    l0p = inst.l0_prime().members
+    moved = [x for x in range(len(inst.lattice)) if x not in l0p][:1]
+    subgroups = [
+        inst.gl(),
+        Subgroup(inst, inst.diagonal().codes, closed=True),
+        fixer(inst, moved),
+        fixer(inst, [1]),
+    ]
+    for sub in subgroups:
+        assert not sub.generator_codes
+        gens, current = [], element_closure(inst, [])
+        while current.size < len(sub):
+            gens.append(int(sub.codes[~np.isin(sub.codes, current)][0]))
+            current = element_closure(inst, gens)
+        assert generating_subset(sub) == gens
 
 
 def test_double_coset_key_invariance(f7, z49, orbit_min):
