@@ -24,9 +24,10 @@ from .groups import (
     atom_image_supports,
     axis_subgroup,
     coset_closure,
-    double_coset_labels,
+    double_coset_key,
     fix_mask,
     fixer,
+    intern_subgroup,
     transvection_table,
     transvections,
 )
@@ -109,7 +110,7 @@ class _Ctx:
 
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
-        return self.closure_of_keys(double_coset_labels(self.instance, codes_tuple).tolist())
+        return self.closure_of_keys(double_coset_key(self.instance, codes_tuple).tolist())
 
     def closure_of_keys(self, keys):
         """<D, a_1, ...> for any a_k with these double-coset keys.
@@ -119,7 +120,8 @@ class _Ctx:
         """
         key = ("closure_with", tuple(sorted(keys)))
         if key not in self.instance._caches:
-            self.instance._caches[key] = coset_closure(self.instance, self.diag, list(key[1]))
+            closure = coset_closure(self.instance, self.diag, list(key[1]))
+            self.instance._caches[key] = intern_subgroup(self.instance, closure)
         return self.instance._caches[key]
 
 
@@ -457,7 +459,7 @@ def _cond_10(ctx, mode, rng, samples):
                     # sampled profile: a few members per value, no dedup pass
                     pick = rng.choice(codes.size, size=min(3, codes.size), replace=False)
                     codes = np.sort(codes[pick])
-                keys = double_coset_labels(inst, codes)
+                keys = double_coset_key(inst, codes)
                 key_of.update(zip(codes.tolist(), keys.tolist()))
                 if samples is None:
                     # one representative per double coset; the generated
@@ -513,7 +515,7 @@ def _cond_11(ctx, mode, rng, samples):
     a_codes = ctx.g.codes[pos]
     # <D, a> = <D, d a d'>, each lying in the other's group with D: one closure per label
     keys, firsts, label = np.unique(
-        double_coset_labels(ctx.instance, a_codes), return_index=True, return_inverse=True
+        double_coset_key(ctx.instance, a_codes), return_index=True, return_inverse=True
     )
     tables = [transvection_table(ctx.instance, i, j) for i, j in pairs]
     fails = np.zeros(xs.shape, dtype=bool)

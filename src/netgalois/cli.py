@@ -24,7 +24,7 @@ from . import __version__
 from .axioms import CONDITION_IDS, PRIME_IDS, check_all, replay_witness
 from .errors import CapExceeded, InputError
 from .glnr import Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
-from .groups import Subgroup
+from .groups import Subgroup, coset_closure, double_coset_key
 from .lattice import FiniteLattice, pentagon
 from .nets import (
     all_fixer_classes,
@@ -34,7 +34,7 @@ from .nets import (
     transvection_ideals,
 )
 from .report import canonical_json, make_report, summarize_checks, write_report, write_timings
-from .sweep import sweep_cyclic
+from .sweep import derived_seed, sweep_cyclic
 
 DEFAULT_CAP = 10_000_000
 
@@ -385,23 +385,27 @@ def cmd_replay(args) -> int:
                 reproduced += 1
         else:
             pools.extend(c for c in data["checks"] if not c.get("holds", True))
-    if isinstance(data.get("rows"), list):
-        from netgalois.groups import coset_closure
-        from netgalois.sweep import derived_seed
-
-        for row in data["rows"]:
-            if row.get("holds", True):
-                continue
-            if instance is None:
-                raise InputError("sweep rows need --instance")
-            detail = data["subgroups"][row["subgroup"]]
-            failed_ids = {c["id"] for c in detail["checks"] if not c["holds"]}
-            subgroup = coset_closure(instance, instance.diagonal(), [int(row["g"])], cap=cap)
+    rows = data["rows"] if isinstance(data.get("rows"), list) else []
+    failing = [r for r in rows if not r.get("holds", True)]
+    if failing:
+        if instance is None:
+            raise InputError("sweep rows need --instance")
+        # <D, g> depends only on D g D: one closure per key, one re-verification
+        # per subgroup, and a row only counts when its g closes to its subgroup
+        keys = double_coset_key(instance, [int(r["g"]) for r in failing]).tolist()
+        closures, again = {}, {}
+        for row, key in zip(failing, keys):
+            if key not in closures:
+                closures[key] = coset_closure(instance, instance.diagonal(), [int(row["g"])], cap=cap)
+            fp = closures[key].fingerprint()
             total += 1
-            if reverify_subgroup(
-                subgroup, derived_seed(data.get("seed") or 0, subgroup.fingerprint()), failed_ids
-            ):
-                reproduced += 1
+            if fp != row["subgroup"]:
+                continue
+            if fp not in again:
+                failed_ids = {c["id"] for c in data["subgroups"][fp]["checks"] if not c["holds"]}
+                seed = derived_seed(data.get("seed") or 0, fp)
+                again[fp] = reverify_subgroup(closures[key], seed, failed_ids)
+            reproduced += again[fp]
     for rec in pools:
         outcome = try_replay(rec.get("witness"))
         total += 1

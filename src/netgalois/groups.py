@@ -15,12 +15,12 @@ it over the trivial subgroup.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
 from . import rings
 from .errors import CapExceeded, InputError
-from .glnr import PERM_TABLE_LIMIT, gl_order
 from .lattice import SublatticeHandle
 
 DEFAULT_CLOSURE_CAP = 10_000_000
@@ -187,7 +187,7 @@ def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOS
                 if keys.size * len(seed) > cap:
                     raise CapExceeded(f"coset closure passed cap {cap}", keys.size * len(seed))
     codes = np.sort(np.concatenate(blocks))
-    return intern_subgroup(instance, Subgroup(instance, codes, generator_codes=gen_codes, closed=True))
+    return Subgroup(instance, codes, generator_codes=gen_codes, closed=True)
 
 
 def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> list[int]:
@@ -475,48 +475,36 @@ def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
     return True, None
 
 
-def double_coset_key(instance, code: int) -> int:
-    """min packed code over D a D; closures <D, a> depend only on this.
+def double_coset_key(instance, codes) -> np.ndarray:
+    """Smallest code over D a D for each code a of a batch; <D, a> depends only on it.
 
-    Up to PERM_TABLE_LIMIT the first call labels all of GL in one
-    `double_coset_labels` pass, cached, and every call looks its code up.
-    Above it (4.8M elements on Z/49) that pass would cost about 10^8
-    products, so each call labels its own code, enumerating one D a D.
+    Codes pack rows least-significant-first, so row i of a fills its own
+    digits at weight m^(i n), and d in D scales row i by d_i: the minimum over
+    D a is sum_i m^(i n) rowmin[rowcode(a_i)], with rowmin[v] the smallest
+    code of u v over units u.  On the right a d' = (uI) a (u^-1 d') with
+    u = d'_0 and uI in D, so the right scalings with d'_0 = 1 reach every
+    D a d': the key is the smallest left minimum over those |units|^(n-1).
     """
-    if gl_order(instance.ring, instance.n) > PERM_TABLE_LIMIT:
-        return int(double_coset_labels(instance, [code])[0])
-    g = instance.gl()
-    labels = instance._caches.get("gl_double_coset_labels")
-    if labels is None:
-        labels = instance._caches["gl_double_coset_labels"] = double_coset_labels(
-            instance, g.codes
+    m, n = instance.modulus, instance.n
+    tables = instance._caches.get("double_coset_tables")
+    if tables is None:
+        units = np.array(instance.ring.units(), dtype=np.int64)
+        rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+        rowmin = rings.pack_vectors(units[:, None, None] * rows % m, m).min(axis=0)
+        scalings = np.array(
+            [(1,) + u for u in itertools.product(units.tolist(), repeat=n - 1)], dtype=np.int64
         )
-    return int(labels[np.searchsorted(g.codes, code)])
-
-
-def double_coset_labels(instance, codes) -> np.ndarray:
-    """double_coset_key of every listed code, one pass over D a D per double coset.
-
-    Each pass labels every listed code inside D a D: double cosets partition
-    GL, so b lies in D a D exactly when D b D = D a D and their keys agree.
-    """
-    uniq, back = np.unique(np.asarray(codes, dtype=np.int64), return_inverse=True)
-    labels = np.full(uniq.size, -1, dtype=np.int64)
-    d_mats = instance.diagonal().mats()
-    m = instance.modulus
-    for k in range(uniq.size):
-        if labels[k] >= 0:
-            continue
-        left = rings.mat_mul(d_mats, instance.mat_of_code(int(uniq[k]))[None, :, :], m)
-        best, inside = int(uniq[k]), np.zeros(uniq.size, dtype=bool)
-        for start in range(0, left.shape[0], 128):
-            prods = rings.mat_mul(left[start : start + 128, None], d_mats[None, :], m)
-            orbit = rings.pack_matrices(prods, m).ravel()
-            best = min(best, int(orbit.min()))
-            idx = np.minimum(np.searchsorted(uniq, orbit), uniq.size - 1)
-            inside[idx[uniq[idx] == orbit]] = True
-        labels[inside] = best
-    return labels[back]
+        tables = instance._caches["double_coset_tables"] = (rowmin, scalings)
+    rowmin, scalings = tables
+    codes = np.asarray(codes, dtype=np.int64)
+    keys = np.empty(codes.size, dtype=np.int64)
+    weights = m ** (n * np.arange(n, dtype=np.int64))
+    step = max(1, _BFS_CHUNK // len(scalings))
+    for start in range(0, codes.size, step):
+        mats = rings.unpack_matrices(codes[start : start + step], m, n)
+        scaled = mats[:, None] * scalings[None, :, None, :] % m
+        keys[start : start + step] = (rowmin[rings.pack_vectors(scaled, m)] @ weights).min(axis=1)
+    return keys
 
 
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):

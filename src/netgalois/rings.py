@@ -275,18 +275,25 @@ def det_batch(mats: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def inv_batch(mats: np.ndarray, ring: RingSpec) -> np.ndarray:
-    """Inverses of batches of invertible 2x2 matrices via the adjugate."""
+    """Inverses of batches of invertible n x n matrices, n = 2 or 3: adjugate / det."""
     m = ring.modulus
     a = mats.astype(np.int64)
-    if a.shape[-1] != 2:
-        return np.stack([inv_single(x, ring) for x in a.reshape(-1, a.shape[-1], a.shape[-1])]).reshape(a.shape)
-    det = det_batch(a, m)
-    det_inv = _unit_inverse_batch(det, ring)
-    adj = np.empty_like(a)
-    adj[..., 0, 0] = a[..., 1, 1]
-    adj[..., 1, 1] = a[..., 0, 0]
-    adj[..., 0, 1] = -a[..., 0, 1]
-    adj[..., 1, 0] = -a[..., 1, 0]
+    n = a.shape[-1]
+    if n == 2:
+        adj = np.empty_like(a)
+        adj[..., 0, 0] = a[..., 1, 1]
+        adj[..., 1, 1] = a[..., 0, 0]
+        adj[..., 0, 1] = -a[..., 0, 1]
+        adj[..., 1, 0] = -a[..., 1, 0]
+    elif n == 3:
+        # cofactor (i, j) = a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1],
+        # indices mod 3: the cyclic order carries the sign (-1)^(i+j)
+        r1, r2 = np.roll(a, -1, axis=-2), np.roll(a, -2, axis=-2)
+        cof = np.roll(r1, -1, -1) * np.roll(r2, -2, -1) - np.roll(r1, -2, -1) * np.roll(r2, -1, -1)
+        adj = np.swapaxes(cof, -1, -2)
+    else:
+        raise NotImplementedError(f"inv_batch only implemented for n = 2, 3, got {n}")
+    det_inv = _unit_inverse_batch(det_batch(a, m), ring)
     return (adj * det_inv[..., None, None]) % m
 
 

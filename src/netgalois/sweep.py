@@ -1,16 +1,18 @@
 """Family sweeps: run the whole verification bundle over every subgroup
 generated by the frame stabiliser plus one extra group element.
 
-Distinct extra elements mostly generate the same handful of subgroups, so
-closures are cached by double coset of the extra element and verifications
-by subgroup fingerprint.  While GL has at most PERM_TABLE_LIMIT elements,
-the first row's `double_coset_key` labels all of GL in one pass (one orbit
-of D a D per double coset) and every row looks its label up; above it each
-row enumerates its own D a D.  The exhaustive normality check conjugates
-by one element per left coset of the canonical fixer.  Worker processes
-fork after the parent prewarms the shared caches; results are merged in
-extra-element order and per-check randomness is seeded from the subgroup
-fingerprint, so reports are byte-identical for any worker count.
+<D, g> depends only on the double coset D g D, so a sweep runs in four stages:
+1. label every row with `double_coset_key`, in one batched call;
+2. pick one representative per key: its first row in code order;
+3. close <D, rep> once per representative (`verify_one`) and verify each new
+   subgroup fingerprint once; the exhaustive normality check conjugates by
+   one element per left coset of the canonical fixer;
+4. emit the rows from the tables key -> fingerprint -> detail.
+Worker processes fork after the parent prewarms the shared caches and take
+representatives round-robin.  Each fingerprint keeps the detail of its
+earliest representative in row order, which is what one process computes,
+and per-check randomness is seeded from the fingerprint, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .glnr import enumerate_dnets, verified_net_subgroup, verify_sandwich
-from .groups import coset_closure, double_coset_key, transvection_table
+from .groups import coset_closure, double_coset_key, intern_subgroup, transvection_table
 from .nets import (
     _sublattice_fixers,
     enumerate_net_collections,
@@ -54,15 +56,13 @@ def prewarm(instance, *, include_classes: bool = True, class_bound: int = 32, ca
         _sublattice_fixers(instance, bound=class_bound)
 
 
-def verify_one(instance, g_code: int, opts: dict, closure_cache: dict, detail_cache: dict):
-    """Row for one extra element; heavy work deduplicated through the caches."""
-    dc_key = double_coset_key(instance, g_code)
-    subgroup = closure_cache.get(dc_key)
-    if subgroup is None:
-        subgroup = coset_closure(instance, instance.diagonal(), [g_code], cap=opts["cap"])
-        closure_cache[dc_key] = subgroup
+def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
+    """Fingerprint of <D, g>; verifies it into `details` when it is new there."""
+    subgroup = intern_subgroup(
+        instance, coset_closure(instance, instance.diagonal(), [g_code], cap=opts["cap"])
+    )
     fp = subgroup.fingerprint()
-    if fp not in detail_cache:
+    if fp not in details:
         checks = verify_sandwich(
             instance,
             subgroup,
@@ -72,28 +72,17 @@ def verify_one(instance, g_code: int, opts: dict, closure_cache: dict, detail_ca
             include_classes=opts["include_classes"],
             class_bound=opts["class_bound"],
         )
-        detail_cache[fp] = {"order": len(subgroup), "checks": checks}
-    detail = detail_cache[fp]
-    failed = [c["id"] for c in detail["checks"] if not c["holds"]]
-    return (
-        {"g": int(g_code), "order": detail["order"], "subgroup": fp, "holds": not failed},
-        fp,
-    )
+        details[fp] = {"order": len(subgroup), "checks": checks}
+    return fp
 
 
 _WORKER = {}
 
 
-def _worker_chunk(codes):
-    instance = _WORKER["instance"]
-    opts = _WORKER["opts"]
-    closure_cache: dict = {}
-    detail_cache: dict = {}
-    rows = []
-    for code in codes:
-        row, _ = verify_one(instance, code, opts, closure_cache, detail_cache)
-        rows.append(row)
-    return rows, detail_cache
+def _worker_chunk(reps):
+    details: dict = {}
+    fps = [verify_one(_WORKER["instance"], rep, _WORKER["opts"], details) for rep in reps]
+    return fps, details
 
 
 def sweep_cyclic(
@@ -129,28 +118,33 @@ def sweep_cyclic(
     }
     prewarm(instance, include_classes=include_classes, class_bound=class_bound, cap=cap)
 
-    jobs = jobs or os.cpu_count() or 1
-    if jobs <= 1 or len(codes) < 4:
-        closure_cache: dict = {}
-        detail_cache: dict = {}
-        rows = [verify_one(instance, c, opts, closure_cache, detail_cache)[0] for c in codes]
-        details = detail_cache
-    else:
-        _WORKER["instance"] = instance
-        _WORKER["opts"] = opts
-        chunks = [codes[i::jobs] for i in range(jobs)]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            results = pool.map(_worker_chunk, chunks)
+    keys = double_coset_key(instance, codes)
+    _, firsts, label = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)  # labels by first row
+    reps = [codes[i] for i in firsts[order].tolist()]
+
+    jobs = 1 if len(reps) < 4 else max(1, jobs or os.cpu_count() or 1)
+    _WORKER.update(instance=instance, opts=opts)
+    try:
+        if jobs == 1:
+            results = [_worker_chunk(reps)]
+        else:
+            with mp.get_context("fork").Pool(processes=jobs) as pool:
+                results = pool.map(_worker_chunk, [reps[i::jobs] for i in range(jobs)])
+    finally:
         _WORKER.clear()
-        by_g = {}
-        details = {}
-        for rows_part, detail_part in results:
-            for row in rows_part:
-                by_g[row["g"]] = row
-            # verification is deterministic per fingerprint, so duplicates agree
-            details.update(detail_part)
-        rows = [by_g[c] for c in codes]
+    # worker r % jobs verified representative r; its detail for fp comes from
+    # its earliest representative of fp, so the first one in representative
+    # order is the detail one job computes
+    fps = [results[r % jobs][0][r // jobs] for r in range(len(reps))]
+    details = {}
+    for r, fp in enumerate(fps):
+        details.setdefault(fp, results[r % jobs][1][fp])
+    per_label = {}
+    for k, fp in zip(order.tolist(), fps):
+        holds = all(c["holds"] for c in details[fp]["checks"])
+        per_label[k] = {"order": details[fp]["order"], "subgroup": fp, "holds": holds}
+    rows = [{"g": code, **per_label[k]} for code, k in zip(codes, label.tolist())]
 
     return {
         "family": family,

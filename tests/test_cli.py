@@ -191,6 +191,65 @@ def test_f11_exhaustive_sweep_any_jobs(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.fixture(scope="module")
+def z9_sweep(tmp_path_factory):
+    """(spec path, report path) of the exhaustive Z/9 sweep, one job, seed 5."""
+    tmp = tmp_path_factory.mktemp("z9")
+    spec = tmp / "z9n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 3, "k": 2}, "n": 2}))
+    out = tmp / "jobs1.json"
+    base = ["sweep", "--instance", str(spec), "--seed", "5", "--jobs", "1", "--out", str(out)]
+    assert main(base) == 1  # outside the hypotheses: some subgroups fail
+    return str(spec), out
+
+
+def test_z9_sweep_reports_do_not_depend_on_jobs(z9_sweep, tmp_path):
+    spec, one = z9_sweep
+    for jobs in ("2", "3"):
+        out = tmp_path / f"jobs{jobs}.json"
+        base = ["sweep", "--instance", spec, "--seed", "5", "--jobs", jobs, "--out", str(out)]
+        assert main(base) == 1
+        assert out.read_bytes() == one.read_bytes()
+
+
+def test_sweep_verifies_once_per_double_coset(f7_spec, tmp_path, monkeypatch):
+    from netgalois import sweep
+
+    calls = {"verify_one": 0, "double_coset_key": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+    out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "--instance", f7_spec, "--jobs", "1", "--out", out]) == 0
+    assert read(out)["count"] == 2016
+    assert calls == {"verify_one": 11, "double_coset_key": 1}
+
+
+def test_replay_sweep_rows_checks_their_subgroup(z9_sweep, tmp_path, capsys):
+    spec, report = z9_sweep
+    capsys.readouterr()
+    assert main(["replay", "--report", str(report), "--instance", spec]) == 0
+    assert "replayed 1800 failure witnesses: 1800 reproduced" in capsys.readouterr().out
+
+    # a failing row whose g closes to another failing subgroup is not
+    # reproduced, though that subgroup fails the same checks
+    data = read(report)
+    failing = [r for r in data["rows"] if not r["holds"]]
+    row = failing[0]
+    row["g"] = next(r["g"] for r in failing if r["subgroup"] != row["subgroup"])
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(data))
+    assert main(["replay", "--report", str(swapped), "--instance", spec]) == 1
+    assert "replayed 1800 failure witnesses: 1799 reproduced" in capsys.readouterr().out
+
+
 def test_cap_env_var(f7_spec, tmp_path, monkeypatch):
     monkeypatch.setenv("NETGALOIS_CAP", "10")
     sub_path = str(tmp_path / "gl.json")

@@ -13,7 +13,6 @@ from netgalois.groups import (
     conjugate_codes,
     conjugation_closure_check,
     double_coset_key,
-    double_coset_labels,
     fix_mask,
     fixed_lattice,
     fixer,
@@ -106,7 +105,7 @@ def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
-    keys = np.unique(double_coset_labels(f7, f7.gl().codes)).tolist()
+    keys = np.unique(double_coset_key(f7, f7.gl().codes)).tolist()
     g = next(k for k in keys if len(coset_closure(f7, f7.diagonal(), [k])) == 2016)
     inst = Instance(RingSpec(7, 1), 2)
     d = inst.diagonal()
@@ -412,7 +411,7 @@ def _sweep_subgroups(inst):
     from netgalois.nets import net_fixer, transvection_ideals
 
     seen = {}
-    for key in np.unique(double_coset_labels(inst, inst.gl().codes)).tolist():
+    for key in np.unique(double_coset_key(inst, inst.gl().codes)).tolist():
         f = coset_closure(inst, inst.diagonal(), [key])
         seen.setdefault(f.fingerprint(), f)
     return [(f, net_fixer(inst, transvection_ideals(inst, f))) for f in seen.values()]
@@ -496,22 +495,28 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
         assert generating_subset(sub) == gens
 
 
-def test_double_coset_key_invariance(f7, z49, orbit_min):
-    rng = np.random.default_rng(9)
-    d_codes = f7.diagonal().codes
-    from netgalois.rings import mat_mul, pack_matrices
+def test_double_coset_key_matches_orbit_min(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
+    """The table key is the brute-force smallest code of D a D on all of GL
+    (F3 rank 3: three rows and 4 right scalings) and on 10 Z/49 codes, and
+    it does not move under a -> d a d'."""
+    from netgalois.rings import det_batch, mat_mul, pack_matrices, unpack_matrices
 
-    for code in rng.choice(f7.gl().codes, size=5).tolist():
-        key = double_coset_key(f7, int(code))
-        assert key == orbit_min(f7, code)
-        d1 = f7.mat_of_code(int(rng.choice(d_codes)))
-        d2 = f7.mat_of_code(int(rng.choice(d_codes)))
-        moved = mat_mul(mat_mul(d1, f7.mat_of_code(int(code)), f7.modulus), d2, f7.modulus)
-        assert double_coset_key(f7, int(pack_matrices(moved, f7.modulus))) == key
-    # above PERM_TABLE_LIMIT each key enumerates its own D a D
-    for mat in ([[1, 3], [5, 2]], [[7, 1], [1, 0]]):
-        code = z49.code_of_mat(np.array(mat))
-        assert double_coset_key(z49, code) == orbit_min(z49, code)
+    rng = np.random.default_rng(9)
+    z49_mats = rng.integers(0, z49.modulus, size=(40, 2, 2))
+    z49_mats = z49_mats[det_batch(z49_mats, z49.modulus) % 7 != 0][:8]
+    # entries in the maximal ideal (7) too, not only units
+    z49_mats = np.concatenate([[[[1, 3], [5, 2]], [[7, 1], [1, 0]]], z49_mats])
+    cases = [(inst, inst.gl().codes) for inst in (f2, z4, f3, f7, z9, f3n3)]
+    cases.append((z49, pack_matrices(z49_mats, z49.modulus)))
+    for inst, codes in cases:
+        m = inst.modulus
+        keys = double_coset_key(inst, codes)
+        assert keys.tolist() == [orbit_min(inst, c) for c in codes.tolist()]
+        d_mats = inst.diagonal().mats()
+        d1, d2 = d_mats[rng.integers(0, len(d_mats), size=(2, codes.size))]
+        moved = mat_mul(mat_mul(d1, unpack_matrices(codes, m, inst.n), m), d2, m)
+        assert np.array_equal(double_coset_key(inst, pack_matrices(moved, m)), keys)
+    assert len(cases[-1][1]) == 10
 
 
 def test_subgroup_json_roundtrip(f7):
@@ -528,10 +533,25 @@ def test_subgroup_json_roundtrip(f7):
 
 
 def test_fingerprint_is_cached_and_survives_interning(f7):
-    pooled = borel(f7)
+    pooled = intern_subgroup(f7, borel(f7))
     copy = Subgroup(f7, pooled.codes.copy(), closed=True)
     first = copy.fingerprint()
     assert intern_subgroup(f7, copy) is copy
     assert copy.codes is pooled.codes
     assert copy.fingerprint() == first
     assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
+
+
+def test_temporary_closures_stay_out_of_the_pool():
+    """Closures are interned only where they are kept: generating a group's
+    generators closes three intermediate groups on F3 rank 3 and pools none."""
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(3, 1), 3)
+    gl = inst.gl()
+    pool = inst._caches["subgroup_pool"]
+    before = len(pool)
+    gens = generating_subset(gl)
+    assert len(gens) >= 2
+    assert len(pool) == before

@@ -6,6 +6,7 @@ import pytest
 from netgalois.errors import InputError
 from netgalois.rings import (
     RingSpec,
+    det_batch,
     howell_form,
     inv_batch,
     inv_single,
@@ -110,6 +111,26 @@ def test_inverses(ring):
     assert np.all(prods == np.eye(2, dtype=np.int64)[None, :, :] % m)
     for idx in range(10):
         assert np.array_equal(inv_single(mats[idx], ring), invs[idx])
+
+
+@pytest.mark.parametrize(
+    "ring,n",
+    [
+        (RingSpec(7, 1), 2),
+        (RingSpec(3, 2), 2),
+        (RingSpec(3, 1), 3),
+        pytest.param(RingSpec(2, 2), 3, marks=pytest.mark.slow),
+    ],
+    ids=["gl2-f7", "gl2-z9", "gl3-f3", "gl3-z4"],
+)
+def test_inv_batch_matches_inv_single_on_all_of_gl(ring, n):
+    m = ring.modulus
+    mats = unpack_matrices(np.arange(m ** (n * n), dtype=np.int64), m, n)
+    mats = mats[det_batch(mats, m) % ring.p != 0]
+    invs = inv_batch(mats, ring)
+    assert all(np.array_equal(inv_single(a, ring), inv) for a, inv in zip(mats, invs))
+    with pytest.raises(NotImplementedError):
+        inv_batch(np.eye(4, dtype=np.int64)[None], ring)
 
 
 def test_inverse_rejects_singular():
