@@ -238,6 +238,22 @@ def test_condition_11_first_failure_witnesses(f3, f5, z9):
         assert replay_witness(inst, v.witness)
 
 
+def test_double_coset_labels_match_keys(f3, f7, z4, orbit_min):
+    """The labels the axioms read from the batched key are the brute-force
+    orbit minima, and a batch labels each code as a call on that code alone."""
+    for inst in (f3, f7):
+        codes = inst.gl().codes
+        expected = [orbit_min(inst, c) for c in codes.tolist()]
+        assert double_coset_key(inst, codes).tolist() == expected
+        picks = np.random.default_rng(1).choice(codes.size, size=40, replace=False)
+        singles = [int(double_coset_key(inst, [codes[i]])[0]) for i in picks]
+        assert singles == [expected[i] for i in picks]
+    sample = np.random.default_rng(0).choice(z4.gl().codes, size=12, replace=True)
+    expected = [orbit_min(z4, c) for c in sample.tolist()]
+    assert double_coset_key(z4, sample).tolist() == expected
+    assert [int(double_coset_key(z4, [c])[0]) for c in sample.tolist()] == expected
+
+
 def test_condition_6_pair_classes_match_full_table(f7, z9):
     """The pair-class search returns argwhere's first (f, g) over the full
     |G| x |G| table, on random support arrays that hold and that fail."""

@@ -495,7 +495,7 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
         assert generating_subset(sub) == gens
 
 
-def test_double_coset_key_matches_orbit_min(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
+def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
     """The table key is the brute-force smallest code of D a D on all of GL
     (F3 rank 3: three rows and 4 right scalings) and on 10 Z/49 codes, and
     it does not move under a -> d a d'."""
