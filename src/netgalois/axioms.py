@@ -21,7 +21,6 @@ import numpy as np
 from . import rings
 from .errors import InputError
 from .groups import (
-    atom_image_supports,
     axis_subgroup,
     coset_closure,
     double_coset_key,
@@ -92,7 +91,7 @@ class _Ctx:
 
     def rows(self, positions) -> np.ndarray:
         """Lattice permutations of the GL elements at these positions, one row
-        each: perm_table rows, or act_batch rows above PERM_TABLE_LIMIT."""
+        each: perm_table rows, or code_rows above PERM_TABLE_LIMIT."""
         table = self.instance.perm_table()
         if table is not None:
             return table[positions]
@@ -105,8 +104,8 @@ class _Ctx:
         return np.stack([self.instance.act_batch(mats, x) for x in range(len(self.lat))], axis=1)
 
     def atom_image_support(self, i, j):
-        """[g(e_i)]_j for every group element, from the shared per-atom cache."""
-        return atom_image_supports(self.instance, i)[:, j]
+        """[g(e_i)]_j for every group element, read through the atom's image column."""
+        return self.support[self.instance.gl_image(self.atoms[i]), j]
 
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
@@ -236,7 +235,7 @@ def _cond_5(ctx, mode, rng, samples):
         for s in range(ctx.n):
             if s != i:
                 keep &= fix_mask(inst, ctx.atoms[s])
-        w_vals = inst.act_batch(ctx.g.mats(), e_i)
+        w_vals = inst.gl_image(e_i)
         w_to_t = {}
         for idx in np.nonzero(keep)[0].tolist():
             w_to_t.setdefault(int(w_vals[idx]), int(ctx.g.codes[idx]))
@@ -306,7 +305,7 @@ def _cond_6(ctx, mode, rng, samples):
             xs = [x for x in ctx.frame.atom_downsets[i] if x in l0p]
             if samples is None:
                 for x in xs:
-                    sx = ctx.support[inst.act_batch(ctx.g.mats(), x)][:, j]
+                    sx = ctx.support[inst.gl_image(x), j]
                     hit = _first_order_violation(ctx.lat, sij, sx)
                     if hit is not None:
                         f_idx, g_idx = hit
@@ -374,9 +373,7 @@ def _cond_8(ctx, mode, rng, samples):
             if i == j:
                 continue
             us = [u for u in ctx.frame.atom_downsets[i]]
-            sig_cols = [
-                ctx.support[inst.act_batch(ctx.g.mats(), u)][:, j].astype(np.int64) for u in us
-            ]
+            sig_cols = [ctx.support[inst.gl_image(u), j].astype(np.int64) for u in us]
             sig = np.zeros(len(ctx.g), dtype=np.int64)
             for col in sig_cols:
                 sig = sig * len(ctx.lat) + col

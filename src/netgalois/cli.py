@@ -24,7 +24,7 @@ from . import __version__
 from .axioms import CONDITION_IDS, PRIME_IDS, check_all, replay_witness
 from .errors import CapExceeded, InputError
 from .glnr import Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
-from .groups import Subgroup, coset_closure, double_coset_key
+from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key
 from .lattice import FiniteLattice, pentagon
 from .nets import (
     all_fixer_classes,
@@ -376,8 +376,6 @@ def cmd_replay(args) -> int:
         if failed_ids and data.get("subgroup_generators"):
             if instance is None:
                 raise InputError("subgroup check witnesses need --instance")
-            from netgalois.groups import close_subgroup
-
             gens = [instance.code_of_mat(np.asarray(g)) for g in data["subgroup_generators"]]
             subgroup = close_subgroup(instance, gens, cap=cap)
             total += 1

@@ -23,7 +23,17 @@ import numpy as np
 from . import rings
 from .errors import CapExceeded, InputError
 from .frame import Frame
+from .groups import (
+    Subgroup,
+    classify_transvection,
+    coset_closure,
+    fixed_lattice,
+    generating_subset,
+    intern_subgroup,
+    normalizes,
+)
 from .lattice import FiniteLattice
+from .nets import NetCollection, net_fixer, transvection_ideals, verify_intermediate_subgroup
 from .rings import RingSpec
 
 DEFAULT_GROUP_CAP = 10_000_000
@@ -231,6 +241,21 @@ class Instance:
                 acc[:] = self.lattice.join_table[acc, self.cyclic_index[codes]]
         return out
 
+    def gl_image(self, x: int) -> np.ndarray:
+        """Lattice index of g(x) for every g in GL, aligned with `gl().codes`.
+
+        One `act_batch` pass per element, cached: every GL-wide question
+        about where g sends x reads this column, and a predicate on g(x)
+        becomes a table over the lattice gathered by it.
+        """
+        images = self._caches.setdefault("gl_images", {})
+        x = int(x)
+        col = images.get(x)
+        if col is None:
+            dtype = np.min_scalar_type(len(self.lattice) - 1)
+            col = images[x] = self.act_batch(self.gl().mats(), x).astype(dtype)
+        return col
+
     def perm(self, mat: np.ndarray) -> np.ndarray:
         code = int(rings.pack_matrices(mat, self.modulus))
         cached = self._perm_cache.get(code)
@@ -261,8 +286,6 @@ class Instance:
                 raise CapExceeded(
                     f"|GL({self.n}, Z/{self.modulus})| = {expected} exceeds cap {cap}"
                 )
-            from .groups import Subgroup
-
             m, n = self.modulus, self.n
             total = m ** (n * n)
             keep = []
@@ -276,8 +299,6 @@ class Instance:
                 raise RuntimeError(
                     f"GL enumeration found {codes.size} matrices, lift count says {expected}"
                 )
-            from .groups import intern_subgroup
-
             self._gl = intern_subgroup(
                 self, Subgroup(self, np.sort(codes), generator_codes=(), closed=True)
             )
@@ -286,8 +307,6 @@ class Instance:
     def diagonal(self):
         """The group of invertible diagonal matrices (the frame stabiliser)."""
         if self._diag is None:
-            from .groups import Subgroup
-
             units = self.ring.units()
             codes = []
             for combo in itertools.product(units, repeat=self.n):
@@ -325,22 +344,18 @@ class Instance:
     def l0_prime(self):
         """Sublattice of elements fixed by the whole frame stabiliser."""
         if "l0_prime" not in self._caches:
-            from .groups import fixed_lattice
-
             self._caches["l0_prime"] = fixed_lattice(self, self.diagonal())
         return self._caches["l0_prime"]
 
     def perm_table(self) -> np.ndarray | None:
-        """(|G|, N) image table for every element of GL, small instances only."""
+        """(|G|, N) image table of GL: the `gl_image` columns side by side, small
+        instances only."""
         if self._perm_table is None:
             if gl_order(self.ring, self.n) > PERM_TABLE_LIMIT:
                 return None
-            g = self.gl()
-            mats = g.mats()
-            table = np.empty((len(g), len(self.lattice)), dtype=np.int32)
-            for x in range(len(self.lattice)):
-                table[:, x] = self.act_batch(mats, x)
-            self._perm_table = table
+            self._perm_table = np.stack(
+                [self.gl_image(x) for x in range(len(self.lattice))], axis=1
+            )
         return self._perm_table
 
     # -- elementary transvections -------------------------------------------
@@ -352,8 +367,6 @@ class Instance:
         never assumed; "ji" means entry at (j, i).
         """
         if self._slot_convention is None:
-            from .groups import classify_transvection
-
             i, j = 0, 1
             for conv in ("ji", "ij"):
                 mat = np.eye(self.n, dtype=np.int64)
@@ -487,8 +500,6 @@ def enumerate_dnets(instance: Instance) -> list[DNet]:
 
 def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
     """Invertible matrices whose (i, j) entry lies in the prescribed ideal."""
-    from .groups import Subgroup
-
     g = instance.gl(cap=cap)
     mats = g.mats()
     p = instance.ring.p
@@ -538,8 +549,6 @@ def bridge_to_dnet(instance: Instance, net) -> DNet:
 
 
 def bridge_to_collection(instance: Instance, dnet: DNet):
-    from .nets import NetCollection
-
     n = instance.n
     tau = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -588,8 +597,6 @@ def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GRO
     cached = instance._caches.get(key)
     if cached is not None:
         return cached
-    from .groups import Subgroup, coset_closure, intern_subgroup
-
     entrywise = net_subgroup(instance, dnet, cap=cap)
     gens = net_subgroup_generators(instance, dnet)
     closure = coset_closure(instance, instance.diagonal(), gens, cap=cap)
@@ -621,9 +628,6 @@ def verify_sandwich(
     matrix among all candidates, and the bridge round trip.  The lattice-side
     theorem bundle is appended.
     """
-    from .groups import generating_subset, normalizes
-    from .nets import net_fixer, transvection_ideals, verify_intermediate_subgroup
-
     checks: list[dict] = []
 
     def record(check_id, holds, witness=None, **details):

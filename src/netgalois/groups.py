@@ -5,11 +5,14 @@ Subgroups are explicit: a sorted array of packed matrix codes.  Target orders
 stay below a few million, so full enumeration beats stabiliser chains and is
 exactly reproducible; all set iterations run in canonical code order.  The
 matrix group acts non-faithfully (scalar-like units act trivially), and
-fixers absorb that kernel automatically.  Every fixer is an AND of per-element
-GL fix masks (`fix_mask`), each computed once per instance and cached.  Every
-closure is one BFS on the cosets of a seed subgroup (`coset_closure`) that
-steps a whole frontier per round in batched products; `close_subgroup` runs
-it over the trivial subgroup.
+fixers absorb that kernel automatically.  Every GL-wide question about where g
+sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
+(`fix_mask`) is that column compared with x, every fixer is an AND of fix
+masks, and the transvection tables gather per-element support tables by the
+columns.  Smaller batches (generators, members of a subgroup) go through
+`fixes_mask`.  Every closure is one BFS on the cosets of a seed subgroup
+(`coset_closure`) that steps a whole frontier per round in batched products;
+`close_subgroup` runs it over the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -213,32 +216,21 @@ def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> lis
 
 
 def fixes_mask(instance, mats: np.ndarray, x: int) -> np.ndarray:
-    """Boolean mask: which matrices fix lattice element x.
-
-    A matrix fixes x iff it maps a generating set of x into x (equality then
-    follows from invertibility on a finite module).
-    """
-    rows = instance.basis_rows[x]
-    mask = np.ones(mats.shape[0], dtype=bool)
-    for row in rows:
-        codes = rings.pack_vectors(rings.mat_vec(mats, row, instance.modulus), instance.modulus)
-        mask &= instance.membership[x][codes]
-    return mask
+    """Boolean mask: which matrices of a batch fix lattice element x."""
+    return instance.act_batch(mats, x) == x
 
 
 def fix_mask(instance, x: int) -> np.ndarray:
     """Mask over GL (aligned with `gl().codes`) of the matrices fixing x.
 
-    Computed once per lattice element and cached: every fixer and every
-    "g fixes x" test over GL reads it.  `act_batch(g, x) == x` and
-    `fixes_mask` both state g(x) = x, and g(x) <= x forces equality for an
-    invertible g on a finite module, so one kernel serves both.
+    Read off the element's `gl_image` column once and cached: fixers AND
+    these masks many times over.
     """
     masks = instance._caches.setdefault("fix_masks", {})
     x = int(x)
     mask = masks.get(x)
     if mask is None:
-        mask = masks[x] = fixes_mask(instance, instance.gl().mats(), x)
+        mask = masks[x] = instance.gl_image(x) == x
     return mask
 
 
@@ -252,19 +244,15 @@ def fixer(instance, elements) -> Subgroup:
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
-    """Elements fixed by the whole subgroup (equivalently by its generators)."""
-    lat = instance.lattice
+    """Elements fixed by the whole subgroup, tested on its generators when it
+    has them (fixing the generators is fixing the group they generate)."""
     if subgroup.generator_codes:
-        fixed = set(range(len(lat)))
-        for c in subgroup.generator_codes:
-            perm = instance.perm(instance.mat_of_code(c))
-            fixed &= {x for x in fixed if perm[x] == x}
-        members = fixed
+        codes = np.array(subgroup.generator_codes, dtype=np.int64)
+        mats = rings.unpack_matrices(codes, instance.modulus, instance.n)
     else:
         mats = subgroup.mats()
-        members = {
-            x for x in range(len(lat)) if bool(np.all(fixes_mask(instance, mats, x)))
-        }
+    lat = instance.lattice
+    members = [x for x in range(len(lat)) if bool(np.all(fixes_mask(instance, mats, x)))]
     return SublatticeHandle(lat, members)
 
 
@@ -341,17 +329,6 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
     return int(st[j])
 
 
-def atom_image_supports(instance, i: int) -> np.ndarray:
-    """Support rows of every GL member's image of atom i, cached."""
-    key = ("atom_image_supports", i)
-    cached = instance._caches.get(key)
-    if cached is None:
-        img = instance.act_batch(instance.gl().mats(), instance.atoms[i])
-        cached = instance.support_table[img]
-        instance._caches[key] = cached
-    return cached
-
-
 def transvection_table(instance, i: int, j: int) -> np.ndarray:
     """Per GL member, the x of its transvection class for (i, j), else -1.
 
@@ -365,9 +342,10 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
     if i == j:
         raise InputError("transvections need i != j")
     g = instance.gl()
-    mats = g.mats()
     lat = instance.lattice
     frame = instance.frame
+    support = instance.support_table
+    e_i = frame.atoms[i]
     ok = np.ones(len(g), dtype=bool)
     for s in range(instance.n):
         if s == i:
@@ -376,20 +354,18 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
             if xs == lat.bottom:
                 continue
             ok &= fix_mask(instance, xs)
-    # for xi = e_i the support clause is the st[:, i] == e_i test below
+    # each support clause is a table over the lattice, gathered by the image
+    # column; for xi = e_i it is the atom_ok test below
     for xi in frame.atom_downsets[i]:
-        if xi in (lat.bottom, frame.atoms[i]):
+        if xi in (lat.bottom, e_i):
             continue
-        img = instance.act_batch(mats, xi)
-        ok &= instance.support_table[img, i] == xi
-    st = atom_image_supports(instance, i)
-    for kk in range(instance.n):
-        if kk == i:
-            ok &= st[:, kk] == frame.atoms[i]
-        elif kk != j:
-            ok &= st[:, kk] == lat.bottom
+        ok &= (support[:, i] == xi)[instance.gl_image(xi)]
+    others = np.delete(support, [i, j], axis=1)
+    atom_ok = (support[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
+    img = instance.gl_image(e_i)
+    ok &= atom_ok[img]
     out = np.full(len(g), -1, dtype=np.int32)
-    out[ok] = st[ok, j]
+    out[ok] = support[img[ok], j]
     instance._caches[key] = out
     return out
 

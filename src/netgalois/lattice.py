@@ -164,11 +164,8 @@ class FiniteLattice:
             return False
         return self.join(x, self.meet(y, z)) != self.meet(self.join(x, y), z)
 
-    def sublattice_generated(self, seeds) -> "SublatticeHandle":
-        """Smallest meet/join-closed member set containing the seeds."""
-        seeds = set(int(s) for s in seeds)
-        if not seeds:
-            raise InputError("sublattice generators must be nonempty")
+    def _closure(self, seeds, universe=None) -> frozenset | None:
+        """Meet/join closure of the seeds; None once it leaves the universe."""
         members = set(seeds)
         frontier = list(members)
         while frontier:
@@ -177,10 +174,19 @@ class FiniteLattice:
                 for b in members:
                     for c in (self.meet(a, b), self.join(a, b)):
                         if c not in members and c not in new:
+                            if universe is not None and c not in universe:
+                                return None
                             new.add(c)
             members |= new
             frontier = list(new)
-        return SublatticeHandle(self, members)
+        return frozenset(members)
+
+    def sublattice_generated(self, seeds) -> "SublatticeHandle":
+        """Smallest meet/join-closed member set containing the seeds."""
+        seeds = set(int(s) for s in seeds)
+        if not seeds:
+            raise InputError("sublattice generators must be nonempty")
+        return SublatticeHandle(self, self._closure(seeds))
 
     def enumerate_sublattices(self, universe=None, bound: int = 32) -> list["SublatticeHandle"]:
         """All nonempty meet/join-closed subsets of the universe (default: all).
@@ -201,26 +207,10 @@ class FiniteLattice:
             )
         uset = set(universe)
 
-        def close(seed: frozenset) -> frozenset | None:
-            members = set(seed)
-            frontier = list(members)
-            while frontier:
-                new = set()
-                for a in frontier:
-                    for b in members:
-                        for c in (self.meet(a, b), self.join(a, b)):
-                            if c not in members and c not in new:
-                                if c not in uset:
-                                    return None
-                                new.add(c)
-                members |= new
-                frontier = list(new)
-            return frozenset(members)
-
         found: set[frozenset] = set()
         stack = []
         for x in universe:
-            c = close(frozenset([x]))
+            c = self._closure([x], uset)
             if c is not None and c not in found:
                 found.add(c)
                 stack.append(c)
@@ -229,7 +219,7 @@ class FiniteLattice:
             for x in universe:
                 if x in base:
                     continue
-                c = close(base | {x})
+                c = self._closure(base | {x}, uset)
                 if c is not None and c not in found:
                     found.add(c)
                     stack.append(c)

@@ -11,6 +11,7 @@ exhaust the closed objects on both sides.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import CapExceeded, InputError
 from .groups import (
     Subgroup,
-    atom_image_supports,
     conjugation_closure_check,
     coset_closure,
     fix_mask,
@@ -166,14 +166,14 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     if bad is not None:
         return False, {"kind": "clause", "clause": bad[0], "slot": list(bad[1])}
     g = instance.gl()
-    mats = g.mats()
     n = instance.n
+    support = instance.support_table
     if mode == "aggregate":
         bounded = np.ones(len(g), dtype=bool)
         for i in range(n):
-            st = atom_image_supports(instance, i)
-            for j in range(n):
-                bounded &= _leq_mask(instance, st[:, j], int(net.tau[i, j]))
+            # whether each lattice element y has [y]_j <= tau[i][j] for all j
+            table = np.all(instance.lattice.meet_table[support, net.tau[i]] == support, axis=1)
+            bounded &= table[instance.gl_image(instance.atoms[i])]
         fixes = np.ones(len(g), dtype=bool)
         for x in canonical_sublattice(instance, net).members:
             fixes &= fix_mask(instance, x)
@@ -188,31 +188,18 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
             }
         return True, None
     if mode == "per_triple":
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                lhs = None
-                for k in range(n):
-                    if k in (i, j):
-                        continue
-                    if lhs is None:
-                        img = instance.act_batch(mats, instance.atoms[i])
-                        lhs = _leq_mask(
-                            instance, instance.support_table[img][:, j], int(net.tau[i, j])
-                        )
-                    img_ki = instance.act_batch(mats, int(net.tau[k, i]))
-                    rhs = _leq_mask(
-                        instance, instance.support_table[img_ki][:, j], int(net.tau[k, j])
-                    )
-                    viol = lhs & ~rhs
-                    if bool(np.any(viol)):
-                        idx = int(np.argmax(viol))
-                        return False, {
-                            "kind": "per_triple",
-                            "g": int(g.codes[idx]),
-                            "triple": [i, j, k],
-                        }
+
+        def bounded(x, j, bound):
+            """Whether [g(x)]_j <= bound, for every g in GL."""
+            return _leq_mask(instance, support[:, j], int(bound))[instance.gl_image(int(x))]
+
+        for i, j, k in itertools.permutations(range(n), 3):
+            viol = bounded(instance.atoms[i], j, net.tau[i, j]) & ~bounded(
+                net.tau[k, i], j, net.tau[k, j]
+            )
+            if bool(np.any(viol)):
+                idx = int(np.argmax(viol))
+                return False, {"kind": "per_triple", "g": int(g.codes[idx]), "triple": [i, j, k]}
         return True, None
     raise InputError(f"unknown net-collection mode {mode!r}")
 
@@ -223,8 +210,6 @@ def enumerate_net_collections(instance) -> list[NetCollection]:
     cached = instance._caches.get("valid_nets")
     if cached is not None:
         return cached
-    import itertools
-
     lat = instance.lattice
     l0p = instance.l0_prime().members
     n = instance.n
@@ -300,15 +285,10 @@ def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
     """Members of the componentwise span kept inside it by the whole subgroup."""
     lat = instance.lattice
     lbar0 = instance.frame.lbar0
-    cols = instance._caches.get("lbar0_stable_cols")
-    if cols is None:
-        in_lbar0 = np.zeros(len(lat), dtype=bool)
-        in_lbar0[list(lbar0)] = True
-        g_mats = instance.gl().mats()
-        cols = {l: in_lbar0[instance.act_batch(g_mats, l)] for l in lbar0}
-        instance._caches["lbar0_stable_cols"] = cols
+    in_lbar0 = np.zeros(len(lat), dtype=bool)
+    in_lbar0[list(lbar0)] = True
     mask = subgroup.gl_mask()
-    members = [l for l in lbar0 if bool(np.all(cols[l][mask]))]
+    members = [l for l in lbar0 if bool(np.all(in_lbar0[instance.gl_image(l)[mask]]))]
     return SublatticeHandle(lat, members)
 
 
@@ -330,22 +310,22 @@ def triangle_entry(instance, x: int, i: int, j: int, mode: str = "auto") -> int:
         raise InputError("triangle entries need x in both the componentwise span and the fixed sublattice")
     if mode == "auto":
         mode = "full" if len(instance.gl()) <= TRIANGLE_FULL_MODE_LIMIT else "transvection_reduced"
-    x_i = int(instance.support_table[x, i])
-    x_j = int(instance.support_table[x, j])
+    support = instance.support_table
+    x_i = int(support[x, i])
+    # whether each lattice element's j-support stays under x's j-part
+    x_j_bounded = _leq_mask(instance, support[:, j], int(support[x, j]))
     if mode == "full":
         if len(instance.gl()) > TRIANGLE_FULL_MODE_LIMIT:
             raise CapExceeded(
                 f"full quantification over {len(instance.gl())} elements refused", len(instance.gl())
             )
-        mats = instance.gl().mats()
-        lhs_val = instance.support_table[instance.act_batch(mats, instance.atoms[i]), j]
-        rhs = _leq_mask(instance, instance.support_table[instance.act_batch(mats, x_i), j], x_j)
+        lhs_val = support[instance.gl_image(instance.atoms[i]), j]
+        rhs = x_j_bounded[instance.gl_image(x_i)]
     elif mode == "transvection_reduced":
         table = transvection_table(instance, i, j)
         sel = table >= 0
-        mats = instance.gl().mats()[sel]
         lhs_val = table[sel]
-        rhs = _leq_mask(instance, instance.support_table[instance.act_batch(mats, x_i), j], x_j)
+        rhs = x_j_bounded[instance.gl_image(x_i)[sel]]
     else:
         raise InputError(f"unknown triangle mode {mode!r}")
     passing = []

@@ -128,6 +128,18 @@ def test_matrix_action_against_raw_image(f7, z4):
                 assert inst.act(g, x) == target[0]
 
 
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_gl_image_is_the_action_on_all_of_gl(name, request):
+    inst = request.getfixturevalue(name)
+    mats = inst.gl().mats()
+    table = inst.perm_table()
+    for x in range(len(inst.lattice)):
+        col = inst.gl_image(x)
+        assert col.dtype.kind == "u"
+        assert np.array_equal(col, inst.act_batch(mats, x))
+        assert np.array_equal(table[:, x], col)
+
+
 def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch):
     """A batch split into chunks, the last one partial, gives the same images."""
     monkeypatch.setattr(glnr, "ACT_CHUNK", 7)

@@ -8,6 +8,7 @@ from netgalois.glnr import gl_order
 from netgalois.groups import (
     Subgroup,
     axis_subgroup,
+    classify_transvection,
     close_subgroup,
     coset_closure,
     conjugate_codes,
@@ -217,27 +218,41 @@ def test_fix_masks_and_fixers_agree_with_brute_force(name, request):
 
 
 @pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
-def test_fixes_mask_runs_once_per_element(ring, monkeypatch):
-    """Set-up plus one sandwich verification on a fresh instance passes all
-    of GL through the fixes_mask kernel at most once per lattice element."""
+def test_gl_action_runs_once_per_element(ring, monkeypatch):
+    """Set-up plus one sandwich verification on a fresh instance acts with all
+    of GL on each lattice element at most once.  Every GL-sized `act_batch`
+    or `fixes_mask` call counts as one pass; the `act_batch` call inside a
+    `fixes_mask` call is the same pass."""
     from netgalois import groups, sweep
     from netgalois.glnr import Instance, verify_sandwich
     from netgalois.rings import RingSpec
 
     inst = Instance(RingSpec(*ring), 2)
-    calls = []
-    kernel = groups.fixes_mask
+    size = len(inst.gl())
+    passes, depth = [], []
+    act_batch, fixes_mask = Instance.act_batch, groups.fixes_mask
 
-    def counted(instance, mats, x):
-        calls.append(int(x))
-        return kernel(instance, mats, x)
+    def counted_act_batch(self, mats, x):
+        if len(mats) == size and not depth:
+            passes.append(int(x))
+        return act_batch(self, mats, x)
 
-    monkeypatch.setattr(groups, "fixes_mask", counted)
+    def counted_fixes_mask(instance, mats, x):
+        if len(mats) == size:
+            passes.append(int(x))
+        depth.append(x)
+        try:
+            return fixes_mask(instance, mats, x)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Instance, "act_batch", counted_act_batch)
+    monkeypatch.setattr(groups, "fixes_mask", counted_fixes_mask)
     sweep.prewarm(inst, cap=10_000_000)
     sub = coset_closure(inst, inst.diagonal(), [inst.code_of_mat(inst.elementary(0, 1, 1))])
     verify_sandwich(inst, sub)
-    assert calls
-    assert len(calls) == len(set(calls))
+    assert passes
+    assert len(passes) == len(set(passes))
 
 
 def test_fixed_lattice_examples(f7, z49):
@@ -276,6 +291,26 @@ def test_axis_subgroup_by_definition(f7, z49):
             # rank 2: every element supported away from one atom is an ideal
             # multiple of the other, so the whole stabiliser qualifies
             assert len(got) == len(inst.diagonal())
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_transvection_table_matches_classify_transvection(name, request):
+    """The table's gathered support clauses against the per-element
+    definition, on all of GL (a seeded sample of 500 on F3 rank 3)."""
+    inst = request.getfixturevalue(name)
+    g = inst.gl()
+    pos = np.arange(len(g))
+    if name == "f3n3":
+        pos = np.sort(np.random.default_rng(8).choice(len(g), size=500, replace=False))
+    mats = g.mats()
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            table = transvection_table(inst, i, j)
+            for k in pos.tolist():
+                x = classify_transvection(inst, mats[k], i, j)
+                assert int(table[k]) == (-1 if x is None else x)
 
 
 def test_transvection_sets_f7(f7):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from netgalois.errors import InputError
 from netgalois.groups import (
     Subgroup,
     coset_closure,
+    double_coset_key,
     fixer,
     galois_psi,
     is_normal_in,
@@ -166,6 +169,73 @@ def test_stable_lbar0(f7):
     sigma = transvection_ideals(f7, b)
     k = canonical_sublattice(f7, sigma)
     assert set(k.members) <= set(stable_lbar0(f7, b).members)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_stable_lbar0_matches_action_on_sweep_subgroups(name, request):
+    """The gathered stable span against acting with every member, for every
+    distinct <D, g> of the exhaustive sweep family."""
+    inst = request.getfixturevalue(name)
+    lbar0 = set(inst.frame.lbar0)
+    codes = inst.gl().codes
+    first = np.unique(double_coset_key(inst, codes), return_index=True)[1]
+    seen = set()
+    for code in codes[np.sort(first)].tolist():
+        sub = coset_closure(inst, inst.diagonal(), [code])
+        if sub.fingerprint() in seen:
+            continue
+        seen.add(sub.fingerprint())
+        mats = sub.mats()
+        expect = [l for l in sorted(lbar0) if set(inst.act_batch(mats, l).tolist()) <= lbar0]
+        assert stable_lbar0(inst, sub).members == tuple(expect)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_net_checks_match_per_element_definition(name, request):
+    """Both readings of is_net_collection against the definition applied to
+    each group element's action, for every candidate net, valid or not."""
+    inst = request.getfixturevalue(name)
+    lat, n, g = inst.lattice, inst.n, inst.gl()
+    mats = g.mats()
+    table = np.stack([inst.act_batch(mats, x) for x in range(len(lat))], axis=1)
+
+    def bounded(x, j, bound):
+        """[g(x)]_j <= bound, for every g."""
+        sup = inst.support_table[table[:, x], j]
+        return lat.meet_table[sup, bound] == sup
+
+    l0p = inst.l0_prime().members
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    choices = [[x for x in l0p if lat.leq(x, inst.atoms[j])] for _, j in slots]
+    for combo in itertools.product(*choices):
+        tau = np.diag(inst.atoms).astype(np.int64)
+        for (i, j), x in zip(slots, combo):
+            tau[i, j] = x
+        net = NetCollection(inst, tau, check=False)
+        members = list(canonical_sublattice(inst, net).members)
+        fixes = np.all(table[:, members] == members, axis=1)
+        atoms_bounded = np.ones(len(g), dtype=bool)
+        for i, j in itertools.product(range(n), repeat=2):
+            atoms_bounded &= bounded(inst.atoms[i], j, tau[i, j])
+        diff = atoms_bounded != fixes
+        expect = (True, None)
+        if diff.any():
+            idx = int(np.argmax(diff))
+            expect = (False, {
+                "kind": "aggregate",
+                "g": int(g.codes[idx]),
+                "bounded": bool(atoms_bounded[idx]),
+                "fixes_canonical": bool(fixes[idx]),
+            })
+        assert is_net_collection(inst, net, mode="aggregate") == expect
+        expect = (True, None)
+        for i, j, k in itertools.permutations(range(n), 3):
+            viol = bounded(inst.atoms[i], j, tau[i, j]) & ~bounded(tau[k, i], j, tau[k, j])
+            if viol.any():
+                g_code = int(g.codes[int(np.argmax(viol))])
+                expect = (False, {"kind": "per_triple", "g": g_code, "triple": [i, j, k]})
+                break
+        assert is_net_collection(inst, net, mode="per_triple") == expect
 
 
 def test_stable_lbar0_fixer_shares_transvections(f7):
