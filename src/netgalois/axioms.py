@@ -85,17 +85,13 @@ class _Ctx:
             self.instance._caches[key] = axis_subgroup(self.instance, i)
         return self.instance._caches[key]
 
-    def positions(self, codes) -> np.ndarray:
-        """Positions in GL of the codes of GL members."""
-        return np.searchsorted(self.g.codes, codes)
-
     def rows(self, positions) -> np.ndarray:
         """Lattice permutations of the GL elements at these positions, one row
         each: perm_table rows, or code_rows above PERM_TABLE_LIMIT."""
         table = self.instance.perm_table()
         if table is not None:
             return table[positions]
-        return self.code_rows(self.g.codes[positions])
+        return self.code_rows(self.instance.gl_codes[positions])
 
     def code_rows(self, codes) -> np.ndarray:
         """Lattice permutations of any matrix codes, through act_batch."""
@@ -149,7 +145,7 @@ def _iter_group(ctx, rng, samples):
 
 def _coded_rows(ctx, positions):
     """(code, permutation row) of the GL elements at these positions, in order."""
-    return list(zip(ctx.g.codes[positions].tolist(), ctx.rows(positions)))
+    return list(zip(ctx.instance.gl_codes[positions].tolist(), ctx.rows(positions)))
 
 
 def _cond_3(ctx, mode, rng, samples):
@@ -158,7 +154,7 @@ def _cond_3(ctx, mode, rng, samples):
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
-        hi_perms = _coded_rows(ctx, ctx.positions(ctx.axis(i).codes))
+        hi_perms = _coded_rows(ctx, np.flatnonzero(ctx.axis(i).gl_mask()))
         downset = ctx.frame.atom_downsets[i]
         for a_code, pa in outer:
             if int(ctx.support[pa[e_i], i]) != e_i:
@@ -182,14 +178,13 @@ def _cond_4(ctx, mode, rng, samples):
     """mode 'weak': the witness may depend on the outer element; 'strong': one
     witness per (t, i) works for all of them."""
     pos, exhaustive = _iter_group(ctx, rng, samples)
-    lbar_fixer = set(fixer(ctx.instance, ctx.frame.lbar0).codes.tolist())
+    lbar_fixer = fixer(ctx.instance, ctx.frame.lbar0).gl_mask()
     rows = ctx.rows(pos)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
-    outer = list(zip(ctx.g.codes[pos].tolist(), rows, np.argsort(rows, axis=1)))
+    outer = list(zip(ctx.instance.gl_codes[pos].tolist(), rows, np.argsort(rows, axis=1)))
     found = None
     for t in range(ctx.n):
-        ht = [c for c in ctx.axis(t).codes.tolist() if c in lbar_fixer]
-        ht_perms = _coded_rows(ctx, ctx.positions(ht))
+        ht_perms = _coded_rows(ctx, np.flatnonzero(ctx.axis(t).gl_mask() & lbar_fixer))
         for i in range(ctx.n):
             downset = ctx.frame.atom_downsets[i]
             rs = [r for r in range(ctx.n) if r != i]
@@ -238,7 +233,7 @@ def _cond_5(ctx, mode, rng, samples):
         w_vals = inst.gl_image(e_i)
         w_to_t = {}
         for idx in np.nonzero(keep)[0].tolist():
-            w_to_t.setdefault(int(w_vals[idx]), int(ctx.g.codes[idx]))
+            w_to_t.setdefault(int(w_vals[idx]), int(ctx.instance.gl_codes[idx]))
         for u in ctx.frame.lbar0:
             if not ctx.lat.leq(e_i, u):
                 continue
@@ -315,8 +310,8 @@ def _cond_6(ctx, mode, rng, samples):
                                 "i": i,
                                 "j": j,
                                 "x": int(x),
-                                "f": int(ctx.g.codes[f_idx]),
-                                "g": int(ctx.g.codes[g_idx]),
+                                "f": int(ctx.instance.gl_codes[f_idx]),
+                                "g": int(ctx.instance.gl_codes[g_idx]),
                             },
                             None,
                             True,
@@ -336,8 +331,8 @@ def _cond_6(ctx, mode, rng, samples):
                                     "i": i,
                                     "j": j,
                                     "x": int(x),
-                                    "f": int(ctx.g.codes[f_i]),
-                                    "g": int(ctx.g.codes[g_i]),
+                                    "f": int(ctx.instance.gl_codes[f_i]),
+                                    "g": int(ctx.instance.gl_codes[g_i]),
                                 },
                                 None,
                                 False,
@@ -383,7 +378,7 @@ def _cond_8(ctx, mode, rng, samples):
                 sig_sets[x] = set(sig[table == x].tolist())
             sij = ctx.atom_image_support(i, j)
             for gi in pos.tolist():
-                code = int(ctx.g.codes[gi])
+                code = int(ctx.instance.gl_codes[gi])
                 x = int(sij[gi])
                 if int(sig[gi]) not in sig_sets.get(x, set()):
                     return False, {"i": i, "j": j, "f": code}, found, exhaustive, samples
@@ -500,16 +495,16 @@ def _cond_11(ctx, mode, rng, samples):
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
     cols, xs = [], []
     for t in range(ctx.n):
-        h_codes = ctx.axis(t).codes
-        ph = ctx.rows(ctx.positions(h_codes))
+        h_pos = np.flatnonzero(ctx.axis(t).gl_mask())
+        ph = ctx.rows(h_pos)
         # x reads h only through its row: equal rows give equal x, keep the first
         first = np.sort(np.unique(ph, axis=0, return_index=True)[1])
-        cols += [(t, int(h_codes[f])) for f in first]
+        cols += [(t, int(ctx.instance.gl_codes[h_pos[f]])) for f in first]
         img = ph[first][:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
         img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
         xs.append(ctx.support[img[:, :, ii], jj])  # [a, h, (i, j)] = x
     xs = np.concatenate(xs, axis=1)
-    a_codes = ctx.g.codes[pos]
+    a_codes = ctx.instance.gl_codes[pos]
     # <D, a> = <D, d a d'>, each lying in the other's group with D: one closure per label
     keys, firsts, label = np.unique(
         double_coset_key(ctx.instance, a_codes), return_index=True, return_inverse=True
@@ -562,7 +557,7 @@ def _prime_1(ctx, mode, rng, samples):
             if x != e_i and int(ctx.support[x, i]) == e_i
         ]
         hit = None
-        for h_code, ph in _coded_rows(ctx, ctx.positions(ctx.axis(i).codes)):
+        for h_code, ph in _coded_rows(ctx, np.flatnonzero(ctx.axis(i).gl_mask())):
             if all(ph[x] != x for x in targets):
                 hit = h_code
                 break
@@ -580,7 +575,7 @@ def _prime_2(ctx, mode, rng, samples):
     for x in atoms_l:
         key = tuple(int(v) for v in ctx.support[x])
         orbits.setdefault(key, []).append(x)
-    diag_perms = ctx.rows(ctx.positions(ctx.diag.codes))
+    diag_perms = ctx.rows(np.flatnonzero(ctx.diag.gl_mask()))
     for key, members in orbits.items():
         base = members[0]
         reach = set(diag_perms[:, base].tolist())
@@ -698,7 +693,7 @@ def _replay_cond_3(ctx, mode, w):
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
-    for ph in ctx.rows(ctx.positions(ctx.axis(i).codes)):
+    for ph in ctx.rows(np.flatnonzero(ctx.axis(i).gl_mask())):
         if all(
             int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
             for x in ctx.frame.atom_downsets[i]

@@ -315,7 +315,7 @@ def cmd_classes(args) -> int:
             h
             for h in members
             if any(
-                np.array_equal(net_fixer(instance, net).codes, cls.common_fixer.codes)
+                net_fixer(instance, net) == cls.common_fixer
                 and canonical_sublattice(instance, net).members == h.members
                 for net in enumerate_net_collections(instance)
             )

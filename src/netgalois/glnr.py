@@ -27,7 +27,7 @@ from .groups import (
     Subgroup,
     classify_transvection,
     coset_closure,
-    fixed_lattice,
+    fixed_by,
     generating_subset,
     intern_subgroup,
     normalizes,
@@ -242,7 +242,7 @@ class Instance:
         return out
 
     def gl_image(self, x: int) -> np.ndarray:
-        """Lattice index of g(x) for every g in GL, aligned with `gl().codes`.
+        """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
 
         One `act_batch` pass per element, cached: every GL-wide question
         about where g sends x reads this column, and a predicate on g(x)
@@ -280,6 +280,7 @@ class Instance:
     # -- groups -------------------------------------------------------------
 
     def gl(self, cap: int = DEFAULT_GROUP_CAP):
+        """The whole group; also fills `gl_codes` (ascending) and the `positions` index."""
         if self._gl is None:
             expected = gl_order(self.ring, self.n)
             if expected > cap:
@@ -299,10 +300,27 @@ class Instance:
                 raise RuntimeError(
                     f"GL enumeration found {codes.size} matrices, lift count says {expected}"
                 )
+            self.gl_codes = codes
+            self._gl_index = np.full(total, -1, dtype=np.int32)
+            self._gl_index[codes] = np.arange(codes.size, dtype=np.int32)
             self._gl = intern_subgroup(
-                self, Subgroup(self, np.sort(codes), generator_codes=(), closed=True)
+                self, Subgroup(self, np.ones(codes.size, dtype=bool), closed=True)
             )
         return self._gl
+
+    def positions(self, codes) -> np.ndarray:
+        """GL position of each code; -1 for any other integer, as codes outside
+        [0, m^(n^2)) (even beyond int64) read entry 0, the singular zero matrix."""
+        self.gl()
+        codes = np.asarray(codes)
+        inside = (codes >= 0) & (codes < self._gl_index.size)
+        return self._gl_index[np.where(inside, codes, 0).astype(np.int64, copy=False)]
+
+    def mask_of(self, codes) -> np.ndarray:
+        """Mask over GL positions of the GL codes among `codes` (-1 lands in a spare slot)."""
+        mask = np.zeros(len(self.gl()) + 1, dtype=bool)
+        mask[self.positions(codes)] = True
+        return mask[:-1]
 
     def diagonal(self):
         """The group of invertible diagonal matrices (the frame stabiliser)."""
@@ -314,7 +332,7 @@ class Instance:
                 codes.append(self.code_of_mat(mat))
             self._diag = Subgroup(
                 self,
-                np.sort(np.array(codes, dtype=np.int64)),
+                self.mask_of(codes),
                 generator_codes=tuple(self.diagonal_generator_codes()),
                 closed=True,
             )
@@ -342,9 +360,12 @@ class Instance:
         return 1
 
     def l0_prime(self):
-        """Sublattice of elements fixed by the whole frame stabiliser."""
+        """Sublattice of elements fixed by the whole frame stabiliser, tested on
+        its generators, so lattice-only work never enumerates GL."""
         if "l0_prime" not in self._caches:
-            self._caches["l0_prime"] = fixed_lattice(self, self.diagonal())
+            codes = np.array(self.diagonal_generator_codes(), dtype=np.int64)
+            gens = rings.unpack_matrices(codes, self.modulus, self.n)
+            self._caches["l0_prime"] = fixed_by(self, gens)
         return self._caches["l0_prime"]
 
     def perm_table(self) -> np.ndarray | None:
@@ -511,7 +532,7 @@ def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
             lev = int(dnet.levels[i, j])
             if lev:
                 mask &= mats[:, i, j] % p**lev == 0
-    return Subgroup(instance, g.codes[mask], generator_codes=(), closed=True)
+    return Subgroup(instance, mask, closed=True)
 
 
 def net_subgroup_generators(instance: Instance, dnet: DNet) -> list[int]:
@@ -600,10 +621,10 @@ def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GRO
     entrywise = net_subgroup(instance, dnet, cap=cap)
     gens = net_subgroup_generators(instance, dnet)
     closure = coset_closure(instance, instance.diagonal(), gens, cap=cap)
-    if not np.array_equal(closure.codes, entrywise.codes):
+    if closure != entrywise:
         raise RuntimeError("generator closure does not reproduce the entrywise net subgroup")
     result = intern_subgroup(
-        instance, Subgroup(instance, entrywise.codes, generator_codes=tuple(gens), closed=True)
+        instance, Subgroup(instance, entrywise.gl_mask(), generator_codes=tuple(gens), closed=True)
     )
     instance._caches[key] = result
     return result
@@ -642,12 +663,7 @@ def verify_sandwich(
 
     g_sigma = verified_net_subgroup(instance, dnet, cap=cap)
     gk = net_fixer(instance, sigma, cap=cap)
-    record(
-        "net_subgroup_matches_fixer",
-        np.array_equal(g_sigma.codes, gk.codes),
-        None,
-        order=len(g_sigma),
-    )
+    record("net_subgroup_matches_fixer", g_sigma == gk, None, order=len(g_sigma))
 
     # generating sets below are closure-verified, so generator membership is
     # an exact containment test

@@ -1,11 +1,12 @@
 """Matrix subgroups acting on the lattice: closure, fixers, fixed sublattices,
 transvection sets, the Galois maps, and normalizers.
 
-Subgroups are explicit: a sorted array of packed matrix codes.  Target orders
-stay below a few million, so full enumeration beats stabiliser chains and is
-exactly reproducible; all set iterations run in canonical code order.  The
-matrix group acts non-faithfully (scalar-like units act trivially), and
-fixers absorb that kernel automatically.  Every GL-wide question about where g
+Subgroups are explicit: a boolean mask over GL positions (`Instance.gl_codes`,
+ascending), read off as codes on demand.  Target orders stay below a few
+million, so full enumeration beats stabiliser chains and is exactly
+reproducible; all set iterations run in canonical code order.  The matrix
+group acts non-faithfully (scalar-like units act trivially), and fixers
+absorb that kernel automatically.  Every GL-wide question about where g
 sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
 (`fix_mask`) is that column compared with x, every fixer is an AND of fix
 masks, and the transvection tables gather per-element support tables by the
@@ -31,31 +32,34 @@ _BFS_CHUNK = 1 << 18
 
 
 class Subgroup:
-    """Explicit member set (sorted packed codes) with generator provenance."""
+    """Member set as a boolean mask over GL (aligned with `Instance.gl_codes`),
+    with generator provenance."""
 
-    def __init__(self, instance, codes, generator_codes=(), closed=False):
+    def __init__(self, instance, mask, generator_codes=(), closed=False):
+        if mask.dtype != bool or mask.shape != instance.gl_codes.shape:
+            raise InputError("a subgroup is a boolean mask over the GL positions")
         self.instance = instance
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.size and np.any(codes[1:] <= codes[:-1]):
-            codes = np.unique(codes)
-        self.codes = codes
+        self._mask = mask
+        self._order = int(np.count_nonzero(mask))
         self.generator_codes = tuple(int(c) for c in generator_codes)
         self.closed = closed
         self._mats = None
-        self._gl_mask = None
         self._fingerprint = None
 
     def __len__(self):
-        return int(self.codes.size)
+        return self._order
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Member codes, ascending (GL positions follow code order)."""
+        return self.instance.gl_codes[self._mask]
 
     def contains(self, code: int) -> bool:
-        i = np.searchsorted(self.codes, code)
-        return i < self.codes.size and self.codes[i] == code
+        return bool(self.contains_many([code])[0])
 
-    def contains_many(self, codes: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.codes, codes)
-        idx = np.minimum(idx, self.codes.size - 1)
-        return self.codes[idx] == codes
+    def contains_many(self, codes) -> np.ndarray:
+        pos = self.instance.positions(codes)
+        return (pos >= 0) & self._mask[pos]
 
     def mats(self) -> np.ndarray:
         if self._mats is None:
@@ -66,30 +70,26 @@ class Subgroup:
         return self._mats
 
     def gl_mask(self) -> np.ndarray:
-        """Membership mask aligned with the ambient GL code order (cached)."""
-        if self._gl_mask is None:
-            self._gl_mask = self.contains_many(self.instance.gl().codes)
-        return self._gl_mask
+        """The member mask over GL positions."""
+        return self._mask
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return bool(np.all(other.contains_many(self.codes)))
+        return not bool(np.any(self._mask & ~other._mask))
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and np.array_equal(self.codes, other.codes)
+        return isinstance(other, Subgroup) and np.array_equal(self._mask, other._mask)
 
     def __hash__(self):
-        return hash(self.codes.tobytes())
+        return hash(self.fingerprint())
 
     def fingerprint(self) -> str:
         """Stable across processes; used to deduplicate sweep work.
 
-        Computed once: `intern_subgroup` only swaps `codes` for an equal array.
-        Hashes the array's own buffer, the same bytes as `codes.tobytes()`
-        without the copy.
+        Computed once: `intern_subgroup` only swaps the mask for an equal one.
+        Hashes the ascending int64 member codes.
         """
         if self._fingerprint is None:
-            buf = np.ascontiguousarray(self.codes)
-            self._fingerprint = hashlib.sha1(buf).hexdigest()[:16]
+            self._fingerprint = hashlib.sha1(self.codes).hexdigest()[:16]
         return self._fingerprint
 
     def __repr__(self):
@@ -112,7 +112,10 @@ class Subgroup:
             raise InputError("subgroup file needs a nonempty 'generators' list")
         codes = []
         for g in gens:
-            mat = np.asarray(g, dtype=np.int64) % instance.modulus
+            try:
+                mat = np.asarray(g, dtype=np.int64) % instance.modulus
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"generator {g!r} is not an integer matrix") from exc
             if mat.shape != (instance.n, instance.n):
                 raise InputError(f"generator shape {mat.shape} does not match n={instance.n}")
             if not instance.ring.is_unit(int(rings.det_batch(mat, instance.modulus))):
@@ -122,7 +125,7 @@ class Subgroup:
 
 
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share code/matrix storage between equal subgroups held in caches.
+    """Share mask/matrix storage between equal subgroups held in caches.
 
     The returned object keeps its own generator provenance; only the big
     arrays are pooled, keyed by content fingerprint.
@@ -134,22 +137,19 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
         pool[fp] = subgroup
         return subgroup
     if base is not subgroup:
-        subgroup.codes = base.codes
+        subgroup._mask = base._mask
         if base._mats is not None:
             subgroup._mats = base._mats
         elif subgroup._mats is not None:
             base._mats = subgroup._mats
-        if base._gl_mask is not None:
-            subgroup._gl_mask = base._gl_mask
-        elif subgroup._gl_mask is not None:
-            base._gl_mask = subgroup._gl_mask
     return subgroup
 
 
 def close_subgroup(instance, generator_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
     """Closure of the generators (plus identity): `coset_closure` over the
     trivial subgroup, whose cosets are single elements."""
-    trivial = Subgroup(instance, [instance.code_of_mat(instance.identity)], closed=True)
+    identity = instance.mask_of([instance.code_of_mat(instance.identity)])
+    trivial = Subgroup(instance, identity, closed=True)
     return coset_closure(instance, trivial, generator_codes, cap=cap)
 
 
@@ -157,10 +157,12 @@ def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOS
     """Closure of <seed, extras> by BFS on the cosets S y of the seed S.
 
     The generators of <seed, extras> act on these cosets from the right, so
-    the BFS from S reaches every coset.  Each round steps the whole frontier:
-    a candidate's key is the smallest code of S y, computed in chunks of at
-    most _BFS_CHUNK products, and a key not visited before adds its coset's
-    full code block, so the member set is exact.  In a finite group closure
+    the BFS from S reaches every coset.  Each round steps the whole frontier
+    in chunks of at most _BFS_CHUNK products.  Cosets partition the group and
+    the mask is the union of the cosets reached so far, so a candidate already
+    in the mask lies in a reached coset: only the others are multiplied out,
+    one per coset of the chunk (deduplicated by the smallest code of S y), and
+    each fresh coset is scattered into the mask.  In a finite group closure
     under products already yields the subgroup, inverses included.
     """
     m, n = instance.modulus, instance.n
@@ -173,24 +175,23 @@ def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOS
     gens = rings.unpack_matrices(np.array(gen_codes, dtype=np.int64), m, n)
     seed_mats = seed.mats()
     step = max(1, _BFS_CHUNK // len(seed))
-    keys, blocks, fresh = seed.codes[:1], [seed.codes], [instance.identity[None]]
+    mask, cosets, fresh = seed.gl_mask().copy(), 1, [instance.identity[None]]
     while fresh:
         frontier = rings.mat_mul(np.concatenate(fresh)[:, None], gens[None], m).reshape(-1, n, n)
         fresh = []
         for start in range(0, frontier.shape[0], step):
             ys = frontier[start : start + step]
+            ys = ys[~mask[instance.positions(rings.pack_matrices(ys, m))]]
+            if not len(ys):
+                continue
             codes = rings.pack_matrices(rings.mat_mul(seed_mats[None], ys[:, None], m), m)
-            new, first = np.unique(codes.min(axis=1), return_index=True)
-            unseen = ~np.isin(new, keys, assume_unique=True)
-            if unseen.any():
-                keys = np.union1d(keys, new[unseen])
-                first = first[unseen]
-                blocks.append(codes[first].ravel())
-                fresh.append(ys[first])
-                if keys.size * len(seed) > cap:
-                    raise CapExceeded(f"coset closure passed cap {cap}", keys.size * len(seed))
-    codes = np.sort(np.concatenate(blocks))
-    return Subgroup(instance, codes, generator_codes=gen_codes, closed=True)
+            first = np.unique(codes.min(axis=1), return_index=True)[1]
+            mask[instance.positions(codes[first].ravel())] = True
+            fresh.append(ys[first])
+            cosets += first.size
+            if cosets * len(seed) > cap:
+                raise CapExceeded(f"coset closure passed cap {cap}", cosets * len(seed))
+    return Subgroup(instance, mask, generator_codes=gen_codes, closed=True)
 
 
 def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> list[int]:
@@ -204,8 +205,8 @@ def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> lis
     gens: list[int] = []
     current = close_subgroup(subgroup.instance, gens, cap=cap)
     while len(current) < len(subgroup):
-        missing = subgroup.codes[~current.contains_many(subgroup.codes)]
-        gens.append(int(missing[0]))
+        missing = np.argmax(subgroup.gl_mask() & ~current.gl_mask())
+        gens.append(int(subgroup.instance.gl_codes[missing]))
         current = coset_closure(subgroup.instance, current, gens[-1:], cap=cap)
     if not current.is_subset_of(subgroup):
         raise InputError("member set is not closed; cannot extract generators")
@@ -221,7 +222,7 @@ def fixes_mask(instance, mats: np.ndarray, x: int) -> np.ndarray:
 
 
 def fix_mask(instance, x: int) -> np.ndarray:
-    """Mask over GL (aligned with `gl().codes`) of the matrices fixing x.
+    """Mask over GL (aligned with `gl_codes`) of the matrices fixing x.
 
     Read off the element's `gl_image` column once and cached: fixers AND
     these masks many times over.
@@ -236,11 +237,10 @@ def fix_mask(instance, x: int) -> np.ndarray:
 
 def fixer(instance, elements) -> Subgroup:
     """All GL matrices fixing every listed element: an AND of `fix_mask`s."""
-    g = instance.gl()
-    mask = np.ones(len(g), dtype=bool)
+    mask = np.ones(len(instance.gl()), dtype=bool)
     for x in set(int(e) for e in elements):
         mask &= fix_mask(instance, x)
-    return intern_subgroup(instance, Subgroup(instance, g.codes[mask], closed=True))
+    return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -248,9 +248,12 @@ def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
     has them (fixing the generators is fixing the group they generate)."""
     if subgroup.generator_codes:
         codes = np.array(subgroup.generator_codes, dtype=np.int64)
-        mats = rings.unpack_matrices(codes, instance.modulus, instance.n)
-    else:
-        mats = subgroup.mats()
+        return fixed_by(instance, rings.unpack_matrices(codes, instance.modulus, instance.n))
+    return fixed_by(instance, subgroup.mats())
+
+
+def fixed_by(instance, mats: np.ndarray) -> SublatticeHandle:
+    """Elements fixed by every matrix of a batch."""
     lat = instance.lattice
     members = [x for x in range(len(lat)) if bool(np.all(fixes_mask(instance, mats, x)))]
     return SublatticeHandle(lat, members)
@@ -295,7 +298,7 @@ def axis_subgroup(instance, i: int) -> Subgroup:
         perm = instance.perm(instance.mat_of_code(code))
         if all(perm[x] == x for x in away):
             keep.append(code)
-    return Subgroup(instance, np.array(keep, dtype=np.int64), closed=False)
+    return Subgroup(instance, instance.mask_of(keep), closed=False)
 
 
 def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
@@ -373,7 +376,7 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
 def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
     """Sorted codes of the full transvection set for (i, j) at x (may be empty)."""
     table = transvection_table(instance, i, j)
-    return instance.gl().codes[table == int(x)]
+    return instance.gl_codes[table == int(x)]
 
 
 def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
@@ -417,11 +420,12 @@ def normalizer(instance, subgroup: Subgroup, ambient: Subgroup) -> Subgroup:
     """All ambient elements conjugating the subgroup onto itself."""
     if not subgroup.is_subset_of(ambient):
         raise InputError("normalizer expects the subgroup inside the ambient group")
-    amb_mats = ambient.mats()
-    mask = np.ones(len(ambient), dtype=bool)
+    amb_mats, inside = ambient.mats(), ambient.gl_mask()
+    mask = inside.copy()
     for c in generating_subset(subgroup):
-        mask &= subgroup.contains_many(conjugate_codes(instance, amb_mats, instance.mat_of_code(c)))
-    return Subgroup(instance, ambient.codes[mask], closed=True)
+        conj = conjugate_codes(instance, amb_mats, instance.mat_of_code(c))
+        mask[inside] &= subgroup.contains_many(conj)
+    return Subgroup(instance, mask, closed=True)
 
 
 def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
@@ -430,17 +434,11 @@ def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
     Containment and conjugation run on the subgroup's generators when it
     carries a verified generating set, else on the whole member set (batched).
     """
-    gens_s = list(subgroup.generator_codes)
-    if gens_s:
-        outside = [c for c in gens_s if not ambient.contains(c)]
-        if outside:
-            return False, (None, int(outside[0]))
-        probe_codes = np.array(gens_s, dtype=np.int64)
-    else:
-        if not subgroup.is_subset_of(ambient):
-            missing = subgroup.codes[~ambient.contains_many(subgroup.codes)]
-            return False, (None, int(missing[0]))
-        probe_codes = subgroup.codes
+    gens_s = subgroup.generator_codes
+    probe_codes = np.array(gens_s, dtype=np.int64) if gens_s else subgroup.codes
+    outside = probe_codes[~ambient.contains_many(probe_codes)]
+    if outside.size:
+        return False, (None, int(outside[0]))
     probe_mats = rings.unpack_matrices(probe_codes, instance.modulus, instance.n)
     gens_f = ambient.generator_codes or generating_subset(ambient)
     for fc in gens_f:
@@ -497,16 +495,14 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
         # one f per left coset fG decides the whole coset.  Ascending order
         # reaches each coset at its smallest code, so no f before the first
         # failing one fails and the witness is the all-f loop's.
-        amb = ambient.codes
-        seen = np.zeros(amb.size, dtype=bool)
-        for k in range(amb.size):
+        seen = np.zeros(len(instance.gl_codes), dtype=bool)
+        for k in np.flatnonzero(ambient.gl_mask()).tolist():
             if seen[k]:
                 continue
-            f_code = int(amb[k])
+            f_code = int(instance.gl_codes[k])
             f_mat = instance.mat_of_code(f_code)
             coset = rings.pack_matrices(rings.mat_mul(f_mat[None, :, :], sub_mats, m), m)
-            idx = np.minimum(np.searchsorted(amb, coset), amb.size - 1)
-            seen[idx[amb[idx] == coset]] = True
+            seen[instance.positions(coset)] = True
             codes = conjugate_codes(instance, f_mat, sub_mats)
             bad = ~subgroup.contains_many(codes)
             if bool(np.any(bad)):

@@ -165,16 +165,16 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     bad = net.clause_violation()
     if bad is not None:
         return False, {"kind": "clause", "clause": bad[0], "slot": list(bad[1])}
-    g = instance.gl()
-    n = instance.n
+    instance.gl()
+    codes, n = instance.gl_codes, instance.n
     support = instance.support_table
     if mode == "aggregate":
-        bounded = np.ones(len(g), dtype=bool)
+        bounded = np.ones(len(codes), dtype=bool)
         for i in range(n):
             # whether each lattice element y has [y]_j <= tau[i][j] for all j
             table = np.all(instance.lattice.meet_table[support, net.tau[i]] == support, axis=1)
             bounded &= table[instance.gl_image(instance.atoms[i])]
-        fixes = np.ones(len(g), dtype=bool)
+        fixes = np.ones(len(codes), dtype=bool)
         for x in canonical_sublattice(instance, net).members:
             fixes &= fix_mask(instance, x)
         diff = bounded != fixes
@@ -182,7 +182,7 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
             idx = int(np.argmax(diff))
             return False, {
                 "kind": "aggregate",
-                "g": int(g.codes[idx]),
+                "g": int(codes[idx]),
                 "bounded": bool(bounded[idx]),
                 "fixes_canonical": bool(fixes[idx]),
             }
@@ -199,7 +199,7 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
             )
             if bool(np.any(viol)):
                 idx = int(np.argmax(viol))
-                return False, {"kind": "per_triple", "g": int(g.codes[idx]), "triple": [i, j, k]}
+                return False, {"kind": "per_triple", "g": int(codes[idx]), "triple": [i, j, k]}
         return True, None
     raise InputError(f"unknown net-collection mode {mode!r}")
 
@@ -265,13 +265,13 @@ def net_fixer(instance, net: NetCollection, cap: int = 10_000_000) -> Subgroup:
                     )
                 reps.append(int(codes[0]))
     closure = coset_closure(instance, instance.diagonal(), reps, cap=cap)
-    if not np.array_equal(closure.codes, fx.codes):
+    if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
     result = intern_subgroup(
         instance,
         Subgroup(
             instance,
-            fx.codes,
+            fx.gl_mask(),
             generator_codes=tuple(instance.diagonal_generator_codes())
             + tuple(sorted(set(reps))),
             closed=True,
@@ -376,7 +376,7 @@ def _fixer_with_known_generators(instance, members) -> Subgroup:
     fx = fixer(instance, members)
     known = _net_fixer_generators(instance).get(fx.fingerprint())
     if known:
-        return Subgroup(instance, fx.codes, generator_codes=known, closed=True)
+        return Subgroup(instance, fx.gl_mask(), generator_codes=known, closed=True)
     return fx
 
 
@@ -402,11 +402,7 @@ def fixer_class(instance, members, bound: int = 32) -> EquivClass:
     if not set(members) <= set(instance.l0_prime().members):
         raise InputError("equivalence classes live inside the base sublattice")
     target = fixer(instance, members)
-    reps = [
-        h
-        for h, fx in _sublattice_fixers(instance, bound)
-        if np.array_equal(fx.codes, target.codes)
-    ]
+    reps = [h for h, fx in _sublattice_fixers(instance, bound) if fx == target]
     return EquivClass(representatives=reps, common_fixer=target)
 
 

@@ -100,8 +100,8 @@ def sweep_cyclic(
     """Sweep payload: one row per extra element plus per-subgroup details."""
     if family not in FAMILIES:
         raise InputError(f"unknown sweep family {family!r}; known: {FAMILIES}")
-    g = instance.gl(cap=cap)
-    codes = g.codes
+    instance.gl(cap=cap)
+    codes = instance.gl_codes
     if sample is not None:
         if not 0 < sample <= codes.size:
             raise InputError(f"sample size {sample} outside 1..{codes.size}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -136,6 +137,16 @@ def test_sigma_and_sandwich_subcommands(f7_spec, tmp_path):
     assert main(["sandwich", "--instance", f7_spec, "--subgroup", bad]) == 2
 
 
+@pytest.mark.parametrize("generator", [[[1, 2], [3]], [[1, 0], [0, "a"]]], ids=["ragged", "text"])
+def test_malformed_subgroup_file_is_an_input_error(f7_spec, tmp_path, capsys, generator):
+    sub_path = tmp_path / "bad.json"
+    gens = [[[3, 0], [0, 1]], generator]
+    sub_path.write_text(json.dumps({"schema_version": 1, "generators": gens}))
+    for command in ("sandwich", "sigma"):
+        assert main([command, "--instance", f7_spec, "--subgroup", str(sub_path)]) == 2
+        assert repr(generator) in capsys.readouterr().err
+
+
 def test_nets_and_classes_subcommands(f7_spec, tmp_path):
     out = str(tmp_path / "nets.json")
     assert main(["nets", "--instance", f7_spec, "--out", out]) == 0
@@ -248,6 +259,46 @@ def test_replay_sweep_rows_checks_their_subgroup(z9_sweep, tmp_path, capsys):
     swapped.write_text(json.dumps(data))
     assert main(["replay", "--report", str(swapped), "--instance", spec]) == 1
     assert "replayed 1800 failure witnesses: 1799 reproduced" in capsys.readouterr().out
+
+
+def test_canonical_report_bytes_are_pinned(f7_spec, z9_sweep, tmp_path):
+    """SHA-256s of the canonical reports, witnesses of the failing Z/9 runs
+    included; any change to them is a change of report bytes."""
+    z9_spec, z9_sweep_report = z9_sweep
+    runs = [
+        (["check-axioms", "--instance", f7_spec, "--seed", "7"], 0,
+         "787f8179ff4e2c57a9c34f38d77b272d97cfa7d8e69c1e50febd7d847fe5e254"),
+        (["sweep", "--instance", f7_spec, "--seed", "7", "--jobs", "1"], 0,
+         "93603744a0d60788f65fbcf50723f270b2688ccbf2fa286aa0fb1466c021cadb"),
+        (["check-axioms", "--instance", z9_spec, "--seed", "3"], 1,
+         "169f01bd202e8e8f5f79e3e2d89164e06f721f8d5e81715902080545227ad671"),
+    ]
+    for k, (args, rc, digest) in enumerate(runs):
+        out = tmp_path / f"report{k}.json"
+        assert main(args + ["--out", str(out)]) == rc
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+    assert hashlib.sha256(z9_sweep_report.read_bytes()).hexdigest() == (
+        "33183bd1783e7d3373af28967c0053afe71a53f41f219bdaf70855a43ff26a60"
+    )
+
+
+@pytest.mark.parametrize(
+    "t, reproduced",
+    [(99999999999, True), (10**30, True), (-5, True), (0, True), (7**4, True), (None, False)],
+)
+def test_replay_condition_10_witness_with_any_code(f7_spec, tmp_path, t, reproduced):
+    """The witness claims t lies outside <D, a>: codes outside GL, even
+    outside the code range, are outside it; a member of D is not."""
+    a = 1 + 7 + 3 * 7**3  # [[1, 1], [0, 3]]
+    if t is None:
+        t = 2 + 3 * 7**3  # diag(2, 3)
+    witness = {
+        "condition": "10", "mode": "as_stated", "i": 0, "j": 1, "xs": [], "as": [a], "y": 0, "t": t
+    }
+    report = tmp_path / "cond10.json"
+    report.write_text(json.dumps({"verdicts": [{"id": "10", "holds": False, "witness": witness}]}))
+    rc = main(["replay", "--report", str(report), "--instance", f7_spec])
+    assert rc == (0 if reproduced else 1)
 
 
 def test_cap_env_var(f7_spec, tmp_path, monkeypatch):

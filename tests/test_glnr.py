@@ -20,7 +20,7 @@ from netgalois.glnr import (
     verified_net_subgroup,
     verify_sandwich,
 )
-from netgalois.groups import Subgroup, coset_closure
+from netgalois.groups import Subgroup, coset_closure, fixer
 from netgalois.nets import enumerate_net_collections
 from netgalois.rings import mat_mul
 
@@ -140,6 +140,26 @@ def test_gl_image_is_the_action_on_all_of_gl(name, request):
         assert np.array_equal(table[:, x], col)
 
 
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_gl_positions_index_every_code(name, request):
+    """The dense index against brute force: every code of [0, m^(n^2)) and
+    the two integers just outside it, on D, GL, a fixer and a <D, g>."""
+    inst = request.getfixturevalue(name)
+    gl = inst.gl()
+    assert np.array_equal(inst.positions(inst.gl_codes), np.arange(len(gl)))
+    codes = np.arange(-1, inst.modulus ** (inst.n**2) + 1)
+    g_code = int(inst.gl_codes[len(gl) // 3])
+    subgroups = [
+        inst.diagonal(),
+        gl,
+        fixer(inst, [inst.atoms[0]]),
+        coset_closure(inst, inst.diagonal(), [g_code]),
+    ]
+    for sub in subgroups:
+        assert np.array_equal(sub.contains_many(codes), np.isin(codes, sub.codes))
+        assert np.array_equal(inst.mask_of(sub.codes), sub.gl_mask())
+
+
 def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch):
     """A batch split into chunks, the last one partial, gives the same images."""
     monkeypatch.setattr(glnr, "ACT_CHUNK", 7)
@@ -254,7 +274,7 @@ def test_verify_sandwich_examples(f7):
 
     gl = Subgroup(
         f7,
-        f7.gl().codes,
+        f7.gl().gl_mask(),
         generator_codes=tuple(
             f7.diagonal_generator_codes()
             + [
@@ -305,6 +325,10 @@ def test_rank_three_lattice(f7n3):
     assert Counter(int(d) for d in dims) == {0: 1, 1: 57, 2: 57, 3: 1}
     assert f7n3.frame.m == 1
     assert len(f7n3.frame.l0.members) == 8
+    # the stabiliser-fixed sublattice comes from D's generators: |GL(3, 7)|
+    # is above the default group cap, so GL must stay unenumerated
+    assert f7n3.l0_prime().members == f7n3.frame.l0.members
+    assert f7n3._gl is None
 
 
 def test_ideal_elements(z49):

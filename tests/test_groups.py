@@ -266,7 +266,7 @@ def test_fixed_lattice_examples(f7, z49):
          "7,0;0,7", "1,0;0,7", "7,0;0,1", "1,0;0,1"]
     )
     # fixed points of the generators equal fixed points of the full group
-    full = Subgroup(z49, z49.diagonal().codes, closed=True)
+    full = Subgroup(z49, z49.diagonal().gl_mask(), closed=True)
     assert fixed_lattice(z49, full).members == fixed.members
 
 
@@ -373,7 +373,7 @@ def test_galois_maps(f7):
     assert d.is_subset_of(galois_phi(f7, l0p.members))
     assert galois_psi(f7, d).members == l0p.members
     for sub in (d, borel(f7), f7.gl()):
-        sub = Subgroup(f7, sub.codes, generator_codes=sub.generator_codes, closed=True)
+        sub = Subgroup(f7, sub.gl_mask(), generator_codes=sub.generator_codes, closed=True)
         m = galois_psi(f7, sub)
         assert set(m.members) <= set(l0p.members)
         phi_m = galois_phi(f7, m.members)
@@ -408,7 +408,7 @@ def test_normalizes_and_normality(f7):
     normal, _ = is_normal_in(f7, d, b)
     assert not normal
     mono = normalizer(f7, d, gl)
-    mono = Subgroup(f7, mono.codes, generator_codes=generating_subset(mono), closed=True)
+    mono = Subgroup(f7, mono.gl_mask(), generator_codes=generating_subset(mono), closed=True)
     normal, _ = is_normal_in(f7, d, mono)
     assert normal
     anti = f7.code_of_mat(np.array([[0, 1], [1, 0]]))
@@ -517,7 +517,7 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
     moved = [x for x in range(len(inst.lattice)) if x not in l0p][:1]
     subgroups = [
         inst.gl(),
-        Subgroup(inst, inst.diagonal().codes, closed=True),
+        Subgroup(inst, inst.diagonal().gl_mask(), closed=True),
         fixer(inst, moved),
         fixer(inst, [1]),
     ]
@@ -528,6 +528,29 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
             gens.append(int(sub.codes[~np.isin(sub.codes, current)][0]))
             current = element_closure(inst, gens)
         assert generating_subset(sub) == gens
+
+
+@pytest.mark.parametrize("name", ["f7", "z9"])
+def test_coset_closure_multiplies_only_candidates_outside_the_members(name, request, monkeypatch):
+    """A candidate already in the mask lies in a reached coset, so the BFS
+    spends its products on unreached cosets: 20 seeded <D, g> closures push
+    fewer than two matrices through mat_mul per member they produce."""
+    from netgalois import rings
+
+    inst = request.getfixturevalue(name)
+    d = inst.diagonal()
+    codes = np.random.default_rng(0).choice(inst.gl().codes, size=20, replace=False)
+    pushed = []
+    original = rings.mat_mul
+
+    def counted(*args):
+        out = original(*args)
+        pushed.append(int(np.prod(out.shape[:-2])))
+        return out
+
+    monkeypatch.setattr(rings, "mat_mul", counted)
+    members = sum(len(coset_closure(inst, d, [int(c)])) for c in codes)
+    assert sum(pushed) < 2 * members
 
 
 def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
@@ -569,10 +592,10 @@ def test_subgroup_json_roundtrip(f7):
 
 def test_fingerprint_is_cached_and_survives_interning(f7):
     pooled = intern_subgroup(f7, borel(f7))
-    copy = Subgroup(f7, pooled.codes.copy(), closed=True)
+    copy = Subgroup(f7, pooled.gl_mask().copy(), closed=True)
     first = copy.fingerprint()
     assert intern_subgroup(f7, copy) is copy
-    assert copy.codes is pooled.codes
+    assert copy.gl_mask() is pooled.gl_mask()
     assert copy.fingerprint() == first
     assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
 

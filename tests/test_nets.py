@@ -62,7 +62,7 @@ def test_sigma_of_borel_one_sided(f7):
 
 
 def test_sigma_requires_stabiliser(f7):
-    triv = Subgroup(f7, np.array([f7.code_of_mat(f7.identity)]), closed=True)
+    triv = Subgroup(f7, f7.mask_of([f7.code_of_mat(f7.identity)]), closed=True)
     with pytest.raises(InputError):
         transvection_ideals(f7, triv)
 
@@ -253,11 +253,11 @@ def test_stable_fixer_is_normal(f7):
     for sub in (f7.diagonal(), borel(f7), borel(f7, 1, 0), f7.gl()):
         stable = stable_lbar0(f7, sub)
         fx = fixer(f7, stable.members)
-        sub_w = Subgroup(f7, sub.codes, generator_codes=sub.generator_codes or (), closed=True)
+        sub_w = Subgroup(f7, sub.gl_mask(), generator_codes=sub.generator_codes or (), closed=True)
         if not sub_w.generator_codes:
             from netgalois.groups import generating_subset
 
-            sub_w = Subgroup(f7, sub.codes, generator_codes=tuple(generating_subset(sub_w)), closed=True)
+            sub_w = Subgroup(f7, sub.gl_mask(), generator_codes=tuple(generating_subset(sub_w)), closed=True)
         normal, _ = is_normal_in(f7, fx, sub_w)
         assert normal
 
@@ -413,7 +413,7 @@ def test_fixer_class_maximal_member_is_closure(f7):
         sub = cls.common_fixer
         from netgalois.groups import generating_subset
 
-        sub = Subgroup(f7, sub.codes, generator_codes=tuple(generating_subset(sub)), closed=True)
+        sub = Subgroup(f7, sub.gl_mask(), generator_codes=tuple(generating_subset(sub)), closed=True)
         closure = galois_psi(f7, sub)
         assert closure.members == maximal.members
         assert set(handle.members) <= set(closure.members)
