@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rings
 from .errors import InputError
 from .groups import (
     axis_subgroup,
@@ -95,9 +94,7 @@ class _Ctx:
 
     def code_rows(self, codes) -> np.ndarray:
         """Lattice permutations of any matrix codes, through act_batch."""
-        codes = np.asarray(codes, dtype=np.int64)
-        mats = rings.unpack_matrices(codes, self.instance.modulus, self.n)
-        return np.stack([self.instance.act_batch(mats, x) for x in range(len(self.lat))], axis=1)
+        return np.stack([self.instance.act_batch(codes, x) for x in range(len(self.lat))], axis=1)
 
     def atom_image_support(self, i, j):
         """[g(e_i)]_j for every group element, read through the atom's image column."""
@@ -420,7 +417,7 @@ def _cond_9(ctx, mode, rng, samples):
                 if x not in real:
                     continue
                 t_codes = transvections(inst, i, j, x)
-                imgs = inst.act_batch(rings.unpack_matrices(t_codes, inst.modulus, ctx.n), w)
+                imgs = inst.act_batch(t_codes, w)
                 hits = np.nonzero(imgs == ctx.atoms[i])[0]
                 if hits.size == 0:
                     return (
@@ -718,7 +715,7 @@ def _replay_cond_9(ctx, mode, w):
     t_codes = transvections(inst, i, j, x)
     if t_codes.size == 0:
         return False
-    imgs = inst.act_batch(rings.unpack_matrices(t_codes, inst.modulus, ctx.n), welt)
+    imgs = inst.act_batch(t_codes, welt)
     return not bool(np.any(imgs == ctx.atoms[i]))
 
 

@@ -39,21 +39,10 @@ from .rings import RingSpec
 DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_LATTICE_CAP = 2_000
 PERM_TABLE_LIMIT = 100_000
-# act_batch works through this many matrices at a time, so its temporaries
-# (about 64 bytes per matrix) stay small and are reused instead of being
-# page-faulted in afresh for every GL-sized batch
+# GL-wide passes over codes (act_batch, net_subgroup) work through this many
+# codes at a time, so their temporaries stay small and are reused instead of
+# being page-faulted in afresh for every GL-sized batch
 ACT_CHUNK = 1 << 14
-
-
-def _sumset_codes(codes_a: np.ndarray, codes_b: np.ndarray, modulus: int, n: int) -> np.ndarray:
-    """Sorted codes of {a + b}; chunked so large pairs stay memory-friendly."""
-    va = rings.unpack_vectors(codes_a, modulus, n)
-    vb = rings.unpack_vectors(codes_b, modulus, n)
-    pieces = []
-    for start in range(0, va.shape[0], 512):
-        block = (va[start : start + 512, None, :] + vb[None, :, :]) % modulus
-        pieces.append(np.unique(rings.pack_vectors(block.reshape(-1, n), modulus)))
-    return np.unique(np.concatenate(pieces))
 
 
 def gl_order(ring: RingSpec, n: int) -> int:
@@ -142,11 +131,22 @@ class Instance:
         for i, key in enumerate(ordered):
             self.membership[i, span_of[key]] = True
 
+        # act_batch's tables: entry [r, j, w] is m^j (r . w mod m), for basis
+        # row r of the element and the m^n row codes w
+        weights, code_dtype = m ** np.arange(n), np.min_scalar_type(vec_total - 1)
+        self.row_tables = [
+            ((rows @ all_vecs.T % m)[:, None] * weights[:, None]).astype(code_dtype)
+            for rows in self.basis_rows
+        ]
+
         # joins via canonical-form stacking, meets via the Zassenhaus form;
-        # both cross-checked against plain set arithmetic on desk-size moduli
+        # both cross-checked against plain set arithmetic on desk-size moduli:
+        # the set {a + b} is scattered into a mask over the m^n vectors, code
+        # by code(a + b) = sum_i m^i ((a_i + b_i) mod m)
         meet = np.zeros((nelt, nelt), dtype=np.int64)
         join = np.zeros((nelt, nelt), dtype=np.int64)
         check_sets = vec_total <= 10_000
+        digits = all_vecs.T.astype(np.int32)
         for a in range(nelt):
             meet[a, a] = join[a, a] = a
             for b in range(a + 1, nelt):
@@ -157,13 +157,17 @@ class Instance:
                 ).tobytes()
                 meet[a, b] = meet[b, a] = index[mkey]
                 if check_sets:
-                    inter = np.intersect1d(self.element_codes[a], self.element_codes[b])
-                    if not np.array_equal(inter, self.element_codes[int(meet[a, b])]):
+                    inter = self.membership[a] & self.membership[b]
+                    if not np.array_equal(inter, self.membership[meet[a, b]]):
                         raise RuntimeError("canonical meet disagrees with set intersection")
-                    sumset = _sumset_codes(
-                        self.element_codes[a], self.element_codes[b], m, n
-                    )
-                    if not np.array_equal(sumset, self.element_codes[int(join[a, b])]):
+                    sums = np.zeros(vec_total, dtype=bool)
+                    va, vb = digits[:, self.element_codes[a]], digits[:, self.element_codes[b]]
+                    for start in range(0, va.shape[1], 512):
+                        code = np.zeros((min(512, va.shape[1] - start), vb.shape[1]), np.int32)
+                        for i, w in enumerate(weights.tolist()):
+                            code += w * ((va[i, start : start + 512, None] + vb[i]) % m)
+                        sums[code] = True
+                    if not np.array_equal(sums, self.membership[join[a, b]]):
                         raise RuntimeError("canonical join disagrees with set sum")
 
         self.lattice = FiniteLattice(meet, join, [labels[k] for k in ordered])
@@ -218,49 +222,59 @@ class Instance:
     # -- the action ---------------------------------------------------------
 
     def act(self, mat: np.ndarray, x: int) -> int:
-        """Index of the image submodule; a label miss would be a fatal bug."""
-        rows = self.basis_rows[x]
-        if rows.size == 0:
-            return x
-        img = rings.mat_vec(mat, rows, self.modulus)
-        codes = rings.pack_vectors(img, self.modulus)
-        return self.lattice.join_many(self.cyclic_index[codes])
+        """Index of the image submodule of x under one matrix."""
+        return int(self.act_batch(self.code_of_mat(mat), x)[0])
 
-    def act_batch(self, mats: np.ndarray, x: int) -> np.ndarray:
-        """Image indices of element x under a (K, n, n) batch of matrices."""
-        rows = self.basis_rows[x]
-        k = mats.shape[0]
-        if rows.size == 0:
-            return np.full(k, x, dtype=np.int64)
-        out = np.full(k, self.lattice.bottom, dtype=np.int64)
-        for start in range(0, k, ACT_CHUNK):
-            block = mats[start : start + ACT_CHUNK]
+    def act_batch(self, codes, x: int) -> np.ndarray:
+        """Image indices of element x under each matrix of a batch of codes.
+
+        Table lookup over the m^n row codes.  A code packs its matrix g
+        row-major in base m, so its digit j in base m^n is the row code of
+        g_j.  For a basis row r of x, (r g^T)_j = r . g_j, and a vector's code
+        is sum_j m^j v_j, so code(r g^T) = sum_j m^j (r . g_j mod m): n
+        gathers from `row_tables[x]`.  g(x) is the join of the cyclic
+        submodules of the image rows.
+        """
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+        tables = self.row_tables[x]
+        out = np.full(codes.size, x, dtype=np.int64)
+        base = self.modulus**self.n
+        for start in range(0, codes.size if len(tables) else 0, ACT_CHUNK):
+            rest, digits = codes[start : start + ACT_CHUNK], []
+            for _ in range(self.n):
+                rest, digit = np.divmod(rest, base)
+                digits.append(digit)
             acc = out[start : start + ACT_CHUNK]
-            for row in rows:
-                codes = rings.pack_vectors(rings.mat_vec(block, row, self.modulus), self.modulus)
-                acc[:] = self.lattice.join_table[acc, self.cyclic_index[codes]]
+            for k, table in enumerate(tables):
+                img = table[0][digits[0]]
+                for j in range(1, self.n):
+                    img += table[j][digits[j]]
+                cyclic = self.cyclic_index[img]
+                acc[:] = cyclic if k == 0 else self.lattice.join_table[acc, cyclic]
         return out
 
     def gl_image(self, x: int) -> np.ndarray:
         """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
 
-        One `act_batch` pass per element, cached: every GL-wide question
-        about where g sends x reads this column, and a predicate on g(x)
-        becomes a table over the lattice gathered by it.
+        One `act_batch` pass over `gl_codes` per element, cached: every
+        GL-wide question about where g sends x reads this column, and a
+        predicate on g(x) becomes a table over the lattice gathered by it.
         """
         images = self._caches.setdefault("gl_images", {})
         x = int(x)
         col = images.get(x)
         if col is None:
+            self.gl()
             dtype = np.min_scalar_type(len(self.lattice) - 1)
-            col = images[x] = self.act_batch(self.gl().mats(), x).astype(dtype)
+            col = images[x] = self.act_batch(self.gl_codes, x).astype(dtype)
         return col
 
     def perm(self, mat: np.ndarray) -> np.ndarray:
-        code = int(rings.pack_matrices(mat, self.modulus))
+        code = self.code_of_mat(mat)
         cached = self._perm_cache.get(code)
         if cached is None:
-            cached = np.array([self.act(mat, x) for x in range(len(self.lattice))], dtype=np.int32)
+            elements = range(len(self.lattice))
+            cached = np.array([self.act_batch(code, x)[0] for x in elements], dtype=np.int32)
             self._perm_cache[code] = cached
         return cached
 
@@ -364,8 +378,7 @@ class Instance:
         its generators, so lattice-only work never enumerates GL."""
         if "l0_prime" not in self._caches:
             codes = np.array(self.diagonal_generator_codes(), dtype=np.int64)
-            gens = rings.unpack_matrices(codes, self.modulus, self.n)
-            self._caches["l0_prime"] = fixed_by(self, gens)
+            self._caches["l0_prime"] = fixed_by(self, codes)
         return self._caches["l0_prime"]
 
     def perm_table(self) -> np.ndarray | None:
@@ -520,18 +533,20 @@ def enumerate_dnets(instance: Instance) -> list[DNet]:
 
 
 def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
-    """Invertible matrices whose (i, j) entry lies in the prescribed ideal."""
+    """Invertible matrices whose (i, j) entry lies in the prescribed ideal.
+
+    Entry (i, j) is base-m digit i n + j of the code, and p^lev divides m, so
+    it lies in (p^lev) iff code // m^(i n + j) is divisible by p^lev.
+    """
     g = instance.gl(cap=cap)
-    mats = g.mats()
-    p = instance.ring.p
+    m, n, p = instance.modulus, instance.n, instance.ring.p
     mask = np.ones(len(g), dtype=bool)
-    for i in range(instance.n):
-        for j in range(instance.n):
-            if i == j:
-                continue
+    for start in range(0, len(g), ACT_CHUNK):
+        block = instance.gl_codes[start : start + ACT_CHUNK]
+        for i, j in itertools.permutations(range(n), 2):
             lev = int(dnet.levels[i, j])
             if lev:
-                mask &= mats[:, i, j] % p**lev == 0
+                mask[start : start + ACT_CHUNK] &= block // m ** (i * n + j) % p**lev == 0
     return Subgroup(instance, mask, closed=True)
 
 

@@ -10,10 +10,10 @@ absorb that kernel automatically.  Every GL-wide question about where g
 sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
 (`fix_mask`) is that column compared with x, every fixer is an AND of fix
 masks, and the transvection tables gather per-element support tables by the
-columns.  Smaller batches (generators, members of a subgroup) go through
-`fixes_mask`.  Every closure is one BFS on the cosets of a seed subgroup
-(`coset_closure`) that steps a whole frontier per round in batched products;
-`close_subgroup` runs it over the trivial subgroup.
+columns.  Smaller batches of codes (generators, members of a subgroup) go
+through `fixes_mask`.  Every closure is one BFS on the cosets of a seed
+subgroup (`coset_closure`) that steps a whole frontier per round in batched
+products; `close_subgroup` runs it over the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class Subgroup:
         self.generator_codes = tuple(int(c) for c in generator_codes)
         self.closed = closed
         self._mats = None
+        self._key = None
         self._fingerprint = None
 
     def __len__(self):
@@ -80,13 +81,21 @@ class Subgroup:
         return isinstance(other, Subgroup) and np.array_equal(self._mask, other._mask)
 
     def __hash__(self):
-        return hash(self.fingerprint())
+        return hash(self.key())
 
-    def fingerprint(self) -> str:
-        """Stable across processes; used to deduplicate sweep work.
+    def key(self) -> bytes:
+        """In-process content key: the SHA-1 digest of the packed member mask.
 
         Computed once: `intern_subgroup` only swaps the mask for an equal one.
-        Hashes the ascending int64 member codes.
+        """
+        if self._key is None:
+            self._key = hashlib.sha1(np.packbits(self._mask)).digest()
+        return self._key
+
+    def fingerprint(self) -> str:
+        """Stable across processes; names subgroups in sweep reports.
+
+        Computed once, like `key`.  Hashes the ascending int64 member codes.
         """
         if self._fingerprint is None:
             self._fingerprint = hashlib.sha1(self.codes).hexdigest()[:16]
@@ -112,10 +121,15 @@ class Subgroup:
             raise InputError("subgroup file needs a nonempty 'generators' list")
         codes = []
         for g in gens:
+            # JSON integers only: floats, booleans and text are not truncated or cast
             try:
-                mat = np.asarray(g, dtype=np.int64) % instance.modulus
-            except (TypeError, ValueError, OverflowError) as exc:
+                mat = np.asarray(g)
+                entries = np.asarray(g, dtype=object).ravel()
+            except ValueError as exc:
                 raise InputError(f"generator {g!r} is not an integer matrix") from exc
+            if mat.dtype.kind != "i" or any(isinstance(e, bool) for e in entries):
+                raise InputError(f"generator {g!r} is not an integer matrix")
+            mat = mat % instance.modulus
             if mat.shape != (instance.n, instance.n):
                 raise InputError(f"generator shape {mat.shape} does not match n={instance.n}")
             if not instance.ring.is_unit(int(rings.det_batch(mat, instance.modulus))):
@@ -127,14 +141,14 @@ class Subgroup:
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
     """Share mask/matrix storage between equal subgroups held in caches.
 
-    The returned object keeps its own generator provenance; only the big
-    arrays are pooled, keyed by content fingerprint.
+    The returned object keeps its own generator provenance; only the GL mask
+    and the unpacked matrices are pooled, keyed by `Subgroup.key`.
     """
     pool = instance._caches.setdefault("subgroup_pool", {})
-    fp = subgroup.fingerprint()
-    base = pool.get(fp)
+    key = subgroup.key()
+    base = pool.get(key)
     if base is None:
-        pool[fp] = subgroup
+        pool[key] = subgroup
         return subgroup
     if base is not subgroup:
         subgroup._mask = base._mask
@@ -216,9 +230,9 @@ def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> lis
 # -- fixers and fixed sublattices -------------------------------------------
 
 
-def fixes_mask(instance, mats: np.ndarray, x: int) -> np.ndarray:
-    """Boolean mask: which matrices of a batch fix lattice element x."""
-    return instance.act_batch(mats, x) == x
+def fixes_mask(instance, codes, x: int) -> np.ndarray:
+    """Boolean mask: which matrices of a batch of codes fix lattice element x."""
+    return instance.act_batch(codes, x) == x
 
 
 def fix_mask(instance, x: int) -> np.ndarray:
@@ -247,15 +261,14 @@ def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
     """Elements fixed by the whole subgroup, tested on its generators when it
     has them (fixing the generators is fixing the group they generate)."""
     if subgroup.generator_codes:
-        codes = np.array(subgroup.generator_codes, dtype=np.int64)
-        return fixed_by(instance, rings.unpack_matrices(codes, instance.modulus, instance.n))
-    return fixed_by(instance, subgroup.mats())
+        return fixed_by(instance, np.array(subgroup.generator_codes, dtype=np.int64))
+    return fixed_by(instance, subgroup.codes)
 
 
-def fixed_by(instance, mats: np.ndarray) -> SublatticeHandle:
-    """Elements fixed by every matrix of a batch."""
+def fixed_by(instance, codes) -> SublatticeHandle:
+    """Elements fixed by every matrix of a batch of codes."""
     lat = instance.lattice
-    members = [x for x in range(len(lat)) if bool(np.all(fixes_mask(instance, mats, x)))]
+    members = [x for x in range(len(lat)) if bool(np.all(fixes_mask(instance, codes, x)))]
     return SublatticeHandle(lat, members)
 
 
@@ -487,7 +500,6 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
     Exhaustive over all (f, s) pairs, one f per left coset of the subgroup,
     unless a sample count is given; returns (holds, witness codes).
     """
-    sub_mats = subgroup.mats()
     m = instance.modulus
     if samples is None:
         # (fg)^-1 s (fg) = g^-1 (f^-1 s f) g, so for g in G, f^-1 s f and
@@ -495,6 +507,7 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
         # one f per left coset fG decides the whole coset.  Ascending order
         # reaches each coset at its smallest code, so no f before the first
         # failing one fails and the witness is the all-f loop's.
+        sub_mats = subgroup.mats()
         seen = np.zeros(len(instance.gl_codes), dtype=bool)
         for k in np.flatnonzero(ambient.gl_mask()).tolist():
             if seen[k]:

@@ -359,13 +359,13 @@ def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
 
 
 def _net_fixer_generators(instance) -> dict:
-    """Fingerprint -> verified generating set of every valid net's fixer."""
+    """`Subgroup.key` -> verified generating set of every valid net's fixer."""
     cached = instance._caches.get("net_fixer_generators")
     if cached is None:
         cached = {}
         for net in enumerate_net_collections(instance):
             fx = net_fixer(instance, net)
-            cached.setdefault(fx.fingerprint(), fx.generator_codes)
+            cached.setdefault(fx.key(), fx.generator_codes)
         instance._caches["net_fixer_generators"] = cached
     return cached
 
@@ -374,7 +374,7 @@ def _fixer_with_known_generators(instance, members) -> Subgroup:
     """Fixer of a member set, picking up a verified generating set whenever
     it coincides with a net fixer (every closed subgroup does here)."""
     fx = fixer(instance, members)
-    known = _net_fixer_generators(instance).get(fx.fingerprint())
+    known = _net_fixer_generators(instance).get(fx.key())
     if known:
         return Subgroup(instance, fx.gl_mask(), generator_codes=known, closed=True)
     return fx
@@ -407,9 +407,9 @@ def fixer_class(instance, members, bound: int = 32) -> EquivClass:
 
 
 def all_fixer_classes(instance, bound: int = 32) -> list[EquivClass]:
-    groups: dict[str, EquivClass] = {}
+    groups: dict[bytes, EquivClass] = {}
     for h, fx in _sublattice_fixers(instance, bound):
-        key = fx.fingerprint()
+        key = fx.key()
         if key not in groups:
             groups[key] = EquivClass(representatives=[], common_fixer=fx)
         groups[key].representatives.append(h)

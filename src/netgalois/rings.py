@@ -248,15 +248,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return np.matmul(a.astype(np.int64), b.astype(np.int64)) % modulus
 
 
-def mat_vec(mats: np.ndarray, vec: np.ndarray, modulus: int) -> np.ndarray:
-    """Row vector acted on from the right by each transposed matrix.
-
-    The lattice action of g sends a row vector v to v @ g.T (the row form of
-    the column action g v^T).
-    """
-    return (vec.astype(np.int64) @ np.swapaxes(mats, -1, -2).astype(np.int64)) % modulus
-
-
 def det_batch(mats: np.ndarray, modulus: int) -> np.ndarray:
     """Determinants mod modulus for batches of n x n matrices, n <= 3."""
     a = mats.astype(np.int64)

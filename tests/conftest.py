@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netgalois.glnr import Instance
-from netgalois.rings import RingSpec, pack_matrices, unpack_matrices
+from netgalois.rings import RingSpec, howell_form, pack_matrices, pack_vectors, unpack_matrices
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +92,35 @@ def _element_closure(inst, generator_codes):
 @pytest.fixture(scope="session")
 def element_closure():
     return _element_closure
+
+
+def _act_reference(inst, mats, x):
+    """Lattice index of g(x) for each matrix g of a (K, n, n) batch, by
+    definition: the image rows v g^T of x's basis rows, their Howell form, and
+    the lattice element with that form's label.  The reference for
+    `act_batch`; it reads neither `cyclic_index` nor `join_table`.  Each
+    distinct tuple of image rows is reduced once."""
+    m = inst.modulus
+    mats = np.asarray(mats).reshape(-1, inst.n, inst.n)
+    rows = inst.basis_rows[x]
+    if rows.size == 0:
+        return np.full(len(mats), x, dtype=np.int64)
+    out = np.empty(len(mats), dtype=np.int64)
+    index = {}
+    for start in range(0, len(mats), 1 << 16):
+        block = mats[start : start + (1 << 16)].astype(np.int64)
+        images = (rows @ np.swapaxes(block, -1, -2)) % m
+        tuples = pack_vectors(images.reshape(len(images), -1), m)
+        distinct, first, inverse = np.unique(tuples, return_index=True, return_inverse=True)
+        for key, k in zip(distinct.tolist(), first.tolist()):
+            if key not in index:
+                form = howell_form(images[k], inst.ring)
+                label = ";".join(",".join(str(v) for v in row) for row in form.tolist())
+                index[key] = inst.lattice.label_index[label]
+        out[start : start + len(images)] = np.array([index[k] for k in distinct.tolist()])[inverse]
+    return out
+
+
+@pytest.fixture(scope="session")
+def act_reference():
+    return _act_reference

@@ -137,7 +137,18 @@ def test_sigma_and_sandwich_subcommands(f7_spec, tmp_path):
     assert main(["sandwich", "--instance", f7_spec, "--subgroup", bad]) == 2
 
 
-@pytest.mark.parametrize("generator", [[[1, 2], [3]], [[1, 0], [0, "a"]]], ids=["ragged", "text"])
+@pytest.mark.parametrize(
+    "generator",
+    [
+        [[1, 2], [3]],
+        [[1, 0], [0, "a"]],
+        [[3.7, 0], [0, 1]],
+        [[1, 0], [1.2, 1]],
+        [[1, 0], [0, 3.0]],
+        [[True, 0], [0, 1]],
+    ],
+    ids=["ragged", "text", "float", "float-off-diagonal", "integral-float", "boolean"],
+)
 def test_malformed_subgroup_file_is_an_input_error(f7_spec, tmp_path, capsys, generator):
     sub_path = tmp_path / "bad.json"
     gens = [[[3, 0], [0, 1]], generator]

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from netgalois import glnr
+from netgalois import glnr, rings
 from netgalois.errors import CapExceeded, InputError
 from netgalois.glnr import (
     DNet,
@@ -22,7 +22,7 @@ from netgalois.glnr import (
 )
 from netgalois.groups import Subgroup, coset_closure, fixer
 from netgalois.nets import enumerate_net_collections
-from netgalois.rings import mat_mul
+from netgalois.rings import RingSpec, mat_mul, unpack_matrices
 
 
 def subgroup_count_by_divisor_formula(m: int) -> int:
@@ -129,15 +129,27 @@ def test_matrix_action_against_raw_image(f7, z4):
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
-def test_gl_image_is_the_action_on_all_of_gl(name, request):
+def test_gl_image_is_the_action_on_all_of_gl(name, request, act_reference):
+    """act_batch over all of GL against the action by definition."""
     inst = request.getfixturevalue(name)
     mats = inst.gl().mats()
     table = inst.perm_table()
     for x in range(len(inst.lattice)):
         col = inst.gl_image(x)
         assert col.dtype.kind == "u"
-        assert np.array_equal(col, inst.act_batch(mats, x))
+        expect = act_reference(inst, mats, x)
+        assert np.array_equal(inst.act_batch(inst.gl_codes, x), expect)
+        assert np.array_equal(col, expect)
         assert np.array_equal(table[:, x], col)
+
+
+@pytest.mark.slow
+def test_act_batch_matches_reference_on_sampled_z49_codes(z49, act_reference):
+    rng = np.random.default_rng(49)
+    codes = rng.choice(z49.gl().codes, size=20_000, replace=False)
+    mats = unpack_matrices(codes, z49.modulus, z49.n)
+    for x in range(len(z49.lattice)):
+        assert np.array_equal(z49.act_batch(codes, x), act_reference(z49, mats, x))
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
@@ -160,14 +172,31 @@ def test_gl_positions_index_every_code(name, request):
         assert np.array_equal(inst.mask_of(sub.codes), sub.gl_mask())
 
 
-def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch):
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("join_basis", "canonical join disagrees with set sum"),
+        ("meet_basis", "canonical meet disagrees with set intersection"),
+    ],
+)
+def test_lattice_cross_check_catches_a_wrong_form(name, message, monkeypatch):
+    """A join or meet routine returning a wrong lattice element (the Howell
+    form of its first argument) is caught by the set arithmetic."""
+    monkeypatch.setattr(rings, name, lambda a, b, ring: rings.howell_form(a, ring))
+    with pytest.raises(RuntimeError, match=message):
+        Instance(RingSpec(3, 1), 2)
+
+
+def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch, act_reference):
     """A batch split into chunks, the last one partial, gives the same images."""
     monkeypatch.setattr(glnr, "ACT_CHUNK", 7)
+    codes = f7.gl().codes[:30]
     mats = f7.gl().mats()[:30]
     for x in range(len(f7.lattice)):
-        imgs = f7.act_batch(mats, x)
+        imgs = f7.act_batch(codes, x)
         assert imgs.dtype == np.int64
         assert imgs.tolist() == [f7.act(g, x) for g in mats]
+        assert np.array_equal(imgs, act_reference(f7, mats, x))
 
 
 def test_identity_and_diagonal_fix_coordinates(f7):

@@ -197,7 +197,7 @@ def test_fixer_examples(f7):
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
-def test_fix_masks_and_fixers_agree_with_brute_force(name, request):
+def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_reference):
     """fix_mask against the action on all of GL; fixer against the AND of
     those brute-force masks, for L0', the componentwise span, the whole
     lattice and each valid net's canonical sublattice."""
@@ -205,7 +205,7 @@ def test_fix_masks_and_fixers_agree_with_brute_force(name, request):
 
     inst = request.getfixturevalue(name)
     g = inst.gl()
-    brute = [inst.act_batch(g.mats(), x) == x for x in range(len(inst.lattice))]
+    brute = [act_reference(inst, g.mats(), x) == x for x in range(len(inst.lattice))]
     for x, expect in enumerate(brute):
         assert np.array_equal(fix_mask(inst, x), expect)
     sets = [inst.l0_prime().members, inst.frame.lbar0, range(len(inst.lattice))]
@@ -232,17 +232,17 @@ def test_gl_action_runs_once_per_element(ring, monkeypatch):
     passes, depth = [], []
     act_batch, fixes_mask = Instance.act_batch, groups.fixes_mask
 
-    def counted_act_batch(self, mats, x):
-        if len(mats) == size and not depth:
+    def counted_act_batch(self, codes, x):
+        if np.size(codes) == size and not depth:
             passes.append(int(x))
-        return act_batch(self, mats, x)
+        return act_batch(self, codes, x)
 
-    def counted_fixes_mask(instance, mats, x):
-        if len(mats) == size:
+    def counted_fixes_mask(instance, codes, x):
+        if np.size(codes) == size:
             passes.append(int(x))
         depth.append(x)
         try:
-            return fixes_mask(instance, mats, x)
+            return fixes_mask(instance, codes, x)
         finally:
             depth.pop()
 
@@ -493,6 +493,56 @@ def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
         assert len(calls) <= len(f) // len(gk)
 
 
+def test_sampled_conjugation_check_unpacks_no_matrices():
+    """Only the exhaustive branch reads the subgroup's matrices: a sampled
+    check on all of GL leaves GL's matrix array unbuilt."""
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(3, 2), 2)
+    gl = inst.gl()
+    rng = np.random.default_rng(5)
+    assert conjugation_closure_check(inst, gl, gl, rng=rng, samples=200) == (True, None)
+    assert gl._mats is None
+
+
+@pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
+def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
+    """Set-up pools and matches subgroups by `Subgroup.key` and fingerprints
+    none; the sweep fingerprints each double-coset representative once.  Set-up
+    leaves GL's matrix array unbuilt."""
+    from netgalois import sweep
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(*ring), 2)
+    calls = []
+    fingerprint = Subgroup.fingerprint
+
+    def counted(self):
+        calls.append(len(self))
+        return fingerprint(self)
+
+    monkeypatch.setattr(Subgroup, "fingerprint", counted)
+    sweep.prewarm(inst, cap=10_000_000)
+    assert calls == []
+    assert inst.gl()._mats is None
+    if ring == (3, 2):
+        sweep.sweep_cyclic(inst, jobs=1)
+        assert len(calls) == np.unique(double_coset_key(inst, inst.gl_codes)).size
+
+
+@pytest.mark.slow
+def test_z49_setup_builds_no_gl_matrix_array():
+    from netgalois import sweep
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(7, 2), 2)
+    sweep.prewarm(inst, cap=5_000_000)
+    assert inst.gl()._mats is None
+
+
 def test_same_transvections(f7):
     d = f7.diagonal()
     gl = f7.gl()
@@ -598,6 +648,8 @@ def test_fingerprint_is_cached_and_survives_interning(f7):
     assert copy.gl_mask() is pooled.gl_mask()
     assert copy.fingerprint() == first
     assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
+    assert copy.key() == pooled.key() == hashlib.sha1(np.packbits(copy.gl_mask())).digest()
+    assert hash(copy) == hash(pooled)
 
 
 def test_temporary_closures_stay_out_of_the_pool():
