@@ -96,6 +96,13 @@ class _Ctx:
         """Lattice permutations of any matrix codes, through act_batch."""
         return np.stack([self.instance.act_batch(codes, x) for x in range(len(self.lat))], axis=1)
 
+    def witness_codes(self, codes) -> tuple:
+        """The matrix codes a witness names, each a JSON integer coding a GL element."""
+        codes = tuple(codes)
+        if any(type(c) is not int for c in codes) or np.any(self.instance.positions(codes) < 0):
+            raise InputError(f"witness codes {list(codes)} do not all name elements of GL")
+        return codes
+
     def atom_image_support(self, i, j):
         """[g(e_i)]_j for every group element, read through the atom's image column."""
         return self.support[self.instance.gl_image(self.atoms[i]), j]
@@ -686,7 +693,7 @@ def replay_witness(instance, witness: dict) -> bool:
 
 def _replay_cond_3(ctx, mode, w):
     i, a_code = w["i"], w["a"]
-    pa = ctx.code_rows([a_code])[0]
+    pa = ctx.code_rows(ctx.witness_codes([a_code]))[0]
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
@@ -700,7 +707,7 @@ def _replay_cond_3(ctx, mode, w):
 
 
 def _replay_cond_6(ctx, mode, w):
-    pf, pg = ctx.code_rows([w["f"], w["g"]])
+    pf, pg = ctx.code_rows(ctx.witness_codes([w["f"], w["g"]]))
     i, j, x = w["i"], w["j"], w["x"]
     if not ctx.lat.leq(
         int(ctx.support[pf[ctx.atoms[i]], j]), int(ctx.support[pg[ctx.atoms[i]], j])
@@ -720,12 +727,12 @@ def _replay_cond_9(ctx, mode, w):
 
 
 def _replay_cond_10(ctx, mode, w):
-    closure = ctx.closure_with(tuple(w["as"]))
+    closure = ctx.closure_with(ctx.witness_codes(w["as"]))
     return not closure.contains(w["t"])
 
 
 def _replay_cond_11(ctx, mode, w):
-    closure = ctx.closure_with((w["a"],))
+    closure = ctx.closure_with(ctx.witness_codes([w["a"]]))
     t_codes = transvections(ctx.instance, w["i"], w["j"], w["x"])
     if t_codes.size == 0:
         return True

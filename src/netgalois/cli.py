@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--conditions", help="e.g. 1-12 or 1,2,7 or 1'-style ids")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument(
         "--report-only",
         action="store_true",
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sandwich", help="verify the sandwich description for one subgroup")
     common(p, seed=True)
     p.add_argument("--subgroup", required=True, help="subgroup generators JSON")
-    p.add_argument("--conjugation-samples", type=int, default=None)
+    p.add_argument("--conjugation-samples", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sandwich)
 
     p = sub.add_parser("sweep", help="verify every subgroup of a generation family")
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="cyclic-over-D")
     p.add_argument("--sample", type=int, default=None, help="sample this many extra elements")
     p.add_argument("--jobs", type=_jobs_arg, default=None, help="worker processes (or 'max')")
-    p.add_argument("--conjugation-samples", type=int, default=None)
+    p.add_argument("--conjugation-samples", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("nets", help="enumerate valid net collections")
@@ -496,6 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     return parser
+
+
+def _positive_int(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return count
 
 
 def _jobs_arg(value: str) -> int:

@@ -1,9 +1,10 @@
 """Finite lattices as explicit meet/join tables, plus sublattice machinery.
 
 Elements are dense indices 0..N-1; meet and join are N x N index tables.
-Instances stay small (N up to a few hundred), so table lookups dominate all
-inner loops downstream and the O(N^2) storage is deliberate.  A lattice is
-immutable after construction and safe to share across worker processes.
+Instances stay small (N up to about a thousand: Z/8 rank 3 has 802), so
+table lookups dominate all inner loops downstream and the O(N^2) storage is
+deliberate.  A lattice is immutable after construction and safe to share
+across worker processes.
 """
 
 from __future__ import annotations

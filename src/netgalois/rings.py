@@ -209,36 +209,6 @@ def span_codes(basis: np.ndarray, ring: RingSpec) -> np.ndarray:
     return np.sort(pack_vectors(current, m))
 
 
-def join_basis(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
-    """Canonical form of the sum of two row spans."""
-    return howell_form(np.vstack([a, b]), ring)
-
-
-def meet_basis(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
-    """Canonical form of the intersection of two row spans (Zassenhaus trick).
-
-    Howell-reduce [[A, A], [B, 0]]; rows whose left half vanishes have right
-    halves spanning the intersection.  Valid over Z/p^k because the Howell
-    form spans the full row module, not just an echelon subset.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n = a.shape[-1]
-    top = np.hstack([a, a])
-    bot = np.hstack([b, np.zeros_like(b)])
-    wide = _howell_rows(np.vstack([top, bot]), ring, 2 * n)
-    inter = [r[n:] for r in wide if not np.any(r[:n])]
-    if not inter:
-        return np.zeros((n, n), dtype=np.int64)
-    return howell_form(np.array(inter, dtype=np.int64), ring)
-
-
-def _howell_rows(mat: np.ndarray, ring: RingSpec, width: int) -> list[np.ndarray]:
-    """Howell reduction returning the nonzero rows of an n x width problem."""
-    padded = howell_form(np.asarray(mat, dtype=np.int64).reshape(-1, width), ring)
-    return [r for r in padded if np.any(r)]
-
-
 # ---------------------------------------------------------------------------
 # batched matrix arithmetic
 

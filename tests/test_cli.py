@@ -312,6 +312,84 @@ def test_replay_condition_10_witness_with_any_code(f7_spec, tmp_path, t, reprodu
     assert rc == (0 if reproduced else 1)
 
 
+def write_witness_report(path, witness):
+    verdict = {"id": witness["condition"], "holds": False, "witness": {"mode": "as_stated", **witness}}
+    path.write_text(json.dumps({"verdicts": [verdict]}))
+    return str(path)
+
+
+F7_IDENTITY = 1 + 7**3
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        {"condition": "6", "f": 10**30, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1},
+        {"condition": "6", "f": F7_IDENTITY + 7**4, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1},
+        {"condition": "11", "a": 10**30, "i": 0, "j": 1, "x": 1},
+    ],
+    ids=["cond6-beyond-int64", "cond6-beyond-code-range", "cond11-beyond-int64"],
+)
+def test_replay_rejects_witness_codes_outside_gl(f7_spec, tmp_path, witness):
+    """A witness matrix code naming no GL element is an input error, not an
+    overflow and not its residue mod 7^4 (the identity here)."""
+    report = write_witness_report(tmp_path / "witness.json", witness)
+    assert main(["replay", "--report", report, "--instance", f7_spec]) == 2
+
+
+def test_replay_reads_valid_witness_codes(f7_spec, tmp_path):
+    """Z/9's condition-11 witness (seed 3) still reproduces; an F7 condition-6
+    witness naming the identity twice replays and shows no failure."""
+    z9_spec = tmp_path / "z9n2.json"
+    z9_spec.write_text(json.dumps({"ring": {"p": 3, "k": 2}, "n": 2}))
+    cond11 = {"condition": "11", "a": 821, "h": 731, "i": 0, "j": 1, "t": 0, "x": 5}
+    report = write_witness_report(tmp_path / "cond11.json", cond11)
+    assert main(["replay", "--report", report, "--instance", str(z9_spec)]) == 0
+    cond6 = {"condition": "6", "f": F7_IDENTITY, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1}
+    report = write_witness_report(tmp_path / "cond6.json", cond6)
+    assert main(["replay", "--report", report, "--instance", f7_spec]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-axioms", "--mode", "sampled", "--samples", "0"],
+        ["check-axioms", "--mode", "sampled", "--samples", "-5"],
+        ["sweep", "--conjugation-samples", "0"],
+        ["sweep", "--conjugation-samples", "-1"],
+        ["sandwich", "--subgroup", "unread.json", "--conjugation-samples", "0"],
+    ],
+    ids=["samples-0", "samples-negative", "sweep-0", "sweep-negative", "sandwich-0"],
+)
+def test_sample_counts_below_one_exit_2(f7_spec, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--instance", f7_spec])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, k, n, digest",
+    [
+        (7, 2, 2, "0881ef24095383f1593b7e983b02fd0265cd83c28b1e9f7a954ff59264a65bed"),
+        (2, 2, 3, "2af067df5573c19a4a7e851757196ebea0fb1fe7f668fbb43451fa17ba735315"),
+        pytest.param(
+            2, 3, 3, "9f697b54c8f25d97d371a404ae182434798dbd50851f8df3dcca7b58ecf8a247",
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["z49", "z4n3", "z8n3"],
+)
+def test_lattice_bytes_are_pinned(tmp_path, p, k, n, digest):
+    """SHA-256s of `build --lattice-out`: labels, meet and join tables."""
+    spec = tmp_path / "instance.json"
+    spec.write_text(json.dumps({"ring": {"p": p, "k": k}, "n": n}))
+    lat_out = tmp_path / "lattice.json"
+    args = ["build", "--instance", str(spec), "--out", str(tmp_path / "report.json")]
+    assert main(args + ["--lattice-out", str(lat_out)]) == 0
+    assert hashlib.sha256(lat_out.read_bytes()).hexdigest() == digest
+
+
 def test_cap_env_var(f7_spec, tmp_path, monkeypatch):
     monkeypatch.setenv("NETGALOIS_CAP", "10")
     sub_path = str(tmp_path / "gl.json")

@@ -22,7 +22,7 @@ from netgalois.glnr import (
 )
 from netgalois.groups import Subgroup, coset_closure, fixer
 from netgalois.nets import enumerate_net_collections
-from netgalois.rings import RingSpec, mat_mul, unpack_matrices
+from netgalois.rings import mat_mul, unpack_matrices
 
 
 def subgroup_count_by_divisor_formula(m: int) -> int:
@@ -172,19 +172,29 @@ def test_gl_positions_index_every_code(name, request):
         assert np.array_equal(inst.mask_of(sub.codes), sub.gl_mask())
 
 
-@pytest.mark.parametrize(
-    "name, message",
-    [
-        ("join_basis", "canonical join disagrees with set sum"),
-        ("meet_basis", "canonical meet disagrees with set intersection"),
-    ],
-)
-def test_lattice_cross_check_catches_a_wrong_form(name, message, monkeypatch):
-    """A join or meet routine returning a wrong lattice element (the Howell
-    form of its first argument) is caught by the set arithmetic."""
-    monkeypatch.setattr(rings, name, lambda a, b, ring: rings.howell_form(a, ring))
-    with pytest.raises(RuntimeError, match=message):
-        Instance(RingSpec(3, 1), 2)
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_lattice_tables_are_intersections_and_sums(name, request):
+    """Brute force over all pairs: the meet's member set is a ∩ b, the
+    join's is {u + v : u in a, v in b}."""
+    inst = request.getfixturevalue(name)
+    m, n, members, lat = inst.modulus, inst.n, inst.membership, inst.lattice
+    vecs = rings.unpack_vectors(np.arange(m**n), m, n)
+    for a, b in itertools.product(range(len(lat)), repeat=2):
+        assert np.array_equal(members[lat.meet_table[a, b]], members[a] & members[b])
+        sums = np.zeros(m**n, dtype=bool)
+        sums[rings.pack_vectors((vecs[members[a]][:, None] + vecs[members[b]]) % m, m)] = True
+        assert np.array_equal(members[lat.join_table[a, b]], sums)
+
+
+@pytest.mark.parametrize("drop, message", [(0, "intersections"), (-1, "sums")], ids=["bottom", "top"])
+def test_lattice_certificates_catch_a_family_not_closed(f3, drop, message):
+    """Without the zero submodule two atoms have no meet; without the whole
+    module two atoms have no join.  The full family gives the lattice's tables."""
+    meet, join = glnr.lattice_tables(f3.membership)
+    assert np.array_equal(meet, f3.lattice.meet_table)
+    assert np.array_equal(join, f3.lattice.join_table)
+    with pytest.raises(RuntimeError, match=f"not closed under {message}"):
+        glnr.lattice_tables(np.delete(f3.membership, drop, axis=0))
 
 
 def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch, act_reference):
