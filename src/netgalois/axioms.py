@@ -25,6 +25,7 @@ from .groups import (
     double_coset_key,
     fix_mask,
     fixer,
+    gl_code_list,
     intern_subgroup,
     transvection_table,
     transvections,
@@ -96,12 +97,13 @@ class _Ctx:
         """Lattice permutations of any matrix codes, through act_batch."""
         return np.stack([self.instance.act_batch(codes, x) for x in range(len(self.lat))], axis=1)
 
-    def witness_codes(self, codes) -> tuple:
-        """The matrix codes a witness names, each a JSON integer coding a GL element."""
-        codes = tuple(codes)
-        if any(type(c) is not int for c in codes) or np.any(self.instance.positions(codes) < 0):
-            raise InputError(f"witness codes {list(codes)} do not all name elements of GL")
-        return codes
+    def witness_indices(self, w, names) -> list[int]:
+        """A witness's index fields: i and j name atoms, x and w lattice elements."""
+        values = [w.get(name) for name in names]
+        bounds = [self.n if name in "ij" else len(self.lat) for name in names]
+        if any(type(v) is not int or not 0 <= v < b for v, b in zip(values, bounds)):
+            raise InputError(f"witness fields {names} = {values} are not indices below {bounds}")
+        return values
 
     def atom_image_support(self, i, j):
         """[g(e_i)]_j for every group element, read through the atom's image column."""
@@ -296,6 +298,11 @@ def _cond_6(ctx, mode, rng, samples):
     if samples is not None:
         idx = rng.integers(0, len(ctx.g), size=(samples, 2))
         frows, grows = ctx.rows(idx[:, 0]), ctx.rows(idx[:, 1])
+
+    def failure(i, j, x, f_idx, g_idx):
+        f, g = (int(c) for c in inst.gl_codes[[f_idx, g_idx]])
+        return False, {"i": i, "j": j, "x": int(x), "f": f, "g": g}, None, samples is None, samples
+
     for i in range(ctx.n):
         for j in range(ctx.n):
             if i == j:
@@ -307,20 +314,7 @@ def _cond_6(ctx, mode, rng, samples):
                     sx = ctx.support[inst.gl_image(x), j]
                     hit = _first_order_violation(ctx.lat, sij, sx)
                     if hit is not None:
-                        f_idx, g_idx = hit
-                        return (
-                            False,
-                            {
-                                "i": i,
-                                "j": j,
-                                "x": int(x),
-                                "f": int(ctx.instance.gl_codes[f_idx]),
-                                "g": int(ctx.instance.gl_codes[g_idx]),
-                            },
-                            None,
-                            True,
-                            None,
-                        )
+                        return failure(i, j, x, *hit)
             else:
                 for f_i, g_i, pf, pg in zip(*idx.T.tolist(), frows, grows):
                     if not ctx.lat.leq(int(sij[f_i]), int(sij[g_i])):
@@ -329,19 +323,7 @@ def _cond_6(ctx, mode, rng, samples):
                         if not ctx.lat.leq(
                             int(ctx.support[pf[x], j]), int(ctx.support[pg[x], j])
                         ):
-                            return (
-                                False,
-                                {
-                                    "i": i,
-                                    "j": j,
-                                    "x": int(x),
-                                    "f": int(ctx.instance.gl_codes[f_i]),
-                                    "g": int(ctx.instance.gl_codes[g_i]),
-                                },
-                                None,
-                                False,
-                                samples,
-                            )
+                            return failure(i, j, x, f_i, g_i)
     return True, None, None, samples is None, samples
 
 
@@ -692,8 +674,8 @@ def replay_witness(instance, witness: dict) -> bool:
 
 
 def _replay_cond_3(ctx, mode, w):
-    i, a_code = w["i"], w["a"]
-    pa = ctx.code_rows(ctx.witness_codes([a_code]))[0]
+    (i,) = ctx.witness_indices(w, "i")
+    pa = ctx.code_rows(gl_code_list(ctx.instance, [w.get("a")]))[0]
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
@@ -707,8 +689,8 @@ def _replay_cond_3(ctx, mode, w):
 
 
 def _replay_cond_6(ctx, mode, w):
-    pf, pg = ctx.code_rows(ctx.witness_codes([w["f"], w["g"]]))
-    i, j, x = w["i"], w["j"], w["x"]
+    i, j, x = ctx.witness_indices(w, "ijx")
+    pf, pg = ctx.code_rows(gl_code_list(ctx.instance, [w.get("f"), w.get("g")]))
     if not ctx.lat.leq(
         int(ctx.support[pf[ctx.atoms[i]], j]), int(ctx.support[pg[ctx.atoms[i]], j])
     ):
@@ -717,7 +699,7 @@ def _replay_cond_6(ctx, mode, w):
 
 
 def _replay_cond_9(ctx, mode, w):
-    i, j, x, welt = w["i"], w["j"], w["x"], w["w"]
+    i, j, x, welt = ctx.witness_indices(w, "ijxw")
     inst = ctx.instance
     t_codes = transvections(inst, i, j, x)
     if t_codes.size == 0:
@@ -727,13 +709,16 @@ def _replay_cond_9(ctx, mode, w):
 
 
 def _replay_cond_10(ctx, mode, w):
-    closure = ctx.closure_with(ctx.witness_codes(w["as"]))
-    return not closure.contains(w["t"])
+    a_codes, t = w.get("as"), w.get("t")
+    if not isinstance(a_codes, list) or type(t) is not int:
+        raise InputError(f"witness fields 'as' = {a_codes!r}, 't' = {t!r} need a list and an int")
+    return not ctx.closure_with(gl_code_list(ctx.instance, a_codes)).contains(t)
 
 
 def _replay_cond_11(ctx, mode, w):
-    closure = ctx.closure_with(ctx.witness_codes([w["a"]]))
-    t_codes = transvections(ctx.instance, w["i"], w["j"], w["x"])
+    i, j, x = ctx.witness_indices(w, "ijx")
+    closure = ctx.closure_with(gl_code_list(ctx.instance, [w.get("a")]))
+    t_codes = transvections(ctx.instance, i, j, x)
     if t_codes.size == 0:
         return True
     return not bool(np.any(closure.contains_many(t_codes)))

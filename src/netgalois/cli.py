@@ -24,7 +24,7 @@ from . import __version__
 from .axioms import CONDITION_IDS, PRIME_IDS, check_all, replay_witness
 from .errors import CapExceeded, InputError
 from .glnr import Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
-from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key
+from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key, gl_code_list
 from .lattice import FiniteLattice, pentagon
 from .nets import (
     all_fixer_classes,
@@ -390,11 +390,12 @@ def cmd_replay(args) -> int:
             raise InputError("sweep rows need --instance")
         # <D, g> depends only on D g D: one closure per key, one re-verification
         # per subgroup, and a row only counts when its g closes to its subgroup
-        keys = double_coset_key(instance, [int(r["g"]) for r in failing]).tolist()
+        codes = gl_code_list(instance, [r.get("g") for r in failing])
+        keys = double_coset_key(instance, codes).tolist()
         closures, again = {}, {}
-        for row, key in zip(failing, keys):
+        for row, code, key in zip(failing, codes, keys):
             if key not in closures:
-                closures[key] = coset_closure(instance, instance.diagonal(), [int(row["g"])], cap=cap)
+                closures[key] = coset_closure(instance, instance.diagonal(), [code], cap=cap)
             fp = closures[key].fingerprint()
             total += 1
             if fp != row["subgroup"]:

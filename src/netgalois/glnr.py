@@ -226,9 +226,8 @@ class Instance:
     def act_batch(self, codes, x: int) -> np.ndarray:
         """Image indices of element x under each matrix of a batch of codes.
 
-        Table lookup over the m^n row codes.  A code packs its matrix g
-        row-major in base m, so its digit j in base m^n is the row code of
-        g_j.  For a basis row r of x, (r g^T)_j = r . g_j, and a vector's code
+        Table lookup over the m^n row codes g_j of g (`row_digits`).  For a
+        basis row r of x, (r g^T)_j = r . g_j, and a vector's code
         is sum_j m^j v_j, so code(r g^T) = sum_j m^j (r . g_j mod m): n
         gathers from `row_tables[x]`.  g(x) is the join of the cyclic
         submodules of the image rows.
@@ -236,12 +235,8 @@ class Instance:
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         tables = self.row_tables[x]
         out = np.full(codes.size, x, dtype=np.int64)
-        base = self.modulus**self.n
         for start in range(0, codes.size if len(tables) else 0, ACT_CHUNK):
-            rest, digits = codes[start : start + ACT_CHUNK], []
-            for _ in range(self.n):
-                rest, digit = np.divmod(rest, base)
-                digits.append(digit)
+            digits = self.row_digits(codes[start : start + ACT_CHUNK])
             acc = out[start : start + ACT_CHUNK]
             for k, table in enumerate(tables):
                 img = table[0][digits[0]]
@@ -250,6 +245,15 @@ class Instance:
                 cyclic = self.cyclic_index[img]
                 acc[:] = cyclic if k == 0 else self.lattice.join_table[acc, cyclic]
         return out
+
+    def row_digits(self, codes) -> list[np.ndarray]:
+        """Row codes of each matrix code, row 0 first: a code packs its matrix
+        row-major in base m, so its digit i in base m^n is the code of row i."""
+        rest, base, digits = np.asarray(codes, dtype=np.int64), self.modulus**self.n, []
+        for _ in range(self.n):
+            rest, digit = np.divmod(rest, base)
+            digits.append(digit)
+        return digits
 
     def gl_image(self, x: int) -> np.ndarray:
         """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
@@ -334,30 +338,22 @@ class Instance:
         mask[self.positions(codes)] = True
         return mask[:-1]
 
+    def diagonal_codes(self, entries) -> np.ndarray:
+        """Codes of diag(e) for the rows e of `entries`: e_i is digit i n + i."""
+        return np.dot(entries, self.modulus ** ((self.n + 1) * np.arange(self.n, dtype=np.int64)))
+
     def diagonal(self):
         """The group of invertible diagonal matrices (the frame stabiliser)."""
         if self._diag is None:
-            units = self.ring.units()
-            codes = []
-            for combo in itertools.product(units, repeat=self.n):
-                mat = np.diag(np.array(combo, dtype=np.int64))
-                codes.append(self.code_of_mat(mat))
-            self._diag = Subgroup(
-                self,
-                self.mask_of(codes),
-                generator_codes=tuple(self.diagonal_generator_codes()),
-                closed=True,
-            )
+            codes = self.diagonal_codes(list(itertools.product(self.ring.units(), repeat=self.n)))
+            gens = tuple(self.diagonal_generator_codes())
+            self._diag = Subgroup(self, self.mask_of(codes), generator_codes=gens, closed=True)
         return self._diag
 
     def diagonal_generator_codes(self) -> list[int]:
-        root = self._unit_group_generator()
-        out = []
-        for i in range(self.n):
-            mat = np.eye(self.n, dtype=np.int64)
-            mat[i, i] = root
-            out.append(self.code_of_mat(mat))
-        return out
+        """diag(1, .., r at i, .., 1) for each i, r a generator of the units."""
+        eye = np.eye(self.n, dtype=bool)
+        return self.diagonal_codes(np.where(eye, self._unit_group_generator(), 1)).tolist()
 
     def _unit_group_generator(self) -> int:
         target = self.ring.unit_count

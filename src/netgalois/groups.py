@@ -11,9 +11,11 @@ sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
 (`fix_mask`) is that column compared with x, every fixer is an AND of fix
 masks, and the transvection tables gather per-element support tables by the
 columns.  Smaller batches of codes (generators, members of a subgroup) go
-through `fixes_mask`.  Every closure is one BFS on the cosets of a seed
-subgroup (`coset_closure`) that steps a whole frontier per round in batched
-products; `close_subgroup` runs it over the trivial subgroup.
+through `fixes_mask`.  Every closure is one BFS on the cosets of the row
+scalings inside a seed subgroup (`coset_closure`), by table lookups on the
+row codes and no matrix product: D scales rows, and a matrix acting on the
+right acts on each row alone.  `close_subgroup` runs it over the trivial
+subgroup, and `double_coset_key` reads the same row-scale table.
 """
 
 from __future__ import annotations
@@ -162,50 +164,109 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
 def close_subgroup(instance, generator_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
     """Closure of the generators (plus identity): `coset_closure` over the
     trivial subgroup, whose cosets are single elements."""
-    identity = instance.mask_of([instance.code_of_mat(instance.identity)])
+    identity = instance.mask_of(instance.diagonal_codes([1] * instance.n))
     trivial = Subgroup(instance, identity, closed=True)
     return coset_closure(instance, trivial, generator_codes, cap=cap)
 
 
-def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
-    """Closure of <seed, extras> by BFS on the cosets S y of the seed S.
+def gl_code_list(instance, codes) -> list[int]:
+    """The codes as ints, each an integer (not a bool) naming a GL element
+    through `Instance.positions`; any other entry is an `InputError`."""
+    codes = list(codes)
+    ints = [c if type(c) is not bool and isinstance(c, (int, np.integer)) else -1 for c in codes]
+    for code, pos in zip(codes, instance.positions(np.array(ints, dtype=object)).tolist()):
+        if pos < 0:
+            raise InputError(f"code {code!r} names no element of GL")
+    return [int(c) for c in ints]
 
-    The generators of <seed, extras> act on these cosets from the right, so
-    the BFS from S reaches every coset.  Each round steps the whole frontier
-    in chunks of at most _BFS_CHUNK products.  Cosets partition the group and
-    the mask is the union of the cosets reached so far, so a candidate already
-    in the mask lies in a reached coset: only the others are multiplied out,
-    one per coset of the chunk (deduplicated by the smallest code of S y), and
-    each fresh coset is scattered into the mask.  In a finite group closure
-    under products already yields the subgroup, inverses included.
+
+def row_products(instance, codes) -> np.ndarray:
+    """Entry [k, v] is the row code of v g_k, for the matrix g_k of each code
+    and each of the m^n row codes v.  Cached per code."""
+    tables = instance._caches.setdefault("row_products", {})
+    new = [c for c in dict.fromkeys(codes) if c not in tables]
+    if new:
+        m, n = instance.modulus, instance.n
+        rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+        mats = rings.unpack_matrices(np.array(new, dtype=np.int64), m, n)
+        tables.update(zip(new, rings.pack_vectors(rows @ mats % m, m)))
+    return np.stack([tables[c] for c in codes])
+
+
+def row_scale_table(instance) -> np.ndarray:
+    """Entry [k, v] is the row code of u_k v, u_k the k-th unit: the row
+    products of the scalar matrices u_k I."""
+    scalars = [[u] * instance.n for u in instance.ring.units()]
+    return row_products(instance, instance.diagonal_codes(scalars).tolist())
+
+
+def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+    """Closure of <seed, extras> by BFS on the cosets T y of the row scalings
+    T in the seed, by table lookups on row codes: no matrix is multiplied.
+
+    Row i of y is its digit y_i in base m^n (`Instance.row_digits`), and
+    T = T_0 x ... x T_(n-1), T_i the units u with diag(1, .., u at i, .., 1)
+    in the seed.  Three exact facts: (y g)_i = y_i g, row i of a product
+    being row i of y times g, so y -> y g is n gathers from g's
+    `row_products` table; t in T scales row i by t_i, so T y is the outer
+    sum over i of m^(i n) scale[T_i, y_i] (`row_scale_table`); row i fills
+    its own digits, so min(T y) = sum_i m^(i n) rowmin_i[y_i], rowmin_i[v]
+    the smallest scale[T_i, v], and this key, itself a member, names the
+    coset before it is expanded.  The BFS starts from the seed's cosets (its
+    members equal to their key).  y -> y g permutes the cosets, so a step of
+    distinct cosets by one generator gives distinct keys: the reached ones
+    are dropped, the rest scattered in before the next step.  Closure under
+    products yields the subgroup, inverses included, in a finite group.
     """
-    m, n = instance.modulus, instance.n
     if not seed.closed:
         raise InputError("coset closure needs a closed seed subgroup")
-    extra_codes = sorted(set(int(c) for c in extra_codes))
+    extra_codes = sorted(set(gl_code_list(instance, extra_codes)))
     gen_codes = list(seed.generator_codes) + extra_codes
     if not gen_codes:
         return seed
-    gens = rings.unpack_matrices(np.array(gen_codes, dtype=np.int64), m, n)
-    seed_mats = seed.mats()
-    step = max(1, _BFS_CHUNK // len(seed))
-    mask, cosets, fresh = seed.gl_mask().copy(), 1, [instance.identity[None]]
-    while fresh:
-        frontier = rings.mat_mul(np.concatenate(fresh)[:, None], gens[None], m).reshape(-1, n, n)
+    m, n = instance.modulus, instance.n
+    weights, rows = m ** (n * np.arange(n, dtype=np.int64)), np.arange(n)[:, None]
+    # T_i: the seed's mask at diag(1, .., u at i, .., 1), u over the units
+    units = np.array(instance.ring.units(), dtype=np.int64)[:, None]
+    scalings = instance.diagonal_codes(np.where(np.eye(n, dtype=bool)[:, None], units, 1))
+    scale, in_t = row_scale_table(instance), seed.gl_mask()[instance.positions(scalings)]
+    order = int(np.prod(in_t.sum(axis=1)))
+    rowmin = np.stack([scale[t].min(axis=0) for t in in_t])
+    parts = [w * scale[t] for w, t in zip(weights.tolist(), in_t)]
+    # steps[k, i, v]: row i of the key of T y g_k, for the row code v of y_i
+    steps = rowmin[rows[None], row_products(instance, gen_codes)[:, None]]
+
+    # the members reached, by code: a coset is scattered in with no GL index
+    reached, members = np.zeros(m ** (n * n), dtype=bool), seed.codes
+    reached[members] = True
+    digits = np.stack(instance.row_digits(members))
+    frontier = digits[:, weights @ rowmin[rows, digits] == members]
+    cosets, chunk = frontier.shape[1], max(1, _BFS_CHUNK // order)
+    while frontier.shape[1]:
         fresh = []
-        for start in range(0, frontier.shape[0], step):
-            ys = frontier[start : start + step]
-            ys = ys[~mask[instance.positions(rings.pack_matrices(ys, m))]]
-            if not len(ys):
-                continue
-            codes = rings.pack_matrices(rings.mat_mul(seed_mats[None], ys[:, None], m), m)
-            first = np.unique(codes.min(axis=1), return_index=True)[1]
-            mask[instance.positions(codes[first].ravel())] = True
-            fresh.append(ys[first])
-            cosets += first.size
-            if cosets * len(seed) > cap:
-                raise CapExceeded(f"coset closure passed cap {cap}", cosets * len(seed))
-    return Subgroup(instance, mask, generator_codes=gen_codes, closed=True)
+        for start in range(0, frontier.shape[1], chunk):
+            block = frontier[:, start : start + chunk]
+            for step in steps:
+                keys = step[rows, block]
+                keys = keys[:, ~reached[weights @ keys]]
+                if not keys.size:
+                    continue
+                reached[_coset_codes(parts, keys)] = True
+                fresh.append(keys)
+                cosets += keys.shape[1]
+                if cosets * order > cap:
+                    raise CapExceeded(f"coset closure passed cap {cap}", cosets * order)
+        frontier = np.concatenate(fresh, axis=1) if fresh else frontier[:, :0]
+    return Subgroup(instance, reached[instance.gl_codes], generator_codes=gen_codes, closed=True)
+
+
+def _coset_codes(parts, keys) -> np.ndarray:
+    """Codes of T y, one row per key y (a column of row codes): the outer sum
+    over i of parts[i][:, y_i], the codes of T_i y_i weighted by m^(i n)."""
+    codes = parts[0][:, keys[0]].T
+    for part, row in zip(parts[1:], keys[1:]):
+        codes = (codes[:, :, None] + part[:, row].T[:, None, :]).reshape(len(codes), -1)
+    return codes
 
 
 def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> list[int]:
@@ -465,32 +526,28 @@ def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
 def double_coset_key(instance, codes) -> np.ndarray:
     """Smallest code over D a D for each code a of a batch; <D, a> depends only on it.
 
-    Codes pack rows least-significant-first, so row i of a fills its own
-    digits at weight m^(i n), and d in D scales row i by d_i: the minimum over
-    D a is sum_i m^(i n) rowmin[rowcode(a_i)], with rowmin[v] the smallest
-    code of u v over units u.  On the right a d' = (uI) a (u^-1 d') with
-    u = d'_0 and uI in D, so the right scalings with d'_0 = 1 reach every
-    D a d': the key is the smallest left minimum over those |units|^(n-1).
+    Row i of a fills its own digits at weight m^(i n), and d in D scales row
+    i by d_i: the minimum over D a is sum_i m^(i n) rowmin[a_i], with
+    rowmin[v] the smallest code of u v over units u (`row_scale_table`).  On
+    the right a d' = (uI) a (u^-1 d') with u = d'_0 and uI in D, so the right
+    scalings with d'_0 = 1 reach every D a d'; row i of a d' is a_i d'.  So
+    the key is the smallest left minimum over those |units|^(n-1) scalings,
+    with tables[s] = rowmin[row code of v d'_s].
     """
     m, n = instance.modulus, instance.n
     tables = instance._caches.get("double_coset_tables")
     if tables is None:
-        units = np.array(instance.ring.units(), dtype=np.int64)
-        rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
-        rowmin = rings.pack_vectors(units[:, None, None] * rows % m, m).min(axis=0)
-        scalings = np.array(
-            [(1,) + u for u in itertools.product(units.tolist(), repeat=n - 1)], dtype=np.int64
-        )
-        tables = instance._caches["double_coset_tables"] = (rowmin, scalings)
-    rowmin, scalings = tables
+        right = itertools.product(instance.ring.units(), repeat=n - 1)
+        scalings = instance.diagonal_codes([(1,) + d for d in right]).tolist()
+        tables = row_scale_table(instance).min(axis=0)[row_products(instance, scalings)]
+        instance._caches["double_coset_tables"] = tables
     codes = np.asarray(codes, dtype=np.int64)
     keys = np.empty(codes.size, dtype=np.int64)
-    weights = m ** (n * np.arange(n, dtype=np.int64))
-    step = max(1, _BFS_CHUNK // len(scalings))
+    step = max(1, _BFS_CHUNK // len(tables))
     for start in range(0, codes.size, step):
-        mats = rings.unpack_matrices(codes[start : start + step], m, n)
-        scaled = mats[:, None] * scalings[None, :, None, :] % m
-        keys[start : start + step] = (rowmin[rings.pack_vectors(scaled, m)] @ weights).min(axis=1)
+        digits = instance.row_digits(codes[start : start + step])
+        left = sum(m ** (i * n) * tables[:, d] for i, d in enumerate(digits))
+        keys[start : start + step] = left.min(axis=0)
     return keys
 
 

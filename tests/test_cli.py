@@ -293,6 +293,33 @@ def test_canonical_report_bytes_are_pinned(f7_spec, z9_sweep, tmp_path):
     )
 
 
+@pytest.mark.slow
+def test_canonical_report_bytes_are_pinned_on_z49(tmp_path):
+    """SHA-256 of the sampled Z/49 sweep: 8 rows, 10 000 conjugation pairs."""
+    spec = tmp_path / "z49n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 7, "k": 2}, "n": 2}))
+    out = tmp_path / "report.json"
+    args = ["sweep", "--instance", str(spec), "--sample", "8", "--conjugation-samples", "10000"]
+    assert main(args + ["--seed", "7", "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "557424fd901f8149152e03e9b538f4e0c228863d1f1ed8393396fc8af60e3877"
+    )
+
+
+@pytest.mark.parametrize(
+    "g", [10**30, 0, True, 3.0, None], ids=["beyond-int64", "zero", "true", "float", "missing"]
+)
+def test_replay_rejects_sweep_rows_naming_no_gl_element(f7_spec, tmp_path, g):
+    """A failing sweep row's g must be a JSON integer coding a GL element:
+    10^30 is no overflow, 0 (the zero matrix) and true are no GL codes."""
+    row = {"holds": False, "order": 36, "subgroup": "0" * 16}
+    if g is not None:
+        row["g"] = g
+    report = tmp_path / "sweep.json"
+    report.write_text(json.dumps({"rows": [row], "subgroups": {}}))
+    assert main(["replay", "--report", str(report), "--instance", f7_spec]) == 2
+
+
 @pytest.mark.parametrize(
     "t, reproduced",
     [(99999999999, True), (10**30, True), (-5, True), (0, True), (7**4, True), (None, False)],
@@ -333,6 +360,56 @@ F7_IDENTITY = 1 + 7**3
 def test_replay_rejects_witness_codes_outside_gl(f7_spec, tmp_path, witness):
     """A witness matrix code naming no GL element is an input error, not an
     overflow and not its residue mod 7^4 (the identity here)."""
+    report = write_witness_report(tmp_path / "witness.json", witness)
+    assert main(["replay", "--report", report, "--instance", f7_spec]) == 2
+
+
+COND6 = {"condition": "6", "f": F7_IDENTITY, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1}
+COND9 = {"condition": "9", "i": 0, "j": 1, "x": 1, "w": 2}
+COND11 = {"condition": "11", "a": F7_IDENTITY, "i": 0, "j": 1, "x": 1}
+COND3 = {"condition": "3", "a": F7_IDENTITY, "i": 0}
+COND10 = {"condition": "10", "i": 0, "j": 1, "xs": [], "as": [F7_IDENTITY], "y": 0, "t": 5}
+
+
+def _edit(witness, **fields):
+    """The witness with these fields set, or dropped where the value is None."""
+    out = {**witness, **fields}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        _edit(COND6, x=None),
+        _edit(COND6, i=5),
+        _edit(COND6, j=-1),
+        _edit(COND6, x=10),
+        _edit(COND6, f=None),
+        _edit(COND9, w=None),
+        _edit(COND9, w=10),
+        _edit(COND9, j=2),
+        _edit(COND9, i=True, j=0),
+        _edit(COND11, i=None),
+        _edit(COND11, x=1.0),
+        _edit(COND11, j=7),
+        _edit(COND3, i=None),
+        _edit(COND3, i=2),
+        _edit(COND10, **{"as": None}),
+        _edit(COND10, **{"as": F7_IDENTITY}),
+        _edit(COND10, t=None),
+    ],
+    ids=[
+        "cond6-no-x", "cond6-i-5", "cond6-j-negative", "cond6-x-past-lattice", "cond6-no-f",
+        "cond9-no-w", "cond9-w-past-lattice", "cond9-j-2", "cond9-i-true",
+        "cond11-no-i", "cond11-x-float", "cond11-j-7", "cond3-no-i", "cond3-i-2",
+        "cond10-no-as", "cond10-as-not-a-list", "cond10-no-t",
+    ],
+)
+def test_replay_rejects_witness_indices_out_of_range(f7_spec, tmp_path, witness):
+    """A witness's i and j name atoms (range(2) on F7) and its x and w name
+    lattice elements (range(10)); a condition-10 witness needs its list of
+    codes and its integer t: anything else is an input error, not a
+    KeyError, a TypeError or an IndexError."""
     report = write_witness_report(tmp_path / "witness.json", witness)
     assert main(["replay", "--report", report, "--instance", f7_spec]) == 2
 

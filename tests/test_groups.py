@@ -28,6 +28,7 @@ from netgalois.groups import (
     transvection_table,
     transvections,
 )
+from netgalois.rings import RingSpec
 
 
 def borel(f7):
@@ -75,8 +76,9 @@ def test_coset_closure_matches_plain_closure(f7, element_closure):
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
 def test_coset_closure_matches_element_bfs(name, request, element_closure):
-    """Seeds: the trivial group, D, the Borel group and a previous closure;
-    extras: a random element, two more, and an element of D."""
+    """Seeds: the trivial group, D, the Borel group, a previous closure and
+    <diag(u, 1, ...)> for a generator u of the units, whose row scalings are
+    T_0 x 1; extras: a random element, two more, and an element of D."""
     inst = request.getfixturevalue(name)
     d = inst.diagonal()
     rng = np.random.default_rng(11)
@@ -86,6 +88,7 @@ def test_coset_closure_matches_element_bfs(name, request, element_closure):
         d,
         coset_closure(inst, d, [inst.code_of_mat(inst.elementary(0, 1, 1))]),
         coset_closure(inst, d, codes[:1]),
+        close_subgroup(inst, inst.diagonal_generator_codes()[:1]),
     ]
     for seed in seeds:
         assert np.array_equal(seed.codes, element_closure(inst, seed.generator_codes))
@@ -100,9 +103,10 @@ def test_coset_closure_matches_element_bfs(name, request, element_closure):
 
 
 def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
-    """<D, g> = GL visits all 56 cosets of D in fewer `mat_mul` calls than
-    cosets: each BFS round multiplies its frontier in batched calls."""
-    from netgalois import rings
+    """<D, g> = GL visits all 56 cosets of D in fewer coset gathers than
+    cosets: each BFS round steps its whole frontier by one generator at a
+    time and gathers all the fresh cosets of that step at once."""
+    from netgalois import groups
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
@@ -111,17 +115,49 @@ def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
     inst = Instance(RingSpec(7, 1), 2)
     d = inst.diagonal()
     calls = []
-    original = rings.mat_mul
+    original = groups._coset_codes
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(rings, "mat_mul", counted)
+    monkeypatch.setattr(groups, "_coset_codes", counted)
     full = coset_closure(inst, d, [g])
     assert len(full) // len(d) == 56
     assert np.array_equal(full.codes, f7.gl().codes)
     assert len(calls) < 56
+
+
+@pytest.mark.parametrize("name", ["f7", "z9"])
+def test_closures_over_d_multiply_no_matrices(name, monkeypatch):
+    """<D, g> on a fresh instance runs on row codes alone: no `mat_mul`, no
+    `pack_matrices` and no `Subgroup.mats`, the per-generator and row-scale
+    tables included."""
+    from netgalois import rings
+    from netgalois.glnr import Instance
+
+    inst = Instance(RingSpec(*{"f7": (7, 1), "z9": (3, 2)}[name]), 2)
+    d = inst.diagonal()
+    codes = np.random.default_rng(3).choice(inst.gl().codes, size=10, replace=False)
+    calls = []
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(rings, "mat_mul")
+    counting(rings, "pack_matrices")
+    counting(Subgroup, "mats")
+    closures = [coset_closure(inst, d, [int(c)]) for c in codes]
+    assert calls == []
+    assert {len(c) % len(d) for c in closures} == {0}
+    monkeypatch.undo()
+    assert all(c.contains(int(code)) for c, code in zip(closures, codes))
 
 
 def test_subgroup_closure_invariants(f7):
@@ -582,25 +618,38 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
 
 @pytest.mark.parametrize("name", ["f7", "z9"])
 def test_coset_closure_multiplies_only_candidates_outside_the_members(name, request, monkeypatch):
-    """A candidate already in the mask lies in a reached coset, so the BFS
-    spends its products on unreached cosets: 20 seeded <D, g> closures push
-    fewer than two matrices through mat_mul per member they produce."""
-    from netgalois import rings
+    """A candidate whose key is already in the mask lies in a reached coset,
+    so the BFS gathers only unreached cosets: 20 seeded <D, g> closures
+    gather fewer than two codes per member they produce, and in fact each
+    member outside D exactly once."""
+    from netgalois import groups
 
     inst = request.getfixturevalue(name)
     d = inst.diagonal()
     codes = np.random.default_rng(0).choice(inst.gl().codes, size=20, replace=False)
-    pushed = []
-    original = rings.mat_mul
+    gathered = []
+    original = groups._coset_codes
 
     def counted(*args):
         out = original(*args)
-        pushed.append(int(np.prod(out.shape[:-2])))
+        gathered.append(out.size)
         return out
 
-    monkeypatch.setattr(rings, "mat_mul", counted)
+    monkeypatch.setattr(groups, "_coset_codes", counted)
     members = sum(len(coset_closure(inst, d, [int(c)])) for c in codes)
-    assert sum(pushed) < 2 * members
+    assert sum(gathered) < 2 * members
+    assert sum(gathered) == members - len(codes) * len(d)
+
+
+@pytest.mark.slow
+def test_z49_closures_over_d_match_closures_from_the_identity(z49):
+    """<D, g> on Z/49 for seeded g: the BFS over the cosets of T = D equals
+    the BFS from the trivial group (T = 1) on D's generators and g."""
+    d = z49.diagonal()
+    gens = z49.diagonal_generator_codes()
+    for g in np.random.default_rng(4).choice(z49.gl().codes, size=3, replace=False).tolist():
+        over_d = coset_closure(z49, d, [g])
+        assert np.array_equal(over_d.gl_mask(), close_subgroup(z49, gens + [g]).gl_mask())
 
 
 def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
