@@ -8,6 +8,23 @@ exhaustively or over a seeded sample.  Condition 4 has two quantifier
 readings (the inner choice may or may not depend on the outer group
 element); both are checked, downstream verification relies only on the weak
 one.
+
+Conditions 3, 4, 5, 8 and 11 (with 4') quantify over an outer element a of
+GL and are array programs: a table of which inner candidates work for which
+a, gathered from the lattice permutations (`_Ctx.rows`, the `gl_image`
+columns at the outer positions), read in the loop order with argmax.  Axis
+candidates h enter only through their rows, so one h per distinct row, the
+first, stands for all (`_distinct_rows`).  Exhaustive mode takes one a per
+coset of the scalar matrices Z = {uI}, its smallest code
+(`groups.scalar_coset_key`).  This is exact:
+- a unit scalar fixes every submodule, so u a and a have the same row;
+- Z lies in D, so u a lies in D a D and <D, u a> = <D, a>, which is all
+  condition 11 reads of a besides its row;
+- GL positions follow code order, so a coset's smallest code is its first
+  member: every verdict is constant on a coset, and the first element that
+  fails or passes is the first of its coset, a key, so the witnesses and
+  found records are those of the loop over all of GL.
+Sampled mode draws its outer elements from all of GL.
 """
 
 from __future__ import annotations
@@ -27,12 +44,10 @@ from .groups import (
     fixer,
     gl_code_list,
     intern_subgroup,
+    scalar_coset_key,
     transvection_table,
     transvections,
 )
-
-EXHAUSTIVE_GROUP_LIMIT = 10_000
-DEFAULT_SAMPLES = 200
 
 CONDITION_IDS = [str(i) for i in range(1, 13)]
 PRIME_IDS = ["1'", "2'", "3'", "4'"]
@@ -87,14 +102,12 @@ class _Ctx:
 
     def rows(self, positions) -> np.ndarray:
         """Lattice permutations of the GL elements at these positions, one row
-        each: perm_table rows, or code_rows above PERM_TABLE_LIMIT."""
-        table = self.instance.perm_table()
-        if table is not None:
-            return table[positions]
-        return self.code_rows(self.instance.gl_codes[positions])
+        each: the `gl_image` columns gathered at the positions."""
+        columns = [self.instance.gl_image(x)[positions] for x in range(len(self.lat))]
+        return np.stack(columns, axis=1)
 
     def code_rows(self, codes) -> np.ndarray:
-        """Lattice permutations of any matrix codes, through act_batch."""
+        """Lattice permutations of witness codes, through act_batch."""
         return np.stack([self.instance.act_batch(codes, x) for x in range(len(self.lat))], axis=1)
 
     def witness_indices(self, w, names) -> list[int]:
@@ -143,40 +156,58 @@ def _cond_2(ctx, mode, rng, samples):
 
 
 def _iter_group(ctx, rng, samples):
-    """GL positions of the outer elements: all of them, or a seeded sample."""
+    """GL positions of the outer elements: one per scalar coset, its key
+    (see the module docstring), or a seeded sample of all of GL."""
     if samples is None:
-        return np.arange(len(ctx.g)), True
+        codes = ctx.instance.gl_codes
+        return np.flatnonzero(scalar_coset_key(ctx.instance, codes) == codes), True
     return rng.choice(len(ctx.g), size=samples, replace=True), False
 
 
-def _coded_rows(ctx, positions):
-    """(code, permutation row) of the GL elements at these positions, in order."""
-    return list(zip(ctx.instance.gl_codes[positions].tolist(), ctx.rows(positions)))
+def _distinct_rows(ctx, mask):
+    """Codes and permutation rows of the members of a GL mask, one per
+    distinct row, in member order: a test that reads h only through its row
+    first holds at the first member of some row, so this keeps the first h."""
+    pos = np.flatnonzero(mask)
+    rows = ctx.rows(pos)
+    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    return ctx.instance.gl_codes[pos[first]], rows[first]
+
+
+def _first_hits(works):
+    """Column of the first True in each row of works[a, h], -1 for none."""
+    hits = np.argmax(np.column_stack([works, np.ones(len(works), dtype=bool)]), axis=1)
+    return np.where(hits < works.shape[1], hits, -1)
+
+
+def _first_outcomes(active, hits):
+    """(first failure, first pass before it) over the outer elements in loop
+    order, each an index or None: an active element fails with no hit and
+    passes with one."""
+    bad, good = active & (hits < 0), active & (hits >= 0)
+    fail = int(np.argmax(bad)) if bad.any() else None
+    passed = int(np.argmax(good)) if good.any() else None
+    if passed is not None and fail is not None and passed > fail:
+        passed = None
+    return fail, passed
 
 
 def _cond_3(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
-    outer = _coded_rows(ctx, pos)
+    a_codes, pa = ctx.instance.gl_codes[pos], ctx.rows(pos)
     found = None
     for i in range(ctx.n):
-        e_i = ctx.atoms[i]
-        hi_perms = _coded_rows(ctx, np.flatnonzero(ctx.axis(i).gl_mask()))
-        downset = ctx.frame.atom_downsets[i]
-        for a_code, pa in outer:
-            if int(ctx.support[pa[e_i], i]) != e_i:
-                continue
-            hit = None
-            for h_code, ph in hi_perms:
-                if all(
-                    int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
-                    for x in downset
-                ):
-                    hit = h_code
-                    break
-            if hit is None:
-                return False, {"i": i, "a": a_code}, found, exhaustive, samples
-            if found is None:
-                found = {"i": i, "a": a_code, "h": hit}
+        e_i, down = ctx.atoms[i], np.array(ctx.frame.atom_downsets[i])
+        h_codes, ph = _distinct_rows(ctx, ctx.axis(i).gl_mask())
+        ha = ph[:, pa[:, down]].transpose(1, 0, 2)  # [a, h, x] = h(a(x))
+        ah = pa[:, ph[:, down]]  # [a, h, x] = a(h(x))
+        works = np.all((ctx.support[ha, i] == down) & (ctx.support[ah, i] == down), axis=2)
+        hits = _first_hits(works)
+        fail, passed = _first_outcomes(ctx.support[pa[:, e_i], i] == e_i, hits)
+        if found is None and passed is not None:
+            found = {"i": i, "a": int(a_codes[passed]), "h": int(h_codes[hits[passed]])}
+        if fail is not None:
+            return False, {"i": i, "a": int(a_codes[fail])}, found, exhaustive, samples
     return True, None, found, exhaustive, samples
 
 
@@ -185,89 +216,67 @@ def _cond_4(ctx, mode, rng, samples):
     witness per (t, i) works for all of them."""
     pos, exhaustive = _iter_group(ctx, rng, samples)
     lbar_fixer = fixer(ctx.instance, ctx.frame.lbar0).gl_mask()
-    rows = ctx.rows(pos)
+    a_codes, pa = ctx.instance.gl_codes[pos], ctx.rows(pos)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
-    outer = list(zip(ctx.instance.gl_codes[pos].tolist(), rows, np.argsort(rows, axis=1)))
+    painv = np.argsort(pa, axis=1)
     found = None
     for t in range(ctx.n):
-        ht_perms = _coded_rows(ctx, np.flatnonzero(ctx.axis(t).gl_mask() & lbar_fixer))
+        h_codes, ph = _distinct_rows(ctx, ctx.axis(t).gl_mask() & lbar_fixer)
         for i in range(ctx.n):
-            downset = ctx.frame.atom_downsets[i]
-            rs = [r for r in range(ctx.n) if r != i]
-
-            def h_works(ph, pa, painv):
-                for x in downset:
-                    lhs_elt = pa[ph[painv[x]]]
-                    rhs_elt = pa[ctx.support[painv[x], t]]
-                    for r in rs:
-                        if ctx.support[lhs_elt, r] != ctx.support[rhs_elt, r]:
-                            return False
-                return True
-
+            down = ctx.frame.atom_downsets[i]
+            others = ctx.support[:, [r for r in range(ctx.n) if r != i]]
+            pre = painv[:, down]  # [a, x] = a^-1(x)
+            lhs = ph[:, pre].transpose(1, 0, 2).reshape(len(pos), -1)
+            lhs = np.take_along_axis(pa, lhs, axis=1).reshape(len(pos), len(ph), len(down))
+            rhs = np.take_along_axis(pa, ctx.support[pre, t], axis=1)
+            # works[a, h]: a h a^-1 x and a [a^-1 x]_t agree off atom i, for every x below e_i
+            works = np.all(others[lhs] == others[rhs][:, None], axis=(2, 3))
             if mode == "strong":
-                ok_h = None
-                for h_code, ph in ht_perms:
-                    if all(h_works(ph, pa, painv) for _, pa, painv in outer):
-                        ok_h = h_code
-                        break
-                if ok_h is None:
+                every = works.all(axis=0)
+                if not every.any():
                     return False, {"t": t, "i": i}, found, exhaustive, samples
                 if found is None:
-                    found = {"t": t, "i": i, "h": ok_h}
-            else:
-                for a, pa, painv in outer:
-                    hit = next((hc for hc, ph in ht_perms if h_works(ph, pa, painv)), None)
-                    if hit is None:
-                        return False, {"t": t, "i": i, "a": a}, found, exhaustive, samples
-                    if found is None:
-                        found = {"t": t, "i": i, "a": a, "h": hit}
+                    found = {"t": t, "i": i, "h": int(h_codes[np.argmax(every)])}
+                continue
+            hits = _first_hits(works)
+            fail, passed = _first_outcomes(np.ones(len(pos), dtype=bool), hits)
+            if found is None and passed is not None:
+                found = {"t": t, "i": i, "a": int(a_codes[passed]), "h": int(h_codes[hits[passed]])}
+            if fail is not None:
+                return False, {"t": t, "i": i, "a": int(a_codes[fail])}, found, exhaustive, samples
     return True, None, found, exhaustive, samples
 
 
 def _cond_5(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
-    outer = _coded_rows(ctx, pos)
     inst = ctx.instance
+    g_codes, pg = inst.gl_codes[pos], ctx.rows(pos)
+    meet = ctx.lat.meet_table
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
-        # t with t(e_s) = e_s for s != i, grouped by the image w = t(e_i)
+        # t with t(e_s) = e_s for s != i, the first one per image w = t(e_i)
         keep = np.ones(len(ctx.g), dtype=bool)
         for s in range(ctx.n):
             if s != i:
                 keep &= fix_mask(inst, ctx.atoms[s])
-        w_vals = inst.gl_image(e_i)
-        w_to_t = {}
-        for idx in np.nonzero(keep)[0].tolist():
-            w_to_t.setdefault(int(w_vals[idx]), int(ctx.instance.gl_codes[idx]))
+        t_pos = np.flatnonzero(keep)
+        ws, first = np.unique(inst.gl_image(e_i)[t_pos], return_index=True)
+        t_codes = inst.gl_codes[t_pos[first]]
+        back = ctx.support[pg[:, ws], i] == e_i  # [g, w]: [g(w)]_i = e_i
         for u in ctx.frame.lbar0:
             if not ctx.lat.leq(e_i, u):
                 continue
-            allowed = [
-                (w, t_code)
-                for w, t_code in sorted(w_to_t.items())
-                if all(
-                    ctx.lat.leq(int(ctx.support[w, j]), int(ctx.support[u, j]))
-                    for j in range(ctx.n)
-                )
-            ]
-            for g_code, pg in outer:
-                if int(ctx.support[pg[u], i]) != e_i:
-                    continue
-                hit = next(
-                    ((w, t_code) for w, t_code in allowed if int(ctx.support[pg[w], i]) == e_i),
-                    None,
-                )
-                if hit is None:
-                    return (
-                        False,
-                        {"i": i, "u": int(u), "g": g_code},
-                        found,
-                        exhaustive,
-                        samples,
-                    )
-                if found is None:
-                    found = {"i": i, "u": int(u), "g": g_code, "t": hit[1]}
+            # the w with [w]_j <= [u]_j for every j
+            allowed = np.all(meet[ctx.support[ws], ctx.support[u]] == ctx.support[ws], axis=1)
+            hits = _first_hits(back[:, allowed])
+            fail, passed = _first_outcomes(ctx.support[pg[:, u], i] == e_i, hits)
+            if found is None and passed is not None:
+                t_code = t_codes[allowed][hits[passed]]
+                found = {"i": i, "u": int(u), "g": int(g_codes[passed]), "t": int(t_code)}
+            if fail is not None:
+                witness = {"i": i, "u": int(u), "g": int(g_codes[fail])}
+                return False, witness, found, exhaustive, samples
     return True, None, found, exhaustive, samples
 
 
@@ -481,12 +490,9 @@ def _cond_11(ctx, mode, rng, samples):
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
     cols, xs = [], []
     for t in range(ctx.n):
-        h_pos = np.flatnonzero(ctx.axis(t).gl_mask())
-        ph = ctx.rows(h_pos)
-        # x reads h only through its row: equal rows give equal x, keep the first
-        first = np.sort(np.unique(ph, axis=0, return_index=True)[1])
-        cols += [(t, int(ctx.instance.gl_codes[h_pos[f]])) for f in first]
-        img = ph[first][:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
+        h_codes, ph = _distinct_rows(ctx, ctx.axis(t).gl_mask())
+        cols += [(t, h) for h in h_codes.tolist()]
+        img = ph[:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
         img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
         xs.append(ctx.support[img[:, :, ii], jj])  # [a, h, (i, j)] = x
     xs = np.concatenate(xs, axis=1)
@@ -542,15 +548,12 @@ def _prime_1(ctx, mode, rng, samples):
             for x in atoms_l
             if x != e_i and int(ctx.support[x, i]) == e_i
         ]
-        hit = None
-        for h_code, ph in _coded_rows(ctx, np.flatnonzero(ctx.axis(i).gl_mask())):
-            if all(ph[x] != x for x in targets):
-                hit = h_code
-                break
-        if hit is None:
+        h_codes, ph = _distinct_rows(ctx, ctx.axis(i).gl_mask())
+        moves = np.all(ph[:, targets] != targets, axis=1)
+        if not moves.any():
             return False, {"i": i}, found, True, None
         if found is None:
-            found = {"i": i, "h": hit}
+            found = {"i": i, "h": int(h_codes[np.argmax(moves)])}
     return True, None, found, True, None
 
 
@@ -643,8 +646,7 @@ def check_all(
     include_rank_one: bool | None = None,
 ) -> list[ConditionVerdict]:
     """Ordered verdicts for the requested conditions, both readings where
-    ambiguous.  `samples=None` picks exhaustive mode when the group is small
-    enough, otherwise a default seeded sample."""
+    ambiguous; `samples=None` is exhaustive on every instance."""
     if conditions is None:
         conditions = list(CONDITION_IDS)
         if include_rank_one is None:
@@ -654,8 +656,6 @@ def check_all(
             )
         if include_rank_one:
             conditions = conditions + list(PRIME_IDS)
-    if samples is None and len(instance.gl()) > EXHAUSTIVE_GROUP_LIMIT:
-        samples = DEFAULT_SAMPLES
     out = []
     for cid in conditions:
         for mode in AMBIGUOUS.get(cid, ("as_stated",)):

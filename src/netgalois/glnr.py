@@ -38,7 +38,6 @@ from .rings import RingSpec
 
 DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_LATTICE_CAP = 2_000
-PERM_TABLE_LIMIT = 100_000
 # GL-wide passes over codes (act_batch, net_subgroup) work through this many
 # codes at a time, so their temporaries stay small and are reused instead of
 # being page-faulted in afresh for every GL-sized batch
@@ -375,12 +374,9 @@ class Instance:
             self._caches["l0_prime"] = fixed_by(self, codes)
         return self._caches["l0_prime"]
 
-    def perm_table(self) -> np.ndarray | None:
-        """(|G|, N) image table of GL: the `gl_image` columns side by side, small
-        instances only."""
+    def perm_table(self) -> np.ndarray:
+        """(|G|, N) image table of GL: the `gl_image` columns side by side."""
         if self._perm_table is None:
-            if gl_order(self.ring, self.n) > PERM_TABLE_LIMIT:
-                return None
             self._perm_table = np.stack(
                 [self.gl_image(x) for x in range(len(self.lattice))], axis=1
             )

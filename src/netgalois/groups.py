@@ -46,8 +46,8 @@ class Subgroup:
         self.generator_codes = tuple(int(c) for c in generator_codes)
         self.closed = closed
         self._mats = None
-        self._key = None
-        self._fingerprint = None
+        # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
+        self._identity = {}
 
     def __len__(self):
         return self._order
@@ -80,7 +80,9 @@ class Subgroup:
         return not bool(np.any(self._mask & ~other._mask))
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and np.array_equal(self._mask, other._mask)
+        if not isinstance(other, Subgroup) or self._order != other._order:
+            return False
+        return self._mask is other._mask or np.array_equal(self._mask, other._mask)
 
     def __hash__(self):
         return hash(self.key())
@@ -88,20 +90,22 @@ class Subgroup:
     def key(self) -> bytes:
         """In-process content key: the SHA-1 digest of the packed member mask.
 
-        Computed once: `intern_subgroup` only swaps the mask for an equal one.
+        Computed once per member set: `intern_subgroup` swaps the mask for an
+        equal one and shares the record holding the key.
         """
-        if self._key is None:
-            self._key = hashlib.sha1(np.packbits(self._mask)).digest()
-        return self._key
+        if "key" not in self._identity:
+            self._identity["key"] = hashlib.sha1(np.packbits(self._mask)).digest()
+        return self._identity["key"]
 
     def fingerprint(self) -> str:
         """Stable across processes; names subgroups in sweep reports.
 
-        Computed once, like `key`.  Hashes the ascending int64 member codes.
+        Computed once per pooled member set, like `key`.  Hashes the ascending
+        int64 member codes.
         """
-        if self._fingerprint is None:
-            self._fingerprint = hashlib.sha1(self.codes).hexdigest()[:16]
-        return self._fingerprint
+        if "fingerprint" not in self._identity:
+            self._identity["fingerprint"] = hashlib.sha1(self.codes).hexdigest()[:16]
+        return self._identity["fingerprint"]
 
     def __repr__(self):
         return f"Subgroup(order={len(self)})"
@@ -141,10 +145,11 @@ class Subgroup:
 
 
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share mask/matrix storage between equal subgroups held in caches.
+    """Share mask/matrix storage and identity between equal subgroups held in caches.
 
-    The returned object keeps its own generator provenance; only the GL mask
-    and the unpacked matrices are pooled, keyed by `Subgroup.key`.
+    The returned object keeps its own generator provenance; the GL mask, the
+    unpacked matrices and the record of key and fingerprint are pooled, keyed
+    by `Subgroup.key`, so each pooled member set is fingerprinted once.
     """
     pool = instance._caches.setdefault("subgroup_pool", {})
     key = subgroup.key()
@@ -158,6 +163,9 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
             subgroup._mats = base._mats
         elif subgroup._mats is not None:
             base._mats = subgroup._mats
+        if "fingerprint" in subgroup._identity:
+            base._identity.setdefault("fingerprint", subgroup._identity["fingerprint"])
+        subgroup._identity = base._identity
     return subgroup
 
 
@@ -198,6 +206,22 @@ def row_scale_table(instance) -> np.ndarray:
     products of the scalar matrices u_k I."""
     scalars = [[u] * instance.n for u in instance.ring.units()]
     return row_products(instance, instance.diagonal_codes(scalars).tolist())
+
+
+def scalar_coset_key(instance, codes) -> np.ndarray:
+    """Smallest code of the scalar coset {u a : u a unit of R} of each GL code a.
+
+    Row i of u a is u a_i, at weight m^(i n), so the top row n - 1 orders
+    the coset first.  A row of an invertible matrix over the local ring has
+    a unit entry, so u a_(n-1) = u' a_(n-1) only for u = u': the unit with
+    the smallest top row (read off `row_scale_table`) is unique, and the key
+    is u a for that unit.
+    """
+    scale = row_scale_table(instance)
+    digits = instance.row_digits(codes)
+    best = scale.argmin(axis=0)[digits[-1]]
+    weights = instance.modulus ** (instance.n * np.arange(instance.n, dtype=np.int64))
+    return sum(w * scale[best, d] for w, d in zip(weights.tolist(), digits))
 
 
 def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:

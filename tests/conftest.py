@@ -36,6 +36,21 @@ def z9():
 
 
 @pytest.fixture(scope="session")
+def z8():
+    return Instance(RingSpec(2, 3), 2)
+
+
+@pytest.fixture(scope="session")
+def f2n3():
+    return Instance(RingSpec(2, 1), 3)
+
+
+@pytest.fixture(scope="session")
+def z4n3():
+    return Instance(RingSpec(2, 2), 3)
+
+
+@pytest.fixture(scope="session")
 def f3n3():
     return Instance(RingSpec(3, 1), 3)
 

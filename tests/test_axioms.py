@@ -1,3 +1,10 @@
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,10 +22,13 @@ from netgalois.groups import (
     axis_subgroup,
     coset_closure,
     double_coset_key,
+    fix_mask,
+    fixer,
+    scalar_coset_key,
     transvection_table,
     transvections,
 )
-from netgalois.rings import RingSpec
+from netgalois.rings import RingSpec, pack_matrices, unpack_matrices
 
 
 def test_structural_conditions_trivial(f7, z4, z49):
@@ -296,3 +306,254 @@ def test_condition_11_call_counts(monkeypatch):
     labels = np.unique(double_coset_key(inst, inst.gl().codes))
     assert calls["perm"] <= 2 * len(inst.diagonal())
     assert calls["contains_many"] <= labels.size
+
+
+# -- conditions 3, 4 and 5 against their per-element loops --------------------
+
+
+def _reference_outer(inst, samples, seed):
+    """(code, permutation row) of each outer element: all of GL in code order,
+    or the seeded sample the checkers draw; rows come from act_batch."""
+    codes = inst.gl().codes
+    if samples is not None:
+        codes = codes[np.random.default_rng(seed).choice(codes.size, size=samples, replace=True)]
+    return list(zip(codes.tolist(), _reference_rows(inst, codes)))
+
+
+def _reference_rows(inst, codes):
+    return np.stack([inst.act_batch(codes, x) for x in range(len(inst.lattice))], axis=1)
+
+
+def _reference_axis(inst, i):
+    """The axis member set the checkers read, planted ones included."""
+    key = ("axis_subgroup", i)
+    if key not in inst._caches:
+        inst._caches[key] = axis_subgroup(inst, i)
+    return inst._caches[key]
+
+
+def _reference_coded_rows(inst, mask):
+    codes = inst.gl_codes[mask]
+    return list(zip(codes.tolist(), _reference_rows(inst, codes)))
+
+
+def _reference_cond_3(inst, mode, samples, seed):
+    """Condition 3 as a loop over outer a, then axis members h in code order."""
+    support, outer, found = inst.support_table, _reference_outer(inst, samples, seed), None
+    for i in range(inst.n):
+        e_i = inst.atoms[i]
+        hi_perms = _reference_coded_rows(inst, _reference_axis(inst, i).gl_mask())
+        downset = inst.frame.atom_downsets[i]
+        for a_code, pa in outer:
+            if int(support[pa[e_i], i]) != e_i:
+                continue
+            hit = None
+            for h_code, ph in hi_perms:
+                if all(
+                    int(support[ph[pa[x]], i]) == x and int(support[pa[ph[x]], i]) == x
+                    for x in downset
+                ):
+                    hit = h_code
+                    break
+            if hit is None:
+                return False, {"i": i, "a": a_code}, found
+            if found is None:
+                found = {"i": i, "a": a_code, "h": hit}
+    return True, None, found
+
+
+def _reference_cond_4(inst, mode, samples, seed):
+    """Condition 4 as loops; the strong reading needs one h for every outer a."""
+    support, n = inst.support_table, inst.n
+    outer = [(a, pa, np.argsort(pa)) for a, pa in _reference_outer(inst, samples, seed)]
+    lbar_fixer = fixer(inst, inst.frame.lbar0).gl_mask()
+    found = None
+    for t in range(n):
+        ht_perms = _reference_coded_rows(inst, _reference_axis(inst, t).gl_mask() & lbar_fixer)
+        for i in range(n):
+            downset = inst.frame.atom_downsets[i]
+            rs = [r for r in range(n) if r != i]
+
+            def h_works(ph, pa, painv):
+                for x in downset:
+                    lhs_elt = pa[ph[painv[x]]]
+                    rhs_elt = pa[support[painv[x], t]]
+                    for r in rs:
+                        if support[lhs_elt, r] != support[rhs_elt, r]:
+                            return False
+                return True
+
+            if mode == "strong":
+                ok_h = None
+                for h_code, ph in ht_perms:
+                    if all(h_works(ph, pa, painv) for _, pa, painv in outer):
+                        ok_h = h_code
+                        break
+                if ok_h is None:
+                    return False, {"t": t, "i": i}, found
+                if found is None:
+                    found = {"t": t, "i": i, "h": ok_h}
+            else:
+                for a, pa, painv in outer:
+                    hit = next((hc for hc, ph in ht_perms if h_works(ph, pa, painv)), None)
+                    if hit is None:
+                        return False, {"t": t, "i": i, "a": a}, found
+                    if found is None:
+                        found = {"t": t, "i": i, "a": a, "h": hit}
+    return True, None, found
+
+
+def _reference_cond_5(inst, mode, samples, seed):
+    """Condition 5 as loops over i, u in L-bar-0 above e_i, outer g and the
+    allowed images w = t(e_i), each with its first t."""
+    support, lat, outer, found = inst.support_table, inst.lattice, None, None
+    outer = _reference_outer(inst, samples, seed)
+    for i in range(inst.n):
+        e_i = inst.atoms[i]
+        keep = np.ones(len(inst.gl()), dtype=bool)
+        for s in range(inst.n):
+            if s != i:
+                keep &= fix_mask(inst, inst.atoms[s])
+        w_vals = inst.gl_image(e_i)
+        w_to_t = {}
+        for idx in np.nonzero(keep)[0].tolist():
+            w_to_t.setdefault(int(w_vals[idx]), int(inst.gl_codes[idx]))
+        for u in inst.frame.lbar0:
+            if not lat.leq(e_i, u):
+                continue
+            allowed = [
+                (w, t_code)
+                for w, t_code in sorted(w_to_t.items())
+                if all(lat.leq(int(support[w, j]), int(support[u, j])) for j in range(inst.n))
+            ]
+            for g_code, pg in outer:
+                if int(support[pg[u], i]) != e_i:
+                    continue
+                hit = next(
+                    ((w, t_code) for w, t_code in allowed if int(support[pg[w], i]) == e_i),
+                    None,
+                )
+                if hit is None:
+                    return False, {"i": i, "u": int(u), "g": g_code}, found
+                if found is None:
+                    found = {"i": i, "u": int(u), "g": g_code, "t": hit[1]}
+    return True, None, found
+
+
+_REFERENCES = [
+    ("3", "as_stated", _reference_cond_3),
+    ("4", "weak", _reference_cond_4),
+    ("4", "strong", _reference_cond_4),
+    ("5", "as_stated", _reference_cond_5),
+]
+
+
+def _assert_matches_references(inst, samples=None, seed=0):
+    """Whole records of conditions 3, 4 (both readings) and 5 against the
+    loops; returns the reference outcomes."""
+    outcomes = []
+    for cid, mode, reference in _REFERENCES:
+        holds, witness, found = reference(inst, mode, samples, seed)
+        expected = {
+            "id": cid,
+            "mode": mode,
+            "holds": holds,
+            "witness": None if witness is None else {"condition": cid, "mode": mode, **witness},
+            "found": found,
+            "exhaustive": samples is None,
+            "samples": samples,
+            "details": {},
+        }
+        record = check_condition(inst, cid, mode=mode, seed=seed, samples=samples).to_record()
+        assert record == expected, (cid, mode)
+        outcomes.append((cid, mode, holds, found is not None))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f5", "f7", "z9", "z8", "f2n3"])
+def test_conditions_3_4_5_match_references_exhaustively(name, request):
+    _assert_matches_references(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name,samples", [("f3n3", 30), ("z4n3", 12)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conditions_3_4_5_match_references_sampled(name, samples, seed, request):
+    _assert_matches_references(request.getfixturevalue(name), samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("ring", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3)])
+@pytest.mark.parametrize("samples", [None, 40])
+def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
+    """Conditions 3 and 5 hold on the instances above, so plant smaller
+    member sets on fresh instances: a few GL elements as each axis subgroup
+    (conditions 3 and 4 pick h from these) and as each atom's fix mask
+    (condition 5 picks t from these)."""
+    outcomes = []
+    for trial in range(4):
+        inst = Instance(RingSpec(*ring), 2)
+        rng = np.random.default_rng(trial)
+        size = len(inst.gl())
+
+        def planted():
+            mask = np.zeros(size, dtype=bool)
+            mask[rng.choice(size, size=min(size, 1 + trial), replace=False)] = True
+            return mask
+
+        for i in range(inst.n):
+            inst._caches[("axis_subgroup", i)] = Subgroup(inst, planted())
+        inst._caches["fix_masks"] = {int(atom): planted() for atom in inst.atoms}
+        outcomes += _assert_matches_references(inst, samples=samples, seed=trial)
+    assert {cid for cid, _, holds, _ in outcomes if not holds} == {"3", "4", "5"}
+    # a failure after a pass carries both the witness and the found record
+    assert any(not holds and found for _, _, holds, found in outcomes)
+
+
+@pytest.mark.parametrize("name", ["f7", "z9", "f3n3"])
+def test_scalar_coset_keys_share_lattice_rows(name, request):
+    """The key is the smallest code of u a over the units u, and every GL
+    element acts on the lattice as its key does."""
+    inst = request.getfixturevalue(name)
+    codes, m = inst.gl().codes, inst.modulus
+    keys = scalar_coset_key(inst, codes)
+    mats = unpack_matrices(codes, m, inst.n)
+    brute = np.min([pack_matrices(u * mats % m, m) for u in inst.ring.units()], axis=0)
+    assert np.array_equal(keys, brute)
+    assert np.unique(keys).size * len(inst.ring.units()) == codes.size
+    table = inst.perm_table()
+    assert np.array_equal(table, table[inst.positions(keys)])
+
+
+def test_exhaustive_f3n3_fails_11_and_4p_with_replayable_witnesses(f3n3):
+    verdicts = check_all(f3n3)
+    assert all(v.exhaustive and v.samples is None for v in verdicts)
+    assert [v.id for v in verdicts if not v.holds] == ["11", "4'"]
+    for v in verdicts:
+        if not v.holds:
+            assert replay_witness(f3n3, v.witness), v.witness
+
+
+@pytest.mark.slow
+def test_exhaustive_z49_suite_stays_under_the_memory_cap(tmp_path):
+    """Conditions 1-12 in the default mode on Z/49 (|GL| = 4 840 416) in a
+    subprocess: exhaustive verdicts, peak child RSS under 2 GB, and every
+    failing witness replays."""
+    spec = tmp_path / "z49n2.json"
+    spec.write_text(json.dumps({"ring": {"kind": "chain", "p": 7, "k": 2}, "n": 2}))
+    out = tmp_path / "axioms.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "netgalois.cli", *args, "--instance", str(spec)]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=1200, env=env)
+
+    proc = run("check-axioms", "--conditions", "1-12", "--report-only", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert len(verdicts) == 13
+    assert all(v["exhaustive"] and v["samples"] is None for v in verdicts)
+    peak_child_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_child_mb < 2048
+    proc = run("replay", "--report", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    failing = sum(not v["holds"] for v in verdicts)
+    assert f"{failing} reproduced" in proc.stdout

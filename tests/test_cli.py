@@ -72,6 +72,17 @@ def test_check_axioms_exhaustive_and_report_only(f7_spec, f2_spec, tmp_path):
     assert read(out2)["verdicts"][0]["holds"] is False
 
 
+def test_check_axioms_default_mode_is_exhaustive_above_ten_thousand(tmp_path):
+    """|GL(2, 11)| = 13 200: the default run quantifies over all of GL."""
+    spec = tmp_path / "f11n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 11, "k": 1}, "n": 2}))
+    out = tmp_path / "verdicts.json"
+    assert main(["check-axioms", "--instance", str(spec), "--conditions", "3,11", "--out", str(out)]) == 0
+    report = read(out)
+    assert report["mode"] == "exhaustive"
+    assert [(v["exhaustive"], v["samples"]) for v in report["verdicts"]] == [(True, None)] * 2
+
+
 def test_replay_subcommand(f2_spec, f7_spec, tmp_path):
     out = str(tmp_path / "f2-verdicts.json")
     assert main(["check-axioms", "--instance", f2_spec, "--report-only", "--out", out]) == 0

@@ -568,6 +568,33 @@ def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
         assert len(calls) == np.unique(double_coset_key(inst, inst.gl_codes)).size
 
 
+def test_sweep_fingerprints_each_member_set_once(monkeypatch):
+    """Equal subgroups share their pooled key and fingerprint: the Z/9 sweep
+    hashes member codes once per distinct subgroup, not once per double-coset
+    representative, and equal subgroups compare equal through a shared mask."""
+    from netgalois import sweep
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    inst = Instance(RingSpec(3, 2), 2)
+    hashed = []
+    sha1 = hashlib.sha1
+
+    def counted(data=b""):
+        if isinstance(data, np.ndarray) and data.dtype == np.int64:
+            hashed.append(data.size)
+        return sha1(data)
+
+    monkeypatch.setattr(hashlib, "sha1", counted)
+    report = sweep.sweep_cyclic(inst, jobs=1)
+    reps = np.unique(double_coset_key(inst, inst.gl_codes)).size
+    assert len(hashed) == len(report["subgroups"]) < reps
+    first = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
+    again = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
+    assert again is not first and again.gl_mask() is first.gl_mask() and again == first
+    assert again.fingerprint() == first.fingerprint() and len(hashed) == len(report["subgroups"])
+
+
 @pytest.mark.slow
 def test_z49_setup_builds_no_gl_matrix_array():
     from netgalois import sweep
