@@ -56,18 +56,6 @@ def jsonable(obj):
     return obj
 
 
-def _cap_from_env(args) -> int:
-    env = os.environ.get("NETGALOIS_CAP")
-    if args.cap is not None:
-        return args.cap
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"NETGALOIS_CAP={env!r} is not an integer") from exc
-    return DEFAULT_CAP
-
-
 def _load_instance(args) -> Instance:
     return Instance.load(args.instance)
 
@@ -166,6 +154,7 @@ def _parse_conditions(spec: str) -> list[str]:
 def cmd_check_axioms(args) -> int:
     t0 = time.perf_counter()
     instance = _load_instance(args)
+    instance.gl(cap=args.cap)
     conditions = _parse_conditions(args.conditions) if args.conditions else None
     samples = None
     if args.mode == "sampled":
@@ -194,10 +183,10 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_sigma(args) -> int:
     instance = _load_instance(args)
-    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=_cap_from_env(args))
+    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=args.cap)
     sigma = transvection_ideals(instance, subgroup)
     k_handle = canonical_sublattice(instance, sigma)
-    gk = net_fixer(instance, sigma, cap=_cap_from_env(args))
+    gk = net_fixer(instance, sigma, cap=args.cap)
     labels = instance.lattice.labels
     report = make_report(
         "sigma",
@@ -217,15 +206,14 @@ def cmd_sigma(args) -> int:
 def cmd_sandwich(args) -> int:
     t0 = time.perf_counter()
     instance = _load_instance(args)
-    cap = _cap_from_env(args)
-    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=cap)
+    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=args.cap)
     diag = instance.diagonal()
     if not diag.is_subset_of(subgroup):
         raise InputError("the subgroup must contain every invertible diagonal matrix")
     checks = verify_sandwich(
         instance,
         subgroup,
-        cap=cap,
+        cap=args.cap,
         seed=args.seed,
         conjugation_samples=args.conjugation_samples,
     )
@@ -250,14 +238,13 @@ def cmd_sandwich(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     instance = _load_instance(args)
-    cap = _cap_from_env(args)
     payload = sweep_cyclic(
         instance,
         family=args.family,
         sample=args.sample,
         seed=args.seed,
         jobs=args.jobs,
-        cap=cap,
+        cap=args.cap,
         conjugation_samples=args.conjugation_samples,
     )
     report = make_report("sweep", instance.describe(), args.seed, **payload)
@@ -272,12 +259,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_nets(args) -> int:
     instance = _load_instance(args)
-    cap = _cap_from_env(args)
     valid = enumerate_net_collections(instance)
     labels = instance.lattice.labels
     rows = []
     for net in valid:
-        fx = net_fixer(instance, net, cap=cap)
+        fx = net_fixer(instance, net, cap=args.cap)
         rows.append(
             {
                 "tau": [[labels[x] for x in row] for row in net.tau.tolist()],
@@ -303,6 +289,7 @@ def cmd_nets(args) -> int:
 
 def cmd_classes(args) -> int:
     instance = _load_instance(args)
+    instance.gl(cap=args.cap)
     classes = all_fixer_classes(instance, bound=args.bound)
     labels = instance.lattice.labels
     rows = []
@@ -345,7 +332,6 @@ def cmd_classes(args) -> int:
 def cmd_replay(args) -> int:
     data = _load_json(args.report)
     instance = Instance.load(args.instance) if args.instance else None
-    cap = _cap_from_env(args)
     reproduced, missing, total = 0, 0, 0
 
     def try_replay(witness) -> bool | None:
@@ -365,7 +351,7 @@ def cmd_replay(args) -> int:
         return None
 
     def reverify_subgroup(subgroup, seed, failed_ids) -> bool:
-        again = verify_sandwich(instance, subgroup, cap=cap, seed=seed)
+        again = verify_sandwich(instance, subgroup, cap=args.cap, seed=seed)
         return failed_ids <= {c["id"] for c in again if not c["holds"]}
 
     pools = []
@@ -377,7 +363,7 @@ def cmd_replay(args) -> int:
             if instance is None:
                 raise InputError("subgroup check witnesses need --instance")
             gens = [instance.code_of_mat(np.asarray(g)) for g in data["subgroup_generators"]]
-            subgroup = close_subgroup(instance, gens, cap=cap)
+            subgroup = close_subgroup(instance, gens, cap=args.cap)
             total += 1
             if reverify_subgroup(subgroup, data.get("seed") or 0, failed_ids):
                 reproduced += 1
@@ -395,7 +381,7 @@ def cmd_replay(args) -> int:
         closures, again = {}, {}
         for row, code, key in zip(failing, codes, keys):
             if key not in closures:
-                closures[key] = coset_closure(instance, instance.diagonal(), [code], cap=cap)
+                closures[key] = coset_closure(instance, instance.diagonal(), [code], cap=args.cap)
             fp = closures[key].fingerprint()
             total += 1
             if fp != row["subgroup"]:
@@ -427,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netgalois {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, seed=False, cap=True):
         p.add_argument("--instance", required=True, help="instance spec JSON (ring + rank)")
         p.add_argument("--out", help="write the report JSON here instead of stdout")
-        p.add_argument("--cap", type=int, default=None, help="closure/enumeration cap")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure/enumeration cap")
         p.add_argument(
             "--with-timings",
             action="store_true",
@@ -440,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
 
     p = sub.add_parser("build", help="build an instance and summarise its lattice")
-    common(p)
+    common(p, cap=False)
     p.add_argument("--lattice-out", help="export the lattice tables as JSON")
     p.add_argument("--dot-out", help="export the Hasse diagram in DOT format")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("support", help="support tuple of one lattice element")
-    common(p)
+    common(p, cap=False)
     p.add_argument("--element", required=True, help="canonical element label")
     p.set_defaults(func=cmd_support)
 
@@ -493,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")
     p.add_argument("--report", required=True)
     p.add_argument("--instance", help="instance spec JSON, for condition witnesses")
-    p.add_argument("--cap", type=int, default=None, help="closure/enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure/enumeration cap")
     p.set_defaults(func=cmd_replay)
 
     return parser

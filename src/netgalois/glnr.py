@@ -99,7 +99,6 @@ class Instance:
         self._caches: dict = {}
         self._gl = None
         self._diag = None
-        self._perm_table = None
         self._slot_convention = None
 
     # -- construction -------------------------------------------------------
@@ -373,14 +372,6 @@ class Instance:
             codes = np.array(self.diagonal_generator_codes(), dtype=np.int64)
             self._caches["l0_prime"] = fixed_by(self, codes)
         return self._caches["l0_prime"]
-
-    def perm_table(self) -> np.ndarray:
-        """(|G|, N) image table of GL: the `gl_image` columns side by side."""
-        if self._perm_table is None:
-            self._perm_table = np.stack(
-                [self.gl_image(x) for x in range(len(self.lattice))], axis=1
-            )
-        return self._perm_table
 
     # -- elementary transvections -------------------------------------------
 
@@ -677,10 +668,9 @@ def verify_sandwich(
         all(subgroup.contains(c) for c in g_sigma.generator_codes),
     )
     gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    outside = [
-        fc
-        for fc in gens_f
-        if not normalizes(instance, fc, g_sigma, gens=list(g_sigma.generator_codes))
+    inside, _ = normalizes(instance, gens_f, g_sigma, g_sigma.generator_codes)
+    outside = [] if inside else [
+        fc for fc in gens_f if not normalizes(instance, [fc], g_sigma, g_sigma.generator_codes)[0]
     ]
     record("sandwich_upper", not outside, outside or None)
 
@@ -689,9 +679,7 @@ def verify_sandwich(
         gs = verified_net_subgroup(instance, cand, cap=cap)
         if not all(subgroup.contains(c) for c in gs.generator_codes):
             continue
-        if all(
-            normalizes(instance, fc, gs, gens=list(gs.generator_codes)) for fc in gens_f
-        ):
+        if normalizes(instance, gens_f, gs, gs.generator_codes)[0]:
             passing.append(cand)
     record(
         "dnet_uniqueness",

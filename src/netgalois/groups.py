@@ -1,5 +1,5 @@
 """Matrix subgroups acting on the lattice: closure, fixers, fixed sublattices,
-transvection sets, the Galois maps, and normalizers.
+transvection sets, the Galois maps, and normality.
 
 Subgroups are explicit: a boolean mask over GL positions (`Instance.gl_codes`,
 ascending), read off as codes on demand.  Target orders stay below a few
@@ -15,7 +15,12 @@ through `fixes_mask`.  Every closure is one BFS on the cosets of the row
 scalings inside a seed subgroup (`coset_closure`), by table lookups on the
 row codes and no matrix product: D scales rows, and a matrix acting on the
 right acts on each row alone.  `close_subgroup` runs it over the trivial
-subgroup, and `double_coset_key` reads the same row-scale table.
+subgroup, and `double_coset_key` reads the same row-scale table.  The one
+normality routine is `normalizes`: every f of a call against chunks of the
+s, one broadcast product per chunk, read for the first failing (f, s).
+`is_normal_in` and the exhaustive `conjugation_closure_check` (one f per
+right coset of the subgroup) call it; only the sampled check conjugates
+aligned (f, s) pairs of its own.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ class Subgroup:
         self._order = int(np.count_nonzero(mask))
         self.generator_codes = tuple(int(c) for c in generator_codes)
         self.closed = closed
-        self._mats = None
         # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
         self._identity = {}
 
@@ -63,14 +67,6 @@ class Subgroup:
     def contains_many(self, codes) -> np.ndarray:
         pos = self.instance.positions(codes)
         return (pos >= 0) & self._mask[pos]
-
-    def mats(self) -> np.ndarray:
-        if self._mats is None:
-            # entries < modulus <= a few hundred; int16 keeps big caches small
-            self._mats = rings.unpack_matrices(
-                self.codes, self.instance.modulus, self.instance.n, dtype=np.int16
-            )
-        return self._mats
 
     def gl_mask(self) -> np.ndarray:
         """The member mask over GL positions."""
@@ -145,11 +141,11 @@ class Subgroup:
 
 
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share mask/matrix storage and identity between equal subgroups held in caches.
+    """Share the mask and identity between equal subgroups held in caches.
 
-    The returned object keeps its own generator provenance; the GL mask, the
-    unpacked matrices and the record of key and fingerprint are pooled, keyed
-    by `Subgroup.key`, so each pooled member set is fingerprinted once.
+    The returned object keeps its own generator provenance; the GL mask and
+    the record of key and fingerprint are pooled, keyed by `Subgroup.key`, so
+    each pooled member set is fingerprinted once.
     """
     pool = instance._caches.setdefault("subgroup_pool", {})
     key = subgroup.key()
@@ -159,10 +155,6 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
         return subgroup
     if base is not subgroup:
         subgroup._mask = base._mask
-        if base._mats is not None:
-            subgroup._mats = base._mats
-        elif subgroup._mats is not None:
-            base._mats = subgroup._mats
         if "fingerprint" in subgroup._identity:
             base._identity.setdefault("fingerprint", subgroup._identity["fingerprint"])
         subgroup._identity = base._identity
@@ -491,60 +483,58 @@ def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
     return True
 
 
-# -- normalizers and conjugation --------------------------------------------
+# -- normality and conjugation ----------------------------------------------
 
 
 def conjugate_codes(instance, f_mats: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Codes of f^-1 s f for a batch of s, by one f or by a batch of f
-    aligned with the s (numpy broadcasting)."""
+    broadcast against the s (numpy broadcasting)."""
     m = instance.modulus
     f_inv = rings.inv_batch(f_mats, instance.ring)
     return rings.pack_matrices(rings.mat_mul(rings.mat_mul(f_inv, mats, m), f_mats, m), m)
 
 
-def normalizes(instance, f_code: int, subgroup: Subgroup, gens: list[int] | None = None) -> bool:
-    """Whether one matrix conjugates the subgroup onto itself.
+def normalizes(instance, f_codes, subgroup: Subgroup, gens=None):
+    """(holds, witness): whether every f conjugates every s of `gens` into
+    the subgroup, and else the first failing (f, s) in f-major order.
 
-    Checking a generating set suffices: conjugation is an automorphism, and
-    containment of a finite subgroup of equal order forces equality.
+    `gens` defaults to a generating set of the subgroup: conjugation is an
+    automorphism, and containment of a finite subgroup of equal order forces
+    equality.  All f go through one broadcast `conjugate_codes` per chunk of
+    s, of at most `_BFS_CHUNK // len(f_codes)` codes.  A failure at f_k
+    leaves only f_0 .. f_(k-1) to test on the later chunks.
     """
-    f = instance.mat_of_code(f_code)
-    gen_codes = gens if gens is not None else generating_subset(subgroup)
-    mats = rings.unpack_matrices(np.array(gen_codes, dtype=np.int64), instance.modulus, instance.n)
-    return bool(np.all(subgroup.contains_many(conjugate_codes(instance, f, mats))))
-
-
-def normalizer(instance, subgroup: Subgroup, ambient: Subgroup) -> Subgroup:
-    """All ambient elements conjugating the subgroup onto itself."""
-    if not subgroup.is_subset_of(ambient):
-        raise InputError("normalizer expects the subgroup inside the ambient group")
-    amb_mats, inside = ambient.mats(), ambient.gl_mask()
-    mask = inside.copy()
-    for c in generating_subset(subgroup):
-        conj = conjugate_codes(instance, amb_mats, instance.mat_of_code(c))
-        mask[inside] &= subgroup.contains_many(conj)
-    return Subgroup(instance, mask, closed=True)
+    m, n = instance.modulus, instance.n
+    f_codes = np.asarray(f_codes, dtype=np.int64)
+    s_codes = np.asarray(generating_subset(subgroup) if gens is None else gens, dtype=np.int64)
+    f_mats = rings.unpack_matrices(f_codes, m, n)[:, None]
+    chunk, witness = max(1, _BFS_CHUNK // max(1, f_codes.size)), None
+    for start in range(0, s_codes.size, chunk):
+        block = s_codes[start : start + chunk]
+        s_mats = rings.unpack_matrices(block, m, n)[None]
+        bad = ~subgroup.contains_many(conjugate_codes(instance, f_mats, s_mats))
+        if bool(np.any(bad)):
+            k, j = divmod(int(np.argmax(bad)), block.size)
+            witness = (int(f_codes[k]), int(block[j]))
+            if not k:
+                break
+            f_codes, f_mats = f_codes[:k], f_mats[:k]
+    return witness is None, witness
 
 
 def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
     """(normal?, witness) where the witness is a failing (f, s) code pair.
 
     Containment and conjugation run on the subgroup's generators when it
-    carries a verified generating set, else on the whole member set (batched).
+    carries a verified generating set, else on the whole member set.
     """
     gens_s = subgroup.generator_codes
     probe_codes = np.array(gens_s, dtype=np.int64) if gens_s else subgroup.codes
     outside = probe_codes[~ambient.contains_many(probe_codes)]
     if outside.size:
         return False, (None, int(outside[0]))
-    probe_mats = rings.unpack_matrices(probe_codes, instance.modulus, instance.n)
     gens_f = ambient.generator_codes or generating_subset(ambient)
-    for fc in gens_f:
-        codes = conjugate_codes(instance, instance.mat_of_code(fc), probe_mats)
-        bad = ~subgroup.contains_many(codes)
-        if bool(np.any(bad)):
-            return False, (int(fc), int(probe_codes[np.argmax(bad)]))
-    return True, None
+    return normalizes(instance, gens_f, subgroup, probe_codes)
 
 
 def double_coset_key(instance, codes) -> np.ndarray:
@@ -578,36 +568,54 @@ def double_coset_key(instance, codes) -> np.ndarray:
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):
     """Explicit check that f^-1 s f stays in the subgroup.
 
-    Exhaustive over all (f, s) pairs, one f per left coset of the subgroup,
-    unless a sample count is given; returns (holds, witness codes).
+    Exhaustive over all (f, s) pairs, one f per right coset G f of the
+    subgroup G, unless a sample count is given; returns (holds, witness codes).
     """
-    m = instance.modulus
+    m, n = instance.modulus, instance.n
     if samples is None:
-        # (fg)^-1 s (fg) = g^-1 (f^-1 s f) g, so for g in G, f^-1 s f and
-        # (fg)^-1 s (fg) lie in G together (even when G is not inside F):
-        # one f per left coset fG decides the whole coset.  Ascending order
-        # reaches each coset at its smallest code, so no f before the first
-        # failing one fails and the witness is the all-f loop's.
-        sub_mats = subgroup.mats()
-        seen = np.zeros(len(instance.gl_codes), dtype=bool)
-        for k in np.flatnonzero(ambient.gl_mask()).tolist():
-            if seen[k]:
-                continue
-            f_code = int(instance.gl_codes[k])
-            f_mat = instance.mat_of_code(f_code)
-            coset = rings.pack_matrices(rings.mat_mul(f_mat[None, :, :], sub_mats, m), m)
-            seen[instance.positions(coset)] = True
-            codes = conjugate_codes(instance, f_mat, sub_mats)
-            bad = ~subgroup.contains_many(codes)
-            if bool(np.any(bad)):
-                return False, (f_code, int(subgroup.codes[np.argmax(bad)]))
+        # (g f)^-1 s (g f) = f^-1 (g^-1 s g) f for g in G, and s -> g^-1 s g
+        # permutes G: every f of a right coset G f conjugates G onto the same
+        # set (even when G is not inside F), so one f per coset decides it.
+        # Ascending order reaches each coset at its smallest code, so no f
+        # before the first failing one fails and the witness is the all-f
+        # loop's.  Row i of g f is g_i f, so G f is marked by gathers from
+        # f's `row_products` table on G's row digits.
+        s_codes, weights = subgroup.codes, m ** (n * np.arange(n, dtype=np.int64))
+        seen = np.zeros(m ** (n * n), dtype=bool)
+        for f_code in _unseen_codes(instance, ambient.gl_mask(), seen):
+            holds, witness = normalizes(instance, [f_code], subgroup, s_codes)
+            if not holds:
+                return False, witness
+            table = row_products(instance, [f_code])[0]
+            for start in range(0, s_codes.size, _BFS_CHUNK):
+                digits = np.stack(instance.row_digits(s_codes[start : start + _BFS_CHUNK]))
+                seen[weights @ table[digits]] = True
         return True, None
     fs = rng.choice(ambient.codes, size=samples, replace=True)
     ss = rng.choice(subgroup.codes, size=samples, replace=True)
-    f_mats = rings.unpack_matrices(fs, m, instance.n)
-    s_mats = rings.unpack_matrices(ss, m, instance.n)
+    f_mats = rings.unpack_matrices(fs, m, n)
+    s_mats = rings.unpack_matrices(ss, m, n)
     bad = ~subgroup.contains_many(conjugate_codes(instance, f_mats, s_mats))
     if bool(np.any(bad)):
         k = int(np.argmax(bad))
         return False, (int(fs[k]), int(ss[k]))
     return True, None
+
+
+def _unseen_codes(instance, inside, seen):
+    """The GL codes at the `inside` positions, ascending, less the codes
+    marked in `seen`, which is read as each position is reached.
+
+    Each search doubles its window until the window holds a hit, so the scan
+    stays linear in |GL| and lists no positions.
+    """
+    codes, pos, width = instance.gl_codes, 0, 1
+    while pos < codes.size:
+        window = slice(pos, pos + width)
+        free = inside[window] & ~seen[codes[window]]
+        if bool(np.any(free)):
+            pos += int(np.argmax(free))
+            yield int(codes[pos])
+            pos, width = pos + 1, 1
+        else:
+            pos, width = pos + width, 2 * width

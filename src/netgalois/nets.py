@@ -487,8 +487,10 @@ def verify_intermediate_subgroup(
     record("canonical_fixer_inside", all(subgroup.contains(c) for c in gk.generator_codes))
 
     gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    gk_gens = list(gk.generator_codes)
-    outside = [fc for fc in gens_f if not normalizes(instance, fc, gk, gens=gk_gens)]
+    inside, _ = normalizes(instance, gens_f, gk, gk.generator_codes)
+    outside = [] if inside else [
+        fc for fc in gens_f if not normalizes(instance, [fc], gk, gk.generator_codes)[0]
+    ]
     record("inside_normalizer", not outside, outside or None)
 
     index_ok = len(subgroup) % len(gk) == 0
@@ -535,8 +537,7 @@ def verify_intermediate_subgroup(
         fx = net_fixer(instance, net, cap=cap)
         if not all(subgroup.contains(c) for c in fx.generator_codes):
             continue
-        fx_gens = list(fx.generator_codes)
-        if all(normalizes(instance, fc, fx, gens=fx_gens) for fc in gens_f):
+        if normalizes(instance, gens_f, fx, fx.generator_codes)[0]:
             passing.append(net)
     unique_ok = len(passing) == 1 and passing[0] == sigma
     record(

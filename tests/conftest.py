@@ -71,10 +71,28 @@ def small_instances(f7, z4, f2):
     return {"f7": f7, "z4": z4, "f2": f2}
 
 
+def _member_mats(subgroup):
+    """The (|S|, n, n) matrices of a subgroup's member codes, ascending;
+    entries below the modulus, so int16 keeps GL-sized batches small."""
+    inst = subgroup.instance
+    return unpack_matrices(subgroup.codes, inst.modulus, inst.n, dtype=np.int16)
+
+
+@pytest.fixture(scope="session")
+def member_mats():
+    return _member_mats
+
+
+@pytest.fixture(scope="session")
+def image_table():
+    """(|GL|, N) table of g(x): the `gl_image` columns side by side."""
+    return lambda inst: np.stack([inst.gl_image(x) for x in range(len(inst.lattice))], axis=1)
+
+
 def _orbit_min(inst, code):
     """Smallest code over D a D, enumerated with numpy one left factor at a
     time: the reference for the double-coset keys and labels."""
-    d_mats = inst.diagonal().mats().astype(np.int64)
+    d_mats = _member_mats(inst.diagonal()).astype(np.int64)
     a = inst.mat_of_code(int(code))
     return min(
         int(pack_matrices((d1 @ a @ d_mats) % inst.modulus, inst.modulus).min())

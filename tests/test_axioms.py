@@ -509,7 +509,7 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
 
 
 @pytest.mark.parametrize("name", ["f7", "z9", "f3n3"])
-def test_scalar_coset_keys_share_lattice_rows(name, request):
+def test_scalar_coset_keys_share_lattice_rows(name, request, image_table):
     """The key is the smallest code of u a over the units u, and every GL
     element acts on the lattice as its key does."""
     inst = request.getfixturevalue(name)
@@ -519,7 +519,7 @@ def test_scalar_coset_keys_share_lattice_rows(name, request):
     brute = np.min([pack_matrices(u * mats % m, m) for u in inst.ring.units()], axis=0)
     assert np.array_equal(keys, brute)
     assert np.unique(keys).size * len(inst.ring.units()) == codes.size
-    table = inst.perm_table()
+    table = image_table(inst)
     assert np.array_equal(table, table[inst.positions(keys)])
 
 

@@ -478,17 +478,26 @@ def test_lattice_bytes_are_pinned(tmp_path, p, k, n, digest):
     assert hashlib.sha256(lat_out.read_bytes()).hexdigest() == digest
 
 
-def test_cap_env_var(f7_spec, tmp_path, monkeypatch):
-    monkeypatch.setenv("NETGALOIS_CAP", "10")
+def test_cap_option(f7_spec, tmp_path, capsys):
+    """`--cap` bounds every subcommand that closes or enumerates groups (|GL| =
+    2016 on F7), and `build` and `support`, which do neither, reject it."""
     sub_path = str(tmp_path / "gl.json")
     with open(sub_path, "w") as fh:
         json.dump(
             {"schema_version": 1, "generators": [[[3, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [0, 1]]]},
             fh,
         )
-    assert main(["sigma", "--instance", f7_spec, "--subgroup", sub_path]) == 3
-    monkeypatch.setenv("NETGALOIS_CAP", "not-a-number")
-    assert main(["sigma", "--instance", f7_spec, "--subgroup", sub_path]) == 2
+    assert main(["sigma", "--instance", f7_spec, "--subgroup", sub_path, "--cap", "10"]) == 3
+    for command in (["check-axioms"], ["classes"], ["sweep", "--jobs", "1"], ["nets"]):
+        assert main(command + ["--instance", f7_spec, "--cap", "100"]) == 3, command
+        assert "cap exhausted" in capsys.readouterr().err
+    for command in (["build"], ["support", "--element", "1,1;0,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--instance", f7_spec, "--cap", "5"])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "--instance", f7_spec, "--subgroup", sub_path, "--cap", "not-a-number"])
+    assert exc.value.code == 2
 
 
 def test_reports_are_byte_deterministic(f7_spec, tmp_path):

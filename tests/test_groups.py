@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from netgalois.groups import (
     classify_transvection,
     close_subgroup,
     coset_closure,
-    conjugate_codes,
     conjugation_closure_check,
     double_coset_key,
     fix_mask,
@@ -22,13 +24,12 @@ from netgalois.groups import (
     generating_subset,
     intern_subgroup,
     is_normal_in,
-    normalizer,
     normalizes,
     same_transvections,
     transvection_table,
     transvections,
 )
-from netgalois.rings import RingSpec
+from netgalois.rings import RingSpec, pack_matrices, unpack_matrices
 
 
 def borel(f7):
@@ -130,9 +131,8 @@ def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
 
 @pytest.mark.parametrize("name", ["f7", "z9"])
 def test_closures_over_d_multiply_no_matrices(name, monkeypatch):
-    """<D, g> on a fresh instance runs on row codes alone: no `mat_mul`, no
-    `pack_matrices` and no `Subgroup.mats`, the per-generator and row-scale
-    tables included."""
+    """<D, g> on a fresh instance runs on row codes alone: no `mat_mul` and
+    no `pack_matrices`, the per-generator and row-scale tables included."""
     from netgalois import rings
     from netgalois.glnr import Instance
 
@@ -152,7 +152,6 @@ def test_closures_over_d_multiply_no_matrices(name, monkeypatch):
 
     counting(rings, "mat_mul")
     counting(rings, "pack_matrices")
-    counting(Subgroup, "mats")
     closures = [coset_closure(inst, d, [int(c)]) for c in codes]
     assert calls == []
     assert {len(c) % len(d) for c in closures} == {0}
@@ -160,9 +159,9 @@ def test_closures_over_d_multiply_no_matrices(name, monkeypatch):
     assert all(c.contains(int(code)) for c, code in zip(closures, codes))
 
 
-def test_subgroup_closure_invariants(f7):
+def test_subgroup_closure_invariants(f7, member_mats):
     sub = borel(f7)
-    mats = sub.mats()
+    mats = member_mats(sub)
     ident = f7.code_of_mat(f7.identity)
     assert sub.contains(ident)
     rng = np.random.default_rng(0)
@@ -175,10 +174,10 @@ def test_subgroup_closure_invariants(f7):
         assert sub.contains(f7.code_of_mat(f7.inv(f7.mat_of_code(int(sub.codes[k])))))
 
 
-def test_every_group_element_acts_as_lattice_automorphism(f7):
+def test_every_group_element_acts_as_lattice_automorphism(f7, image_table):
     """Exhaustive: the image table of the whole group respects meet and join."""
     lat = f7.lattice
-    table = f7.perm_table()
+    table = image_table(f7)
     n = len(lat)
     rows = np.arange(n)
     for k in range(table.shape[0]):
@@ -188,19 +187,19 @@ def test_every_group_element_acts_as_lattice_automorphism(f7):
         assert np.array_equal(perm[lat.join_table], lat.join_table[np.ix_(perm, perm)])
 
 
-def test_action_composition_ten_thousand_triples(f7):
+def test_action_composition_ten_thousand_triples(f7, image_table, member_mats):
     """act(a @ b, x) == act(a, act(b, x)) on 10^4 random triples, checked
     through the precomputed image table."""
     from netgalois.rings import mat_mul, pack_matrices
 
     rng = np.random.default_rng(12)
-    table = f7.perm_table()
+    table = image_table(f7)
     codes = f7.gl().codes
     ai = rng.integers(0, len(codes), size=10_000)
     bi = rng.integers(0, len(codes), size=10_000)
     xs = rng.integers(0, len(f7.lattice), size=10_000)
-    a_mats = f7.gl().mats()[ai]
-    b_mats = f7.gl().mats()[bi]
+    a_mats = member_mats(f7.gl())[ai]
+    b_mats = member_mats(f7.gl())[bi]
     prod_codes = pack_matrices(mat_mul(a_mats, b_mats, f7.modulus), f7.modulus)
     prod_idx = np.searchsorted(codes, prod_codes)
     lhs = table[prod_idx, xs]
@@ -233,7 +232,7 @@ def test_fixer_examples(f7):
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
-def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_reference):
+def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_reference, member_mats):
     """fix_mask against the action on all of GL; fixer against the AND of
     those brute-force masks, for L0', the componentwise span, the whole
     lattice and each valid net's canonical sublattice."""
@@ -241,7 +240,7 @@ def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_referenc
 
     inst = request.getfixturevalue(name)
     g = inst.gl()
-    brute = [act_reference(inst, g.mats(), x) == x for x in range(len(inst.lattice))]
+    brute = [act_reference(inst, member_mats(g), x) == x for x in range(len(inst.lattice))]
     for x, expect in enumerate(brute):
         assert np.array_equal(fix_mask(inst, x), expect)
     sets = [inst.l0_prime().members, inst.frame.lbar0, range(len(inst.lattice))]
@@ -330,7 +329,7 @@ def test_axis_subgroup_by_definition(f7, z49):
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
-def test_transvection_table_matches_classify_transvection(name, request):
+def test_transvection_table_matches_classify_transvection(name, request, member_mats):
     """The table's gathered support clauses against the per-element
     definition, on all of GL (a seeded sample of 500 on F3 rank 3)."""
     inst = request.getfixturevalue(name)
@@ -338,7 +337,7 @@ def test_transvection_table_matches_classify_transvection(name, request):
     pos = np.arange(len(g))
     if name == "f3n3":
         pos = np.sort(np.random.default_rng(8).choice(len(g), size=500, replace=False))
-    mats = g.mats()
+    mats = member_mats(g)
     for i in range(inst.n):
         for j in range(inst.n):
             if i == j:
@@ -374,12 +373,12 @@ def test_transvection_sets_closed_under_inverse(f7):
                 assert inv_code in codes
 
 
-def test_transvections_are_elementary_times_stabiliser(f7):
+def test_transvections_are_elementary_times_stabiliser(f7, member_mats):
     """Oracle for the full filter: products of one elementary and one
     diagonal matrix exhaust each transvection set."""
     from netgalois.rings import mat_mul, pack_matrices
 
-    d_mats = f7.diagonal().mats()
+    d_mats = member_mats(f7.diagonal())
     for i, j in ((0, 1), (1, 0)):
         by_value = {}
         for xi in range(7):
@@ -421,36 +420,28 @@ def test_galois_maps(f7):
         galois_phi(f7, [f7.element_by_label("1,1;0,0")])
 
 
-def test_normalizer_examples(f7):
-    gl = f7.gl()
-    d = f7.diagonal()
-    nd = normalizer(f7, d, gl)
-    units = f7.ring.units()
-    monomial = []
-    for a in units:
-        for b in units:
-            monomial.append(f7.code_of_mat(np.array([[a, 0], [0, b]])))
-            monomial.append(f7.code_of_mat(np.array([[0, a], [b, 0]])))
-    assert nd.codes.tolist() == sorted(monomial)
-    b = borel(f7)
-    assert np.array_equal(normalizer(f7, b, gl).codes, b.codes)
-    assert np.array_equal(normalizer(f7, gl, gl).codes, gl.codes)
-
-
 def test_normalizes_and_normality(f7):
-    gl = f7.gl()
     d = f7.diagonal()
     b = borel(f7)
     normal, _ = is_normal_in(f7, d, b)
     assert not normal
-    mono = normalizer(f7, d, gl)
+    units = f7.ring.units()
+    monomial = []
+    for a in units:
+        for c in units:
+            monomial.append(f7.code_of_mat(np.array([[a, 0], [0, c]])))
+            monomial.append(f7.code_of_mat(np.array([[0, a], [c, 0]])))
+    mono = Subgroup(f7, f7.mask_of(monomial), closed=True)
     mono = Subgroup(f7, mono.gl_mask(), generator_codes=generating_subset(mono), closed=True)
+    assert len(mono) == 72
     normal, _ = is_normal_in(f7, d, mono)
     assert normal
     anti = f7.code_of_mat(np.array([[0, 1], [1, 0]]))
-    assert normalizes(f7, anti, d, gens=list(d.generator_codes))
+    assert normalizes(f7, [anti], d, d.generator_codes) == (True, None)
     t = f7.code_of_mat(f7.elementary(0, 1, 1))
-    assert not normalizes(f7, t, d, gens=list(d.generator_codes))
+    holds, (f, s) = normalizes(f7, [anti, t], d, d.generator_codes)
+    assert not holds and f == t and s in d.generator_codes
+    assert normalizes(f7, [], d) == (True, None)
 
 
 def test_conjugation_closure_check(f7):
@@ -466,15 +457,25 @@ def test_conjugation_closure_check(f7):
     assert holds
 
 
+def _first_failing_pair(inst, f_codes, subgroup, s_codes):
+    """Reference: f^-1 s f for each f in turn, by `Instance.inv` and numpy
+    products, against all s at once; the first s outside the subgroup under
+    the first f with one."""
+    m, n = inst.modulus, inst.n
+    s_codes = np.asarray(s_codes, dtype=np.int64)
+    s_mats = unpack_matrices(s_codes, m, n)
+    for f_code in [int(c) for c in f_codes]:
+        f = inst.mat_of_code(f_code)
+        conj = pack_matrices(inst.inv(f) @ s_mats @ f % m, m)
+        bad = ~subgroup.contains_many(conj)
+        if bool(np.any(bad)):
+            return False, (f_code, int(s_codes[np.argmax(bad)]))
+    return True, None
+
+
 def _all_f_conjugation_check(inst, subgroup, ambient):
     """Reference: conjugate the subgroup by every ambient f in code order."""
-    sub_mats = subgroup.mats()
-    for f_code in ambient.codes.tolist():
-        codes = conjugate_codes(inst, inst.mat_of_code(f_code), sub_mats)
-        bad = ~subgroup.contains_many(codes)
-        if bool(np.any(bad)):
-            return False, (int(f_code), int(subgroup.codes[np.argmax(bad)]))
-    return True, None
+    return _first_failing_pair(inst, ambient.codes, subgroup, subgroup.codes)
 
 
 def _sweep_subgroups(inst):
@@ -529,24 +530,113 @@ def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
         assert len(calls) <= len(f) // len(gk)
 
 
-def test_sampled_conjugation_check_unpacks_no_matrices():
-    """Only the exhaustive branch reads the subgroup's matrices: a sampled
-    check on all of GL leaves GL's matrix array unbuilt."""
+def _count_unpacked(monkeypatch):
+    """Record the batch size of every `rings.unpack_matrices` call."""
+    from netgalois import rings
+
+    sizes, original = [], rings.unpack_matrices
+
+    def counted(codes, *args, **kwargs):
+        sizes.append(np.asarray(codes).size)
+        return original(codes, *args, **kwargs)
+
+    monkeypatch.setattr(rings, "unpack_matrices", counted)
+    return sizes
+
+
+def test_sampled_conjugation_check_unpacks_no_matrices(monkeypatch):
+    """Only the sampled pairs are unpacked: a sampled check on all of GL
+    unpacks at most 2 x samples matrices."""
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
     inst = Instance(RingSpec(3, 2), 2)
     gl = inst.gl()
     rng = np.random.default_rng(5)
+    unpacked = _count_unpacked(monkeypatch)
     assert conjugation_closure_check(inst, gl, gl, rng=rng, samples=200) == (True, None)
-    assert gl._mats is None
+    assert 0 < sum(unpacked) <= 2 * 200
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_normality_routines_match_per_pair_reference(name, request):
+    """`normalizes` (on generators and on whole member sets), `is_normal_in`
+    and the exhaustive conjugation check against the per-f reference, witnesses
+    included, for G(K(F)) in F over the sweep family and for D, the upper
+    triangular group and a point fixer in GL.  The exhaustive reference runs
+    where |F| |G| <= 2 * 10^6 (all but GL in GL on F3 rank 3)."""
+    inst = request.getfixturevalue(name)
+    gl, d = inst.gl(), inst.diagonal()
+    upper = coset_closure(inst, d, [inst.code_of_mat(inst.elementary(0, 1, 1))])
+    l0p = inst.l0_prime().members
+    moved = fixer(inst, [x for x in range(len(inst.lattice)) if x not in l0p][:1])
+    pairs = [(gk, f) for f, gk in _sweep_subgroups(inst)]
+    pairs += [(d, gl), (upper, gl), (moved, gl), (gl, upper)]
+    verdicts = set()
+    for subgroup, ambient in pairs:
+        gens_f, gens_s = generating_subset(ambient), generating_subset(subgroup)
+        for s_codes in (gens_s, subgroup.codes):
+            expected = _first_failing_pair(inst, gens_f, subgroup, s_codes)
+            assert normalizes(inst, gens_f, subgroup, s_codes) == expected
+            verdicts.add(expected[0])
+        assert normalizes(inst, gens_f, subgroup) == _first_failing_pair(inst, gens_f, subgroup, gens_s)
+        probe = np.array(subgroup.generator_codes or subgroup.codes, dtype=np.int64)
+        outside = probe[~ambient.contains_many(probe)]
+        expected = (False, (None, int(outside[0]))) if outside.size else _first_failing_pair(
+            inst, ambient.generator_codes or gens_f, subgroup, probe
+        )
+        assert is_normal_in(inst, subgroup, ambient) == expected
+        if len(ambient) * len(subgroup) <= 2 * 10**6:
+            expected = _all_f_conjugation_check(inst, subgroup, ambient)
+            assert conjugation_closure_check(inst, subgroup, ambient) == expected
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_normalizes_broadcasts_every_f_once_per_chunk(f7, monkeypatch):
+    """k >= 2 f against s that fit one chunk make one `conjugate_codes` call;
+    in chunks of one s, the witness is still the first failing f's first
+    failing s, whichever chunk each failure falls in."""
+    from netgalois import groups
+
+    b = borel(f7)
+    calls, original = [], groups.conjugate_codes
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "conjugate_codes", counted)
+    # the index of the first member of B each f conjugates out of B
+    first_bad = {}
+    for f_code in f7.gl().codes[:400].tolist():
+        holds, witness = _first_failing_pair(f7, [f_code], b, b.codes)
+        if not holds:
+            first_bad[f_code] = int(np.searchsorted(b.codes, witness[1]))
+    late = max(first_bad, key=first_bad.get)
+    early = min(first_bad, key=first_bad.get)
+    assert first_bad[late] > first_bad[early]
+    # a failing first f ends the scan at its chunk; behind a passing f every
+    # chunk runs, and later failures must not overwrite the witness
+    ident = f7.code_of_mat(f7.identity)
+    for f_codes, chunks in (([late, early], first_bad[late] + 1), ([ident, late, early], len(b))):
+        expected = _first_failing_pair(f7, f_codes, b, b.codes)
+        assert expected[1][0] == late
+        monkeypatch.setattr(groups, "_BFS_CHUNK", 1 << 18)
+        calls.clear()
+        assert normalizes(f7, f_codes, b, b.codes) == expected
+        assert len(calls) == 1
+        monkeypatch.setattr(groups, "_BFS_CHUNK", len(f_codes))
+        calls.clear()
+        assert normalizes(f7, f_codes, b, b.codes) == expected
+        assert len(calls) == chunks
 
 
 @pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
 def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
     """Set-up pools and matches subgroups by `Subgroup.key` and fingerprints
     none; the sweep fingerprints each double-coset representative once.  Set-up
-    leaves GL's matrix array unbuilt."""
+    unpacks no member set: fewer matrices than |D|."""
     from netgalois import sweep
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -560,9 +650,11 @@ def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
         return fingerprint(self)
 
     monkeypatch.setattr(Subgroup, "fingerprint", counted)
+    inst.gl()
+    unpacked = _count_unpacked(monkeypatch)
     sweep.prewarm(inst, cap=10_000_000)
     assert calls == []
-    assert inst.gl()._mats is None
+    assert sum(unpacked) < len(inst.diagonal())
     if ring == (3, 2):
         sweep.sweep_cyclic(inst, jobs=1)
         assert len(calls) == np.unique(double_coset_key(inst, inst.gl_codes)).size
@@ -596,14 +688,54 @@ def test_sweep_fingerprints_each_member_set_once(monkeypatch):
 
 
 @pytest.mark.slow
-def test_z49_setup_builds_no_gl_matrix_array():
+def test_z49_setup_builds_no_gl_matrix_array(monkeypatch):
+    """Set-up on Z/49 unpacks fewer matrices than |D| once GL is listed."""
     from netgalois import sweep
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
     inst = Instance(RingSpec(7, 2), 2)
+    inst.gl(cap=5_000_000)
+    unpacked = _count_unpacked(monkeypatch)
     sweep.prewarm(inst, cap=5_000_000)
-    assert inst.gl()._mats is None
+    assert sum(unpacked) < len(inst.diagonal())
+
+
+@pytest.mark.slow
+def test_exhaustive_z49_normality_stays_under_the_memory_cap():
+    """G(K(F)) is normal in F for all 11 distinct <D, g> on Z/49, by the
+    exhaustive conjugation check, in a subprocess whose own peak RSS stays
+    under 700 MB (the chunked member sets are never held unpacked).  The
+    child reads its peak as VmHWM: its `ru_maxrss` starts from the peak of
+    the process that spawned it, here the whole test session."""
+    script = """
+import numpy as np
+from netgalois.glnr import Instance
+from netgalois.groups import conjugation_closure_check, coset_closure, double_coset_key
+from netgalois.nets import net_fixer, transvection_ideals
+from netgalois.rings import RingSpec
+
+inst = Instance(RingSpec(7, 2), 2)
+subgroups = {}
+for key in np.unique(double_coset_key(inst, inst.gl(cap=5_000_000).codes)).tolist():
+    f = coset_closure(inst, inst.diagonal(), [key])
+    subgroups.setdefault(f.key(), f)
+verdicts = [
+    conjugation_closure_check(inst, net_fixer(inst, transvection_ideals(inst, f)), f)
+    for f in subgroups.values()
+]
+print(len(verdicts), all(v == (True, None) for v in verdicts))
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) // 1024)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=1200, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    counted, peak_mb = proc.stdout.split("\n")[:2]
+    assert counted == "11 True"
+    assert int(peak_mb) < 700
 
 
 def test_same_transvections(f7):
@@ -679,7 +811,7 @@ def test_z49_closures_over_d_match_closures_from_the_identity(z49):
         assert np.array_equal(over_d.gl_mask(), close_subgroup(z49, gens + [g]).gl_mask())
 
 
-def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
+def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min, member_mats):
     """The table key is the brute-force smallest code of D a D on all of GL
     (F3 rank 3: three rows and 4 right scalings) and on 10 Z/49 codes, and
     it does not move under a -> d a d'."""
@@ -696,7 +828,7 @@ def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min):
         m = inst.modulus
         keys = double_coset_key(inst, codes)
         assert keys.tolist() == [orbit_min(inst, c) for c in codes.tolist()]
-        d_mats = inst.diagonal().mats()
+        d_mats = member_mats(inst.diagonal())
         d1, d2 = d_mats[rng.integers(0, len(d_mats), size=(2, codes.size))]
         moved = mat_mul(mat_mul(d1, unpack_matrices(codes, m, inst.n), m), d2, m)
         assert np.array_equal(double_coset_key(inst, pack_matrices(moved, m)), keys)
