@@ -668,8 +668,7 @@ def verify_sandwich(
         all(subgroup.contains(c) for c in g_sigma.generator_codes),
     )
     gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    inside, _ = normalizes(instance, gens_f, g_sigma, g_sigma.generator_codes)
-    outside = [] if inside else [
+    outside = [
         fc for fc in gens_f if not normalizes(instance, [fc], g_sigma, g_sigma.generator_codes)[0]
     ]
     record("sandwich_upper", not outside, outside or None)

@@ -186,11 +186,16 @@ def row_products(instance, codes) -> np.ndarray:
     tables = instance._caches.setdefault("row_products", {})
     new = [c for c in dict.fromkeys(codes) if c not in tables]
     if new:
-        m, n = instance.modulus, instance.n
-        rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
-        mats = rings.unpack_matrices(np.array(new, dtype=np.int64), m, n)
-        tables.update(zip(new, rings.pack_vectors(rows @ mats % m, m)))
+        tables.update(zip(new, _row_product_tables(instance, new)))
     return np.stack([tables[c] for c in codes])
+
+
+def _row_product_tables(instance, codes) -> np.ndarray:
+    """`row_products` of the codes, uncached."""
+    m, n = instance.modulus, instance.n
+    rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+    mats = rings.unpack_matrices(np.array(codes, dtype=np.int64), m, n)
+    return rings.pack_vectors(rows @ mats % m, m)
 
 
 def row_scale_table(instance) -> np.ndarray:
@@ -579,14 +584,15 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
         # Ascending order reaches each coset at its smallest code, so no f
         # before the first failing one fails and the witness is the all-f
         # loop's.  Row i of g f is g_i f, so G f is marked by gathers from
-        # f's `row_products` table on G's row digits.
+        # f's row-product table on G's row digits; the table is not cached,
+        # as no later call reads a representative's table.
         s_codes, weights = subgroup.codes, m ** (n * np.arange(n, dtype=np.int64))
         seen = np.zeros(m ** (n * n), dtype=bool)
         for f_code in _unseen_codes(instance, ambient.gl_mask(), seen):
             holds, witness = normalizes(instance, [f_code], subgroup, s_codes)
             if not holds:
                 return False, witness
-            table = row_products(instance, [f_code])[0]
+            table = _row_product_tables(instance, [f_code])[0]
             for start in range(0, s_codes.size, _BFS_CHUNK):
                 digits = np.stack(instance.row_digits(s_codes[start : start + _BFS_CHUNK]))
                 seen[weights @ table[digits]] = True

@@ -487,10 +487,7 @@ def verify_intermediate_subgroup(
     record("canonical_fixer_inside", all(subgroup.contains(c) for c in gk.generator_codes))
 
     gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    inside, _ = normalizes(instance, gens_f, gk, gk.generator_codes)
-    outside = [] if inside else [
-        fc for fc in gens_f if not normalizes(instance, [fc], gk, gk.generator_codes)[0]
-    ]
+    outside = [fc for fc in gens_f if not normalizes(instance, [fc], gk, gk.generator_codes)[0]]
     record("inside_normalizer", not outside, outside or None)
 
     index_ok = len(subgroup) % len(gk) == 0

@@ -524,10 +524,14 @@ def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(groups, "conjugate_codes", counted)
-    for f, gk in _sweep_subgroups(inst):
+    pairs = _sweep_subgroups(inst)
+    inst._caches.pop("row_products")
+    for f, gk in pairs:
         calls.clear()
         assert conjugation_closure_check(inst, gk, f)[0]
         assert len(calls) <= len(f) // len(gk)
+    # the coset representatives' row-product tables are not kept
+    assert not inst._caches.get("row_products")
 
 
 def _count_unpacked(monkeypatch):
