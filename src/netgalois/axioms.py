@@ -11,11 +11,11 @@ one.
 
 Conditions 3, 4, 5, 8 and 11 (with 4') quantify over an outer element a of
 GL and are array programs: a table of which inner candidates work for which
-a, gathered from the lattice permutations (`_Ctx.rows`, the `gl_image`
-columns at the outer positions), read in the loop order with argmax.  Axis
-candidates h enter only through their rows, so one h per distinct row, the
-first, stands for all (`_distinct_rows`).  Exhaustive mode takes one a per
-coset of the scalar matrices Z = {uI}, its smallest code
+a, gathered from the lattice permutations of the outer elements and the axis
+candidates (`Instance.perm`, one row per code), read in the loop order with
+argmax.  Axis candidates h enter only through their rows, so one h per
+distinct row, the first, stands for all (`_distinct_rows`).  Exhaustive mode
+takes one a per coset of the scalar matrices Z = {uI}, its smallest code
 (`groups.scalar_coset_key`).  This is exact:
 - a unit scalar fixes every submodule, so u a and a have the same row;
 - Z lies in D, so u a lies in D a D and <D, u a> = <D, a>, which is all
@@ -100,16 +100,6 @@ class _Ctx:
             self.instance._caches[key] = axis_subgroup(self.instance, i)
         return self.instance._caches[key]
 
-    def rows(self, positions) -> np.ndarray:
-        """Lattice permutations of the GL elements at these positions, one row
-        each: the `gl_image` columns gathered at the positions."""
-        columns = [self.instance.gl_image(x)[positions] for x in range(len(self.lat))]
-        return np.stack(columns, axis=1)
-
-    def code_rows(self, codes) -> np.ndarray:
-        """Lattice permutations of witness codes, through act_batch."""
-        return np.stack([self.instance.act_batch(codes, x) for x in range(len(self.lat))], axis=1)
-
     def witness_indices(self, w, names) -> list[int]:
         """A witness's index fields: i and j name atoms, x and w lattice elements."""
         values = [w.get(name) for name in names]
@@ -168,10 +158,10 @@ def _distinct_rows(ctx, mask):
     """Codes and permutation rows of the members of a GL mask, one per
     distinct row, in member order: a test that reads h only through its row
     first holds at the first member of some row, so this keeps the first h."""
-    pos = np.flatnonzero(mask)
-    rows = ctx.rows(pos)
+    codes = ctx.instance.gl_codes[mask]
+    rows = ctx.instance.perm(codes)
     first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-    return ctx.instance.gl_codes[pos[first]], rows[first]
+    return codes[first], rows[first]
 
 
 def _first_hits(works):
@@ -194,7 +184,8 @@ def _first_outcomes(active, hits):
 
 def _cond_3(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
-    a_codes, pa = ctx.instance.gl_codes[pos], ctx.rows(pos)
+    a_codes = ctx.instance.gl_codes[pos]
+    pa = ctx.instance.perm(a_codes)
     found = None
     for i in range(ctx.n):
         e_i, down = ctx.atoms[i], np.array(ctx.frame.atom_downsets[i])
@@ -216,7 +207,8 @@ def _cond_4(ctx, mode, rng, samples):
     witness per (t, i) works for all of them."""
     pos, exhaustive = _iter_group(ctx, rng, samples)
     lbar_fixer = fixer(ctx.instance, ctx.frame.lbar0).gl_mask()
-    a_codes, pa = ctx.instance.gl_codes[pos], ctx.rows(pos)
+    a_codes = ctx.instance.gl_codes[pos]
+    pa = ctx.instance.perm(a_codes)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     painv = np.argsort(pa, axis=1)
     found = None
@@ -250,7 +242,8 @@ def _cond_4(ctx, mode, rng, samples):
 def _cond_5(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
     inst = ctx.instance
-    g_codes, pg = inst.gl_codes[pos], ctx.rows(pos)
+    g_codes = inst.gl_codes[pos]
+    pg = inst.perm(g_codes)
     meet = ctx.lat.meet_table
     found = None
     for i in range(ctx.n):
@@ -306,7 +299,7 @@ def _cond_6(ctx, mode, rng, samples):
     l0p = set(inst.l0_prime().members)
     if samples is not None:
         idx = rng.integers(0, len(ctx.g), size=(samples, 2))
-        frows, grows = ctx.rows(idx[:, 0]), ctx.rows(idx[:, 1])
+        frows, grows = inst.perm(inst.gl_codes[idx.T]).reshape(2, samples, -1)
 
     def failure(i, j, x, f_idx, g_idx):
         f, g = (int(c) for c in inst.gl_codes[[f_idx, g_idx]])
@@ -485,7 +478,8 @@ def _cond_11(ctx, mode, rng, samples):
     pos, exhaustive = _iter_group(ctx, rng, samples)
     pairs = [(i, j) for i in range(ctx.n) for j in range(ctx.n) if i != j]
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
-    pa = ctx.rows(pos)
+    a_codes = ctx.instance.gl_codes[pos]
+    pa = ctx.instance.perm(a_codes)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
     cols, xs = [], []
@@ -496,7 +490,6 @@ def _cond_11(ctx, mode, rng, samples):
         img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
         xs.append(ctx.support[img[:, :, ii], jj])  # [a, h, (i, j)] = x
     xs = np.concatenate(xs, axis=1)
-    a_codes = ctx.instance.gl_codes[pos]
     # <D, a> = <D, d a d'>, each lying in the other's group with D: one closure per label
     keys, firsts, label = np.unique(
         double_coset_key(ctx.instance, a_codes), return_index=True, return_inverse=True
@@ -564,7 +557,7 @@ def _prime_2(ctx, mode, rng, samples):
     for x in atoms_l:
         key = tuple(int(v) for v in ctx.support[x])
         orbits.setdefault(key, []).append(x)
-    diag_perms = ctx.rows(np.flatnonzero(ctx.diag.gl_mask()))
+    diag_perms = ctx.instance.perm(ctx.diag.codes)
     for key, members in orbits.items():
         base = members[0]
         reach = set(diag_perms[:, base].tolist())
@@ -675,11 +668,11 @@ def replay_witness(instance, witness: dict) -> bool:
 
 def _replay_cond_3(ctx, mode, w):
     (i,) = ctx.witness_indices(w, "i")
-    pa = ctx.code_rows(gl_code_list(ctx.instance, [w.get("a")]))[0]
+    pa = ctx.instance.perm(gl_code_list(ctx.instance, [w.get("a")]))[0]
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
-    for ph in ctx.rows(np.flatnonzero(ctx.axis(i).gl_mask())):
+    for ph in ctx.instance.perm(ctx.axis(i).codes):
         if all(
             int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
             for x in ctx.frame.atom_downsets[i]
@@ -690,7 +683,7 @@ def _replay_cond_3(ctx, mode, w):
 
 def _replay_cond_6(ctx, mode, w):
     i, j, x = ctx.witness_indices(w, "ijx")
-    pf, pg = ctx.code_rows(gl_code_list(ctx.instance, [w.get("f"), w.get("g")]))
+    pf, pg = ctx.instance.perm(gl_code_list(ctx.instance, [w.get("f"), w.get("g")]))
     if not ctx.lat.leq(
         int(ctx.support[pf[ctx.atoms[i]], j]), int(ctx.support[pg[ctx.atoms[i]], j])
     ):

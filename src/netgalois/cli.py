@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="also write a (non-deterministic) timing sidecar next to --out",
         )
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
+            p.add_argument(
+                "--seed", type=_nonnegative_int, default=0, help="seed for sampled modes"
+            )
 
     p = sub.add_parser("build", help="build an instance and summarise its lattice")
     common(p, cap=False)
@@ -493,10 +495,17 @@ def _positive_int(value: str) -> int:
     return count
 
 
+def _nonnegative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
+    return number
+
+
 def _jobs_arg(value: str) -> int:
     if value == "max":
         return os.cpu_count() or 1
-    return int(value)
+    return _positive_int(value)
 
 
 def main(argv=None) -> int:

@@ -95,7 +95,6 @@ class Instance:
         self.support_table = np.array(
             [self.frame.support(x).parts for x in range(len(self.lattice))], dtype=np.int32
         )
-        self._perm_cache: dict[int, np.ndarray] = {}
         self._caches: dict = {}
         self._gl = None
         self._diag = None
@@ -269,14 +268,12 @@ class Instance:
             col = images[x] = self.act_batch(self.gl_codes, x).astype(dtype)
         return col
 
-    def perm(self, mat: np.ndarray) -> np.ndarray:
-        code = self.code_of_mat(mat)
-        cached = self._perm_cache.get(code)
-        if cached is None:
-            elements = range(len(self.lattice))
-            cached = np.array([self.act_batch(code, x)[0] for x in elements], dtype=np.int32)
-            self._perm_cache[code] = cached
-        return cached
+    def perm(self, codes) -> np.ndarray:
+        """Lattice permutations of a batch of codes, one row each: entry
+        [k, x] is the index of g_k(x), one `act_batch` pass per element."""
+        dtype = np.min_scalar_type(len(self.lattice) - 1)
+        elements = range(len(self.lattice))
+        return np.stack([self.act_batch(codes, x).astype(dtype) for x in elements], axis=1)
 
     def mat_of_code(self, code: int) -> np.ndarray:
         return rings.unpack_matrices(np.int64(code), self.modulus, self.n)

@@ -11,16 +11,17 @@ sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
 (`fix_mask`) is that column compared with x, every fixer is an AND of fix
 masks, and the transvection tables gather per-element support tables by the
 columns.  Smaller batches of codes (generators, members of a subgroup) go
-through `fixes_mask`.  Every closure is one BFS on the cosets of the row
-scalings inside a seed subgroup (`coset_closure`), by table lookups on the
-row codes and no matrix product: D scales rows, and a matrix acting on the
-right acts on each row alone.  `close_subgroup` runs it over the trivial
-subgroup, and `double_coset_key` reads the same row-scale table.  The one
-normality routine is `normalizes`: every f of a call against chunks of the
-s, one broadcast product per chunk, read for the first failing (f, s).
-`is_normal_in` and the exhaustive `conjugation_closure_check` (one f per
-right coset of the subgroup) call it; only the sampled check conjugates
-aligned (f, s) pairs of its own.
+through `fixes_mask`, or through `Instance.perm` where whole lattice
+permutations are read (`axis_subgroup`, `classify_transvection`).  Every
+closure is one BFS on the cosets of the row scalings inside a seed subgroup
+(`coset_closure`), by table lookups on the row codes and no matrix product:
+D scales rows, and a matrix acting on the right acts on each row alone.
+`close_subgroup` runs it over the trivial subgroup, and `double_coset_key`
+reads the same row-scale table.  The one normality routine is `normalizes`:
+every f of a call against chunks of the s, one broadcast product per chunk,
+read for the first failing (f, s).  `is_normal_in` and the exhaustive
+`conjugation_closure_check` (one f per right coset of the subgroup) call it;
+only the sampled check conjugates aligned (f, s) pairs of its own.
 """
 
 from __future__ import annotations
@@ -381,19 +382,10 @@ def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
 
 def axis_subgroup(instance, i: int) -> Subgroup:
     """Frame-stabiliser members fixing every element supported away from atom i."""
-    lat = instance.lattice
-    away = [
-        x
-        for x in range(len(lat))
-        if int(instance.support_table[x, i]) == lat.bottom
-    ]
-    diag = instance.diagonal()
-    keep = []
-    for code in diag.codes.tolist():
-        perm = instance.perm(instance.mat_of_code(code))
-        if all(perm[x] == x for x in away):
-            keep.append(code)
-    return Subgroup(instance, instance.mask_of(keep), closed=False)
+    away = np.flatnonzero(instance.support_table[:, i] == instance.lattice.bottom)
+    codes = instance.diagonal().codes
+    keep = np.all(instance.perm(codes)[:, away] == away, axis=1)
+    return Subgroup(instance, instance.mask_of(codes[keep]), closed=False)
 
 
 def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
@@ -406,7 +398,7 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
     if i == j:
         raise InputError("transvections need i != j")
     lat = instance.lattice
-    perm = instance.perm(np.asarray(mat, dtype=np.int64))
+    perm = instance.perm([instance.code_of_mat(mat)])[0]
     frame = instance.frame
     for s in range(instance.n):
         if s == i:

@@ -6,7 +6,7 @@ generated by the frame stabiliser plus one extra group element.
 2. pick one representative per key: its first row in code order;
 3. close <D, rep> once per representative (`verify_one`) and verify each new
    subgroup fingerprint once; the exhaustive normality check conjugates by
-   one element per left coset of the canonical fixer;
+   one element per right coset G f of the canonical fixer G;
 4. emit the rows from the tables key -> fingerprint -> detail.
 Worker processes fork after the parent prewarms the shared caches and take
 representatives round-robin.  Each fingerprint keeps the detail of its
@@ -123,7 +123,8 @@ def sweep_cyclic(
     order = np.argsort(firsts)  # labels by first row
     reps = [codes[i] for i in firsts[order].tolist()]
 
-    jobs = 1 if len(reps) < 4 else max(1, jobs or os.cpu_count() or 1)
+    # no more workers than representatives: a worker without one would idle
+    jobs = 1 if len(reps) < 4 else min(len(reps), max(1, jobs or os.cpu_count() or 1))
     _WORKER.update(instance=instance, opts=opts)
     try:
         if jobs == 1:

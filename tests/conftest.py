@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -157,3 +162,45 @@ def _act_reference(inst, mats, x):
 @pytest.fixture(scope="session")
 def act_reference():
     return _act_reference
+
+
+_CLI = "import sys\nfrom netgalois.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+_PEAK_AT_EXIT = """
+import atexit
+
+
+def _write_peak(path={path!r}):
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    with open(path, "w") as out:
+        out.write(str(kb // 1024))
+
+
+atexit.register(_write_peak)
+"""
+
+
+def _run_measured(args, script=_CLI, timeout=1200):
+    """Run Python source (by default the CLI) with these arguments in a child
+    process; return the completed process and the child's own peak RSS in MB,
+    its VmHWM at exit (None if it was killed before its exit handlers ran).
+    `RUSAGE_CHILDREN.ru_maxrss` would not do: Linux carries the spawning
+    process's high-water mark across exec, so every child of the test session
+    would read at least the session's peak."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "peak_mb")
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_AT_EXIT.format(path=path) + script, *args],
+            capture_output=True, text=True, timeout=timeout, env=env,
+        )
+        if not os.path.exists(path):
+            return proc, None
+        with open(path) as fh:
+            return proc, int(fh.read())
+
+
+@pytest.fixture(scope="session")
+def run_measured():
+    return _run_measured

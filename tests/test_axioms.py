@@ -1,9 +1,5 @@
 import hashlib
 import json
-import os
-import resource
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -81,8 +77,8 @@ def test_found_witness_for_support_transfer_is_genuine(f7):
     v = check_condition(f7, "8")
     w = v.found
     i, j = w["i"], w["j"]
-    pf = f7.perm(f7.mat_of_code(w["f"]))
-    pg = f7.perm(f7.mat_of_code(w["g"]))
+    pf = f7.perm([w["f"]])[0]
+    pg = f7.perm([w["g"]])[0]
     for u in f7.frame.atom_downsets[i]:
         assert f7.support_table[pf[u], j] == f7.support_table[pg[u], j]
 
@@ -125,6 +121,20 @@ def test_sampled_conditions_hold_z49(z49):
     for cid in ("3", "5", "6", "11"):
         v = check_condition(z49, cid, samples=10)
         assert v.holds, (cid, v.witness)
+
+
+def test_sampled_conditions_read_gl_columns_of_atom_downsets_only():
+    """On a fresh Z/49 instance the sampled outer elements and the axis
+    candidates get their lattice rows from `Instance.perm`: the only
+    `gl_image` columns built are those the GL-wide masks read, of elements
+    below an atom (4 of the 75)."""
+    inst = Instance(RingSpec(7, 2), 2)
+    for cid in ("3", "5", "6", "11"):
+        assert check_condition(inst, cid, samples=10).holds, cid
+    below_atoms = set().union(*inst.frame.atom_downsets)
+    built = set(inst._caches["gl_images"])
+    assert built <= below_atoms
+    assert len(built) == 4
 
 
 @pytest.mark.slow
@@ -181,7 +191,7 @@ def _reference_cond_11(inst, orbit_min, samples=None, seed=0):
         codes = np.random.default_rng(seed).choice(g.codes, size=samples, replace=True).tolist()
 
     def perm(code):
-        return inst.perm(inst.mat_of_code(int(code)))
+        return inst.perm([code])[0]
 
     pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j]
     axis_perms = []
@@ -287,9 +297,9 @@ def test_condition_6_pair_classes_match_full_table(f7, z9):
 
 def test_condition_11_call_counts(monkeypatch):
     """The exhaustive F7 check makes no per-element permutation or
-    membership calls: only the axis subgroups call Instance.perm (once per
-    diagonal element and axis), and each double-coset label costs one
-    membership pass."""
+    membership calls: Instance.perm runs once over the outer elements and
+    twice per axis (its subgroup, then its rows), and each double-coset label
+    costs one membership pass."""
     inst = Instance(RingSpec(7, 1), 2)
     calls = {"perm": 0, "contains_many": 0}
 
@@ -304,7 +314,7 @@ def test_condition_11_call_counts(monkeypatch):
     monkeypatch.setattr(Subgroup, "contains_many", counted("contains_many", Subgroup.contains_many))
     assert check_condition(inst, "11").holds
     labels = np.unique(double_coset_key(inst, inst.gl().codes))
-    assert calls["perm"] <= 2 * len(inst.diagonal())
+    assert calls["perm"] <= 1 + 2 * inst.n
     assert calls["contains_many"] <= labels.size
 
 
@@ -533,27 +543,24 @@ def test_exhaustive_f3n3_fails_11_and_4p_with_replayable_witnesses(f3n3):
 
 
 @pytest.mark.slow
-def test_exhaustive_z49_suite_stays_under_the_memory_cap(tmp_path):
+def test_exhaustive_z49_suite_stays_under_the_memory_cap(tmp_path, run_measured):
     """Conditions 1-12 in the default mode on Z/49 (|GL| = 4 840 416) in a
-    subprocess: exhaustive verdicts, peak child RSS under 2 GB, and every
-    failing witness replays."""
+    subprocess: exhaustive verdicts, the child's own peak RSS under the 2 GB
+    cap and under 700 MB, and every failing witness replays.  The outer
+    elements' lattice permutations come from `Instance.perm` over their codes,
+    not from a `gl_image` column of every lattice element."""
     spec = tmp_path / "z49n2.json"
     spec.write_text(json.dumps({"ring": {"kind": "chain", "p": 7, "k": 2}, "n": 2}))
     out = tmp_path / "axioms.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-
-    def run(*args):
-        cmd = [sys.executable, "-m", "netgalois.cli", *args, "--instance", str(spec)]
-        return subprocess.run(cmd, capture_output=True, text=True, timeout=1200, env=env)
-
-    proc = run("check-axioms", "--conditions", "1-12", "--report-only", "--out", str(out))
+    args = ["check-axioms", "--conditions", "1-12", "--report-only", "--out", str(out)]
+    proc, peak_mb = run_measured(args + ["--instance", str(spec)])
     assert proc.returncode == 0, proc.stderr
     verdicts = json.loads(out.read_text())["verdicts"]
     assert len(verdicts) == 13
     assert all(v["exhaustive"] and v["samples"] is None for v in verdicts)
-    peak_child_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    assert peak_child_mb < 2048
-    proc = run("replay", "--report", str(out))
+    assert peak_mb < 2048
+    assert peak_mb < 700
+    proc, _ = run_measured(["replay", "--report", str(out), "--instance", str(spec)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     failing = sum(not v["holds"] for v in verdicts)
     assert f"{failing} reproduced" in proc.stdout

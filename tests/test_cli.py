@@ -245,6 +245,53 @@ def test_z9_sweep_reports_do_not_depend_on_jobs(z9_sweep, tmp_path):
         assert out.read_bytes() == one.read_bytes()
 
 
+def test_sweep_starts_no_more_workers_than_representatives(f7_spec, tmp_path, monkeypatch):
+    """F7 has 11 representatives, so `--jobs 64` opens a pool of 11 workers,
+    and the report is the one-job report.  The pool maps in this process."""
+    from types import SimpleNamespace
+
+    from netgalois import sweep
+
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    context = SimpleNamespace(Pool=InProcessPool)
+    monkeypatch.setattr(sweep, "mp", SimpleNamespace(get_context=lambda method: context))
+    one, many = str(tmp_path / "one.json"), str(tmp_path / "many.json")
+    base = ["sweep", "--instance", f7_spec]
+    assert main(base + ["--jobs", "1", "--out", one]) == 0
+    assert main(base + ["--jobs", "64", "--out", many]) == 0
+    assert opened == [11]
+    assert open(one, "rb").read() == open(many, "rb").read()
+
+
+def test_seed_and_jobs_out_of_range_exit_2(f7_spec):
+    """A negative seed, which numpy's generators reject, and fewer than one
+    worker are refused when the arguments are parsed."""
+    for args in (
+        ["check-axioms", "--seed", "-1"],
+        ["check-axioms", "--mode", "sampled", "--seed", "-1"],
+        ["sweep", "--sample", "3", "--seed", "-5"],
+        ["sweep", "--jobs", "0"],
+        ["sweep", "--jobs", "-2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--instance", f7_spec])
+        assert exc.value.code == 2, args
+
+
 def test_sweep_verifies_once_per_double_coset(f7_spec, tmp_path, monkeypatch):
     from netgalois import sweep
 

@@ -207,11 +207,26 @@ def test_act_batch_chunks_agree_with_single_action(f7, monkeypatch, act_referenc
         assert np.array_equal(imgs, act_reference(f7, mats, x))
 
 
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
+def test_perm_rows_are_the_action(name, request, act_reference, member_mats):
+    """Row k of `perm` is g_k applied to every lattice element, in the
+    `gl_image` dtype, for all of GL; an empty batch has no rows."""
+    inst = request.getfixturevalue(name)
+    gl = inst.gl()
+    rows = inst.perm(gl.codes)
+    assert rows.shape == (len(gl), len(inst.lattice))
+    assert rows.dtype == inst.gl_image(0).dtype == np.min_scalar_type(len(inst.lattice) - 1)
+    mats = member_mats(gl)
+    for x in range(len(inst.lattice)):
+        assert np.array_equal(rows[:, x], act_reference(inst, mats, x))
+    assert inst.perm([]).shape == (0, len(inst.lattice))
+
+
 def test_identity_and_diagonal_fix_coordinates(f7):
-    ident_perm = f7.perm(f7.identity)
+    ident_perm = f7.perm([f7.code_of_mat(f7.identity)])[0]
     assert np.array_equal(ident_perm, np.arange(len(f7.lattice)))
     diag = np.diag(np.array([2, 1]))
-    perm = f7.perm(diag)
+    perm = f7.perm([f7.code_of_mat(diag)])[0]
     for x in (f7.lattice.bottom, *f7.atoms, f7.lattice.top):
         assert perm[x] == x
 

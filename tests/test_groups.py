@@ -1,7 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -305,6 +302,25 @@ def test_fixed_lattice_examples(f7, z49):
     assert fixed_lattice(z49, full).members == fixed.members
 
 
+def test_axis_subgroup_is_one_batched_perm(z49, monkeypatch):
+    """The axis subgroup reads one `perm` over D's codes: one `act_batch` call
+    per lattice element, not one permutation per member of D."""
+    from netgalois.glnr import Instance
+
+    calls = []
+    act_batch = Instance.act_batch
+
+    def counted(self, codes, x):
+        calls.append(x)
+        return act_batch(self, codes, x)
+
+    monkeypatch.setattr(Instance, "act_batch", counted)
+    for i in range(z49.n):
+        calls.clear()
+        assert len(axis_subgroup(z49, i)) == len(z49.diagonal())
+        assert len(calls) <= len(z49.lattice)
+
+
 def test_axis_subgroup_by_definition(f7, z49):
     """Brute-force filter: members of the stabiliser fixing every element
     whose support misses the axis."""
@@ -318,7 +334,7 @@ def test_axis_subgroup_by_definition(f7, z49):
             ]
             expect = []
             for code in inst.diagonal().codes.tolist():
-                perm = inst.perm(inst.mat_of_code(code))
+                perm = inst.perm([code])[0]
                 if all(perm[x] == x for x in away):
                     expect.append(code)
             got = axis_subgroup(inst, i)
@@ -706,12 +722,10 @@ def test_z49_setup_builds_no_gl_matrix_array(monkeypatch):
 
 
 @pytest.mark.slow
-def test_exhaustive_z49_normality_stays_under_the_memory_cap():
+def test_exhaustive_z49_normality_stays_under_the_memory_cap(run_measured):
     """G(K(F)) is normal in F for all 11 distinct <D, g> on Z/49, by the
     exhaustive conjugation check, in a subprocess whose own peak RSS stays
-    under 700 MB (the chunked member sets are never held unpacked).  The
-    child reads its peak as VmHWM: its `ru_maxrss` starts from the peak of
-    the process that spawned it, here the whole test session."""
+    under 700 MB (the chunked member sets are never held unpacked)."""
     script = """
 import numpy as np
 from netgalois.glnr import Instance
@@ -729,17 +743,11 @@ verdicts = [
     for f in subgroups.values()
 ]
 print(len(verdicts), all(v == (True, None) for v in verdicts))
-with open("/proc/self/status") as fh:
-    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) // 1024)
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=1200, env=env
-    )
+    proc, peak_mb = run_measured([], script=script)
     assert proc.returncode == 0, proc.stderr
-    counted, peak_mb = proc.stdout.split("\n")[:2]
-    assert counted == "11 True"
-    assert int(peak_mb) < 700
+    assert proc.stdout.split("\n")[0] == "11 True"
+    assert peak_mb < 700
 
 
 def test_same_transvections(f7):

@@ -387,8 +387,8 @@ def test_conjugated_ideal_supports_stay_bounded(f7):
         rng = np.random.default_rng(31)
         sample = rng.choice(sub.codes, size=min(60, len(sub)), replace=False)
         for code in sample.tolist():
-            pa = f7.perm(f7.mat_of_code(int(code)))
-            painv = f7.perm(f7.inv(f7.mat_of_code(int(code))))
+            pa = f7.perm([code])[0]
+            painv = f7.perm([f7.code_of_mat(f7.inv(f7.mat_of_code(int(code))))])[0]
             for i in range(2):
                 for s in range(2):
                     u_s = lat.join_many(
