@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     axis_subgroup,
     coset_closure,
     double_coset_key,
@@ -84,12 +85,13 @@ class ConditionVerdict:
 class _Ctx:
     """Shared per-instance precomputations for the condition checkers."""
 
-    def __init__(self, instance):
+    def __init__(self, instance, cap: int = DEFAULT_CLOSURE_CAP):
         self.instance = instance
+        self.cap = cap
         self.lat = instance.lattice
         self.frame = instance.frame
         self.n = instance.n
-        self.g = instance.gl()
+        self.g = instance.gl(cap=cap)
         self.diag = instance.diagonal()
         self.atoms = instance.atoms
         self.support = instance.support_table
@@ -124,7 +126,7 @@ class _Ctx:
         """
         key = ("closure_with", tuple(sorted(keys)))
         if key not in self.instance._caches:
-            closure = coset_closure(self.instance, self.diag, list(key[1]))
+            closure = coset_closure(self.instance, self.diag, list(key[1]), cap=self.cap)
             self.instance._caches[key] = intern_subgroup(self.instance, closure)
         return self.instance._caches[key]
 
@@ -605,6 +607,7 @@ def check_condition(
     mode: str | None = None,
     seed: int = 0,
     samples: int | None = None,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> ConditionVerdict:
     """Run one condition; samples=None means exhaustive quantification."""
     checker = _CHECKERS.get(cond_id)
@@ -612,7 +615,7 @@ def check_condition(
         raise InputError(f"unknown condition id {cond_id!r}")
     if mode is None:
         mode = AMBIGUOUS.get(cond_id, ("as_stated",))[0]
-    ctx = _Ctx(instance)
+    ctx = _Ctx(instance, cap)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     holds, witness, found, exhaustive, used = checker(ctx, mode, rng, samples)
@@ -637,6 +640,7 @@ def check_all(
     seed: int = 0,
     samples: int | None = None,
     include_rank_one: bool | None = None,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[ConditionVerdict]:
     """Ordered verdicts for the requested conditions, both readings where
     ambiguous; `samples=None` is exhaustive on every instance."""
@@ -652,17 +656,17 @@ def check_all(
     out = []
     for cid in conditions:
         for mode in AMBIGUOUS.get(cid, ("as_stated",)):
-            out.append(check_condition(instance, cid, mode=mode, seed=seed, samples=samples))
+            out.append(check_condition(instance, cid, mode, seed, samples, cap))
     return out
 
 
-def replay_witness(instance, witness: dict) -> bool:
+def replay_witness(instance, witness: dict, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     """True iff the recorded witness still demonstrates the failure."""
     cid = witness.get("condition")
     mode = witness.get("mode", "as_stated")
     if cid not in _CHECKERS:
         raise InputError(f"witness references unknown condition {cid!r}")
-    ctx = _Ctx(instance)
+    ctx = _Ctx(instance, cap)
     return _REPLAYERS[cid](ctx, mode, witness)
 
 
@@ -719,7 +723,7 @@ def _replay_cond_11(ctx, mode, w):
 
 def _replay_generic(ctx, mode, w):
     cid = w["condition"]
-    verdict = check_condition(ctx.instance, cid, mode=mode, samples=None)
+    verdict = check_condition(ctx.instance, cid, mode=mode, samples=None, cap=ctx.cap)
     return not verdict.holds
 
 

@@ -159,7 +159,9 @@ def cmd_check_axioms(args) -> int:
     samples = None
     if args.mode == "sampled":
         samples = args.samples
-    verdicts = check_all(instance, conditions=conditions, seed=args.seed, samples=samples)
+    verdicts = check_all(
+        instance, conditions=conditions, seed=args.seed, samples=samples, cap=args.cap
+    )
     records = [v.to_record() for v in verdicts]
     all_hold = all(v.holds for v in verdicts)
     report = make_report(
@@ -347,7 +349,7 @@ def cmd_replay(args) -> int:
         if "condition" in witness:
             if instance is None:
                 raise InputError("condition witnesses need --instance")
-            return replay_witness(instance, witness)
+            return replay_witness(instance, witness, cap=args.cap)
         return None
 
     def reverify_subgroup(subgroup, seed, failed_ids) -> bool:

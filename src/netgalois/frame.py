@@ -5,7 +5,7 @@ top coincide with the lattice's, all atoms having equal height m.  The
 support of an element x is the componentwise-minimal tuple (x_1..x_n) with
 x_i <= e_i and x <= x_1 + ... + x_n; it is computed throughout by the closed
 formula [x]_i = (x + hat_i) * e_i, where hat_i is the join of the other
-atoms.  The exponential minimal-tuple search survives only as a test oracle.
+atoms.
 """
 
 from __future__ import annotations
@@ -68,22 +68,6 @@ class Frame:
             cached = Collection(self, parts)
             self._support[x] = cached
         return cached
-
-    def support_brute(self, x: int) -> "Collection":
-        """Componentwise minimum over all covering tuples; exponential oracle."""
-        lat = self.lattice
-        best = None
-        for parts in itertools.product(*self.atom_downsets):
-            if lat.leq(x, lat.join_many(parts)):
-                if best is None:
-                    best = list(parts)
-                else:
-                    best = [lat.meet(a, b) for a, b in zip(best, parts)]
-        if best is None:
-            raise InputError(f"element {x} is not covered by any componentwise tuple")
-        if not lat.leq(x, lat.join_many(best)):
-            raise InputError(f"covering tuples of {x} are not meet-closed")
-        return Collection(self, best)
 
     def in_lbar0(self, x: int) -> bool:
         return x in self._lbar0_set

@@ -91,7 +91,7 @@ class Instance:
         self.n = n
         self.modulus = ring.modulus
         self._build_lattice(lattice_cap)
-        self.frame = Frame(self.lattice, [self.cyclic_index[self._unit_vec_code(i)] for i in range(n)])
+        self.frame = Frame(self.lattice, [self.cyclic_index[self.modulus**i] for i in range(n)])
         self.support_table = np.array(
             [self.frame.support(x).parts for x in range(len(self.lattice))], dtype=np.int32
         )
@@ -102,58 +102,61 @@ class Instance:
 
     # -- construction -------------------------------------------------------
 
-    def _unit_vec_code(self, i: int) -> int:
-        return self.modulus**i
-
     def _build_lattice(self, cap: int):
         ring, n, m = self.ring, self.n, self.modulus
         vec_total = m**n
         all_vecs = rings.unpack_vectors(np.arange(vec_total), m, n)
+        forms, sizes, index = [], [], {}
+        members = np.zeros((64, vec_total), dtype=np.int64)  # row i: forms[i]'s members, 0/1
 
-        # cyclic submodules first; every submodule is a join of those
-        forms: dict[bytes, np.ndarray] = {}
-        vec_form_key = {}
-        cyclic_rep_vecs = []
+        def add(form) -> int:
+            nonlocal members
+            if form.tobytes() not in index:
+                if len(forms) == len(members):
+                    members = np.vstack([members, np.zeros_like(members)])
+                span = rings.span_codes(form, ring)
+                members[len(forms), span] = 1
+                sizes.append(span.size)
+                index[form.tobytes()] = len(forms)
+                forms.append(form)
+                if len(forms) > cap:
+                    raise CapExceeded(f"submodule lattice exceeds {cap} elements", len(forms))
+            return index[form.tobytes()]
+
+        # cyclic submodules first; every submodule is a join of those.  R is
+        # local, so Rv = Rw iff w = u v for a unit u (w = a v with a in (p)
+        # gives Rw in p Rv, short of Rv by Nakayama): forms[c] is R gens[c]
+        orbits = rings.pack_vectors(all_vecs[:, None] * np.array(ring.units())[:, None] % m, m)
+        cyclic, gens = np.full(vec_total, -1), []
         for code in range(vec_total):
-            form = rings.howell_form(all_vecs[code][None, :], ring)
-            key = form.tobytes()
-            if key not in forms:
-                forms[key] = form
-                cyclic_rep_vecs.append(all_vecs[code])
-            vec_form_key[code] = key
+            if cyclic[code] < 0:
+                cyclic[orbits[code]] = add(rings.howell_form(all_vecs[code][None, :], ring))
+                gens.append(code)
 
-        # close under joins with cyclic generators, all in canonical-form algebra
-        frontier = list(forms)
-        while frontier:
-            new = []
-            for key in frontier:
-                base = forms[key]
-                for v in cyclic_rep_vecs:
-                    joined = rings.howell_form(np.vstack([base, v[None, :]]), ring)
-                    jkey = joined.tobytes()
-                    if jkey not in forms:
-                        forms[jkey] = joined
-                        new.append(jkey)
-                        if len(forms) > cap:
-                            raise CapExceeded(
-                                f"submodule lattice exceeds {cap} elements", len(forms)
-                            )
-            frontier = new
+        # close under joins with cyclic generators, each form a base once, all
+        # in canonical-form algebra.  A known S holding base and v with |S| =
+        # |base| |Rv| / |base n Rv| = |base + Rv| (second isomorphism theorem)
+        # is base + Rv, and then that join needs no form
+        base = 0
+        while base < len(forms):
+            known, size = members[: len(forms)], np.array(sizes)
+            inter = known @ known[base]
+            joined_size = size[base] * size[: len(gens)] // inter[: len(gens)]
+            above = inter == size[base]
+            done = np.any((known[above][:, gens] > 0) & (size[above, None] == joined_size), axis=0)
+            for c, code in enumerate(gens):
+                if not done[c]:
+                    joined = add(rings.howell_form(np.vstack([forms[base], all_vecs[code]]), ring))
+                    done |= (members[joined, gens] > 0) & (sizes[joined] == joined_size)
+            base += 1
 
-        span_of = {key: rings.span_codes(form, ring) for key, form in forms.items()}
-        labels = {key: self._label_of_form(form) for key, form in forms.items()}
-        ordered = sorted(forms, key=lambda k: (span_of[k].size, labels[k]))
-        index = {key: i for i, key in enumerate(ordered)}
-        nelt = len(ordered)
-
-        self.basis_rows = [forms[key][np.any(forms[key], axis=1)] for key in ordered]
-        self.cyclic_index = np.full(vec_total, -1, dtype=np.int32)
-        for code in range(vec_total):
-            self.cyclic_index[code] = index[vec_form_key[code]]
-
-        self.membership = np.zeros((nelt, vec_total), dtype=bool)
-        for i, key in enumerate(ordered):
-            self.membership[i, span_of[key]] = True
+        labels = [";".join(",".join(map(str, row)) for row in form.tolist()) for form in forms]
+        ordered = sorted(range(len(forms)), key=lambda i: (sizes[i], labels[i]))
+        rank = np.empty(len(forms), dtype=np.int32)
+        rank[ordered] = np.arange(len(forms))
+        self.basis_rows = [forms[i][np.any(forms[i], axis=1)] for i in ordered]
+        self.cyclic_index = rank[cyclic]
+        self.membership = members[ordered] > 0
 
         # act_batch's tables: entry [r, j, w] is m^j (r . w mod m), for basis
         # row r of the element and the m^n row codes w
@@ -165,10 +168,7 @@ class Instance:
 
         # meets and joins read off the member sets, each certified by its size
         meet, join = lattice_tables(self.membership)
-        self.lattice = FiniteLattice(meet, join, [labels[k] for k in ordered])
-
-    def _label_of_form(self, form: np.ndarray) -> str:
-        return ";".join(",".join(str(int(x)) for x in row) for row in form[: self.n])
+        self.lattice = FiniteLattice(meet, join, [labels[i] for i in ordered])
 
     # -- basic data ---------------------------------------------------------
 
@@ -255,17 +255,38 @@ class Instance:
     def gl_image(self, x: int) -> np.ndarray:
         """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
 
-        One `act_batch` pass over `gl_codes` per element, cached: every
-        GL-wide question about where g sends x reads this column, and a
-        predicate on g(x) becomes a table over the lattice gathered by it.
+        Cached per element: every GL-wide question about where g sends x
+        reads this column, and a predicate on g(x) becomes a table over the
+        lattice gathered by it.  Each g is R-linear and permutes submodules,
+        so g(a + b) = g(a) + g(b) and g(p y) = p g(y): a non-cyclic x, the
+        join of its basis rows' cyclic submodules, joins their columns; a
+        cyclic x = R(p w) scales the column of Rw; only a cyclic x with a
+        unimodular generator takes an `act_batch` pass, constant at bottom.
         """
         images = self._caches.setdefault("gl_images", {})
         x = int(x)
         col = images.get(x)
         if col is None:
             self.gl()
-            dtype = np.min_scalar_type(len(self.lattice) - 1)
-            col = images[x] = self.act_batch(self.gl_codes, x).astype(dtype)
+            m, n, p, lat = self.modulus, self.n, self.ring.p, self.lattice
+            dtype = np.min_scalar_type(len(lat) - 1)
+            gens = np.flatnonzero(self.cyclic_index == x)
+            vec = rings.unpack_vectors(gens[:1], m, n)
+            if not gens.size:
+                rows = self.cyclic_index[rings.pack_vectors(self.basis_rows[x], m)]
+                col, join = self.gl_image(rows[0]), lat.join_table.astype(dtype)
+                for row in rows[1:]:
+                    col = join[col, self.gl_image(row)]
+            elif np.any(vec % p) or x == lat.bottom:
+                col = self.act_batch(self.gl_codes, x).astype(dtype)
+            else:
+                # x = p Rw for w = v / p, and p Rv = R(p v): g(Rw) is cyclic,
+                # so only the cyclic entries of `scale` are read
+                scale = np.zeros(len(lat), dtype=dtype)
+                vecs = rings.unpack_vectors(np.arange(m**n), m, n)
+                scale[self.cyclic_index] = self.cyclic_index[rings.pack_vectors(vecs * p % m, m)]
+                col = scale[self.gl_image(self.cyclic_index[rings.pack_vectors(vec[0] // p, m)])]
+            images[x] = col
         return col
 
     def perm(self, codes) -> np.ndarray:
@@ -291,28 +312,45 @@ class Instance:
     # -- groups -------------------------------------------------------------
 
     def gl(self, cap: int = DEFAULT_GROUP_CAP):
-        """The whole group; also fills `gl_codes` (ascending) and the `positions` index."""
+        """The whole group; also fills `gl_codes` (ascending) and the `positions` index.
+
+        A matrix over Z/p^k is invertible iff its reduction mod p is (its
+        determinant is a unit iff it is nonzero mod p), so determinants run
+        over the p^(n^2) residue matrices only, in chunks.  For k = 1 the
+        residue code is the code itself; for k > 1 each code reads the verdict
+        at its residue code, the sum over rows i of p^(n i) times the residue
+        code of row i, from an m^n-entry table.
+        """
         if self._gl is None:
             expected = gl_order(self.ring, self.n)
             if expected > cap:
                 raise CapExceeded(
                     f"|GL({self.n}, Z/{self.modulus})| = {expected} exceeds cap {cap}"
                 )
-            m, n = self.modulus, self.n
-            total = m ** (n * n)
-            keep = []
-            for start in range(0, total, 1 << 20):
-                codes = np.arange(start, min(start + (1 << 20), total), dtype=np.int64)
-                mats = rings.unpack_matrices(codes, m, n)
-                dets = rings.det_batch(mats, m)
-                keep.append(codes[dets % self.ring.p != 0])
-            codes = np.concatenate(keep)
+            m, n, p = self.modulus, self.n, self.ring.p
+            residues, step = p ** (n * n), 1 << 20
+            blocks = (np.arange(s, min(s + step, residues)) for s in range(0, residues, step))
+            invertible = np.concatenate(  # by residue code
+                [rings.det_batch(rings.unpack_matrices(b, p, n), p) != 0 for b in blocks]
+            )
+            if self.ring.k == 1:
+                codes = np.arange(residues, dtype=np.int64)[invertible]
+            else:
+                rows = rings.pack_vectors(rings.unpack_vectors(np.arange(m**n), m, n) % p, p)
+                low = rows  # residue codes of rows 0..n-2, in code order
+                for i in range(1, n - 1):
+                    low = (rows[:, None] * p ** (n * i) + low).ravel()
+                top, step = rows * p ** (n * (n - 1)), max(1, step // low.size)
+                codes = np.concatenate([
+                    np.flatnonzero(invertible[top[s : s + step, None] + low]) + s * low.size
+                    for s in range(0, m**n, step)
+                ])
             if codes.size != expected:
                 raise RuntimeError(
                     f"GL enumeration found {codes.size} matrices, lift count says {expected}"
                 )
             self.gl_codes = codes
-            self._gl_index = np.full(total, -1, dtype=np.int32)
+            self._gl_index = np.full(m ** (n * n), -1, dtype=np.int32)
             self._gl_index[codes] = np.arange(codes.size, dtype=np.int32)
             self._gl = intern_subgroup(
                 self, Subgroup(self, np.ones(codes.size, dtype=bool), closed=True)
@@ -571,34 +609,6 @@ def bridge_to_collection(instance: Instance, dnet: DNet):
             if i != j:
                 tau[i, j] = instance.ideal_element(int(dnet.levels[j, i]), j)
     return NetCollection(instance, tau)
-
-
-def non_dnet_fixture(instance: Instance):
-    """An order-3 ideal matrix violating the closure law, with a witness pair
-    of member matrices whose product leaves the entrywise set."""
-    if instance.n != 3:
-        raise InputError("the negative fixture is built for n = 3")
-    k = instance.ring.k
-    levels = np.zeros((3, 3), dtype=np.int64)
-    levels[0, 2] = k  # sigma_01 * sigma_12 = R not inside sigma_02 = 0
-    bad = DNet(instance.ring, levels)
-    a = np.eye(3, dtype=np.int64)
-    a[0, 1] = 1
-    b = np.eye(3, dtype=np.int64)
-    b[1, 2] = 1
-    return bad, (a, b)
-
-
-def entrywise_member(instance: Instance, dnet: DNet, mat: np.ndarray) -> bool:
-    p = instance.ring.p
-    for i in range(instance.n):
-        for j in range(instance.n):
-            if i == j:
-                continue
-            lev = int(dnet.levels[i, j])
-            if lev and mat[i, j] % p**lev != 0:
-                return False
-    return int(rings.det_batch(mat, instance.modulus)) % p != 0
 
 
 def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):

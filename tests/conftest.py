@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -6,8 +7,17 @@ import tempfile
 import numpy as np
 import pytest
 
-from netgalois.glnr import Instance
-from netgalois.rings import RingSpec, howell_form, pack_matrices, pack_vectors, unpack_matrices
+from netgalois.glnr import DNet, Instance
+from netgalois.rings import (
+    RingSpec,
+    det_batch,
+    howell_form,
+    pack_matrices,
+    pack_vectors,
+    span_codes,
+    unpack_matrices,
+    unpack_vectors,
+)
 
 
 @pytest.fixture(scope="session")
@@ -162,6 +172,125 @@ def _act_reference(inst, mats, x):
 @pytest.fixture(scope="session")
 def act_reference():
     return _act_reference
+
+
+def _gl_codes_reference(inst):
+    """Codes of GL by definition: every code of [0, m^(n^2)) whose
+    determinant over Z/p^k is a unit.  The reference for `Instance.gl`."""
+    m, n = inst.modulus, inst.n
+    codes = np.arange(m ** (n * n), dtype=np.int64)
+    return codes[det_batch(unpack_matrices(codes, m, n), m) % inst.ring.p != 0]
+
+
+@pytest.fixture(scope="session")
+def gl_codes_reference():
+    return _gl_codes_reference
+
+
+def _lattice_reference(ring, n):
+    """The submodule lattice of R^n with one Howell form per vector, closed
+    under joins with every cyclic submodule by Howell forms: its labels in
+    lattice order (by size, then label), member sets, the index of Rv for
+    every vector code v, basis rows and `act_batch` row tables.  The
+    reference for `Instance._build_lattice`."""
+    m = ring.modulus
+    vecs = unpack_vectors(np.arange(m**n), m, n)
+    forms, vec_keys = {}, []
+    for v in vecs:
+        form = howell_form(v[None, :], ring)
+        forms.setdefault(form.tobytes(), form)
+        vec_keys.append(form.tobytes())
+    cyclic = list(forms.values())
+    frontier = list(forms)
+    while frontier:
+        new = []
+        for key in frontier:
+            for c in cyclic:
+                joined = howell_form(np.vstack([forms[key], c]), ring)
+                if joined.tobytes() not in forms:
+                    forms[joined.tobytes()] = joined
+                    new.append(joined.tobytes())
+        frontier = new
+    spans = {key: span_codes(form, ring) for key, form in forms.items()}
+    labels = {
+        key: ";".join(",".join(str(v) for v in row) for row in form.tolist())
+        for key, form in forms.items()
+    }
+    ordered = sorted(forms, key=lambda key: (spans[key].size, labels[key]))
+    position = {key: i for i, key in enumerate(ordered)}
+    membership = np.zeros((len(ordered), m**n), dtype=bool)
+    for key in ordered:
+        membership[position[key], spans[key]] = True
+    basis_rows = [forms[key][np.any(forms[key], axis=1)] for key in ordered]
+    return {
+        "labels": [labels[key] for key in ordered],
+        "membership": membership,
+        "cyclic_index": np.array([position[key] for key in vec_keys]),
+        "basis_rows": basis_rows,
+        "row_tables": [
+            np.array(
+                [[[m**j * (r @ w % m) for w in vecs] for j in range(n)] for r in rows]
+            ).reshape(len(rows), n, m**n)
+            for rows in basis_rows
+        ],
+    }
+
+
+@pytest.fixture(scope="session")
+def lattice_reference():
+    return _lattice_reference
+
+
+def _support_brute(frame, x):
+    """Componentwise minimum over all covering tuples: the exponential
+    reference for `Frame.support`."""
+    lat = frame.lattice
+    best = None
+    for parts in itertools.product(*frame.atom_downsets):
+        if lat.leq(x, lat.join_many(parts)):
+            best = list(parts) if best is None else [lat.meet(a, b) for a, b in zip(best, parts)]
+    assert best is not None, f"element {x} is not covered by any componentwise tuple"
+    assert lat.leq(x, lat.join_many(best)), f"covering tuples of {x} are not meet-closed"
+    return frame.collection(best)
+
+
+@pytest.fixture(scope="session")
+def support_brute():
+    return _support_brute
+
+
+def _non_dnet_fixture(instance):
+    """An order-3 ideal matrix violating the closure law, with a witness pair
+    of member matrices whose product leaves the entrywise set."""
+    assert instance.n == 3, "the negative fixture is built for n = 3"
+    levels = np.zeros((3, 3), dtype=np.int64)
+    levels[0, 2] = instance.ring.k  # sigma_01 * sigma_12 = R not inside sigma_02 = 0
+    a = np.eye(3, dtype=np.int64)
+    a[0, 1] = 1
+    b = np.eye(3, dtype=np.int64)
+    b[1, 2] = 1
+    return DNet(instance.ring, levels), (a, b)
+
+
+@pytest.fixture(scope="session")
+def non_dnet_fixture():
+    return _non_dnet_fixture
+
+
+def _entrywise_member(instance, dnet, mat):
+    """Whether a matrix is invertible with every off-diagonal entry in its
+    prescribed ideal: membership in the entrywise net subgroup."""
+    p = instance.ring.p
+    for i, j in itertools.permutations(range(instance.n), 2):
+        lev = int(dnet.levels[i, j])
+        if lev and mat[i, j] % p**lev != 0:
+            return False
+    return int(det_batch(mat, instance.modulus)) % p != 0
+
+
+@pytest.fixture(scope="session")
+def entrywise_member():
+    return _entrywise_member
 
 
 _CLI = "import sys\nfrom netgalois.cli import main\nsys.exit(main(sys.argv[1:]))\n"

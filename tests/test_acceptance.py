@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from netgalois.glnr import Instance, enumerate_dnets, gl_order, non_dnet_fixture
+from netgalois.glnr import Instance, enumerate_dnets, gl_order
 from netgalois.groups import fixer
 from netgalois.lattice import pentagon
 from netgalois.nets import (
@@ -79,7 +79,7 @@ def test_criterion_1_instance_counts():
     report_line(1, ok, time.monotonic() - start, 5)
 
 
-def test_criterion_2_support_calculus():
+def test_criterion_2_support_calculus(support_brute):
     start = time.monotonic()
     instances = [
         Instance(RingSpec(7, 1), 2),
@@ -92,7 +92,7 @@ def test_criterion_2_support_calculus():
     for inst in instances:
         lat, frame = inst.lattice, inst.frame
         for x in range(len(lat)):
-            if frame.support(x) != frame.support_brute(x):
+            if frame.support(x) != support_brute(frame, x):
                 failures += 1
         # zero-meet exchange identity on 1000 random quadruples
         quads = rng.integers(0, len(lat), size=(1000, 4))
@@ -231,7 +231,7 @@ def test_criterion_6_chain_ring_case(workdir, run_measured):
     report_line(6, ok, time.monotonic() - start, 1200)
 
 
-def test_criterion_7_negative_controls(workdir):
+def test_criterion_7_negative_controls(workdir, non_dnet_fixture, entrywise_member):
     start = time.monotonic()
     n5 = pentagon()
     modular, witness = n5.is_modular()
@@ -239,8 +239,6 @@ def test_criterion_7_negative_controls(workdir):
 
     f7n3 = Instance(RingSpec(7, 1), 3)
     bad, (a, b) = non_dnet_fixture(f7n3)
-    from netgalois.glnr import entrywise_member
-
     ok = ok and not bad.is_valid()
     ok = ok and entrywise_member(f7n3, bad, a) and entrywise_member(f7n3, bad, b)
     ok = ok and not entrywise_member(f7n3, bad, mat_mul(a, b, f7n3.modulus))

@@ -12,11 +12,9 @@ from netgalois.glnr import (
     Instance,
     bridge_to_collection,
     bridge_to_dnet,
-    entrywise_member,
     enumerate_dnets,
     gl_order,
     net_subgroup,
-    non_dnet_fixture,
     verified_net_subgroup,
     verify_sandwich,
 )
@@ -128,7 +126,71 @@ def test_matrix_action_against_raw_image(f7, z4):
                 assert inst.act(g, x) == target[0]
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "z4n3", "f3n3"])
+def test_gl_codes_are_the_codes_with_unit_determinant(name, request, gl_codes_reference):
+    """GL read off the residue matrices against the determinant of every code."""
+    inst = request.getfixturevalue(name)
+    inst.gl()
+    assert np.array_equal(inst.gl_codes, gl_codes_reference(inst))
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "z9", "f3n3", "z4n3"])
+def test_lattice_matches_one_form_per_vector(name, request, lattice_reference):
+    """The lattice built from one Howell form per unit orbit, with joins
+    skipped on a size certificate, against one form per vector and every join
+    by its form: same labels in the same order, member sets, cyclic indices,
+    basis rows and row tables."""
+    inst = request.getfixturevalue(name)
+    ref = lattice_reference(inst.ring, inst.n)
+    assert inst.lattice.labels == ref["labels"]
+    assert np.array_equal(inst.membership, ref["membership"])
+    assert np.array_equal(inst.cyclic_index, ref["cyclic_index"])
+    for got, expect in zip(inst.basis_rows, ref["basis_rows"], strict=True):
+        assert np.array_equal(got, expect)
+    for got, expect in zip(inst.row_tables, ref["row_tables"], strict=True):
+        assert np.array_equal(got, expect)
+
+
+def test_z49_lattice_takes_one_howell_form_per_submodule(monkeypatch):
+    """A fresh Z/49 build forms each of the 65 cyclic submodules once, from
+    one vector of its unit orbit, and each of the other 10 once, as a join the
+    size certificate did not find among the known submodules (one form per
+    vector and per join made 7 276)."""
+    calls = []
+    howell_form = rings.howell_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return howell_form(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "howell_form", counted)
+    inst = Instance(rings.RingSpec(7, 2), 2)
+    assert len(inst.lattice) == len(calls) == 75
+
+
+def test_z49_setup_acts_on_all_of_gl_for_the_atoms_only(monkeypatch):
+    """Set-up on a fresh Z/49 (GL, then `prewarm`) makes one `act_batch` pass
+    over `gl_codes` that does work per unimodular cyclic column it reads, the
+    two atoms: the other columns are joins and p-multiples of those (nine
+    passes when every column took one)."""
+    from netgalois import sweep
+
+    passes = []
+    act_batch = Instance.act_batch
+
+    def counted(self, codes, x):
+        if np.size(codes) == len(getattr(self, "gl_codes", ())) and len(self.row_tables[x]):
+            passes.append(int(x))
+        return act_batch(self, codes, x)
+
+    monkeypatch.setattr(Instance, "act_batch", counted)
+    inst = Instance(rings.RingSpec(7, 2), 2)
+    inst.gl()
+    sweep.prewarm(inst, cap=10_000_000)
+    assert sorted(passes) == sorted(inst.atoms)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f3n3"])
 def test_gl_image_is_the_action_on_all_of_gl(name, request, act_reference, member_mats):
     """act_batch over all of GL against the action by definition."""
     inst = request.getfixturevalue(name)
@@ -259,7 +321,7 @@ def test_enumerate_dnets_counts(f7, z49, f7n3):
     assert len(nets3) < 2**6
 
 
-def test_non_dnet_fixture_not_closed(f7n3):
+def test_non_dnet_fixture_not_closed(f7n3, non_dnet_fixture, entrywise_member):
     bad, (a, b) = non_dnet_fixture(f7n3)
     assert not bad.is_valid()
     assert entrywise_member(f7n3, bad, a)
