@@ -332,8 +332,7 @@ def _cond_6(ctx, mode, rng, samples):
 
 
 def _realisable(ctx, i, j):
-    table = transvection_table(ctx.instance, i, j)
-    return [int(x) for x in np.unique(table[table >= 0]).tolist()]
+    return np.unique(transvection_table(ctx.instance, i, j)[1]).tolist()
 
 
 def _cond_7(ctx, mode, rng, samples):
@@ -362,10 +361,10 @@ def _cond_8(ctx, mode, rng, samples):
             sig = np.zeros(len(ctx.g), dtype=np.int64)
             for col in sig_cols:
                 sig = sig * len(ctx.lat) + col
-            table = transvection_table(inst, i, j)
+            positions, values = transvection_table(inst, i, j)
             sig_sets: dict[int, set] = {}
             for x in _realisable(ctx, i, j):
-                sig_sets[x] = set(sig[table == x].tolist())
+                sig_sets[x] = set(sig[positions[values == x]].tolist())
             sij = ctx.atom_image_support(i, j)
             for gi in pos.tolist():
                 code = int(ctx.instance.gl_codes[gi])
@@ -504,9 +503,9 @@ def _cond_11(ctx, mode, rng, samples):
             break
         inside = ctx.closure_of_keys([int(keys[k])]).gl_mask()
         meets = np.zeros((len(pairs), len(ctx.lat)), dtype=bool)
-        for p, table in enumerate(tables):
-            # T(i, j, x) = {g : table[g] = x}: the closure meets it iff a member has table x
-            meets[p, table[inside & (table >= 0)]] = True
+        for p, (positions, values) in enumerate(tables):
+            # T(i, j, x) = the positions of value x: the closure meets it iff it holds one
+            meets[p, values[inside[positions]]] = True
         mine = label == k
         fails[mine] = ~meets[np.arange(len(pairs)), xs[mine]]
     if not fails.any():

@@ -14,6 +14,7 @@ than by assuming a convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -38,9 +39,9 @@ from .rings import RingSpec
 
 DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_LATTICE_CAP = 2_000
-# GL-wide passes over codes (act_batch, net_subgroup) work through this many
-# codes at a time, so their temporaries stay small and are reused instead of
-# being page-faulted in afresh for every GL-sized batch
+# act_batch's GL-wide passes over codes work through this many codes at a
+# time, so their temporaries stay small and are reused instead of being
+# page-faulted in afresh for every GL-sized batch
 ACT_CHUNK = 1 << 14
 
 
@@ -551,19 +552,19 @@ def enumerate_dnets(instance: Instance) -> list[DNet]:
 def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
     """Invertible matrices whose (i, j) entry lies in the prescribed ideal.
 
-    Entry (i, j) is base-m digit i n + j of the code, and p^lev divides m, so
-    it lies in (p^lev) iff code // m^(i n + j) is divisible by p^lev.
+    Entry j of a row code is its digit j in base m, and p^lev divides m, so
+    the entry lies in (p^lev) iff it is divisible by p^lev: whether a row
+    fits is a table over the m^n row codes.  A code is the sum over rows i of
+    m^(n i) times row i's code, so the C-order outer AND of the row tables,
+    row n - 1 first, is the verdict of every code, gathered once.
     """
-    g = instance.gl(cap=cap)
+    instance.gl(cap=cap)
     m, n, p = instance.modulus, instance.n, instance.ring.p
-    mask = np.ones(len(g), dtype=bool)
-    for start in range(0, len(g), ACT_CHUNK):
-        block = instance.gl_codes[start : start + ACT_CHUNK]
-        for i, j in itertools.permutations(range(n), 2):
-            lev = int(dnet.levels[i, j])
-            if lev:
-                mask[start : start + ACT_CHUNK] &= block // m ** (i * n + j) % p**lev == 0
-    return Subgroup(instance, mask, closed=True)
+    entries = rings.unpack_vectors(np.arange(m**n), m, n)  # [v, j]: entry j of row code v
+    levels = np.where(np.eye(n, dtype=bool), 0, dnet.levels)[:, None]
+    fits = np.all(entries % p**levels == 0, axis=2)  # [i, v]: row code v fits row i
+    passes = functools.reduce(np.logical_and.outer, fits[::-1]).ravel()  # by code
+    return Subgroup(instance, passes[instance.gl_codes], closed=True)
 
 
 def net_subgroup_generators(instance: Instance, dnet: DNet) -> list[int]:

@@ -10,9 +10,10 @@ absorb that kernel automatically.  Every GL-wide question about where g
 sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
 (`fix_mask`) is that column compared with x, every fixer is an AND of fix
 masks, and the transvection tables gather per-element support tables by the
-columns.  Smaller batches of codes (generators, members of a subgroup) go
-through `fixes_mask`, or through `Instance.perm` where whole lattice
-permutations are read (`axis_subgroup`, `classify_transvection`).  Every
+columns and keep the transvections' positions and values only.  Smaller
+batches of codes (generators, members of a subgroup) go through `fixes_mask`,
+or through `Instance.perm` where whole lattice permutations are read
+(`axis_subgroup`, `classify_transvection`).  Every
 closure is one BFS on the cosets of the row scalings inside a seed subgroup
 (`coset_closure`), by table lookups on the row codes and no matrix product:
 D scales rows, and a matrix acting on the right acts on each row alone.
@@ -419,8 +420,9 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
     return int(st[j])
 
 
-def transvection_table(instance, i: int, j: int) -> np.ndarray:
-    """Per GL member, the x of its transvection class for (i, j), else -1.
+def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, values): the GL positions, ascending, of the transvection
+    set for (i, j) (86 436 of 4 840 416 on Z/49), and the x of each one's class.
 
     Cached; this is the exact full filter, the elementary family is only a
     cross-check.
@@ -431,12 +433,11 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
         return cached
     if i == j:
         raise InputError("transvections need i != j")
-    g = instance.gl()
     lat = instance.lattice
     frame = instance.frame
     support = instance.support_table
     e_i = frame.atoms[i]
-    ok = np.ones(len(g), dtype=bool)
+    ok = np.ones(len(instance.gl()), dtype=bool)
     for s in range(instance.n):
         if s == i:
             continue
@@ -454,16 +455,15 @@ def transvection_table(instance, i: int, j: int) -> np.ndarray:
     atom_ok = (support[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
     img = instance.gl_image(e_i)
     ok &= atom_ok[img]
-    out = np.full(len(g), -1, dtype=np.int32)
-    out[ok] = support[img[ok], j]
-    instance._caches[key] = out
+    positions = np.flatnonzero(ok)
+    instance._caches[key] = out = (positions, support[img[positions], j])
     return out
 
 
 def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
     """Sorted codes of the full transvection set for (i, j) at x (may be empty)."""
-    table = transvection_table(instance, i, j)
-    return instance.gl_codes[table == int(x)]
+    positions, values = transvection_table(instance, i, j)
+    return instance.gl_codes[positions[values == int(x)]]
 
 
 def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
@@ -474,8 +474,8 @@ def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
         for j in range(instance.n):
             if i == j:
                 continue
-            table = transvection_table(instance, i, j)
-            if bool(np.any((m1 ^ m2) & (table >= 0))):
+            positions, _ = transvection_table(instance, i, j)
+            if bool(np.any(m1[positions] != m2[positions])):
                 return False
     return True
 

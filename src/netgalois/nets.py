@@ -123,9 +123,8 @@ def transvection_ideals(instance, subgroup: Subgroup) -> NetCollection:
         for j in range(n):
             if i == j:
                 continue
-            table = transvection_table(instance, i, j)
-            hits = np.unique(table[(table >= 0) & mask])
-            tau[i, j] = lat.join_many(int(x) for x in hits)
+            positions, values = transvection_table(instance, i, j)
+            tau[i, j] = lat.join_many(np.unique(values[mask[positions]]).tolist())
     return NetCollection(instance, tau)
 
 
@@ -254,8 +253,7 @@ def net_fixer(instance, net: NetCollection, cap: int = 10_000_000) -> Subgroup:
         for j in range(instance.n):
             if i == j:
                 continue
-            table = transvection_table(instance, i, j)
-            for x in np.unique(table[table >= 0]).tolist():
+            for x in np.unique(transvection_table(instance, i, j)[1]).tolist():
                 if not lat.leq(int(x), int(net.tau[i, j])):
                     continue
                 codes = transvections(instance, i, j, int(x))
@@ -282,14 +280,21 @@ def net_fixer(instance, net: NetCollection, cap: int = 10_000_000) -> Subgroup:
 
 
 def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
-    """Members of the componentwise span kept inside it by the whole subgroup."""
-    lat = instance.lattice
-    lbar0 = instance.frame.lbar0
-    in_lbar0 = np.zeros(len(lat), dtype=bool)
-    in_lbar0[list(lbar0)] = True
-    mask = subgroup.gl_mask()
-    members = [l for l in lbar0 if bool(np.all(in_lbar0[instance.gl_image(l)[mask]]))]
-    return SublatticeHandle(lat, members)
+    """Members of the componentwise span kept inside it by the whole subgroup:
+    the fixpoint of keep &= all(keep[g l]) over its generators g, read off
+    `gl_image` columns.  M = {l : F l inside the span} lies in the span and
+    each g maps it into itself, so no step drops it; a set each g maps into
+    itself is F-stable, so the fixpoint lies in M."""
+    lbar0 = np.array(instance.frame.lbar0)
+    gens = instance.positions(generating_subset(subgroup))
+    images = np.stack([instance.gl_image(l)[gens] for l in lbar0])  # [l, k]: g_k(l)
+    keep = np.zeros(len(instance.lattice), dtype=bool)
+    keep[lbar0] = True
+    while True:
+        kept = keep[lbar0] & np.all(keep[images], axis=1)
+        if np.array_equal(kept, keep[lbar0]):
+            return SublatticeHandle(instance.lattice, lbar0[kept].tolist())
+        keep[lbar0] = kept
 
 
 # -- the appendix construction: maximal compatible entries --------------------
@@ -322,10 +327,8 @@ def triangle_entry(instance, x: int, i: int, j: int, mode: str = "auto") -> int:
         lhs_val = support[instance.gl_image(instance.atoms[i]), j]
         rhs = x_j_bounded[instance.gl_image(x_i)]
     elif mode == "transvection_reduced":
-        table = transvection_table(instance, i, j)
-        sel = table >= 0
-        lhs_val = table[sel]
-        rhs = x_j_bounded[instance.gl_image(x_i)[sel]]
+        positions, lhs_val = transvection_table(instance, i, j)
+        rhs = x_j_bounded[instance.gl_image(x_i)[positions]]
     else:
         raise InputError(f"unknown triangle mode {mode!r}")
     passing = []
@@ -376,24 +379,29 @@ def _fixer_with_known_generators(instance, members) -> Subgroup:
     fx = fixer(instance, members)
     known = _net_fixer_generators(instance).get(fx.key())
     if known:
-        return Subgroup(instance, fx.gl_mask(), generator_codes=known, closed=True)
+        named = Subgroup(instance, fx.gl_mask(), generator_codes=known, closed=True)
+        named._identity = fx._identity  # the pooled key and fingerprint: hashed once
+        return named
     return fx
 
 
-def _sublattice_fixers(instance, bound: int = 32):
-    """(handle, fixer) for every sublattice of the base sublattice.
+def _fixer_class_table(instance, bound: int) -> dict:
+    """`Subgroup.key` -> class of the sublattices of the base sublattice with
+    that fixer, representatives in enumeration order; cached per bound.
 
     Where a fixer coincides with a net fixer the verified generating set is
     attached, which keeps later normality tests on generator level.
     """
-    cached = instance._caches.get("sublattice_fixers")
-    if cached is not None:
-        return cached
-    l0p = instance.l0_prime()
-    handles = instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound)
-    fixers = [(h, _fixer_with_known_generators(instance, h.members)) for h in handles]
-    instance._caches["sublattice_fixers"] = fixers
-    return fixers
+    key = ("fixer_classes", bound)
+    table = instance._caches.get(key)
+    if table is None:
+        table = {}
+        l0p = instance.l0_prime()
+        for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
+            fx = _fixer_with_known_generators(instance, h.members)
+            table.setdefault(fx.key(), EquivClass([], fx)).representatives.append(h)
+        instance._caches[key] = table
+    return table
 
 
 def fixer_class(instance, members, bound: int = 32) -> EquivClass:
@@ -401,19 +409,13 @@ def fixer_class(instance, members, bound: int = 32) -> EquivClass:
     members = tuple(sorted(set(int(x) for x in members)))
     if not set(members) <= set(instance.l0_prime().members):
         raise InputError("equivalence classes live inside the base sublattice")
-    target = fixer(instance, members)
-    reps = [h for h, fx in _sublattice_fixers(instance, bound) if fx == target]
-    return EquivClass(representatives=reps, common_fixer=target)
+    # fixing M is fixing the sublattice M generates, an enumerated one ({bottom} if M is empty)
+    return _fixer_class_table(instance, bound)[fixer(instance, members).key()]
 
 
 def all_fixer_classes(instance, bound: int = 32) -> list[EquivClass]:
-    groups: dict[bytes, EquivClass] = {}
-    for h, fx in _sublattice_fixers(instance, bound):
-        key = fx.key()
-        if key not in groups:
-            groups[key] = EquivClass(representatives=[], common_fixer=fx)
-        groups[key].representatives.append(h)
-    return list(groups.values())
+    """The sublattices of the base sublattice, grouped by their fixer."""
+    return list(_fixer_class_table(instance, bound).values())
 
 
 def closed_sublattice(instance, net: NetCollection) -> SublatticeHandle:
@@ -576,15 +578,12 @@ def verify_intermediate_subgroup(
         )
 
     if instance.frame.m == 1 and instance.frame.l0.members == instance.l0_prime().members:
-        hits = []
-        for h, fx in _sublattice_fixers(instance, class_bound):
-            if lat.bottom not in h or lat.top not in h:
-                continue
-            if not set(h.members) <= set(instance.frame.l0.members):
-                continue
-            normal, _ = is_normal_in(instance, fx, subgroup)
-            if normal:
-                hits.append(h)
+        hits, l0 = [], set(instance.frame.l0.members)
+        for cls in all_fixer_classes(instance, class_bound):
+            reps = [h for h in cls.representatives if {lat.bottom, lat.top} <= set(h.members) <= l0]
+            if reps and is_normal_in(instance, cls.common_fixer, subgroup)[0]:
+                hits += reps
+        hits.sort(key=lambda h: (len(h.members), h.members))  # enumeration order
         record(
             "rank_one_unique_sublattice",
             len(hits) == 1 and hits[0].members == k_handle.members,

@@ -25,11 +25,7 @@ import numpy as np
 from .errors import InputError
 from .glnr import enumerate_dnets, verified_net_subgroup, verify_sandwich
 from .groups import coset_closure, double_coset_key, intern_subgroup, transvection_table
-from .nets import (
-    _sublattice_fixers,
-    enumerate_net_collections,
-    net_fixer,
-)
+from .nets import _fixer_class_table, enumerate_net_collections, net_fixer
 
 FAMILIES = ("cyclic-over-D",)
 
@@ -53,7 +49,7 @@ def prewarm(instance, *, include_classes: bool = True, class_bound: int = 32, ca
     for dnet in enumerate_dnets(instance):
         verified_net_subgroup(instance, dnet, cap=cap)
     if include_classes:
-        _sublattice_fixers(instance, bound=class_bound)
+        _fixer_class_table(instance, class_bound)
 
 
 def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:

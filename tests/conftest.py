@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from netgalois.glnr import DNet, Instance
+from netgalois.groups import transvection_table
 from netgalois.rings import (
     RingSpec,
     det_batch,
@@ -172,6 +173,82 @@ def _act_reference(inst, mats, x):
 @pytest.fixture(scope="session")
 def act_reference():
     return _act_reference
+
+
+def _dense_transvection_table(inst, i, j):
+    """`transvection_table` scattered over GL: per position, the x of its
+    transvection class for (i, j), else -1."""
+    positions, values = transvection_table(inst, i, j)
+    out = np.full(len(inst.gl()), -1, dtype=np.int32)
+    out[positions] = values
+    return out
+
+
+@pytest.fixture(scope="session")
+def dense_transvection_table():
+    return _dense_transvection_table
+
+
+def _transvection_table_reference(inst, i, j):
+    """The dense table by its clauses, one GL-wide mask per clause: fixes
+    every element below the other atoms, keeps the i-support of everything
+    below atom i, and sends atom i to (atom i at i, x at j, bottom elsewhere).
+    The reference for the sparse `transvection_table`."""
+    lat, frame, support = inst.lattice, inst.frame, inst.support_table
+    e_i = frame.atoms[i]
+    ok = np.ones(len(inst.gl()), dtype=bool)
+    for s in range(inst.n):
+        if s != i:
+            for xs in frame.atom_downsets[s]:
+                ok &= inst.gl_image(xs) == xs
+    for xi in frame.atom_downsets[i]:
+        ok &= support[inst.gl_image(xi), i] == xi
+    img = support[inst.gl_image(e_i)]
+    others = np.delete(img, [i, j], axis=1)
+    ok &= (img[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
+    out = np.full(len(ok), -1, dtype=np.int32)
+    out[ok] = img[ok, j]
+    return out
+
+
+@pytest.fixture(scope="session")
+def transvection_table_reference():
+    return _transvection_table_reference
+
+
+def _stable_lbar0_reference(inst, subgroup):
+    """Members l of the componentwise span with g(l) in the span for every
+    member g, read off the whole `gl_image` column at the subgroup's mask.
+    The reference for `stable_lbar0`."""
+    lbar0 = inst.frame.lbar0
+    in_lbar0 = np.zeros(len(inst.lattice), dtype=bool)
+    in_lbar0[list(lbar0)] = True
+    mask = subgroup.gl_mask()
+    return tuple(l for l in lbar0 if bool(np.all(in_lbar0[inst.gl_image(l)[mask]])))
+
+
+@pytest.fixture(scope="session")
+def stable_lbar0_reference():
+    return _stable_lbar0_reference
+
+
+def _net_subgroup_reference(inst, dnet):
+    """Mask over GL of the invertible matrices whose (i, j) entry lies in
+    (p^lev): entry (i, j) is base-m digit i n + j of the code, tested by
+    division on every code.  The reference for `net_subgroup`."""
+    m, n, p = inst.modulus, inst.n, inst.ring.p
+    codes = inst.gl_codes
+    mask = np.ones(codes.size, dtype=bool)
+    for i, j in itertools.permutations(range(n), 2):
+        lev = int(dnet.levels[i, j])
+        if lev:
+            mask &= codes // m ** (i * n + j) % p**lev == 0
+    return mask
+
+
+@pytest.fixture(scope="session")
+def net_subgroup_reference():
+    return _net_subgroup_reference
 
 
 def _gl_codes_reference(inst):

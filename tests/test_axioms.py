@@ -22,7 +22,6 @@ from netgalois.groups import (
     fix_mask,
     fixer,
     scalar_coset_key,
-    transvection_table,
     transvections,
 )
 from netgalois.rings import RingSpec, pack_matrices, unpack_matrices
@@ -84,14 +83,14 @@ def test_found_witness_for_support_transfer_is_genuine(f7):
         assert f7.support_table[pf[u], j] == f7.support_table[pg[u], j]
 
 
-def test_atom_restorer_kills_target_support(f7):
+def test_atom_restorer_kills_target_support(f7, dense_transvection_table):
     """Companion to the atom-restoring condition: the transvection found for
     an element of full i-support maps it to something with zero j-support."""
     v = check_condition(f7, "9")
     assert v.holds
     dims = f7.lattice.dimensions()
     for i, j in ((0, 1), (1, 0)):
-        table = transvection_table(f7, i, j)
+        table = dense_transvection_table(f7, i, j)
         real = set(np.unique(table[table >= 0]).tolist())
         for u in range(len(f7.lattice)):
             st = f7.support_table[u]

@@ -165,17 +165,15 @@ def test_collection_frame_mismatch(f7, z4):
         a.inf(b)
 
 
-def test_transvection_moves_atom_inside_join(f7):
+def test_transvection_moves_atom_inside_join(f7, dense_transvection_table):
     """Image of the moved atom joins with the atom (and with the value) to the
     same element as atom-plus-value."""
-    from netgalois.groups import transvection_table
-
     lat = f7.lattice
     for i in range(2):
         for j in range(2):
             if i == j:
                 continue
-            table = transvection_table(f7, i, j)
+            table = dense_transvection_table(f7, i, j)
             codes = f7.gl().codes
             for x in np.unique(table[table >= 0]).tolist():
                 target = lat.join(f7.atoms[i], int(x))

@@ -339,6 +339,21 @@ def test_net_subgroup_orders(f7):
     assert len(one_sided) == 252
 
 
+@pytest.mark.parametrize("name", ["z4", "z8", "z9", "z49", "f7", "z4n3"])
+def test_net_subgroup_matches_division_reference(
+    name, request, net_subgroup_reference, non_dnet_fixture
+):
+    """The outer table of the row tables against dividing every code, for
+    every D-net (and, at rank 3, an ideal matrix that breaks the D-net law)."""
+    inst = request.getfixturevalue(name)
+    dnets = enumerate_dnets(inst)
+    if inst.n == 3:
+        dnets.append(non_dnet_fixture(inst)[0])
+    for dnet in dnets:
+        got = net_subgroup(inst, dnet).gl_mask()
+        assert np.array_equal(got, net_subgroup_reference(inst, dnet)), dnet.levels.tolist()
+
+
 def test_verified_net_subgroup_matches_entrywise(f7, z4):
     for inst in (f7, z4):
         for dnet in enumerate_dnets(inst):

@@ -340,7 +340,9 @@ def test_axis_subgroup_by_definition(f7, z49, act_reference, member_mats):
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
-def test_transvection_table_matches_classify_transvection(name, request, member_mats):
+def test_transvection_table_matches_classify_transvection(
+    name, request, member_mats, dense_transvection_table
+):
     """The table's gathered support clauses against the per-element
     definition, on all of GL (a seeded sample of 500 on F3 rank 3)."""
     inst = request.getfixturevalue(name)
@@ -353,10 +355,28 @@ def test_transvection_table_matches_classify_transvection(name, request, member_
         for j in range(inst.n):
             if i == j:
                 continue
-            table = transvection_table(inst, i, j)
+            table = dense_transvection_table(inst, i, j)
             for k in pos.tolist():
                 x = classify_transvection(inst, mats[k], i, j)
                 assert int(table[k]) == (-1 if x is None else x)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_transvection_table_matches_dense_reference(
+    name, request, dense_transvection_table, transvection_table_reference
+):
+    """The sparse table holds strictly ascending positions, and scattered
+    over GL it is the dense table of the clauses, on all of GL."""
+    inst = request.getfixturevalue(name)
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            positions, values = transvection_table(inst, i, j)
+            assert positions.shape == values.shape
+            assert bool(np.all(np.diff(positions) > 0)) and bool(np.all(values >= 0))
+            expect = transvection_table_reference(inst, i, j)
+            assert np.array_equal(dense_transvection_table(inst, i, j), expect)
 
 
 def test_transvection_sets_f7(f7):
@@ -374,9 +394,9 @@ def test_transvection_sets_f7(f7):
     assert f7.code_of_mat(f7.identity) in transvections(f7, 0, 1, bot).tolist()
 
 
-def test_transvection_sets_closed_under_inverse(f7):
+def test_transvection_sets_closed_under_inverse(f7, dense_transvection_table):
     for i, j in ((0, 1), (1, 0)):
-        table = transvection_table(f7, i, j)
+        table = dense_transvection_table(f7, i, j)
         for x in np.unique(table[table >= 0]).tolist():
             codes = set(transvections(f7, i, j, x).tolist())
             for code in codes:
@@ -402,8 +422,8 @@ def test_transvections_are_elementary_times_stabiliser(f7, member_mats):
             assert expect == set(transvections(f7, i, j, x).tolist())
 
 
-def test_transvection_values_z49(z49):
-    table = transvection_table(z49, 0, 1)
+def test_transvection_values_z49(z49, dense_transvection_table):
+    table = dense_transvection_table(z49, 0, 1)
     sizes = {int(x): int((table == x).sum()) for x in np.unique(table[table >= 0])}
     e2 = z49.atoms[1]
     sub = z49.element_by_label("0,7;0,0")

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from netgalois import groups
 from netgalois.errors import InputError
+from netgalois.glnr import Instance
 from netgalois.groups import (
     Subgroup,
     coset_closure,
@@ -12,7 +16,6 @@ from netgalois.groups import (
     galois_psi,
     is_normal_in,
     same_transvections,
-    transvection_table,
     transvections,
 )
 from netgalois.nets import (
@@ -31,6 +34,8 @@ from netgalois.nets import (
     triangle_entry,
     verify_intermediate_subgroup,
 )
+from netgalois.rings import RingSpec
+from netgalois.sweep import prewarm, sweep_cyclic
 
 
 def borel(inst, i=0, j=1):
@@ -134,7 +139,7 @@ def test_intersect_nets(f7):
     assert ok
 
 
-def test_net_fixer_dual_routes_exactly(f7):
+def test_net_fixer_dual_routes_exactly(f7, dense_transvection_table):
     """Fixer of the canonical sublattice vs closure of stabiliser plus all
     bounded transvections: full member-set equality, both directions."""
     for net in enumerate_net_collections(f7):
@@ -146,7 +151,7 @@ def test_net_fixer_dual_routes_exactly(f7):
             for j in range(2):
                 if i == j:
                     continue
-                table = transvection_table(f7, i, j)
+                table = dense_transvection_table(f7, i, j)
                 for x in np.unique(table[table >= 0]).tolist():
                     if f7.lattice.leq(int(x), int(net.tau[i, j])):
                         reps.extend(transvections(f7, i, j, int(x)).tolist())
@@ -190,6 +195,85 @@ def test_stable_lbar0_matches_action_on_sweep_subgroups(name, request, act_refer
             l for l in sorted(lbar0) if set(act_reference(inst, mats, l).tolist()) <= lbar0
         ]
         assert stable_lbar0(inst, sub).members == tuple(expect)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_stable_lbar0_matches_member_mask_reference(name, request, stable_lbar0_reference):
+    """The generator fixpoint against the member-mask route, on subgroups with
+    generators (D, the sweep family) and without (GL, bare copies of family
+    members, bare fixers of the base sublattice's elements)."""
+    inst = request.getfixturevalue(name)
+    codes = inst.gl().codes
+    first = np.unique(double_coset_key(inst, codes), return_index=True)[1]
+    family = {}
+    for code in codes[np.sort(first)].tolist():
+        sub = coset_closure(inst, inst.diagonal(), [code])
+        family.setdefault(sub.fingerprint(), sub)
+    bare = [Subgroup(inst, sub.gl_mask(), closed=True) for sub in list(family.values())[:4]]
+    subgroups = [inst.diagonal(), inst.gl(), *family.values(), *bare]
+    subgroups += [fixer(inst, [x]) for x in inst.l0_prime().members]
+    for sub in subgroups:
+        assert stable_lbar0(inst, sub).members == stable_lbar0_reference(inst, sub)
+
+
+@pytest.fixture(scope="module")
+def prewarmed_z49():
+    """A Z/49 instance no other test reads, prewarmed as a sweep prewarms it."""
+    inst = Instance(RingSpec(7, 2), 2)
+    prewarm(inst, cap=5_000_000)
+    return inst
+
+
+def test_sweep_after_prewarm_hashes_no_sublattice_fixer(prewarmed_z49, monkeypatch):
+    """A sampled sweep makes `Subgroup.key` hash no fixer of the class table:
+    each shares the key its member set was pooled under."""
+    calls, hashed, key = [], [], Subgroup.key
+
+    def sha1(data):
+        calls.append(len(data))
+        return hashlib.sha1(data)
+
+    def counted_key(self):
+        before = len(calls)
+        out = key(self)
+        if len(calls) > before:
+            hashed.append(self)
+        return out
+
+    monkeypatch.setattr(groups, "hashlib", SimpleNamespace(sha1=sha1))
+    monkeypatch.setattr(Subgroup, "key", counted_key)
+    payload = sweep_cyclic(
+        prewarmed_z49, sample=8, seed=7, jobs=1, cap=5_000_000, conjugation_samples=10_000
+    )
+    monkeypatch.undo()
+    assert payload["all_hold"] and hashed  # the closures <D, g> are new, so hashed
+    fixers = [cls.common_fixer for cls in all_fixer_classes(prewarmed_z49)]
+    assert not [fx for fx in hashed if any(fx is other for other in fixers)]
+
+
+def test_fixer_classes_share_the_pooled_identity(prewarmed_z49):
+    pool = prewarmed_z49._caches["subgroup_pool"]
+    for cls in all_fixer_classes(prewarmed_z49):
+        base = pool[cls.common_fixer.key()]
+        assert cls.common_fixer._identity is base._identity
+        assert cls.common_fixer.gl_mask() is base.gl_mask()
+
+
+def test_stable_lbar0_reads_no_gl_sized_mask(prewarmed_z49, monkeypatch, stable_lbar0_reference):
+    """On GL(Z/49) given by generators, the stable span reads lattice-sized
+    data and the generators' positions, never a member mask or code list."""
+    inst = prewarmed_z49
+    elementary = [inst.code_of_mat(inst.elementary(i, j, 1)) for i, j in ((0, 1), (1, 0))]
+    gl = coset_closure(inst, inst.diagonal(), elementary)
+    assert len(gl) == len(inst.gl())
+    expect = stable_lbar0_reference(inst, gl)
+
+    def refuse(self):
+        raise AssertionError("read a GL-sized member set")
+
+    monkeypatch.setattr(Subgroup, "gl_mask", refuse)
+    monkeypatch.setattr(Subgroup, "codes", property(refuse))
+    assert stable_lbar0(inst, gl).members == expect
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
@@ -264,7 +348,7 @@ def test_stable_fixer_is_normal(f7):
         assert normal
 
 
-def test_transvections_in_normalizer_fix_componentwise_sublattices(f7):
+def test_transvections_in_normalizer_fix_componentwise_sublattices(f7, dense_transvection_table):
     """A transvection normalising the fixer of a componentwise-span
     sublattice already fixes that sublattice."""
     from netgalois.groups import normalizes
@@ -277,7 +361,7 @@ def test_transvections_in_normalizer_fix_componentwise_sublattices(f7):
 
         fx_gens = generating_subset(fx)
         for i, j in ((0, 1), (1, 0)):
-            table = transvection_table(f7, i, j)
+            table = dense_transvection_table(f7, i, j)
             codes = f7.gl().codes[table >= 0]
             for code in codes.tolist():
                 if normalizes(f7, [code], fx, fx_gens)[0]:
@@ -362,14 +446,14 @@ def test_element_nets_cut_to_sublattice_fixer(f7):
         )
 
 
-def test_transvection_sets_saturate_subgroups(f7):
+def test_transvection_sets_saturate_subgroups(f7, dense_transvection_table):
     """Meeting a transvection set forces containing all of it, and every
     realised value below an ideal entry contributes its whole set."""
     lat = f7.lattice
     for sub in (f7.diagonal(), borel(f7), borel(f7, 1, 0), f7.gl()):
         sigma = transvection_ideals(f7, sub)
         for i, j in ((0, 1), (1, 0)):
-            table = transvection_table(f7, i, j)
+            table = dense_transvection_table(f7, i, j)
             for x in np.unique(table[table >= 0]).tolist():
                 codes = transvections(f7, i, j, int(x))
                 hit = sub.contains_many(codes)
@@ -406,6 +490,19 @@ def test_fixer_classes_f7(f7):
     cls = fixer_class(f7, f7.l0_prime().members)
     assert len(cls.representatives) == 1
     assert len(cls.common_fixer) == 36
+
+
+def test_fixer_classes_honour_the_bound_after_a_cached_call():
+    """A bound too small for the base sublattice raises whether or not a
+    larger bound filled the caches first."""
+    inst = Instance(RingSpec(7, 1), 2)
+    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
+        all_fixer_classes(inst, bound=2)
+    assert len(all_fixer_classes(inst, bound=32)) == 4
+    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
+        all_fixer_classes(inst, bound=2)
+    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
+        fixer_class(inst, inst.l0_prime().members, bound=2)
 
 
 def test_fixer_class_maximal_member_is_closure(f7):
