@@ -24,9 +24,17 @@ from . import __version__
 from .axioms import CONDITION_IDS, PRIME_IDS, check_all, replay_witness
 from .errors import CapExceeded, InputError
 from .glnr import Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
-from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key, gl_code_list
+from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    Subgroup,
+    close_subgroup,
+    coset_closure,
+    double_coset_key,
+    gl_code_list,
+)
 from .lattice import FiniteLattice, pentagon
 from .nets import (
+    CLASS_BOUND,
     all_fixer_classes,
     canonical_sublattice,
     enumerate_net_collections,
@@ -35,8 +43,6 @@ from .nets import (
 )
 from .report import canonical_json, make_report, summarize_checks, write_report, write_timings
 from .sweep import derived_seed, sweep_cyclic
-
-DEFAULT_CAP = 10_000_000
 
 
 def jsonable(obj):
@@ -419,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=True, help="instance spec JSON (ring + rank)")
         p.add_argument("--out", help="write the report JSON here instead of stdout")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure/enumeration cap")
+            p.add_argument(
+                "--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure/enumeration cap"
+            )
         p.add_argument(
             "--with-timings",
             action="store_true",
@@ -478,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="equivalence classes of sublattices by fixer")
     common(p)
-    p.add_argument("--bound", type=int, default=32)
+    p.add_argument("--bound", type=int, default=CLASS_BOUND)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")
     p.add_argument("--report", required=True)
     p.add_argument("--instance", help="instance spec JSON, for condition witnesses")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure/enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure/enumeration cap")
     p.set_defaults(func=cmd_replay)
 
     return parser

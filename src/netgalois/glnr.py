@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +24,25 @@ from . import rings
 from .errors import CapExceeded, InputError
 from .frame import Frame
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     Subgroup,
     classify_transvection,
     coset_closure,
     fixed_by,
     generating_subset,
     intern_subgroup,
-    normalizes,
 )
 from .lattice import FiniteLattice
-from .nets import NetCollection, net_fixer, transvection_ideals, verify_intermediate_subgroup
+from .nets import (
+    NetCollection,
+    net_fixer,
+    record,
+    sandwich,
+    transvection_ideals,
+    verify_intermediate_subgroup,
+)
 from .rings import RingSpec
 
-DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_LATTICE_CAP = 2_000
 # act_batch's GL-wide passes over codes work through this many codes at a
 # time, so their temporaries stay small and are reused instead of being
@@ -85,13 +90,13 @@ def lattice_tables(membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Instance:
     """A built instance: ring, rank, submodule lattice, frame, and caches."""
 
-    def __init__(self, ring: RingSpec, n: int, lattice_cap: int = DEFAULT_LATTICE_CAP):
+    def __init__(self, ring: RingSpec, n: int):
         if n < 2:
             raise InputError("instances need rank n >= 2")
         self.ring = ring
         self.n = n
         self.modulus = ring.modulus
-        self._build_lattice(lattice_cap)
+        self._build_lattice()
         self.frame = Frame(self.lattice, [self.cyclic_index[self.modulus**i] for i in range(n)])
         self.support_table = np.array(
             [self.frame.support(x).parts for x in range(len(self.lattice))], dtype=np.int32
@@ -103,8 +108,8 @@ class Instance:
 
     # -- construction -------------------------------------------------------
 
-    def _build_lattice(self, cap: int):
-        ring, n, m = self.ring, self.n, self.modulus
+    def _build_lattice(self):
+        ring, n, m, cap = self.ring, self.n, self.modulus, DEFAULT_LATTICE_CAP
         vec_total = m**n
         all_vecs = rings.unpack_vectors(np.arange(vec_total), m, n)
         forms, sizes, index = [], [], {}
@@ -190,13 +195,13 @@ class Instance:
         }
 
     @staticmethod
-    def from_json(obj: dict, **kwargs) -> "Instance":
+    def from_json(obj: dict) -> "Instance":
         version = obj.get("schema_version", 1)
         if version != 1:
             raise InputError(f"unsupported instance schema version {version}")
         if "ring" not in obj or "n" not in obj:
             raise InputError("instance file needs 'ring' and 'n'")
-        instance = Instance(RingSpec.from_json(obj["ring"]), int(obj["n"]), **kwargs)
+        instance = Instance(RingSpec.from_json(obj["ring"]), int(obj["n"]))
         declared = obj.get("atoms")
         if declared is not None:
             built = [instance.lattice.labels[a] for a in instance.atoms]
@@ -205,9 +210,9 @@ class Instance:
         return instance
 
     @staticmethod
-    def load(path, **kwargs) -> "Instance":
+    def load(path) -> "Instance":
         with open(path, "r", encoding="utf-8") as fh:
-            return Instance.from_json(json.load(fh), **kwargs)
+            return Instance.from_json(json.load(fh))
 
     def element_by_label(self, label: str) -> int:
         idx = self.lattice.label_index.get(label)
@@ -312,7 +317,7 @@ class Instance:
 
     # -- groups -------------------------------------------------------------
 
-    def gl(self, cap: int = DEFAULT_GROUP_CAP):
+    def gl(self, cap: int = DEFAULT_CLOSURE_CAP):
         """The whole group; also fills `gl_codes` (ascending) and the `positions` index.
 
         A matrix over Z/p^k is invertible iff its reduction mod p is (its
@@ -459,21 +464,6 @@ class Instance:
         raise InputError(f"element {x} is not an ideal multiple of atom {atom}")
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Principal ideal (p^level) of the chain ring."""
-
-    ring: RingSpec
-    level: int
-
-    @property
-    def generator(self) -> int:
-        return self.ring.ideal_generator(self.level)
-
-    def contains(self, a: int) -> bool:
-        return self.ring.valuation(a) >= self.level
-
-
 class DNet:
     """Square matrix of ideals with full diagonal satisfying the closure law
     sigma_ir * sigma_rj <= sigma_ij (levels: a_ir + a_rj >= a_ij)."""
@@ -490,9 +480,6 @@ class DNet:
     @property
     def n(self) -> int:
         return self.levels.shape[0]
-
-    def ideal(self, i: int, j: int) -> Ideal:
-        return Ideal(self.ring, int(self.levels[i, j]))
 
     def law_violation(self):
         """None if the D-net law holds, else a witness triple (i, r, j)."""
@@ -549,7 +536,7 @@ def enumerate_dnets(instance: Instance) -> list[DNet]:
     return out
 
 
-def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
+def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLOSURE_CAP):
     """Invertible matrices whose (i, j) entry lies in the prescribed ideal.
 
     Entry j of a row code is its digit j in base m, and p^lev divides m, so
@@ -612,7 +599,7 @@ def bridge_to_collection(instance: Instance, dnet: DNet):
     return NetCollection(instance, tau)
 
 
-def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_GROUP_CAP):
+def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLOSURE_CAP):
     """Entrywise net subgroup with a verified generating set attached.
 
     The closure of the diagonal generators plus one elementary per nonzero
@@ -638,11 +625,9 @@ def verify_sandwich(
     instance: Instance,
     subgroup,
     *,
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CLOSURE_CAP,
     seed: int = 0,
     conjugation_samples: int | None = None,
-    include_classes: bool = True,
-    class_bound: int = 32,
 ) -> list[dict]:
     """Per-subgroup verification on the matrix side.
 
@@ -654,41 +639,31 @@ def verify_sandwich(
     theorem bundle is appended.
     """
     checks: list[dict] = []
-
-    def record(check_id, holds, witness=None, **details):
-        checks.append({"id": check_id, "holds": bool(holds), "witness": witness, "details": details})
-
     sigma = transvection_ideals(instance, subgroup)
     dnet = bridge_to_dnet(instance, sigma)
-    record("dnet_law", dnet.is_valid(), dnet.law_violation(), levels=dnet.levels.tolist())
+    record(checks, "dnet_law", dnet.is_valid(), dnet.law_violation(), levels=dnet.levels.tolist())
 
     back = bridge_to_collection(instance, dnet)
-    record("bridge_roundtrip", back == sigma)
+    record(checks, "bridge_roundtrip", back == sigma)
 
     g_sigma = verified_net_subgroup(instance, dnet, cap=cap)
     gk = net_fixer(instance, sigma, cap=cap)
-    record("net_subgroup_matches_fixer", g_sigma == gk, None, order=len(g_sigma))
+    record(checks, "net_subgroup_matches_fixer", g_sigma == gk, None, order=len(g_sigma))
 
-    # generating sets below are closure-verified, so generator membership is
-    # an exact containment test
-    record(
-        "sandwich_lower",
-        all(subgroup.contains(c) for c in g_sigma.generator_codes),
-    )
-    gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    outside = [
-        fc for fc in gens_f if not normalizes(instance, [fc], g_sigma, g_sigma.generator_codes)[0]
-    ]
-    record("sandwich_upper", not outside, outside or None)
+    gens_f = generating_subset(subgroup)
+    inside, outside = sandwich(instance, g_sigma, subgroup, gens_f)
+    record(checks, "sandwich_lower", inside)
+    outside = list(outside)
+    record(checks, "sandwich_upper", not outside, outside or None)
 
     passing = []
     for cand in enumerate_dnets(instance):
         gs = verified_net_subgroup(instance, cand, cap=cap)
-        if not all(subgroup.contains(c) for c in gs.generator_codes):
-            continue
-        if normalizes(instance, gens_f, gs, gs.generator_codes)[0]:
+        inside, outside = sandwich(instance, gs, subgroup, gens_f)
+        if inside and next(outside, None) is None:
             passing.append(cand)
     record(
+        checks,
         "dnet_uniqueness",
         len(passing) == 1 and passing[0] == dnet,
         [c.levels.tolist() for c in passing] if len(passing) != 1 else None,
@@ -697,13 +672,7 @@ def verify_sandwich(
 
     checks.extend(
         verify_intermediate_subgroup(
-            instance,
-            subgroup,
-            seed=seed,
-            conjugation_samples=conjugation_samples,
-            include_classes=include_classes,
-            class_bound=class_bound,
-            cap=cap,
+            instance, subgroup, seed=seed, conjugation_samples=conjugation_samples, cap=cap
         )
     )
     return checks

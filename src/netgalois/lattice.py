@@ -59,10 +59,6 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def n_elements(self) -> int:
-        return len(self.labels)
-
     def meet(self, a: int, b: int) -> int:
         return int(self.meet_table[a, b])
 

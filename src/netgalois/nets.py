@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     Subgroup,
     conjugation_closure_check,
     coset_closure,
@@ -36,6 +37,8 @@ from .groups import (
 from .lattice import SublatticeHandle
 
 TRIANGLE_FULL_MODE_LIMIT = 100_000
+# the largest base sublattice whose sublattices are enumerated into fixer classes
+CLASS_BOUND = 32
 
 
 class NetCollection:
@@ -233,7 +236,7 @@ def enumerate_net_collections(instance) -> list[NetCollection]:
     return out
 
 
-def net_fixer(instance, net: NetCollection, cap: int = 10_000_000) -> Subgroup:
+def net_fixer(instance, net: NetCollection, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
     """The fixer of the canonical sublattice of the collection.
 
     Always re-derived a second way before being cached: the coset closure of
@@ -361,61 +364,47 @@ def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
 # -- equivalence classes and closed objects -----------------------------------
 
 
-def _net_fixer_generators(instance) -> dict:
-    """`Subgroup.key` -> verified generating set of every valid net's fixer."""
-    cached = instance._caches.get("net_fixer_generators")
+def _fixer_classes(instance, bound: int = CLASS_BOUND) -> tuple[list, dict]:
+    """(classes, by_members): the sublattices of the base sublattice grouped
+    by their fixer, classes and representatives in enumeration order, and
+    each sublattice's member tuple -> its class; cached per bound.
+
+    A class whose fixer is a net fixer holds that pooled object, so its
+    closure-verified generating set keeps later normality tests on generator
+    level.
+    """
+    key = ("fixer_classes", bound)
+    cached = instance._caches.get(key)
     if cached is None:
-        cached = {}
+        named = {}
         for net in enumerate_net_collections(instance):
             fx = net_fixer(instance, net)
-            cached.setdefault(fx.key(), fx.generator_codes)
-        instance._caches["net_fixer_generators"] = cached
+            named.setdefault(fx.key(), fx)
+        classes, by_members = {}, {}
+        l0p = instance.l0_prime()
+        for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
+            fx = fixer(instance, h.members)
+            cls = classes.setdefault(fx.key(), EquivClass([], named.get(fx.key(), fx)))
+            cls.representatives.append(h)
+            by_members[h.members] = cls
+        cached = instance._caches[key] = (list(classes.values()), by_members)
     return cached
 
 
-def _fixer_with_known_generators(instance, members) -> Subgroup:
-    """Fixer of a member set, picking up a verified generating set whenever
-    it coincides with a net fixer (every closed subgroup does here)."""
-    fx = fixer(instance, members)
-    known = _net_fixer_generators(instance).get(fx.key())
-    if known:
-        named = Subgroup(instance, fx.gl_mask(), generator_codes=known, closed=True)
-        named._identity = fx._identity  # the pooled key and fingerprint: hashed once
-        return named
-    return fx
-
-
-def _fixer_class_table(instance, bound: int) -> dict:
-    """`Subgroup.key` -> class of the sublattices of the base sublattice with
-    that fixer, representatives in enumeration order; cached per bound.
-
-    Where a fixer coincides with a net fixer the verified generating set is
-    attached, which keeps later normality tests on generator level.
-    """
-    key = ("fixer_classes", bound)
-    table = instance._caches.get(key)
-    if table is None:
-        table = {}
-        l0p = instance.l0_prime()
-        for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
-            fx = _fixer_with_known_generators(instance, h.members)
-            table.setdefault(fx.key(), EquivClass([], fx)).representatives.append(h)
-        instance._caches[key] = table
-    return table
-
-
-def fixer_class(instance, members, bound: int = 32) -> EquivClass:
+def fixer_class(instance, members, bound: int = CLASS_BOUND) -> EquivClass:
     """All sublattices of the stabiliser-fixed sublattice sharing M's fixer."""
-    members = tuple(sorted(set(int(x) for x in members)))
-    if not set(members) <= set(instance.l0_prime().members):
+    members = set(int(x) for x in members)
+    if not members <= set(instance.l0_prime().members):
         raise InputError("equivalence classes live inside the base sublattice")
+    _, by_members = _fixer_classes(instance, bound)
     # fixing M is fixing the sublattice M generates, an enumerated one ({bottom} if M is empty)
-    return _fixer_class_table(instance, bound)[fixer(instance, members).key()]
+    lat = instance.lattice
+    return by_members[lat.sublattice_generated(members or {lat.bottom}).members]
 
 
-def all_fixer_classes(instance, bound: int = 32) -> list[EquivClass]:
+def all_fixer_classes(instance, bound: int = CLASS_BOUND) -> list[EquivClass]:
     """The sublattices of the base sublattice, grouped by their fixer."""
-    return list(_fixer_class_table(instance, bound).values())
+    return list(_fixer_classes(instance, bound)[0])
 
 
 def closed_sublattice(instance, net: NetCollection) -> SublatticeHandle:
@@ -427,15 +416,41 @@ def closed_sublattice(instance, net: NetCollection) -> SublatticeHandle:
 # -- the per-subgroup verification bundle -------------------------------------
 
 
+def record(checks: list, check_id: str, holds, witness=None, **details) -> None:
+    """Append one check record: {"id", "holds", "witness", "details"}."""
+    checks.append({"id": check_id, "holds": bool(holds), "witness": witness, "details": details})
+
+
+def sandwich(instance, lower: Subgroup, subgroup: Subgroup, gens_f):
+    """(inside, outside) for lower <= F <= N(lower), F the subgroup with
+    generators `gens_f`.
+
+    `inside`: whether lower's generators lie in F, an exact containment test
+    as its generating set is closure-verified.  `outside`: an iterator over
+    the gens_f outside N(lower), in order; each is the first failing f of one
+    broadcast `normalizes` over the generators after the previous one, so
+    whether there is any takes one call.
+    """
+    inside = bool(np.all(subgroup.contains_many(lower.generator_codes)))
+
+    def outside(rest):
+        while rest:
+            holds, witness = normalizes(instance, rest, lower, lower.generator_codes)
+            if holds:
+                return
+            yield witness[0]
+            rest = rest[rest.index(witness[0]) + 1 :]
+
+    return inside, outside(list(gens_f))
+
+
 def verify_intermediate_subgroup(
     instance,
     subgroup: Subgroup,
     *,
     seed: int = 0,
     conjugation_samples: int | None = None,
-    class_bound: int = 32,
-    include_classes: bool = True,
-    cap: int = 10_000_000,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[dict]:
     """Run every per-subgroup theorem check; returns one record per check.
 
@@ -451,9 +466,6 @@ def verify_intermediate_subgroup(
     gk = net_fixer(instance, sigma, cap=cap)
     labels = lat.labels
 
-    def record(check_id, holds, witness=None, **details):
-        checks.append({"id": check_id, "holds": bool(holds), "witness": witness, "details": details})
-
     # sigma is a valid net collection, both quantifier readings reported;
     # membership in the pre-validated enumeration short-circuits the recheck
     known_valid = any(sigma == net for net in enumerate_net_collections(instance))
@@ -464,6 +476,7 @@ def verify_intermediate_subgroup(
         ok_agg, wit = is_net_collection(instance, sigma, mode="aggregate")
         ok_triple, wit_triple = is_net_collection(instance, sigma, mode="per_triple")
     record(
+        checks,
         "transvection_ideals_form_net",
         ok_agg,
         wit,
@@ -478,22 +491,22 @@ def verify_intermediate_subgroup(
         instance, gk, subgroup, rng=rng, samples=conjugation_samples
     )
     record(
+        checks,
         "canonical_fixer_normal",
         holds,
         None if holds else {"f": wit[0], "s": wit[1]},
         samples="exhaustive" if conjugation_samples is None else conjugation_samples,
     )
 
-    # gk's generating set is closure-verified, so generator membership is an
-    # exact containment test
-    record("canonical_fixer_inside", all(subgroup.contains(c) for c in gk.generator_codes))
-
-    gens_f = subgroup.generator_codes or tuple(generating_subset(subgroup))
-    outside = [fc for fc in gens_f if not normalizes(instance, [fc], gk, gk.generator_codes)[0]]
-    record("inside_normalizer", not outside, outside or None)
+    gens_f = generating_subset(subgroup)
+    inside, outside = sandwich(instance, gk, subgroup, gens_f)
+    record(checks, "canonical_fixer_inside", inside)
+    outside = list(outside)
+    record(checks, "inside_normalizer", not outside, outside or None)
 
     index_ok = len(subgroup) % len(gk) == 0
     record(
+        checks,
         "finite_index",
         index_ok,
         None,
@@ -506,6 +519,7 @@ def verify_intermediate_subgroup(
     stable = stable_lbar0(instance, subgroup)
     missing = [x for x in k_handle.members if x not in stable]
     record(
+        checks,
         "canonical_inside_stable_span",
         not missing,
         [labels[x] for x in missing] or None,
@@ -515,31 +529,32 @@ def verify_intermediate_subgroup(
 
     # the stable span's fixer is conjugation-stable under F and meets every
     # transvection set exactly as F does
-    stable_fixer = _fixer_with_known_generators(instance, stable.members)
+    stable_fixer = fixer_class(instance, stable.members).common_fixer
     normal, wit = is_normal_in(instance, stable_fixer, subgroup)
     record(
+        checks,
         "stable_span_fixer_normal",
         normal,
         None if normal else {"f": wit[0], "s": wit[1]},
         fixer_order=len(stable_fixer),
     )
     record(
+        checks,
         "stable_span_fixer_same_transvections",
         same_transvections(instance, stable_fixer, subgroup),
     )
 
-    record("same_transvections", same_transvections(instance, gk, subgroup))
+    record(checks, "same_transvections", same_transvections(instance, gk, subgroup))
 
     # uniqueness of the sandwiched net among all valid collections
     passing = []
     for net in enumerate_net_collections(instance):
-        fx = net_fixer(instance, net, cap=cap)
-        if not all(subgroup.contains(c) for c in fx.generator_codes):
-            continue
-        if normalizes(instance, gens_f, fx, fx.generator_codes)[0]:
+        inside, outside = sandwich(instance, net_fixer(instance, net, cap=cap), subgroup, gens_f)
+        if inside and next(outside, None) is None:
             passing.append(net)
     unique_ok = len(passing) == 1 and passing[0] == sigma
     record(
+        checks,
         "net_uniqueness",
         unique_ok,
         None
@@ -548,43 +563,41 @@ def verify_intermediate_subgroup(
         candidates=len(enumerate_net_collections(instance)),
     )
 
-    if include_classes:
-        classes = all_fixer_classes(instance, bound=class_bound)
-        hits = []
-        for cls in classes:
-            normal, _ = is_normal_in(instance, cls.common_fixer, subgroup)
-            if normal:
-                hits.append(cls)
-        k_in_hit = any(
-            any(h.members == k_handle.members for h in cls.representatives) for cls in hits
-        )
-        record(
-            "unique_fixer_class",
-            len(hits) == 1 and k_in_hit,
-            None if len(hits) == 1 else [len(c.representatives) for c in hits],
-            classes=len(classes),
-        )
+    # the classes whose common fixer is normal in F, each tested once
+    classes = all_fixer_classes(instance)
+    normal = [cls for cls in classes if is_normal_in(instance, cls.common_fixer, subgroup)[0]]
+    k_in_hit = any(h.members == k_handle.members for cls in normal for h in cls.representatives)
+    record(
+        checks,
+        "unique_fixer_class",
+        len(normal) == 1 and k_in_hit,
+        None if len(normal) == 1 else [len(c.representatives) for c in normal],
+        classes=len(classes),
+    )
 
-        # closed sublattice is the maximal member of the canonical class
-        closed = closed_sublattice(instance, sigma)
-        cls = fixer_class(instance, k_handle.members, bound=class_bound)
-        maximal = max(cls.representatives, key=lambda h: len(h.members))
-        record(
-            "closed_sublattice_maximal_in_class",
-            closed.members == maximal.members
-            and set(k_handle.members) <= set(closed.members),
-            None,
-            closed=[labels[x] for x in closed.members],
-        )
+    # closed sublattice is the maximal member of the canonical class
+    closed = closed_sublattice(instance, sigma)
+    cls = fixer_class(instance, k_handle.members)
+    maximal = max(cls.representatives, key=lambda h: len(h.members))
+    record(
+        checks,
+        "closed_sublattice_maximal_in_class",
+        closed.members == maximal.members and set(k_handle.members) <= set(closed.members),
+        None,
+        closed=[labels[x] for x in closed.members],
+    )
 
     if instance.frame.m == 1 and instance.frame.l0.members == instance.l0_prime().members:
-        hits, l0 = [], set(instance.frame.l0.members)
-        for cls in all_fixer_classes(instance, class_bound):
-            reps = [h for h in cls.representatives if {lat.bottom, lat.top} <= set(h.members) <= l0]
-            if reps and is_normal_in(instance, cls.common_fixer, subgroup)[0]:
-                hits += reps
+        l0 = set(instance.frame.l0.members)
+        hits = [
+            h
+            for cls in normal
+            for h in cls.representatives
+            if {lat.bottom, lat.top} <= set(h.members) <= l0
+        ]
         hits.sort(key=lambda h: (len(h.members), h.members))  # enumeration order
         record(
+            checks,
             "rank_one_unique_sublattice",
             len(hits) == 1 and hits[0].members == k_handle.members,
             [list(h.members) for h in hits] if len(hits) != 1 else None,

@@ -24,8 +24,14 @@ import numpy as np
 
 from .errors import InputError
 from .glnr import enumerate_dnets, verified_net_subgroup, verify_sandwich
-from .groups import coset_closure, double_coset_key, intern_subgroup, transvection_table
-from .nets import _fixer_class_table, enumerate_net_collections, net_fixer
+from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    coset_closure,
+    double_coset_key,
+    intern_subgroup,
+    transvection_table,
+)
+from .nets import _fixer_classes, enumerate_net_collections, net_fixer
 
 FAMILIES = ("cyclic-over-D",)
 
@@ -34,7 +40,7 @@ def derived_seed(seed: int, fingerprint: str) -> int:
     return (int(seed) * 1_000_003 + int(fingerprint[:12], 16)) % (2**62)
 
 
-def prewarm(instance, *, include_classes: bool = True, class_bound: int = 32, cap: int) -> None:
+def prewarm(instance, *, cap: int) -> None:
     """Populate every instance-wide cache the per-subgroup work will touch,
     so forked workers inherit them copy-on-write."""
     instance.gl(cap=cap)
@@ -48,8 +54,7 @@ def prewarm(instance, *, include_classes: bool = True, class_bound: int = 32, ca
         net_fixer(instance, net, cap=cap)
     for dnet in enumerate_dnets(instance):
         verified_net_subgroup(instance, dnet, cap=cap)
-    if include_classes:
-        _fixer_class_table(instance, class_bound)
+    _fixer_classes(instance)
 
 
 def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
@@ -65,8 +70,6 @@ def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
             cap=opts["cap"],
             seed=derived_seed(opts["seed"], fp),
             conjugation_samples=opts["conjugation_samples"],
-            include_classes=opts["include_classes"],
-            class_bound=opts["class_bound"],
         )
         details[fp] = {"order": len(subgroup), "checks": checks}
     return fp
@@ -88,10 +91,8 @@ def sweep_cyclic(
     sample: int | None = None,
     seed: int = 0,
     jobs: int | None = None,
-    cap: int = 10_000_000,
+    cap: int = DEFAULT_CLOSURE_CAP,
     conjugation_samples: int | None = None,
-    include_classes: bool = True,
-    class_bound: int = 32,
 ) -> dict:
     """Sweep payload: one row per extra element plus per-subgroup details."""
     if family not in FAMILIES:
@@ -105,14 +106,8 @@ def sweep_cyclic(
         codes = np.sort(rng.choice(codes, size=sample, replace=False))
     codes = [int(c) for c in codes.tolist()]
 
-    opts = {
-        "cap": cap,
-        "seed": seed,
-        "conjugation_samples": conjugation_samples,
-        "include_classes": include_classes,
-        "class_bound": class_bound,
-    }
-    prewarm(instance, include_classes=include_classes, class_bound=class_bound, cap=cap)
+    opts = {"cap": cap, "seed": seed, "conjugation_samples": conjugation_samples}
+    prewarm(instance, cap=cap)
 
     keys = double_coset_key(instance, codes)
     _, firsts, label = np.unique(keys, return_index=True, return_inverse=True)

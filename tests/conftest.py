@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from netgalois.glnr import DNet, Instance
-from netgalois.groups import transvection_table
+from netgalois.groups import fixer, transvection_table
+from netgalois.nets import enumerate_net_collections, net_fixer
 from netgalois.rings import (
     RingSpec,
     det_batch,
@@ -230,6 +231,32 @@ def _stable_lbar0_reference(inst, subgroup):
 @pytest.fixture(scope="session")
 def stable_lbar0_reference():
     return _stable_lbar0_reference
+
+
+def _fixer_class_reference(inst):
+    """The class lookup by fixer hashing: the sublattices of the base
+    sublattice grouped by the `Subgroup.key` of their fixer, each key's
+    generating set that of the first net fixer with that key (none if no net
+    fixer has it).  Returns a lookup M -> (the member tuples of the class of
+    fixer(M), that fixer's mask, its generator codes), found by the key of
+    fixer(M).  The reference for `nets.fixer_class`."""
+    by_key, gens = {}, {}
+    for h in inst.lattice.enumerate_sublattices(universe=inst.l0_prime().members):
+        by_key.setdefault(fixer(inst, h.members).key(), []).append(h.members)
+    for net in enumerate_net_collections(inst):
+        fx = net_fixer(inst, net)
+        gens.setdefault(fx.key(), fx.generator_codes)
+
+    def lookup(members):
+        target = fixer(inst, members)
+        return by_key[target.key()], target.gl_mask(), gens.get(target.key(), ())
+
+    return lookup
+
+
+@pytest.fixture(scope="session")
+def fixer_class_reference():
+    return _fixer_class_reference
 
 
 def _net_subgroup_reference(inst, dnet):

@@ -351,6 +351,28 @@ def test_canonical_report_bytes_are_pinned(f7_spec, z9_sweep, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "p, n, extra, digest",
+    [
+        (2, 2, [], "ca20968a0846f8ac8882ed960109e3fcea7f5681706ec0778a37cc5bd8773892"),
+        (3, 2, [], "d0e9b89616146fcf3267f80b9c1728c58919f612da1c975ce1fd51b7f8ae2a71"),
+        (3, 3, ["--sample", "40"], "7d69926b8e73861e39538f60d5e96bcb18dc409b6290999f118ac6f59e3563d7"),
+    ],
+    ids=["f2", "f3", "f3n3-sample40"],
+)
+def test_failing_sweep_report_bytes_are_pinned(tmp_path, p, n, extra, digest):
+    """SHA-256s of sweeps whose subgroups fail sandwich and class checks,
+    witnesses included: F2 fails `unique_fixer_class` three times; F3 and
+    F3 rank 3 fail both upper sandwich checks, both uniqueness checks, the
+    stable-span checks, `unique_fixer_class` and `rank_one_unique_sublattice`."""
+    spec = tmp_path / "instance.json"
+    spec.write_text(json.dumps({"ring": {"p": p, "k": 1}, "n": n}))
+    out = tmp_path / "report.json"
+    args = ["sweep", "--instance", str(spec), "--seed", "5", "--jobs", "1", *extra]
+    assert main(args + ["--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.slow
 def test_canonical_report_bytes_are_pinned_on_z49(tmp_path):
     """SHA-256 of the sampled Z/49 sweep: 8 rows, 10 000 conjugation pairs."""

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 from types import SimpleNamespace
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from netgalois import groups
+from netgalois import glnr, groups, nets, sweep
 from netgalois.errors import InputError
 from netgalois.glnr import Instance
 from netgalois.groups import (
@@ -249,6 +250,76 @@ def test_sweep_after_prewarm_hashes_no_sublattice_fixer(prewarmed_z49, monkeypat
     assert payload["all_hold"] and hashed  # the closures <D, g> are new, so hashed
     fixers = [cls.common_fixer for cls in all_fixer_classes(prewarmed_z49)]
     assert not [fx for fx in hashed if any(fx is other for other in fixers)]
+
+
+@pytest.mark.parametrize("name", ["f7", "z9", "z49"])
+def test_sweep_after_prewarm_computes_no_fixer(name, request, monkeypatch):
+    """After `prewarm` a sweep finds every fixer it reads in the caches, with
+    no `groups.fixer` call, and tests each fixer class for normality once
+    per subgroup, plus the stable span's fixer."""
+    if name == "z49":
+        inst = request.getfixturevalue("prewarmed_z49")
+        opts = {"sample": 8, "seed": 7, "cap": 5_000_000, "conjugation_samples": 10_000}
+    else:
+        inst, opts = Instance(RingSpec(*{"f7": (7, 1), "z9": (3, 2)}[name]), 2), {}
+        prewarm(inst, cap=10_000_000)
+    calls = collections.Counter()
+
+    def counted(target, function):
+        def wrapper(*args, **kwargs):
+            calls[target] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for target in ("fixer", "is_normal_in"):
+        wrapper = counted(target, getattr(groups, target))
+        for module in (groups, nets, glnr, sweep):
+            if hasattr(module, target):
+                monkeypatch.setattr(module, target, wrapper)
+    payload = sweep_cyclic(inst, jobs=1, **opts)
+    monkeypatch.undo()
+    assert calls["fixer"] == 0
+    classes = len(all_fixer_classes(inst))
+    assert calls["is_normal_in"] == len(payload["subgroups"]) * (classes + 1)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+def test_fixer_class_by_sublattice_matches_the_fixer_hash_lookup(
+    name, request, monkeypatch, fixer_class_reference
+):
+    """`fixer_class` finds the class holding the sublattice M generates, with
+    no fixer computed: the same class, fixer mask and generating set as the
+    lookup by the key of fixer(M), on every sublattice of the base sublattice
+    and on seeded member subsets, the empty one included.  The stable span's
+    class fixer is fixer(stable), with the reference's generator codes."""
+    inst = request.getfixturevalue(name)
+    lookup = fixer_class_reference(inst)
+    l0p = inst.l0_prime().members
+    rng = np.random.default_rng(5)
+    subsets = [h.members for h in inst.lattice.enumerate_sublattices(universe=l0p)] + [()]
+    subsets += [rng.choice(l0p, size=k, replace=False) for k in rng.integers(1, len(l0p) + 1, 12)]
+    gl = inst.gl()
+    subgroups = [inst.diagonal(), gl] + [
+        coset_closure(inst, inst.diagonal(), [int(g)]) for g in rng.choice(gl.codes, 6)
+    ]
+    stable = [stable_lbar0(inst, sub).members for sub in subgroups]
+    expect = [lookup(members) for members in subsets + stable]
+    stable_fixers = [fixer(inst, members) for members in stable]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class lookup computed a fixer")
+
+    all_fixer_classes(inst)
+    monkeypatch.setattr(nets, "fixer", refuse)
+    got = [fixer_class(inst, members) for members in subsets + stable]
+    monkeypatch.undo()
+    for cls, (reps, mask, gens) in zip(got, expect):
+        assert [h.members for h in cls.representatives] == reps
+        assert np.array_equal(cls.common_fixer.gl_mask(), mask)
+        assert cls.common_fixer.generator_codes == gens
+    for cls, fx in zip(got[len(subsets) :], stable_fixers):
+        assert cls.common_fixer == fx
 
 
 def test_fixer_classes_share_the_pooled_identity(prewarmed_z49):
