@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import InputError
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     axis_subgroup,
     coset_closure,
     double_coset_key,
@@ -66,8 +65,8 @@ class ConditionVerdict:
     elapsed: float = 0.0
     details: dict = field(default_factory=dict)
 
-    def to_record(self, with_elapsed: bool = False) -> dict:
-        rec = {
+    def to_record(self) -> dict:
+        return {
             "id": self.id,
             "mode": self.mode,
             "holds": self.holds,
@@ -77,21 +76,17 @@ class ConditionVerdict:
             "samples": self.samples,
             "details": self.details,
         }
-        if with_elapsed:
-            rec["elapsed"] = self.elapsed
-        return rec
 
 
 class _Ctx:
     """Shared per-instance precomputations for the condition checkers."""
 
-    def __init__(self, instance, cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, instance):
         self.instance = instance
-        self.cap = cap
         self.lat = instance.lattice
         self.frame = instance.frame
         self.n = instance.n
-        self.g = instance.gl(cap=cap)
+        self.g = instance.gl()
         self.diag = instance.diagonal()
         self.atoms = instance.atoms
         self.support = instance.support_table
@@ -126,7 +121,7 @@ class _Ctx:
         """
         key = ("closure_with", tuple(sorted(keys)))
         if key not in self.instance._caches:
-            closure = coset_closure(self.instance, self.diag, list(key[1]), cap=self.cap)
+            closure = coset_closure(self.instance, self.diag, list(key[1]))
             self.instance._caches[key] = intern_subgroup(self.instance, closure)
         return self.instance._caches[key]
 
@@ -606,7 +601,6 @@ def check_condition(
     mode: str | None = None,
     seed: int = 0,
     samples: int | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> ConditionVerdict:
     """Run one condition; samples=None means exhaustive quantification."""
     checker = _CHECKERS.get(cond_id)
@@ -614,7 +608,7 @@ def check_condition(
         raise InputError(f"unknown condition id {cond_id!r}")
     if mode is None:
         mode = AMBIGUOUS.get(cond_id, ("as_stated",))[0]
-    ctx = _Ctx(instance, cap)
+    ctx = _Ctx(instance)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     holds, witness, found, exhaustive, used = checker(ctx, mode, rng, samples)
@@ -638,34 +632,27 @@ def check_all(
     conditions: list[str] | None = None,
     seed: int = 0,
     samples: int | None = None,
-    include_rank_one: bool | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[ConditionVerdict]:
     """Ordered verdicts for the requested conditions, both readings where
     ambiguous; `samples=None` is exhaustive on every instance."""
     if conditions is None:
         conditions = list(CONDITION_IDS)
-        if include_rank_one is None:
-            include_rank_one = (
-                instance.frame.m == 1
-                and instance.frame.l0.members == instance.l0_prime().members
-            )
-        if include_rank_one:
+        if instance.frame.m == 1 and instance.frame.l0.members == instance.l0_prime().members:
             conditions = conditions + list(PRIME_IDS)
     out = []
     for cid in conditions:
         for mode in AMBIGUOUS.get(cid, ("as_stated",)):
-            out.append(check_condition(instance, cid, mode, seed, samples, cap))
+            out.append(check_condition(instance, cid, mode, seed, samples))
     return out
 
 
-def replay_witness(instance, witness: dict, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def replay_witness(instance, witness: dict) -> bool:
     """True iff the recorded witness still demonstrates the failure."""
     cid = witness.get("condition")
     mode = witness.get("mode", "as_stated")
     if cid not in _CHECKERS:
         raise InputError(f"witness references unknown condition {cid!r}")
-    ctx = _Ctx(instance, cap)
+    ctx = _Ctx(instance)
     return _REPLAYERS[cid](ctx, mode, witness)
 
 
@@ -722,7 +709,7 @@ def _replay_cond_11(ctx, mode, w):
 
 def _replay_generic(ctx, mode, w):
     cid = w["condition"]
-    verdict = check_condition(ctx.instance, cid, mode=mode, samples=None, cap=ctx.cap)
+    verdict = check_condition(ctx.instance, cid, mode=mode, samples=None)
     return not verdict.holds
 
 

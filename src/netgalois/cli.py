@@ -6,8 +6,9 @@ whole family sweep, enumerate net collections and equivalence classes, and
 replay recorded failure witnesses.
 
 Exit codes: 0 all asserted checks pass, 1 verification failure, 2 bad
-input/usage, 3 a closure or enumeration cap was exhausted.  The report file
-is written in every outcome and its bytes depend only on inputs and seed.
+input/usage, 3 |GL| or another enumeration exceeds its cap.  Exits 0 and 1
+write the report, whose bytes depend only on inputs and seed; exits 2 and 3
+write none.
 """
 
 from __future__ import annotations
@@ -63,7 +64,12 @@ def jsonable(obj):
 
 
 def _load_instance(args) -> Instance:
-    return Instance.load(args.instance)
+    """The instance, with GL enumerated under `--cap` where the subcommand has it:
+    every group the subcommands relate lies in GL, so this is the only cap check."""
+    instance = Instance.load(args.instance)
+    if "cap" in args:
+        instance.gl(cap=args.cap)
+    return instance
 
 
 def _load_json(path) -> dict:
@@ -92,8 +98,7 @@ def cmd_build(args) -> int:
     instance = _load_instance(args)
     lat = instance.lattice
     if args.lattice_out:
-        with open(args.lattice_out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(lat.to_json()))
+        write_report(args.lattice_out, lat.to_json())
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
             fh.write(lat.to_dot())
@@ -158,16 +163,12 @@ def _parse_conditions(spec: str) -> list[str]:
 
 
 def cmd_check_axioms(args) -> int:
-    t0 = time.perf_counter()
     instance = _load_instance(args)
-    instance.gl(cap=args.cap)
     conditions = _parse_conditions(args.conditions) if args.conditions else None
     samples = None
     if args.mode == "sampled":
         samples = args.samples
-    verdicts = check_all(
-        instance, conditions=conditions, seed=args.seed, samples=samples, cap=args.cap
-    )
+    verdicts = check_all(instance, conditions=conditions, seed=args.seed, samples=samples)
     records = [v.to_record() for v in verdicts]
     all_hold = all(v.holds for v in verdicts)
     report = make_report(
@@ -191,10 +192,10 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_sigma(args) -> int:
     instance = _load_instance(args)
-    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=args.cap)
+    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup))
     sigma = transvection_ideals(instance, subgroup)
     k_handle = canonical_sublattice(instance, sigma)
-    gk = net_fixer(instance, sigma, cap=args.cap)
+    gk = net_fixer(instance, sigma)
     labels = instance.lattice.labels
     report = make_report(
         "sigma",
@@ -214,16 +215,12 @@ def cmd_sigma(args) -> int:
 def cmd_sandwich(args) -> int:
     t0 = time.perf_counter()
     instance = _load_instance(args)
-    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup), cap=args.cap)
+    subgroup = Subgroup.from_json(instance, _load_json(args.subgroup))
     diag = instance.diagonal()
     if not diag.is_subset_of(subgroup):
         raise InputError("the subgroup must contain every invertible diagonal matrix")
     checks = verify_sandwich(
-        instance,
-        subgroup,
-        cap=args.cap,
-        seed=args.seed,
-        conjugation_samples=args.conjugation_samples,
+        instance, subgroup, seed=args.seed, conjugation_samples=args.conjugation_samples
     )
     summary = summarize_checks(checks)
     report = make_report(
@@ -252,7 +249,6 @@ def cmd_sweep(args) -> int:
         sample=args.sample,
         seed=args.seed,
         jobs=args.jobs,
-        cap=args.cap,
         conjugation_samples=args.conjugation_samples,
     )
     report = make_report("sweep", instance.describe(), args.seed, **payload)
@@ -271,7 +267,7 @@ def cmd_nets(args) -> int:
     labels = instance.lattice.labels
     rows = []
     for net in valid:
-        fx = net_fixer(instance, net, cap=args.cap)
+        fx = net_fixer(instance, net)
         rows.append(
             {
                 "tau": [[labels[x] for x in row] for row in net.tau.tolist()],
@@ -297,7 +293,6 @@ def cmd_nets(args) -> int:
 
 def cmd_classes(args) -> int:
     instance = _load_instance(args)
-    instance.gl(cap=args.cap)
     classes = all_fixer_classes(instance, bound=args.bound)
     labels = instance.lattice.labels
     rows = []
@@ -339,7 +334,7 @@ def cmd_classes(args) -> int:
 
 def cmd_replay(args) -> int:
     data = _load_json(args.report)
-    instance = Instance.load(args.instance) if args.instance else None
+    instance = _load_instance(args) if args.instance else None
     reproduced, missing, total = 0, 0, 0
 
     def try_replay(witness) -> bool | None:
@@ -355,11 +350,11 @@ def cmd_replay(args) -> int:
         if "condition" in witness:
             if instance is None:
                 raise InputError("condition witnesses need --instance")
-            return replay_witness(instance, witness, cap=args.cap)
+            return replay_witness(instance, witness)
         return None
 
     def reverify_subgroup(subgroup, seed, failed_ids) -> bool:
-        again = verify_sandwich(instance, subgroup, cap=args.cap, seed=seed)
+        again = verify_sandwich(instance, subgroup, seed=seed)
         return failed_ids <= {c["id"] for c in again if not c["holds"]}
 
     pools = []
@@ -371,7 +366,7 @@ def cmd_replay(args) -> int:
             if instance is None:
                 raise InputError("subgroup check witnesses need --instance")
             gens = [instance.code_of_mat(np.asarray(g)) for g in data["subgroup_generators"]]
-            subgroup = close_subgroup(instance, gens, cap=args.cap)
+            subgroup = close_subgroup(instance, gens)
             total += 1
             if reverify_subgroup(subgroup, data.get("seed") or 0, failed_ids):
                 reproduced += 1
@@ -389,7 +384,7 @@ def cmd_replay(args) -> int:
         closures, again = {}, {}
         for row, code, key in zip(failing, codes, keys):
             if key not in closures:
-                closures[key] = coset_closure(instance, instance.diagonal(), [code], cap=args.cap)
+                closures[key] = coset_closure(instance, instance.diagonal(), [code])
             fp = closures[key].fingerprint()
             total += 1
             if fp != row["subgroup"]:
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report JSON here instead of stdout")
         if cap:
             p.add_argument(
-                "--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure/enumeration cap"
+                "--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="largest |GL| to enumerate"
             )
         p.add_argument(
             "--with-timings",
@@ -492,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")
     p.add_argument("--report", required=True)
     p.add_argument("--instance", help="instance spec JSON, for condition witnesses")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure/enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="largest |GL| to enumerate")
     p.set_defaults(func=cmd_replay)
 
     return parser

@@ -6,9 +6,10 @@ class InputError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration or closure grew past its configured cap (CLI exit code 3).
+    """An enumeration passed its cap (CLI exit code 3): |GL| over the cap given to
+    `Instance.gl`, the submodule lattice or a full quantification over its bound.
 
-    Carries the partial count reached before aborting.
+    Carries the count that passed the cap, where one is known.
     """
 
     def __init__(self, message, partial_count=None):

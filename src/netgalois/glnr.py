@@ -109,7 +109,7 @@ class Instance:
     # -- construction -------------------------------------------------------
 
     def _build_lattice(self):
-        ring, n, m, cap = self.ring, self.n, self.modulus, DEFAULT_LATTICE_CAP
+        ring, n, m, limit = self.ring, self.n, self.modulus, DEFAULT_LATTICE_CAP
         vec_total = m**n
         all_vecs = rings.unpack_vectors(np.arange(vec_total), m, n)
         forms, sizes, index = [], [], {}
@@ -125,8 +125,8 @@ class Instance:
                 sizes.append(span.size)
                 index[form.tobytes()] = len(forms)
                 forms.append(form)
-                if len(forms) > cap:
-                    raise CapExceeded(f"submodule lattice exceeds {cap} elements", len(forms))
+                if len(forms) > limit:
+                    raise CapExceeded(f"submodule lattice exceeds {limit} elements", len(forms))
             return index[form.tobytes()]
 
         # cyclic submodules first; every submodule is a join of those.  R is
@@ -536,7 +536,7 @@ def enumerate_dnets(instance: Instance) -> list[DNet]:
     return out
 
 
-def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLOSURE_CAP):
+def net_subgroup(instance: Instance, dnet: DNet):
     """Invertible matrices whose (i, j) entry lies in the prescribed ideal.
 
     Entry j of a row code is its digit j in base m, and p^lev divides m, so
@@ -545,7 +545,7 @@ def net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLOSURE_CAP)
     m^(n i) times row i's code, so the C-order outer AND of the row tables,
     row n - 1 first, is the verdict of every code, gathered once.
     """
-    instance.gl(cap=cap)
+    instance.gl()
     m, n, p = instance.modulus, instance.n, instance.ring.p
     entries = rings.unpack_vectors(np.arange(m**n), m, n)  # [v, j]: entry j of row code v
     levels = np.where(np.eye(n, dtype=bool), 0, dnet.levels)[:, None]
@@ -599,7 +599,7 @@ def bridge_to_collection(instance: Instance, dnet: DNet):
     return NetCollection(instance, tau)
 
 
-def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLOSURE_CAP):
+def verified_net_subgroup(instance: Instance, dnet: DNet):
     """Entrywise net subgroup with a verified generating set attached.
 
     The closure of the diagonal generators plus one elementary per nonzero
@@ -609,9 +609,9 @@ def verified_net_subgroup(instance: Instance, dnet: DNet, cap: int = DEFAULT_CLO
     cached = instance._caches.get(key)
     if cached is not None:
         return cached
-    entrywise = net_subgroup(instance, dnet, cap=cap)
+    entrywise = net_subgroup(instance, dnet)
     gens = net_subgroup_generators(instance, dnet)
-    closure = coset_closure(instance, instance.diagonal(), gens, cap=cap)
+    closure = coset_closure(instance, instance.diagonal(), gens)
     if closure != entrywise:
         raise RuntimeError("generator closure does not reproduce the entrywise net subgroup")
     result = intern_subgroup(
@@ -625,7 +625,6 @@ def verify_sandwich(
     instance: Instance,
     subgroup,
     *,
-    cap: int = DEFAULT_CLOSURE_CAP,
     seed: int = 0,
     conjugation_samples: int | None = None,
 ) -> list[dict]:
@@ -646,8 +645,8 @@ def verify_sandwich(
     back = bridge_to_collection(instance, dnet)
     record(checks, "bridge_roundtrip", back == sigma)
 
-    g_sigma = verified_net_subgroup(instance, dnet, cap=cap)
-    gk = net_fixer(instance, sigma, cap=cap)
+    g_sigma = verified_net_subgroup(instance, dnet)
+    gk = net_fixer(instance, sigma)
     record(checks, "net_subgroup_matches_fixer", g_sigma == gk, None, order=len(g_sigma))
 
     gens_f = generating_subset(subgroup)
@@ -658,7 +657,7 @@ def verify_sandwich(
 
     passing = []
     for cand in enumerate_dnets(instance):
-        gs = verified_net_subgroup(instance, cand, cap=cap)
+        gs = verified_net_subgroup(instance, cand)
         inside, outside = sandwich(instance, gs, subgroup, gens_f)
         if inside and next(outside, None) is None:
             passing.append(cand)
@@ -672,7 +671,7 @@ def verify_sandwich(
 
     checks.extend(
         verify_intermediate_subgroup(
-            instance, subgroup, seed=seed, conjugation_samples=conjugation_samples, cap=cap
+            instance, subgroup, seed=seed, conjugation_samples=conjugation_samples
         )
     )
     return checks

@@ -33,10 +33,10 @@ import itertools
 import numpy as np
 
 from . import rings
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .lattice import SublatticeHandle
 
-DEFAULT_CLOSURE_CAP = 10_000_000
+DEFAULT_CLOSURE_CAP = 10_000_000  # the largest |GL| that `Instance.gl` enumerates by default
 _BFS_CHUNK = 1 << 18
 
 
@@ -116,7 +116,7 @@ class Subgroup:
         }
 
     @staticmethod
-    def from_json(instance, obj: dict, cap: int = DEFAULT_CLOSURE_CAP) -> "Subgroup":
+    def from_json(instance, obj: dict) -> "Subgroup":
         version = obj.get("schema_version", 1)
         if version != 1:
             raise InputError(f"unsupported subgroup schema version {version}")
@@ -139,7 +139,7 @@ class Subgroup:
             if not instance.ring.is_unit(int(rings.det_batch(mat, instance.modulus))):
                 raise InputError(f"generator {g} is not invertible")
             codes.append(instance.code_of_mat(mat))
-        return close_subgroup(instance, codes, cap=cap)
+        return close_subgroup(instance, codes)
 
 
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
@@ -163,12 +163,12 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
     return subgroup
 
 
-def close_subgroup(instance, generator_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+def close_subgroup(instance, generator_codes) -> Subgroup:
     """Closure of the generators (plus identity): `coset_closure` over the
     trivial subgroup, whose cosets are single elements."""
     identity = instance.mask_of(instance.diagonal_codes([1] * instance.n))
     trivial = Subgroup(instance, identity, closed=True)
-    return coset_closure(instance, trivial, generator_codes, cap=cap)
+    return coset_closure(instance, trivial, generator_codes)
 
 
 def gl_code_list(instance, codes) -> list[int]:
@@ -223,7 +223,7 @@ def scalar_coset_key(instance, codes) -> np.ndarray:
     return sum(w * scale[best, d] for w, d in zip(weights.tolist(), digits))
 
 
-def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
     """Closure of <seed, extras> by BFS on the cosets T y of the row scalings
     T in the seed, by table lookups on row codes: no matrix is multiplied.
 
@@ -264,7 +264,7 @@ def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOS
     reached[members] = True
     digits = np.stack(instance.row_digits(members))
     frontier = digits[:, weights @ rowmin[rows, digits] == members]
-    cosets, chunk = frontier.shape[1], max(1, _BFS_CHUNK // order)
+    chunk = max(1, _BFS_CHUNK // order)
     while frontier.shape[1]:
         fresh = []
         for start in range(0, frontier.shape[1], chunk):
@@ -276,9 +276,6 @@ def coset_closure(instance, seed: Subgroup, extra_codes, cap: int = DEFAULT_CLOS
                     continue
                 reached[_coset_codes(parts, keys)] = True
                 fresh.append(keys)
-                cosets += keys.shape[1]
-                if cosets * order > cap:
-                    raise CapExceeded(f"coset closure passed cap {cap}", cosets * order)
         frontier = np.concatenate(fresh, axis=1) if fresh else frontier[:, :0]
     return Subgroup(instance, reached[instance.gl_codes], generator_codes=gen_codes, closed=True)
 
@@ -292,7 +289,7 @@ def _coset_codes(parts, keys) -> np.ndarray:
     return codes
 
 
-def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> list[int]:
+def generating_subset(subgroup: Subgroup) -> list[int]:
     """Small generating set found greedily; exact by construction.
 
     Each new generator is the smallest member outside the closure so far,
@@ -301,11 +298,11 @@ def generating_subset(subgroup: Subgroup, cap: int = DEFAULT_CLOSURE_CAP) -> lis
     if subgroup.generator_codes:
         return list(subgroup.generator_codes)
     gens: list[int] = []
-    current = close_subgroup(subgroup.instance, gens, cap=cap)
+    current = close_subgroup(subgroup.instance, gens)
     while len(current) < len(subgroup):
         missing = np.argmax(subgroup.gl_mask() & ~current.gl_mask())
         gens.append(int(subgroup.instance.gl_codes[missing]))
-        current = coset_closure(subgroup.instance, current, gens[-1:], cap=cap)
+        current = coset_closure(subgroup.instance, current, gens[-1:])
     if not current.is_subset_of(subgroup):
         raise InputError("member set is not closed; cannot extract generators")
     return gens

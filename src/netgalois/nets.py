@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     Subgroup,
     conjugation_closure_check,
     coset_closure,
@@ -236,7 +235,7 @@ def enumerate_net_collections(instance) -> list[NetCollection]:
     return out
 
 
-def net_fixer(instance, net: NetCollection, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+def net_fixer(instance, net: NetCollection) -> Subgroup:
     """The fixer of the canonical sublattice of the collection.
 
     Always re-derived a second way before being cached: the coset closure of
@@ -265,7 +264,7 @@ def net_fixer(instance, net: NetCollection, cap: int = DEFAULT_CLOSURE_CAP) -> S
                         "a transvection below the collection escapes the canonical fixer"
                     )
                 reps.append(int(codes[0]))
-    closure = coset_closure(instance, instance.diagonal(), reps, cap=cap)
+    closure = coset_closure(instance, instance.diagonal(), reps)
     if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
     result = intern_subgroup(
@@ -450,7 +449,6 @@ def verify_intermediate_subgroup(
     *,
     seed: int = 0,
     conjugation_samples: int | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[dict]:
     """Run every per-subgroup theorem check; returns one record per check.
 
@@ -463,7 +461,7 @@ def verify_intermediate_subgroup(
     checks: list[dict] = []
     sigma = transvection_ideals(instance, subgroup)
     k_handle = canonical_sublattice(instance, sigma)
-    gk = net_fixer(instance, sigma, cap=cap)
+    gk = net_fixer(instance, sigma)
     labels = lat.labels
 
     # sigma is a valid net collection, both quantifier readings reported;
@@ -549,7 +547,7 @@ def verify_intermediate_subgroup(
     # uniqueness of the sandwiched net among all valid collections
     passing = []
     for net in enumerate_net_collections(instance):
-        inside, outside = sandwich(instance, net_fixer(instance, net, cap=cap), subgroup, gens_f)
+        inside, outside = sandwich(instance, net_fixer(instance, net), subgroup, gens_f)
         if inside and next(outside, None) is None:
             passing.append(net)
     unique_ok = len(passing) == 1 and passing[0] == sigma

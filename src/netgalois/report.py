@@ -29,13 +29,14 @@ def make_report(command: str, instance_desc: dict | None, seed: int | None, **pa
 
 
 def write_report(path, report: dict) -> None:
+    """Serialise before opening, so a failed serialisation leaves no file."""
+    text = canonical_json(report)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
+        fh.write(text)
 
 
 def write_timings(path, timings: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"schema_version": 1, "timings": timings}))
+    write_report(path, {"schema_version": 1, "timings": timings})
 
 
 def summarize_checks(checks: list[dict]) -> dict:

@@ -51,23 +51,20 @@ def prewarm(instance, *, cap: int) -> None:
             if i != j:
                 transvection_table(instance, i, j)
     for net in enumerate_net_collections(instance):
-        net_fixer(instance, net, cap=cap)
+        net_fixer(instance, net)
     for dnet in enumerate_dnets(instance):
-        verified_net_subgroup(instance, dnet, cap=cap)
+        verified_net_subgroup(instance, dnet)
     _fixer_classes(instance)
 
 
 def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
     """Fingerprint of <D, g>; verifies it into `details` when it is new there."""
-    subgroup = intern_subgroup(
-        instance, coset_closure(instance, instance.diagonal(), [g_code], cap=opts["cap"])
-    )
+    subgroup = intern_subgroup(instance, coset_closure(instance, instance.diagonal(), [g_code]))
     fp = subgroup.fingerprint()
     if fp not in details:
         checks = verify_sandwich(
             instance,
             subgroup,
-            cap=opts["cap"],
             seed=derived_seed(opts["seed"], fp),
             conjugation_samples=opts["conjugation_samples"],
         )
@@ -106,7 +103,7 @@ def sweep_cyclic(
         codes = np.sort(rng.choice(codes, size=sample, replace=False))
     codes = [int(c) for c in codes.tolist()]
 
-    opts = {"cap": cap, "seed": seed, "conjugation_samples": conjugation_samples}
+    opts = {"seed": seed, "conjugation_samples": conjugation_samples}
     prewarm(instance, cap=cap)
 
     keys = double_coset_key(instance, codes)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from netgalois import report
 from netgalois.cli import main
 from netgalois.lattice import pentagon
 
@@ -567,6 +568,44 @@ def test_cap_option(f7_spec, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sigma", "--instance", f7_spec, "--subgroup", sub_path, "--cap", "not-a-number"])
     assert exc.value.code == 2
+
+
+def test_cap_is_the_users_in_every_group_subcommand(tmp_path, capsys):
+    """|GL(3, F7)| = 33784128: sigma, sandwich, nets and replay refuse it
+    under the user's cap, before they enumerate anything."""
+    spec = tmp_path / "f7n3.json"
+    spec.write_text(json.dumps({"ring": {"p": 7, "k": 1}, "n": 3}))
+    gens = [[[3, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"schema_version": 1, "generators": gens}))
+    failed = {"id": "sandwich_upper", "holds": False, "witness": None, "details": {}}
+    sandwich = tmp_path / "sandwich.json"
+    sandwich.write_text(
+        json.dumps({"command": "sandwich", "seed": 0, "subgroup_generators": gens, "checks": [failed]})
+    )
+    for command in (
+        ["sigma", "--subgroup", str(sub)],
+        ["sandwich", "--subgroup", str(sub)],
+        ["nets"],
+        ["replay", "--report", str(sandwich)],
+    ):
+        assert main(command + ["--instance", str(spec), "--cap", "20000000"]) == 3, command
+        assert "exceeds cap 20000000" in capsys.readouterr().err, command
+
+
+def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch):
+    """Reports and timing sidecars are serialised before their file opens."""
+
+    def fail(obj):
+        raise MemoryError("serialisation failed")
+
+    monkeypatch.setattr(report, "canonical_json", fail)
+    out = tmp_path / "nets.json"
+    with pytest.raises(MemoryError):
+        main(["nets", "--instance", f7_spec, "--out", str(out)])
+    with pytest.raises(MemoryError):
+        report.write_timings(str(out) + ".timings.json", {"nets_seconds": 1.0})
+    assert list(tmp_path.iterdir()) == [tmp_path / "f7n2.json"]
 
 
 def test_reports_are_byte_deterministic(f7_spec, tmp_path):

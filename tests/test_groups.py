@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from netgalois.errors import CapExceeded, InputError
+from netgalois.errors import InputError
 from netgalois.glnr import gl_order
 from netgalois.groups import (
     Subgroup,
@@ -51,17 +51,6 @@ def test_close_subgroup_examples(f7):
         f7.code_of_mat(f7.elementary(1, 0, 1)),
     ]
     assert len(close_subgroup(f7, gens)) == 2016
-
-
-def test_close_subgroup_cap(f7):
-    gens = f7.diagonal_generator_codes() + [
-        f7.code_of_mat(f7.elementary(0, 1, 1)),
-        f7.code_of_mat(f7.elementary(1, 0, 1)),
-    ]
-    with pytest.raises(CapExceeded):
-        close_subgroup(f7, gens, cap=100)
-    with pytest.raises(CapExceeded):
-        coset_closure(f7, f7.diagonal(), gens[-2:], cap=100)
 
 
 def test_coset_closure_matches_plain_closure(f7, element_closure):

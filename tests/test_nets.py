@@ -259,7 +259,7 @@ def test_sweep_after_prewarm_computes_no_fixer(name, request, monkeypatch):
     per subgroup, plus the stable span's fixer."""
     if name == "z49":
         inst = request.getfixturevalue("prewarmed_z49")
-        opts = {"sample": 8, "seed": 7, "cap": 5_000_000, "conjugation_samples": 10_000}
+        opts = {"sample": 8, "seed": 7, "conjugation_samples": 10_000}
     else:
         inst, opts = Instance(RingSpec(*{"f7": (7, 1), "z9": (3, 2)}[name]), 2), {}
         prewarm(inst, cap=10_000_000)
