@@ -1,13 +1,14 @@
 """Executable checkers for the instance hypotheses.
 
 Twelve numbered conditions govern the general setting; four primed ones the
-rank-one (all atoms of height 1) specialisation.  Every checker returns a
-verdict carrying holds/fails, a replayable witness for failures, a sample
-witness for the existential conditions, and whether the quantifiers ran
-exhaustively or over a seeded sample.  Condition 4 has two quantifier
-readings (the inner choice may or may not depend on the outer group
-element); both are checked, downstream verification relies only on the weak
-one.
+rank-one (all atoms of height 1) specialisation.  Every checker returns
+(holds, witness, found): a replayable witness for failures and a sample
+witness for the existential conditions.  `check_condition` makes the verdict
+and labels it sampled exactly when a sample count is given and the condition
+is in `SAMPLED`, the conditions whose checkers read it.  Condition 4 has two
+quantifier readings (the inner choice may or may not depend on the outer
+group element); both are checked, downstream verification relies only on the
+weak one.
 
 Conditions 3, 4, 5, 8 and 11 (with 4') quantify over an outer element a of
 GL and are array programs: a table of which inner candidates work for which
@@ -43,6 +44,7 @@ from .groups import (
     fix_mask,
     fixer,
     gl_code_list,
+    instance_cache,
     intern_subgroup,
     scalar_coset_key,
     transvection_table,
@@ -91,12 +93,6 @@ class _Ctx:
         self.atoms = instance.atoms
         self.support = instance.support_table
 
-    def axis(self, i):
-        key = ("axis_subgroup", i)
-        if key not in self.instance._caches:
-            self.instance._caches[key] = axis_subgroup(self.instance, i)
-        return self.instance._caches[key]
-
     def witness_indices(self, w, names) -> list[int]:
         """A witness's index fields: i and j name atoms, x and w lattice elements."""
         values = [w.get(name) for name in names]
@@ -114,16 +110,17 @@ class _Ctx:
         return self.closure_of_keys(double_coset_key(self.instance, codes_tuple).tolist())
 
     def closure_of_keys(self, keys):
-        """<D, a_1, ...> for any a_k with these double-coset keys.
+        return _key_closure(self.instance, tuple(sorted(keys)))
 
-        A key is the code of some d a d' (d, d' in D), and <D, a> = <D, d a d'>:
-        each lies in the group the other generates with D.
-        """
-        key = ("closure_with", tuple(sorted(keys)))
-        if key not in self.instance._caches:
-            closure = coset_closure(self.instance, self.diag, list(key[1]))
-            self.instance._caches[key] = intern_subgroup(self.instance, closure)
-        return self.instance._caches[key]
+
+@instance_cache
+def _key_closure(instance, keys):
+    """<D, a_1, ...> for any a_k with these sorted double-coset keys.
+
+    A key is the code of some d a d' (d, d' in D), and <D, a> = <D, d a d'>:
+    each lies in the group the other generates with D.
+    """
+    return intern_subgroup(instance, coset_closure(instance, instance.diagonal(), list(keys)))
 
 
 # -- individual conditions ----------------------------------------------------
@@ -133,13 +130,13 @@ def _cond_1(ctx, mode, rng, samples):
     l0 = ctx.frame.l0
     ok = l0.bottom == ctx.lat.bottom and l0.top == ctx.lat.top
     wit = None if ok else {"l0_bottom": int(l0.bottom), "l0_top": int(l0.top)}
-    return ok, wit, None, True, None
+    return ok, wit, None
 
 
 def _cond_2(ctx, mode, rng, samples):
     dims = {int(ctx.lat.dimension(a)) for a in ctx.atoms}
     ok = len(dims) == 1
-    return ok, None if ok else {"atom_heights": sorted(dims)}, {"m": ctx.frame.m}, True, None
+    return ok, None if ok else {"atom_heights": sorted(dims)}, {"m": ctx.frame.m}
 
 
 def _iter_group(ctx, rng, samples):
@@ -147,8 +144,8 @@ def _iter_group(ctx, rng, samples):
     (see the module docstring), or a seeded sample of all of GL."""
     if samples is None:
         codes = ctx.instance.gl_codes
-        return np.flatnonzero(scalar_coset_key(ctx.instance, codes) == codes), True
-    return rng.choice(len(ctx.g), size=samples, replace=True), False
+        return np.flatnonzero(scalar_coset_key(ctx.instance, codes) == codes)
+    return rng.choice(len(ctx.g), size=samples, replace=True)
 
 
 def _distinct_rows(ctx, mask):
@@ -180,13 +177,13 @@ def _first_outcomes(active, hits):
 
 
 def _cond_3(ctx, mode, rng, samples):
-    pos, exhaustive = _iter_group(ctx, rng, samples)
+    pos = _iter_group(ctx, rng, samples)
     a_codes = ctx.instance.gl_codes[pos]
     pa = ctx.instance.perm(a_codes)
     found = None
     for i in range(ctx.n):
         e_i, down = ctx.atoms[i], np.array(ctx.frame.atom_downsets[i])
-        h_codes, ph = _distinct_rows(ctx, ctx.axis(i).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i).gl_mask())
         ha = ph[:, pa[:, down]].transpose(1, 0, 2)  # [a, h, x] = h(a(x))
         ah = pa[:, ph[:, down]]  # [a, h, x] = a(h(x))
         works = np.all((ctx.support[ha, i] == down) & (ctx.support[ah, i] == down), axis=2)
@@ -195,14 +192,14 @@ def _cond_3(ctx, mode, rng, samples):
         if found is None and passed is not None:
             found = {"i": i, "a": int(a_codes[passed]), "h": int(h_codes[hits[passed]])}
         if fail is not None:
-            return False, {"i": i, "a": int(a_codes[fail])}, found, exhaustive, samples
-    return True, None, found, exhaustive, samples
+            return False, {"i": i, "a": int(a_codes[fail])}, found
+    return True, None, found
 
 
 def _cond_4(ctx, mode, rng, samples):
     """mode 'weak': the witness may depend on the outer element; 'strong': one
     witness per (t, i) works for all of them."""
-    pos, exhaustive = _iter_group(ctx, rng, samples)
+    pos = _iter_group(ctx, rng, samples)
     lbar_fixer = fixer(ctx.instance, ctx.frame.lbar0).gl_mask()
     a_codes = ctx.instance.gl_codes[pos]
     pa = ctx.instance.perm(a_codes)
@@ -210,7 +207,7 @@ def _cond_4(ctx, mode, rng, samples):
     painv = np.argsort(pa, axis=1)
     found = None
     for t in range(ctx.n):
-        h_codes, ph = _distinct_rows(ctx, ctx.axis(t).gl_mask() & lbar_fixer)
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t).gl_mask() & lbar_fixer)
         for i in range(ctx.n):
             down = ctx.frame.atom_downsets[i]
             others = ctx.support[:, [r for r in range(ctx.n) if r != i]]
@@ -223,7 +220,7 @@ def _cond_4(ctx, mode, rng, samples):
             if mode == "strong":
                 every = works.all(axis=0)
                 if not every.any():
-                    return False, {"t": t, "i": i}, found, exhaustive, samples
+                    return False, {"t": t, "i": i}, found
                 if found is None:
                     found = {"t": t, "i": i, "h": int(h_codes[np.argmax(every)])}
                 continue
@@ -232,12 +229,12 @@ def _cond_4(ctx, mode, rng, samples):
             if found is None and passed is not None:
                 found = {"t": t, "i": i, "a": int(a_codes[passed]), "h": int(h_codes[hits[passed]])}
             if fail is not None:
-                return False, {"t": t, "i": i, "a": int(a_codes[fail])}, found, exhaustive, samples
-    return True, None, found, exhaustive, samples
+                return False, {"t": t, "i": i, "a": int(a_codes[fail])}, found
+    return True, None, found
 
 
 def _cond_5(ctx, mode, rng, samples):
-    pos, exhaustive = _iter_group(ctx, rng, samples)
+    pos = _iter_group(ctx, rng, samples)
     inst = ctx.instance
     g_codes = inst.gl_codes[pos]
     pg = inst.perm(g_codes)
@@ -266,8 +263,8 @@ def _cond_5(ctx, mode, rng, samples):
                 found = {"i": i, "u": int(u), "g": int(g_codes[passed]), "t": int(t_code)}
             if fail is not None:
                 witness = {"i": i, "u": int(u), "g": int(g_codes[fail])}
-                return False, witness, found, exhaustive, samples
-    return True, None, found, exhaustive, samples
+                return False, witness, found
+    return True, None, found
 
 
 def _first_order_violation(lat, a, b):
@@ -300,7 +297,7 @@ def _cond_6(ctx, mode, rng, samples):
 
     def failure(i, j, x, f_idx, g_idx):
         f, g = (int(c) for c in inst.gl_codes[[f_idx, g_idx]])
-        return False, {"i": i, "j": j, "x": int(x), "f": f, "g": g}, None, samples is None, samples
+        return False, {"i": i, "j": j, "x": int(x), "f": f, "g": g}, None
 
     for i in range(ctx.n):
         for j in range(ctx.n):
@@ -323,7 +320,7 @@ def _cond_6(ctx, mode, rng, samples):
                             int(ctx.support[pf[x], j]), int(ctx.support[pg[x], j])
                         ):
                             return failure(i, j, x, f_i, g_i)
-    return True, None, None, samples is None, samples
+    return True, None, None
 
 
 def _realisable(ctx, i, j):
@@ -339,13 +336,13 @@ def _cond_7(ctx, mode, rng, samples):
             for u in ctx.frame.atom_downsets[j]:
                 below = [y for y in real if ctx.lat.leq(y, u)]
                 if ctx.lat.join_many(below) != u:
-                    return False, {"i": i, "j": j, "u": int(u)}, None, True, None
-    return True, None, None, True, None
+                    return False, {"i": i, "j": j, "u": int(u)}, None
+    return True, None, None
 
 
 def _cond_8(ctx, mode, rng, samples):
     inst = ctx.instance
-    pos, exhaustive = _iter_group(ctx, rng, samples)
+    pos = _iter_group(ctx, rng, samples)
     found = None
     for i in range(ctx.n):
         for j in range(ctx.n):
@@ -365,11 +362,11 @@ def _cond_8(ctx, mode, rng, samples):
                 code = int(ctx.instance.gl_codes[gi])
                 x = int(sij[gi])
                 if int(sig[gi]) not in sig_sets.get(x, set()):
-                    return False, {"i": i, "j": j, "f": code}, found, exhaustive, samples
+                    return False, {"i": i, "j": j, "f": code}, found
                 if found is None:
                     match = transvections(inst, i, j, x)
                     found = {"i": i, "j": j, "f": code, "g": int(match[0])}
-    return True, None, found, exhaustive, samples
+    return True, None, found
 
 
 def _cond_9_targets(ctx, i, j):
@@ -407,16 +404,10 @@ def _cond_9(ctx, mode, rng, samples):
                 imgs = inst.act_batch(t_codes, w)
                 hits = np.nonzero(imgs == ctx.atoms[i])[0]
                 if hits.size == 0:
-                    return (
-                        False,
-                        {"i": i, "j": j, "w": int(w), "x": int(x)},
-                        found,
-                        samples is None,
-                        samples,
-                    )
+                    return False, {"i": i, "j": j, "w": int(w), "x": int(x)}, found
                 if found is None:
                     found = {"i": i, "j": j, "w": int(w), "t": int(t_codes[hits[0]])}
-    return True, None, found, samples is None, samples
+    return True, None, found
 
 
 def _cond_10(ctx, mode, rng, samples):
@@ -452,26 +443,20 @@ def _cond_10(ctx, mode, rng, samples):
                             t_codes = transvections(inst, i, j, y)
                             ok = closure.contains_many(t_codes)
                             if not bool(np.all(ok)):
-                                return (
-                                    False,
-                                    {
-                                        "i": i,
-                                        "j": j,
-                                        "xs": [int(x) for x in xs],
-                                        "as": [int(a) for a in a_tuple],
-                                        "y": int(y),
-                                        "t": int(t_codes[np.argmin(ok)]),
-                                    },
-                                    None,
-                                    samples is None,
-                                    samples,
-                                )
-    return True, None, None, samples is None, samples
+                                return False, {
+                                    "i": i,
+                                    "j": j,
+                                    "xs": [int(x) for x in xs],
+                                    "as": [int(a) for a in a_tuple],
+                                    "y": int(y),
+                                    "t": int(t_codes[np.argmin(ok)]),
+                                }, None
+    return True, None, None
 
 
 def _cond_11(ctx, mode, rng, samples):
     """One array program over outer elements a, axis rows (t, h) and pairs (i, j)."""
-    pos, exhaustive = _iter_group(ctx, rng, samples)
+    pos = _iter_group(ctx, rng, samples)
     pairs = [(i, j) for i in range(ctx.n) for j in range(ctx.n) if i != j]
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
     a_codes = ctx.instance.gl_codes[pos]
@@ -480,7 +465,7 @@ def _cond_11(ctx, mode, rng, samples):
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
     cols, xs = [], []
     for t in range(ctx.n):
-        h_codes, ph = _distinct_rows(ctx, ctx.axis(t).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t).gl_mask())
         cols += [(t, h) for h in h_codes.tolist()]
         img = ph[:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
         img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
@@ -504,26 +489,20 @@ def _cond_11(ctx, mode, rng, samples):
         mine = label == k
         fails[mine] = ~meets[np.arange(len(pairs)), xs[mine]]
     if not fails.any():
-        return True, None, None, exhaustive, samples
+        return True, None, None
     # C order of [a, (t, h), (i, j)] is the nested loop order: argmax is the first failure
     a, col, p = np.unravel_index(int(np.argmax(fails)), fails.shape)
     t, h = cols[col]
     witness = {
         "a": int(a_codes[a]), "t": t, "h": h, "i": ii[p], "j": jj[p], "x": int(xs[a, col, p])
     }
-    return False, witness, None, exhaustive, samples
+    return False, witness, None
 
 
 def _cond_12(ctx, mode, rng, samples):
     l0p = ctx.instance.l0_prime()
     outside = [x for x in l0p.members if not ctx.frame.in_lbar0(x)]
-    return (
-        not outside,
-        {"elements": outside[:4]} if outside else None,
-        None,
-        True,
-        None,
-    )
+    return not outside, {"elements": outside[:4]} if outside else None, None
 
 
 def _prime_1(ctx, mode, rng, samples):
@@ -537,13 +516,13 @@ def _prime_1(ctx, mode, rng, samples):
             for x in atoms_l
             if x != e_i and int(ctx.support[x, i]) == e_i
         ]
-        h_codes, ph = _distinct_rows(ctx, ctx.axis(i).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i).gl_mask())
         moves = np.all(ph[:, targets] != targets, axis=1)
         if not moves.any():
-            return False, {"i": i}, found, True, None
+            return False, {"i": i}, found
         if found is None:
             found = {"i": i, "h": int(h_codes[np.argmax(moves)])}
-    return True, None, found, True, None
+    return True, None, found
 
 
 def _prime_2(ctx, mode, rng, samples):
@@ -559,8 +538,8 @@ def _prime_2(ctx, mode, rng, samples):
         reach = set(diag_perms[:, base].tolist())
         missing = [y for y in members if y not in reach]
         if missing:
-            return False, {"x": base, "y": missing[0]}, None, True, None
-    return True, None, None, True, None
+            return False, {"x": base, "y": missing[0]}, None
+    return True, None, None
 
 
 def _prime_3(ctx, mode, rng, samples):
@@ -569,8 +548,8 @@ def _prime_3(ctx, mode, rng, samples):
             if i == j:
                 continue
             if transvections(ctx.instance, i, j, ctx.atoms[j]).size == 0:
-                return False, {"i": i, "j": j}, None, True, None
-    return True, None, None, True, None
+                return False, {"i": i, "j": j}, None
+    return True, None, None
 
 
 _CHECKERS = {
@@ -593,6 +572,9 @@ _CHECKERS = {
 }
 
 AMBIGUOUS = {"4": ("weak", "strong")}
+# the conditions whose checkers read `samples`; the others check lattice
+# tables or transvection sets in full
+SAMPLED = {"3", "4", "5", "6", "8", "9", "10", "11", "4'"}
 
 
 def check_condition(
@@ -608,10 +590,11 @@ def check_condition(
         raise InputError(f"unknown condition id {cond_id!r}")
     if mode is None:
         mode = AMBIGUOUS.get(cond_id, ("as_stated",))[0]
+    used = samples if cond_id in SAMPLED else None
     ctx = _Ctx(instance)
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    holds, witness, found, exhaustive, used = checker(ctx, mode, rng, samples)
+    holds, witness, found = checker(ctx, mode, rng, samples)
     elapsed = time.perf_counter() - start
     if witness is not None:
         witness = {"condition": cond_id, "mode": mode, **witness}
@@ -621,7 +604,7 @@ def check_condition(
         holds=holds,
         witness=witness,
         found=found,
-        exhaustive=exhaustive,
+        exhaustive=used is None,
         samples=used,
         elapsed=elapsed,
     )
@@ -662,7 +645,7 @@ def _replay_cond_3(ctx, mode, w):
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
-    for ph in ctx.instance.perm(ctx.axis(i).codes):
+    for ph in ctx.instance.perm(axis_subgroup(ctx.instance, i).codes):
         if all(
             int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
             for x in ctx.frame.atom_downsets[i]

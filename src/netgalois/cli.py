@@ -24,15 +24,8 @@ import numpy as np
 from . import __version__
 from .axioms import CONDITION_IDS, PRIME_IDS, check_all, replay_witness
 from .errors import CapExceeded, InputError
-from .glnr import Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    Subgroup,
-    close_subgroup,
-    coset_closure,
-    double_coset_key,
-    gl_code_list,
-)
+from .glnr import DEFAULT_GL_CAP, Instance, bridge_to_dnet, enumerate_dnets, verify_sandwich
+from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key, gl_code_list
 from .lattice import FiniteLattice, pentagon
 from .nets import (
     CLASS_BOUND,
@@ -294,6 +287,9 @@ def cmd_nets(args) -> int:
 def cmd_classes(args) -> int:
     instance = _load_instance(args)
     classes = all_fixer_classes(instance, bound=args.bound)
+    # K(net) lies in the class of its fixer, the net fixer
+    nets = enumerate_net_collections(instance)
+    canonical = {canonical_sublattice(instance, net).members for net in nets}
     labels = instance.lattice.labels
     rows = []
     for cls in sorted(classes, key=lambda c: len(c.common_fixer)):
@@ -301,15 +297,7 @@ def cmd_classes(args) -> int:
         sizes = [len(h.members) for h in members]
         maximal = members[-1]
         minimal_size = min(sizes)
-        canon = [
-            h
-            for h in members
-            if any(
-                net_fixer(instance, net) == cls.common_fixer
-                and canonical_sublattice(instance, net).members == h.members
-                for net in enumerate_net_collections(instance)
-            )
-        ]
+        canon = [h for h in members if h.members in canonical]
         rows.append(
             {
                 "fixer_order": len(cls.common_fixer),
@@ -421,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report JSON here instead of stdout")
         if cap:
             p.add_argument(
-                "--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="largest |GL| to enumerate"
+                "--cap", type=int, default=DEFAULT_GL_CAP, help="largest |GL| to enumerate"
             )
         p.add_argument(
             "--with-timings",
@@ -487,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")
     p.add_argument("--report", required=True)
     p.add_argument("--instance", help="instance spec JSON, for condition witnesses")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="largest |GL| to enumerate")
+    p.add_argument("--cap", type=int, default=DEFAULT_GL_CAP, help="largest |GL| to enumerate")
     p.set_defaults(func=cmd_replay)
 
     return parser

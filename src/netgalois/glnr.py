@@ -6,7 +6,7 @@ column action).  A submodule is identified with the canonical Howell form of
 its row span, and its lattice index is recovered from that form's label, so
 matrix images never rely on positional bookkeeping.
 
-The module also fixes, empirically at build time, which off-diagonal slot of
+The module also fixes, empirically on first use, which off-diagonal slot of
 an elementary matrix realises a transvection moving atom i into atom j: the
 candidate matrices are classified through the membership predicate rather
 than by assuming a convention.
@@ -24,12 +24,12 @@ from . import rings
 from .errors import CapExceeded, InputError
 from .frame import Frame
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     Subgroup,
     classify_transvection,
     coset_closure,
     fixed_by,
     generating_subset,
+    instance_cache,
     intern_subgroup,
 )
 from .lattice import FiniteLattice
@@ -44,6 +44,7 @@ from .nets import (
 from .rings import RingSpec
 
 DEFAULT_LATTICE_CAP = 2_000
+DEFAULT_GL_CAP = 10_000_000  # the largest |GL| that `Instance.gl` enumerates by default
 # act_batch's GL-wide passes over codes work through this many codes at a
 # time, so their temporaries stay small and are reused instead of being
 # page-faulted in afresh for every GL-sized batch
@@ -101,10 +102,8 @@ class Instance:
         self.support_table = np.array(
             [self.frame.support(x).parts for x in range(len(self.lattice))], dtype=np.int32
         )
-        self._caches: dict = {}
+        self._caches: dict = {}  # read and written by `groups` only
         self._gl = None
-        self._diag = None
-        self._slot_convention = None
 
     # -- construction -------------------------------------------------------
 
@@ -258,6 +257,7 @@ class Instance:
             digits.append(digit)
         return digits
 
+    @instance_cache
     def gl_image(self, x: int) -> np.ndarray:
         """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
 
@@ -269,31 +269,25 @@ class Instance:
         cyclic x = R(p w) scales the column of Rw; only a cyclic x with a
         unimodular generator takes an `act_batch` pass, constant at bottom.
         """
-        images = self._caches.setdefault("gl_images", {})
-        x = int(x)
-        col = images.get(x)
-        if col is None:
-            self.gl()
-            m, n, p, lat = self.modulus, self.n, self.ring.p, self.lattice
-            dtype = np.min_scalar_type(len(lat) - 1)
-            gens = np.flatnonzero(self.cyclic_index == x)
-            vec = rings.unpack_vectors(gens[:1], m, n)
-            if not gens.size:
-                rows = self.cyclic_index[rings.pack_vectors(self.basis_rows[x], m)]
-                col, join = self.gl_image(rows[0]), lat.join_table.astype(dtype)
-                for row in rows[1:]:
-                    col = join[col, self.gl_image(row)]
-            elif np.any(vec % p) or x == lat.bottom:
-                col = self.act_batch(self.gl_codes, x).astype(dtype)
-            else:
-                # x = p Rw for w = v / p, and p Rv = R(p v): g(Rw) is cyclic,
-                # so only the cyclic entries of `scale` are read
-                scale = np.zeros(len(lat), dtype=dtype)
-                vecs = rings.unpack_vectors(np.arange(m**n), m, n)
-                scale[self.cyclic_index] = self.cyclic_index[rings.pack_vectors(vecs * p % m, m)]
-                col = scale[self.gl_image(self.cyclic_index[rings.pack_vectors(vec[0] // p, m)])]
-            images[x] = col
-        return col
+        self.gl()
+        m, n, p, lat = self.modulus, self.n, self.ring.p, self.lattice
+        dtype = np.min_scalar_type(len(lat) - 1)
+        gens = np.flatnonzero(self.cyclic_index == x)
+        vec = rings.unpack_vectors(gens[:1], m, n)
+        if not gens.size:
+            rows = self.cyclic_index[rings.pack_vectors(self.basis_rows[x], m)]
+            col, join = self.gl_image(rows[0]), lat.join_table.astype(dtype)
+            for row in rows[1:]:
+                col = join[col, self.gl_image(row)]
+            return col
+        if np.any(vec % p) or x == lat.bottom:
+            return self.act_batch(self.gl_codes, x).astype(dtype)
+        # x = p Rw for w = v / p, and p Rv = R(p v): g(Rw) is cyclic, so only
+        # the cyclic entries of `scale` are read
+        scale = np.zeros(len(lat), dtype=dtype)
+        vecs = rings.unpack_vectors(np.arange(m**n), m, n)
+        scale[self.cyclic_index] = self.cyclic_index[rings.pack_vectors(vecs * p % m, m)]
+        return scale[self.gl_image(self.cyclic_index[rings.pack_vectors(vec[0] // p, m)])]
 
     def perm(self, codes) -> np.ndarray:
         """Lattice permutations of a batch of codes, one row each: entry
@@ -317,7 +311,7 @@ class Instance:
 
     # -- groups -------------------------------------------------------------
 
-    def gl(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def gl(self, cap: int = DEFAULT_GL_CAP):
         """The whole group; also fills `gl_codes` (ascending) and the `positions` index.
 
         A matrix over Z/p^k is invertible iff its reduction mod p is (its
@@ -325,7 +319,9 @@ class Instance:
         over the p^(n^2) residue matrices only, in chunks.  For k = 1 the
         residue code is the code itself; for k > 1 each code reads the verdict
         at its residue code, the sum over rows i of p^(n i) times the residue
-        code of row i, from an m^n-entry table.
+        code of row i, from an m^n-entry table.  Cached by hand, not by
+        `instance_cache`: `cap` is checked on the first call only, so it is
+        no key.
         """
         if self._gl is None:
             expected = gl_order(self.ring, self.n)
@@ -381,13 +377,12 @@ class Instance:
         """Codes of diag(e) for the rows e of `entries`: e_i is digit i n + i."""
         return np.dot(entries, self.modulus ** ((self.n + 1) * np.arange(self.n, dtype=np.int64)))
 
+    @instance_cache
     def diagonal(self):
         """The group of invertible diagonal matrices (the frame stabiliser)."""
-        if self._diag is None:
-            codes = self.diagonal_codes(list(itertools.product(self.ring.units(), repeat=self.n)))
-            gens = tuple(self.diagonal_generator_codes())
-            self._diag = Subgroup(self, self.mask_of(codes), generator_codes=gens, closed=True)
-        return self._diag
+        codes = self.diagonal_codes(list(itertools.product(self.ring.units(), repeat=self.n)))
+        gens = tuple(self.diagonal_generator_codes())
+        return Subgroup(self, self.mask_of(codes), generator_codes=gens, closed=True)
 
     def diagonal_generator_codes(self) -> list[int]:
         """diag(1, .., r at i, .., 1) for each i, r a generator of the units."""
@@ -406,37 +401,32 @@ class Instance:
         # (Z/2)* and friends are trivial
         return 1
 
+    @instance_cache
     def l0_prime(self):
         """Sublattice of elements fixed by the whole frame stabiliser, tested on
         its generators, so lattice-only work never enumerates GL."""
-        if "l0_prime" not in self._caches:
-            codes = np.array(self.diagonal_generator_codes(), dtype=np.int64)
-            self._caches["l0_prime"] = fixed_by(self, codes)
-        return self._caches["l0_prime"]
+        return fixed_by(self, np.array(self.diagonal_generator_codes(), dtype=np.int64))
 
     # -- elementary transvections -------------------------------------------
 
+    @instance_cache
     def slot_convention(self) -> str:
         """Which slot of identity-plus-one-entry realises a move of atom i into atom j.
 
         Decided by the membership predicate on a unit-parameter candidate,
         never assumed; "ji" means entry at (j, i).
         """
-        if self._slot_convention is None:
-            i, j = 0, 1
-            for conv in ("ji", "ij"):
-                mat = np.eye(self.n, dtype=np.int64)
-                if conv == "ji":
-                    mat[j, i] = 1
-                else:
-                    mat[i, j] = 1
-                x = classify_transvection(self, mat, i, j)
-                if x is not None and x != self.lattice.bottom:
-                    self._slot_convention = conv
-                    break
+        i, j = 0, 1
+        for conv in ("ji", "ij"):
+            mat = np.eye(self.n, dtype=np.int64)
+            if conv == "ji":
+                mat[j, i] = 1
             else:
-                raise RuntimeError("no elementary slot realises a transvection; convention bug")
-        return self._slot_convention
+                mat[i, j] = 1
+            x = classify_transvection(self, mat, i, j)
+            if x is not None and x != self.lattice.bottom:
+                return conv
+        raise RuntimeError("no elementary slot realises a transvection; convention bug")
 
     def elementary(self, i: int, j: int, xi: int) -> np.ndarray:
         """Identity plus xi in the single slot making it move atom i into atom j."""
@@ -599,26 +589,21 @@ def bridge_to_collection(instance: Instance, dnet: DNet):
     return NetCollection(instance, tau)
 
 
+@instance_cache
 def verified_net_subgroup(instance: Instance, dnet: DNet):
     """Entrywise net subgroup with a verified generating set attached.
 
     The closure of the diagonal generators plus one elementary per nonzero
     prescribed ideal must reproduce the entrywise set exactly; cached.
     """
-    key = ("net_subgroup", dnet.levels.tobytes())
-    cached = instance._caches.get(key)
-    if cached is not None:
-        return cached
     entrywise = net_subgroup(instance, dnet)
     gens = net_subgroup_generators(instance, dnet)
     closure = coset_closure(instance, instance.diagonal(), gens)
     if closure != entrywise:
         raise RuntimeError("generator closure does not reproduce the entrywise net subgroup")
-    result = intern_subgroup(
+    return intern_subgroup(
         instance, Subgroup(instance, entrywise.gl_mask(), generator_codes=tuple(gens), closed=True)
     )
-    instance._caches[key] = result
-    return result
 
 
 def verify_sandwich(

@@ -23,10 +23,13 @@ every f of a call against chunks of the s, one broadcast product per chunk,
 read for the first failing (f, s).  `is_normal_in` and the exhaustive
 `conjugation_closure_check` (one f per right coset of the subgroup) call it;
 only the sampled check conjugates aligned (f, s) pairs of its own.
+Instance-wide tables live in `Instance._caches`, read only here: the
+`instance_cache` memo, the subgroup pool and the row-product tables.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
@@ -36,8 +39,24 @@ from . import rings
 from .errors import InputError
 from .lattice import SublatticeHandle
 
-DEFAULT_CLOSURE_CAP = 10_000_000  # the largest |GL| that `Instance.gl` enumerates by default
 _BFS_CHUNK = 1 << 18
+
+
+def instance_cache(fn):
+    """Memoise fn(instance, *args) in `instance._caches` under
+    (fn.__qualname__, *args): one entry per instance and argument tuple,
+    filled on first use (or by `sweep.prewarm` before workers fork)."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(instance, *args):
+        key = (name, *args)
+        out = instance._caches.get(key)
+        if out is None:
+            out = instance._caches[key] = fn(instance, *args)
+        return out
+
+    return cached
 
 
 class Subgroup:
@@ -149,6 +168,7 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
     the record of key and fingerprint are pooled, keyed by `Subgroup.key`, so
     each pooled member set is fingerprinted once.
     """
+    # keyed by the subgroup's content, not by arguments: no `instance_cache`
     pool = instance._caches.setdefault("subgroup_pool", {})
     key = subgroup.key()
     base = pool.get(key)
@@ -184,7 +204,8 @@ def gl_code_list(instance, codes) -> list[int]:
 
 def row_products(instance, codes) -> np.ndarray:
     """Entry [k, v] is the row code of v g_k, for the matrix g_k of each code
-    and each of the m^n row codes v.  Cached per code."""
+    and each of the m^n row codes v.  Cached per code by hand, not by
+    `instance_cache`: the codes not yet held are built in one batch."""
     tables = instance._caches.setdefault("row_products", {})
     new = [c for c in dict.fromkeys(codes) if c not in tables]
     if new:
@@ -316,18 +337,14 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
     return instance.act_batch(codes, x) == x
 
 
+@instance_cache
 def fix_mask(instance, x: int) -> np.ndarray:
     """Mask over GL (aligned with `gl_codes`) of the matrices fixing x.
 
     Read off the element's `gl_image` column once and cached: fixers AND
     these masks many times over.
     """
-    masks = instance._caches.setdefault("fix_masks", {})
-    x = int(x)
-    mask = masks.get(x)
-    if mask is None:
-        mask = masks[x] = instance.gl_image(x) == x
-    return mask
+    return instance.gl_image(x) == x
 
 
 def fixer(instance, elements) -> Subgroup:
@@ -378,6 +395,7 @@ def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
 # -- distinguished member sets ----------------------------------------------
 
 
+@instance_cache
 def axis_subgroup(instance, i: int) -> Subgroup:
     """Frame-stabiliser members fixing every element supported away from atom i."""
     away = np.flatnonzero(instance.support_table[:, i] == instance.lattice.bottom)
@@ -417,6 +435,7 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
     return int(st[j])
 
 
+@instance_cache
 def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): the GL positions, ascending, of the transvection
     set for (i, j) (86 436 of 4 840 416 on Z/49), and the x of each one's class.
@@ -424,10 +443,6 @@ def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     Cached; this is the exact full filter, the elementary family is only a
     cross-check.
     """
-    key = ("transvection_table", i, j)
-    cached = instance._caches.get(key)
-    if cached is not None:
-        return cached
     if i == j:
         raise InputError("transvections need i != j")
     lat = instance.lattice
@@ -453,8 +468,7 @@ def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     img = instance.gl_image(e_i)
     ok &= atom_ok[img]
     positions = np.flatnonzero(ok)
-    instance._caches[key] = out = (positions, support[img[positions], j])
-    return out
+    return positions, support[img[positions], j]
 
 
 def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
@@ -540,15 +554,10 @@ def double_coset_key(instance, codes) -> np.ndarray:
     the right a d' = (uI) a (u^-1 d') with u = d'_0 and uI in D, so the right
     scalings with d'_0 = 1 reach every D a d'; row i of a d' is a_i d'.  So
     the key is the smallest left minimum over those |units|^(n-1) scalings,
-    with tables[s] = rowmin[row code of v d'_s].
+    with tables[s] = rowmin[row code of v d'_s] (`_double_coset_tables`).
     """
     m, n = instance.modulus, instance.n
-    tables = instance._caches.get("double_coset_tables")
-    if tables is None:
-        right = itertools.product(instance.ring.units(), repeat=n - 1)
-        scalings = instance.diagonal_codes([(1,) + d for d in right]).tolist()
-        tables = row_scale_table(instance).min(axis=0)[row_products(instance, scalings)]
-        instance._caches["double_coset_tables"] = tables
+    tables = _double_coset_tables(instance)
     codes = np.asarray(codes, dtype=np.int64)
     keys = np.empty(codes.size, dtype=np.int64)
     step = max(1, _BFS_CHUNK // len(tables))
@@ -557,6 +566,15 @@ def double_coset_key(instance, codes) -> np.ndarray:
         left = sum(m ** (i * n) * tables[:, d] for i, d in enumerate(digits))
         keys[start : start + step] = left.min(axis=0)
     return keys
+
+
+@instance_cache
+def _double_coset_tables(instance) -> np.ndarray:
+    """Entry [s, v]: the smallest code of u (v d'_s) over units u, for the
+    right scalings d'_s with d'_0 = 1 and the m^n row codes v."""
+    right = itertools.product(instance.ring.units(), repeat=instance.n - 1)
+    scalings = instance.diagonal_codes([(1,) + d for d in right]).tolist()
+    return row_scale_table(instance).min(axis=0)[row_products(instance, scalings)]
 
 
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):

@@ -26,6 +26,7 @@ from .groups import (
     fixer_contains_stabiliser,
     galois_psi,
     generating_subset,
+    instance_cache,
     intern_subgroup,
     is_normal_in,
     normalizes,
@@ -69,9 +70,6 @@ class NetCollection:
                 if int(self.tau[i, j]) not in l0p:
                     return (3, (i, j))
         return None
-
-    def key(self) -> bytes:
-        return self.tau.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, NetCollection) and np.array_equal(self.tau, other.tau)
@@ -205,12 +203,10 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     raise InputError(f"unknown net-collection mode {mode!r}")
 
 
+@instance_cache
 def enumerate_net_collections(instance) -> list[NetCollection]:
     """All valid net collections; entries range over stabiliser-fixed
     elements below each atom, filtered by the aggregate membership clause."""
-    cached = instance._caches.get("valid_nets")
-    if cached is not None:
-        return cached
     lat = instance.lattice
     l0p = instance.l0_prime().members
     n = instance.n
@@ -231,10 +227,10 @@ def enumerate_net_collections(instance) -> list[NetCollection]:
         ok, _ = is_net_collection(instance, net, mode="aggregate")
         if ok:
             out.append(net)
-    instance._caches["valid_nets"] = out
     return out
 
 
+@instance_cache
 def net_fixer(instance, net: NetCollection) -> Subgroup:
     """The fixer of the canonical sublattice of the collection.
 
@@ -243,10 +239,6 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
     transvection value below tau must reproduce the fixer exactly, and every
     such transvection must already lie in it.
     """
-    key = ("net_fixer", net.key())
-    cached = instance._caches.get(key)
-    if cached is not None:
-        return cached
     lat = instance.lattice
     k_handle = canonical_sublattice(instance, net)
     fx = fixer(instance, k_handle.members)
@@ -267,7 +259,7 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
     closure = coset_closure(instance, instance.diagonal(), reps)
     if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
-    result = intern_subgroup(
+    return intern_subgroup(
         instance,
         Subgroup(
             instance,
@@ -277,8 +269,6 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
             closed=True,
         ),
     )
-    instance._caches[key] = result
-    return result
 
 
 def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -363,31 +353,29 @@ def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
 # -- equivalence classes and closed objects -----------------------------------
 
 
-def _fixer_classes(instance, bound: int = CLASS_BOUND) -> tuple[list, dict]:
+@instance_cache
+def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
     """(classes, by_members): the sublattices of the base sublattice grouped
     by their fixer, classes and representatives in enumeration order, and
-    each sublattice's member tuple -> its class; cached per bound.
+    each sublattice's member tuple -> its class; cached per bound, which
+    every caller passes positionally so that they share one entry.
 
     A class whose fixer is a net fixer holds that pooled object, so its
     closure-verified generating set keeps later normality tests on generator
     level.
     """
-    key = ("fixer_classes", bound)
-    cached = instance._caches.get(key)
-    if cached is None:
-        named = {}
-        for net in enumerate_net_collections(instance):
-            fx = net_fixer(instance, net)
-            named.setdefault(fx.key(), fx)
-        classes, by_members = {}, {}
-        l0p = instance.l0_prime()
-        for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
-            fx = fixer(instance, h.members)
-            cls = classes.setdefault(fx.key(), EquivClass([], named.get(fx.key(), fx)))
-            cls.representatives.append(h)
-            by_members[h.members] = cls
-        cached = instance._caches[key] = (list(classes.values()), by_members)
-    return cached
+    named = {}
+    for net in enumerate_net_collections(instance):
+        fx = net_fixer(instance, net)
+        named.setdefault(fx.key(), fx)
+    classes, by_members = {}, {}
+    l0p = instance.l0_prime()
+    for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
+        fx = fixer(instance, h.members)
+        cls = classes.setdefault(fx.key(), EquivClass([], named.get(fx.key(), fx)))
+        cls.representatives.append(h)
+        by_members[h.members] = cls
+    return list(classes.values()), by_members
 
 
 def fixer_class(instance, members, bound: int = CLASS_BOUND) -> EquivClass:
@@ -464,15 +452,14 @@ def verify_intermediate_subgroup(
     gk = net_fixer(instance, sigma)
     labels = lat.labels
 
-    # sigma is a valid net collection, both quantifier readings reported;
-    # membership in the pre-validated enumeration short-circuits the recheck
-    known_valid = any(sigma == net for net in enumerate_net_collections(instance))
-    if known_valid:
+    # sigma is a valid net collection, both quantifier readings reported; the
+    # enumeration kept its nets by the aggregate check, so membership in it
+    # stands for that reading
+    if any(sigma == net for net in enumerate_net_collections(instance)):
         ok_agg, wit = True, None
-        ok_triple, wit_triple = True, None
     else:
         ok_agg, wit = is_net_collection(instance, sigma, mode="aggregate")
-        ok_triple, wit_triple = is_net_collection(instance, sigma, mode="per_triple")
+    ok_triple, wit_triple = is_net_collection(instance, sigma, mode="per_triple")
     record(
         checks,
         "transvection_ideals_form_net",

@@ -23,15 +23,9 @@ import os
 import numpy as np
 
 from .errors import InputError
-from .glnr import enumerate_dnets, verified_net_subgroup, verify_sandwich
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    coset_closure,
-    double_coset_key,
-    intern_subgroup,
-    transvection_table,
-)
-from .nets import _fixer_classes, enumerate_net_collections, net_fixer
+from .glnr import DEFAULT_GL_CAP, enumerate_dnets, verified_net_subgroup, verify_sandwich
+from .groups import coset_closure, double_coset_key, intern_subgroup, transvection_table
+from .nets import CLASS_BOUND, _fixer_classes, enumerate_net_collections, net_fixer
 
 FAMILIES = ("cyclic-over-D",)
 
@@ -54,7 +48,7 @@ def prewarm(instance, *, cap: int) -> None:
         net_fixer(instance, net)
     for dnet in enumerate_dnets(instance):
         verified_net_subgroup(instance, dnet)
-    _fixer_classes(instance)
+    _fixer_classes(instance, CLASS_BOUND)
 
 
 def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
@@ -88,7 +82,7 @@ def sweep_cyclic(
     sample: int | None = None,
     seed: int = 0,
     jobs: int | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    cap: int = DEFAULT_GL_CAP,
     conjugation_samples: int | None = None,
 ) -> dict:
     """Sweep payload: one row per extra element plus per-subgroup details."""

@@ -131,7 +131,7 @@ def test_sampled_conditions_read_gl_columns_of_atom_downsets_only():
     for cid in ("3", "5", "6", "11"):
         assert check_condition(inst, cid, samples=10).holds, cid
     below_atoms = set().union(*inst.frame.atom_downsets)
-    built = set(inst._caches["gl_images"])
+    built = {key[1] for key in inst._caches if key[0] == "Instance.gl_image"}
     assert built <= below_atoms
     assert len(built) == 4
 
@@ -335,10 +335,7 @@ def _reference_rows(inst, codes):
 
 def _reference_axis(inst, i):
     """The axis member set the checkers read, planted ones included."""
-    key = ("axis_subgroup", i)
-    if key not in inst._caches:
-        inst._caches[key] = axis_subgroup(inst, i)
-    return inst._caches[key]
+    return axis_subgroup(inst, i)
 
 
 def _reference_coded_rows(inst, mask):
@@ -510,7 +507,8 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
 
         for i in range(inst.n):
             inst._caches[("axis_subgroup", i)] = Subgroup(inst, planted())
-        inst._caches["fix_masks"] = {int(atom): planted() for atom in inst.atoms}
+        for atom in inst.atoms:
+            inst._caches[("fix_mask", int(atom))] = planted()
         outcomes += _assert_matches_references(inst, samples=samples, seed=trial)
     assert {cid for cid, _, holds, _ in outcomes if not holds} == {"3", "4", "5"}
     # a failure after a pass carries both the witness and the found record

@@ -1,6 +1,7 @@
 """Every module-level import in `src/netgalois` is read somewhere in its
-module: an import nothing reads keeps dead code looking alive.  Stdlib only
-(`ast`), so it runs wherever the tests do."""
+module: an import nothing reads keeps dead code looking alive.  And only
+`groups` reads `Instance._caches`, so the cache layout is decided in one
+module.  Stdlib only (`ast`), so it runs wherever the tests do."""
 
 import ast
 import pathlib
@@ -46,3 +47,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def cache_accesses(source: str) -> list[tuple[str, bool]]:
+    """(enclosing class and function names, whether it is a store) for each
+    attribute named `_caches` in the module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_caches":
+                found.append((".".join(scope), isinstance(child.ctx, ast.Store)))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cache_accesses_are_found():
+    source = (
+        "class Instance:\n"
+        "    def __init__(self):\n"
+        "        self._caches: dict = {}\n"
+        "    def table(self):\n"
+        "        return self._caches.get('t')\n"
+        "def f(inst):\n"
+        "    inst._caches['x'] = 1\n"
+    )
+    assert cache_accesses(source) == [
+        ("Instance.__init__", True),
+        ("Instance.table", False),
+        ("f", False),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_groups_reads_the_instance_caches(path):
+    """`glnr` creates the store in `Instance.__init__`; no module but `groups`
+    touches it otherwise."""
+    if path.name == "groups.py":
+        return
+    allowed = {("Instance.__init__", True)} if path.name == "glnr.py" else set()
+    assert set(cache_accesses(path.read_text(encoding="utf-8"))) <= allowed, path.name

@@ -622,6 +622,25 @@ def test_verify_intermediate_subgroup_stabiliser(f7):
     assert by_id["finite_index"]["details"]["index"] == 1
 
 
+def test_per_triple_verdict_comes_from_a_per_triple_call(f3n3, monkeypatch):
+    """sigma(D) is among the enumerated nets, which the enumeration kept by
+    the aggregate reading only: the per-triple reading is still checked."""
+    assert transvection_ideals(f3n3, f3n3.diagonal()) in enumerate_net_collections(f3n3)
+    calls = []
+
+    def planted(instance, net, mode="aggregate"):
+        calls.append(mode)
+        return False, {"kind": "planted"}
+
+    monkeypatch.setattr(nets, "is_net_collection", planted)
+    checks = verify_intermediate_subgroup(f3n3, f3n3.diagonal())
+    record = next(c for c in checks if c["id"] == "transvection_ideals_form_net")
+    assert calls == ["per_triple"]
+    assert record["holds"]
+    assert record["details"]["per_triple_holds"] is False
+    assert record["details"]["per_triple_witness"] == {"kind": "planted"}
+
+
 def test_verify_intermediate_subgroup_borel(f7):
     checks = verify_intermediate_subgroup(f7, borel(f7))
     assert all(c["holds"] for c in checks), [c for c in checks if not c["holds"]]
