@@ -38,6 +38,8 @@ from .nets import (
 from .report import canonical_json, make_report, summarize_checks, write_report, write_timings
 from .sweep import derived_seed, sweep_cyclic
 
+AXIOM_SAMPLES = 200  # outer elements `check-axioms --mode sampled` draws by default
+
 
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays so reports serialize cleanly."""
@@ -156,11 +158,13 @@ def _parse_conditions(spec: str) -> list[str]:
 
 
 def cmd_check_axioms(args) -> int:
+    if args.mode == "exhaustive" and args.samples is not None:
+        raise InputError("--samples draws outer elements for --mode sampled only")
     instance = _load_instance(args)
     conditions = _parse_conditions(args.conditions) if args.conditions else None
     samples = None
     if args.mode == "sampled":
-        samples = args.samples
+        samples = AXIOM_SAMPLES if args.samples is None else args.samples
     verdicts = check_all(instance, conditions=conditions, seed=args.seed, samples=samples)
     records = [v.to_record() for v in verdicts]
     all_hold = all(v.holds for v in verdicts)
@@ -436,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--conditions", help="e.g. 1-12 or 1,2,7 or 1'-style ids")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument(
+        "--samples",
+        type=_positive_int,
+        help=f"outer elements drawn by --mode sampled (default {AXIOM_SAMPLES})",
+    )
     p.add_argument(
         "--report-only",
         action="store_true",

@@ -261,13 +261,15 @@ class Instance:
     def gl_image(self, x: int) -> np.ndarray:
         """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
 
-        Cached per element: every GL-wide question about where g sends x
-        reads this column, and a predicate on g(x) becomes a table over the
-        lattice gathered by it.  Each g is R-linear and permutes submodules,
-        so g(a + b) = g(a) + g(b) and g(p y) = p g(y): a non-cyclic x, the
-        join of its basis rows' cyclic submodules, joins their columns; a
-        cyclic x = R(p w) scales the column of Rw; only a cyclic x with a
-        unimodular generator takes an `act_batch` pass, constant at bottom.
+        Cached per element: the atoms' columns label the right cosets of D
+        (`groups.right_cosets`), and a GL-wide question about where g sends
+        an element outside L0' reads its column, a predicate on g(x) becoming
+        a table over the lattice gathered by it.  Each g is R-linear and
+        permutes submodules, so g(a + b) = g(a) + g(b) and g(p y) = p g(y): a
+        non-cyclic x, the join of its basis rows' cyclic submodules, joins
+        their columns; a cyclic x = R(p w) scales the column of Rw; only a
+        cyclic x with a unimodular generator takes an `act_batch` pass,
+        constant at bottom.
         """
         self.gl()
         m, n, p, lat = self.modulus, self.n, self.ring.p, self.lattice

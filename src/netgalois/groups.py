@@ -6,25 +6,28 @@ ascending), read off as codes on demand.  Target orders stay below a few
 million, so full enumeration beats stabiliser chains and is exactly
 reproducible; all set iterations run in canonical code order.  The matrix
 group acts non-faithfully (scalar-like units act trivially), and fixers
-absorb that kernel automatically.  Every GL-wide question about where g
-sends a lattice element x reads x's `Instance.gl_image` column: a fix mask
-(`fix_mask`) is that column compared with x, every fixer is an AND of fix
-masks, and the transvection tables gather per-element support tables by the
-columns and keep the transvections' positions and values only.  Smaller
-batches of codes (generators, members of a subgroup) go through `fixes_mask`,
-or through `Instance.perm` where whole lattice permutations are read
-(`axis_subgroup`, `classify_transvection`).  Every
-closure is one BFS on the cosets of the row scalings inside a seed subgroup
-(`coset_closure`), by table lookups on the row codes and no matrix product:
-D scales rows, and a matrix acting on the right acts on each row alone.
-`close_subgroup` runs it over the trivial subgroup, and `double_coset_key`
-reads the same row-scale table.  The one normality routine is `normalizes`:
-every f of a call against chunks of the s, one broadcast product per chunk,
-read for the first failing (f, s).  `is_normal_in` and the exhaustive
-`conjugation_closure_check` (one f per right coset of the subgroup) call it;
-only the sampled check conjugates aligned (f, s) pairs of its own.
-Instance-wide tables live in `Instance._caches`, read only here: the
-`instance_cache` memo, the subgroup pool and the row-product tables.
+absorb that kernel automatically.  Every closed object of the
+correspondence is the fixer of elements of the base sublattice L0', which D
+fixes, so (g d)(x) = g(x) there: a question about where g sends an L0'
+element is decided once per right coset gD (`right_cosets`, |GL|/|D| of
+them) on that coset's `coset_image` column, and a GL-sized mask is gathered
+by the coset labels only where a subgroup or a result is stored (`fixer`,
+the transvection tables).  Other elements read their `Instance.gl_image`
+column (`fix_mask`).  Smaller batches of codes (generators, members of a
+subgroup) go through `fixes_mask`, or through `Instance.perm` where whole
+lattice permutations are read (`axis_subgroup`, `classify_transvection`).
+Every closure is one BFS on the cosets of the row scalings inside a seed
+subgroup (`coset_closure`), by table lookups on the row codes and no matrix
+product: D scales rows, and a matrix acting on the right acts on each row
+alone.  `close_subgroup` runs it over the trivial subgroup, and
+`double_coset_key` reads the same row-scale table.  The one normality
+routine is `normalizes`: every f of a call against chunks of the s, one
+broadcast product per chunk, read for the first failing (f, s).
+`is_normal_in` and the exhaustive `conjugation_closure_check` (one f per
+right coset of the subgroup) call it; only the sampled check conjugates
+aligned (f, s) pairs of its own.  Instance-wide tables live in
+`Instance._caches`, read only here: the `instance_cache` memo, the subgroup
+pool and the row-product tables.
 """
 
 from __future__ import annotations
@@ -81,6 +84,22 @@ class Subgroup:
     def codes(self) -> np.ndarray:
         """Member codes, ascending (GL positions follow code order)."""
         return self.instance.gl_codes[self._mask]
+
+    def codes_at(self, ranks) -> np.ndarray:
+        """`codes[ranks]`, found through per-block member counts of the mask
+        so that no list of all member codes is built."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if self._order == self._mask.size:  # all of GL: ranks are positions
+            return self.instance.gl_codes[ranks]
+        starts = np.arange(0, self._mask.size, _BFS_CHUNK).tolist()
+        ends = np.cumsum([np.count_nonzero(self._mask[s : s + _BFS_CHUNK]) for s in starts])
+        blocks = np.searchsorted(ends, ranks, side="right")
+        positions = np.empty_like(ranks)
+        for b in np.unique(blocks).tolist():
+            members = np.flatnonzero(self._mask[starts[b] : starts[b] + _BFS_CHUNK])
+            drawn = blocks == b
+            positions[drawn] = starts[b] + members[ranks[drawn] - ends[b] + members.size]
+        return self.instance.gl_codes[positions]
 
     def contains(self, code: int) -> bool:
         return bool(self.contains_many([code])[0])
@@ -339,18 +358,76 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
 
 @instance_cache
 def fix_mask(instance, x: int) -> np.ndarray:
-    """Mask over GL (aligned with `gl_codes`) of the matrices fixing x.
-
-    Read off the element's `gl_image` column once and cached: fixers AND
-    these masks many times over.
-    """
+    """Mask over GL (aligned with `gl_codes`) of the matrices fixing x, read
+    off the element's `gl_image` column: for elements outside L0', whose
+    fixers need not be unions of right cosets of D (`fixer` decides L0'
+    elements per coset)."""
     return instance.gl_image(x) == x
 
 
+@instance_cache
+def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
+    """(label, reps): the right coset gD of each GL position as a dense label
+    in the smallest dtype, and the smallest code of each coset.
+
+    g sends a row v to v g^T, so column i of g spans g(e_i); over a local
+    ring Rv = Rw iff w = u v for a unit u (`Instance._build_lattice`).  So
+    g and g' have equal atom images iff g' = g diag(u), i.e. gD = g'D, and
+    the label is the tuple of atom images (`gl_image` columns), relabelled
+    densely one atom at a time through a presence table: no sort runs over
+    GL.  D fixes every element of L0', so (g d)(x) = g(x) there, and a
+    predicate on the images of L0' elements is constant on each coset.
+    """
+    instance.gl()
+    size, count = len(instance.lattice), 1
+    label = np.zeros(len(instance.gl_codes), dtype=np.uint8)
+    for atom in instance.atoms:
+        tuples = label.astype(np.min_scalar_type(count * size - 1)) * size
+        tuples += instance.gl_image(atom)
+        present = np.zeros(count * size, dtype=bool)
+        present[tuples] = True
+        dense = np.cumsum(present) - 1
+        count = int(dense[-1]) + 1
+        label = dense.astype(np.min_scalar_type(count - 1))[tuples]
+    if count * len(instance.diagonal()) != label.size:
+        raise RuntimeError("the atom images do not label the right cosets of D")
+    first = np.full(count, label.size, dtype=np.int64)
+    np.minimum.at(first, label, np.arange(label.size))
+    return label, instance.gl_codes[first]
+
+
+@instance_cache
+def coset_image(instance, x: int) -> np.ndarray:
+    """g(x) for the smallest code g of each right coset gD, for x in L0':
+    every member of the coset sends x there (`right_cosets`)."""
+    if x not in instance.l0_prime():
+        raise InputError("coset images are defined on the stabiliser-fixed sublattice")
+    return instance.act_batch(right_cosets(instance)[1], x)
+
+
+def coset_fix_mask(instance, members) -> np.ndarray:
+    """Which right cosets of D fix every listed element of L0'."""
+    mask = np.ones(len(right_cosets(instance)[1]), dtype=bool)
+    for x in set(int(e) for e in members):
+        mask &= coset_image(instance, x) == x
+    return mask
+
+
+def first_coset(instance, marked) -> int:
+    """The marked coset holding the smallest code: where a GL-wide mask
+    gathered from `marked` by label first reads True."""
+    cosets = np.flatnonzero(marked)
+    return int(cosets[np.argmin(right_cosets(instance)[1][cosets])])
+
+
 def fixer(instance, elements) -> Subgroup:
-    """All GL matrices fixing every listed element: an AND of `fix_mask`s."""
-    mask = np.ones(len(instance.gl()), dtype=bool)
-    for x in set(int(e) for e in elements):
+    """All GL matrices fixing every listed element: the L0' elements decided
+    per right coset of D and gathered by label, any others ANDed by their
+    `fix_mask`s."""
+    elements = set(int(e) for e in elements)
+    base = elements & set(instance.l0_prime().members)
+    mask = coset_fix_mask(instance, base)[right_cosets(instance)[0]]
+    for x in elements - base:
         mask &= fix_mask(instance, x)
     return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
 
@@ -449,26 +526,24 @@ def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     frame = instance.frame
     support = instance.support_table
     e_i = frame.atoms[i]
-    ok = np.ones(len(instance.gl()), dtype=bool)
-    for s in range(instance.n):
-        if s == i:
-            continue
-        for xs in frame.atom_downsets[s]:
-            if xs == lat.bottom:
-                continue
-            ok &= fix_mask(instance, xs)
-    # each support clause is a table over the lattice, gathered by the image
+    # every clause reads an element below an atom, so inside L0': decided
+    # per right coset of D, the transvections gathered by label
+    ok = coset_fix_mask(
+        instance, [xs for s in range(instance.n) if s != i for xs in frame.atom_downsets[s]]
+    )
+    # each support clause is a table over the lattice, gathered by the coset
     # column; for xi = e_i it is the atom_ok test below
     for xi in frame.atom_downsets[i]:
         if xi in (lat.bottom, e_i):
             continue
-        ok &= (support[:, i] == xi)[instance.gl_image(xi)]
+        ok &= (support[:, i] == xi)[coset_image(instance, xi)]
     others = np.delete(support, [i, j], axis=1)
     atom_ok = (support[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
-    img = instance.gl_image(e_i)
+    img = coset_image(instance, e_i)
     ok &= atom_ok[img]
-    positions = np.flatnonzero(ok)
-    return positions, support[img[positions], j]
+    label = right_cosets(instance)[0]
+    positions = np.flatnonzero(ok[label])
+    return positions, support[img[label[positions]], j]
 
 
 def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
@@ -604,8 +679,9 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
                 digits = np.stack(instance.row_digits(s_codes[start : start + _BFS_CHUNK]))
                 seen[weights @ table[digits]] = True
         return True, None
-    fs = rng.choice(ambient.codes, size=samples, replace=True)
-    ss = rng.choice(subgroup.codes, size=samples, replace=True)
+    # rng.choice(codes) draws codes[rng.choice(len(codes))]: the same draws
+    fs = ambient.codes_at(rng.choice(len(ambient), size=samples, replace=True))
+    ss = subgroup.codes_at(rng.choice(len(subgroup), size=samples, replace=True))
     f_mats = rings.unpack_matrices(fs, m, n)
     s_mats = rings.unpack_matrices(ss, m, n)
     bad = ~subgroup.contains_many(conjugate_codes(instance, f_mats, s_mats))

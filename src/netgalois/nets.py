@@ -21,7 +21,9 @@ from .groups import (
     Subgroup,
     conjugation_closure_check,
     coset_closure,
-    fix_mask,
+    coset_fix_mask,
+    coset_image,
+    first_coset,
     fixer,
     fixer_contains_stabiliser,
     galois_psi,
@@ -30,6 +32,7 @@ from .groups import (
     intern_subgroup,
     is_normal_in,
     normalizes,
+    right_cosets,
     same_transvections,
     transvection_table,
     transvections,
@@ -160,45 +163,47 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     is equivalent to fixing the canonical sublattice.  per_triple: for every
     pairwise-distinct (i, j, k), a bounded (i, j) support forces the bounded
     image of tau[k][i] at j (vacuous when n < 3).  Returns (holds, witness).
+
+    Every element read (atoms, entries of tau, members of the canonical
+    sublattice) lies in L0', so both readings are decided once per right
+    coset of D on its `coset_image` columns; a failure names the smallest
+    code of the failing cosets (`first_coset`), the first failing element.
     """
     bad = net.clause_violation()
     if bad is not None:
         return False, {"kind": "clause", "clause": bad[0], "slot": list(bad[1])}
-    instance.gl()
-    codes, n = instance.gl_codes, instance.n
-    support = instance.support_table
+    n, support = instance.n, instance.support_table
+    reps = right_cosets(instance)[1]
     if mode == "aggregate":
-        bounded = np.ones(len(codes), dtype=bool)
+        bounded = np.ones(len(reps), dtype=bool)
         for i in range(n):
             # whether each lattice element y has [y]_j <= tau[i][j] for all j
             table = np.all(instance.lattice.meet_table[support, net.tau[i]] == support, axis=1)
-            bounded &= table[instance.gl_image(instance.atoms[i])]
-        fixes = np.ones(len(codes), dtype=bool)
-        for x in canonical_sublattice(instance, net).members:
-            fixes &= fix_mask(instance, x)
+            bounded &= table[coset_image(instance, instance.atoms[i])]
+        fixes = coset_fix_mask(instance, canonical_sublattice(instance, net).members)
         diff = bounded != fixes
         if bool(np.any(diff)):
-            idx = int(np.argmax(diff))
+            c = first_coset(instance, diff)
             return False, {
                 "kind": "aggregate",
-                "g": int(codes[idx]),
-                "bounded": bool(bounded[idx]),
-                "fixes_canonical": bool(fixes[idx]),
+                "g": int(reps[c]),
+                "bounded": bool(bounded[c]),
+                "fixes_canonical": bool(fixes[c]),
             }
         return True, None
     if mode == "per_triple":
 
         def bounded(x, j, bound):
-            """Whether [g(x)]_j <= bound, for every g in GL."""
-            return _leq_mask(instance, support[:, j], int(bound))[instance.gl_image(int(x))]
+            """Whether [g(x)]_j <= bound, per right coset gD."""
+            return _leq_mask(instance, support[:, j], int(bound))[coset_image(instance, int(x))]
 
         for i, j, k in itertools.permutations(range(n), 3):
             viol = bounded(instance.atoms[i], j, net.tau[i, j]) & ~bounded(
                 net.tau[k, i], j, net.tau[k, j]
             )
             if bool(np.any(viol)):
-                idx = int(np.argmax(viol))
-                return False, {"kind": "per_triple", "g": int(codes[idx]), "triple": [i, j, k]}
+                g = int(reps[first_coset(instance, viol)])
+                return False, {"kind": "per_triple", "g": g, "triple": [i, j, k]}
         return True, None
     raise InputError(f"unknown net-collection mode {mode!r}")
 
@@ -274,12 +279,13 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
 def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
     """Members of the componentwise span kept inside it by the whole subgroup:
     the fixpoint of keep &= all(keep[g l]) over its generators g, read off
-    `gl_image` columns.  M = {l : F l inside the span} lies in the span and
-    each g maps it into itself, so no step drops it; a set each g maps into
-    itself is F-stable, so the fixpoint lies in M."""
+    the `coset_image` columns at the generators' cosets (the span lies in
+    L0').  M = {l : F l inside the span} lies in the span and each g maps
+    it into itself, so no step drops it; a set each g maps into itself is
+    F-stable, so the fixpoint lies in M."""
     lbar0 = np.array(instance.frame.lbar0)
-    gens = instance.positions(generating_subset(subgroup))
-    images = np.stack([instance.gl_image(l)[gens] for l in lbar0])  # [l, k]: g_k(l)
+    gens = right_cosets(instance)[0][instance.positions(generating_subset(subgroup))]
+    images = np.stack([coset_image(instance, l)[gens] for l in lbar0])  # [l, k]: g_k(l)
     keep = np.zeros(len(instance.lattice), dtype=bool)
     keep[lbar0] = True
     while True:
@@ -320,7 +326,8 @@ def triangle_entry(instance, x: int, i: int, j: int, mode: str = "auto") -> int:
         rhs = x_j_bounded[instance.gl_image(x_i)]
     elif mode == "transvection_reduced":
         positions, lhs_val = transvection_table(instance, i, j)
-        rhs = x_j_bounded[instance.gl_image(x_i)[positions]]
+        label = right_cosets(instance)[0]
+        rhs = x_j_bounded[coset_image(instance, x_i)[label[positions]]]
     else:
         raise InputError(f"unknown triangle mode {mode!r}")
     passing = []
@@ -362,19 +369,23 @@ def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
 
     A class whose fixer is a net fixer holds that pooled object, so its
     closure-verified generating set keeps later normality tests on generator
-    level.
+    level.  Fixers of sublattices of L0' are unions of right cosets of D, so
+    the sublattices are grouped by their `coset_fix_mask`, and a GL-sized
+    fixer is built only for a class no net fixer names.
     """
     named = {}
     for net in enumerate_net_collections(instance):
-        fx = net_fixer(instance, net)
-        named.setdefault(fx.key(), fx)
+        key = coset_fix_mask(instance, canonical_sublattice(instance, net).members).tobytes()
+        named.setdefault(key, net_fixer(instance, net))
     classes, by_members = {}, {}
     l0p = instance.l0_prime()
     for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
-        fx = fixer(instance, h.members)
-        cls = classes.setdefault(fx.key(), EquivClass([], named.get(fx.key(), fx)))
-        cls.representatives.append(h)
-        by_members[h.members] = cls
+        key = coset_fix_mask(instance, h.members).tobytes()
+        if key not in classes:
+            fx = named[key] if key in named else fixer(instance, h.members)
+            classes[key] = EquivClass([], fx)
+        classes[key].representatives.append(h)
+        by_members[h.members] = classes[key]
     return list(classes.values()), by_members
 
 

@@ -125,15 +125,16 @@ def test_sampled_conditions_hold_z49(z49):
 def test_sampled_conditions_read_gl_columns_of_atom_downsets_only():
     """On a fresh Z/49 instance the sampled outer elements and the axis
     candidates get their lattice rows from `Instance.perm`: the only
-    `gl_image` columns built are those the GL-wide masks read, of elements
-    below an atom (4 of the 75)."""
+    `gl_image` columns built are the atoms' (2 of the 75), which label the
+    right cosets of D; the GL-wide masks of elements below an atom are read
+    per coset."""
     inst = Instance(RingSpec(7, 2), 2)
     for cid in ("3", "5", "6", "11"):
         assert check_condition(inst, cid, samples=10).holds, cid
     below_atoms = set().union(*inst.frame.atom_downsets)
     built = {key[1] for key in inst._caches if key[0] == "Instance.gl_image"}
     assert built <= below_atoms
-    assert len(built) == 4
+    assert len(built) == 2
 
 
 @pytest.mark.slow

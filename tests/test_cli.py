@@ -387,6 +387,40 @@ def test_canonical_report_bytes_are_pinned_on_z49(tmp_path):
     )
 
 
+@pytest.mark.slow
+def test_canonical_report_bytes_are_pinned_on_z49_seed_11(tmp_path):
+    """SHA-256 of the sampled Z/49 sweep with seed 11, whose rows close to
+    other subgroups than seed 7's."""
+    spec = tmp_path / "z49n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 7, "k": 2}, "n": 2}))
+    out = tmp_path / "report.json"
+    args = ["sweep", "--instance", str(spec), "--sample", "8", "--conjugation-samples", "10000"]
+    assert main(args + ["--seed", "11", "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "97809ec97785f0cd802865a35438f88efdab45a4ecdc96c802667edf98ad9f56"
+    )
+
+
+@pytest.mark.parametrize(
+    "p, k, n, command, digest",
+    [
+        (2, 2, 2, "classes", "486a88642923db7d78cf27d48e1111f696f9cbad92123751521a5533ded8a74a"),
+        (2, 2, 2, "nets", "92b56e0931ab625a09241e3dfc323da8e9741d43935dd4e6e14fb8abe86f9eaa"),
+        (3, 1, 3, "classes", "6e5dcabad2e23767e0515d55b9e4e30347d84bd32e322078575caa7d4d376406"),
+        (3, 1, 3, "nets", "15606893c30a935a63e25912e54eeb209d155ffebe65b3b800ff6842e8ba6a8a"),
+    ],
+    ids=["z4-classes", "z4-nets", "f3n3-classes", "f3n3-nets"],
+)
+def test_class_and_net_report_bytes_are_pinned(tmp_path, p, k, n, command, digest):
+    """SHA-256s of the fixer-class and net-collection reports: the class
+    grouping, its order and each class's fixer order, and the valid nets."""
+    spec = tmp_path / "instance.json"
+    spec.write_text(json.dumps({"ring": {"p": p, "k": k}, "n": n}))
+    out = tmp_path / "report.json"
+    assert main([command, "--instance", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "g", [10**30, 0, True, 3.0, None], ids=["beyond-int64", "zero", "true", "float", "missing"]
 )
@@ -524,6 +558,18 @@ def test_sample_counts_below_one_exit_2(f7_spec, args, capsys):
         main(args + ["--instance", f7_spec])
     assert exc.value.code == 2
     assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_check_axioms_samples_needs_sampled_mode(f2_spec, tmp_path, capsys):
+    """`--samples` without `--mode sampled` exits 2 and writes no report;
+    `--mode sampled` without `--samples` draws 200 outer elements."""
+    out = tmp_path / "verdicts.json"
+    args = ["check-axioms", "--instance", f2_spec, "--conditions", "3", "--out", str(out)]
+    assert main(args + ["--samples", "25"]) == 2
+    assert "--mode sampled" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--mode", "sampled", "--seed", "5"]) == 0
+    assert [(v["exhaustive"], v["samples"]) for v in read(out)["verdicts"]] == [(False, 200)]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from netgalois.groups import (
     close_subgroup,
     coset_closure,
     conjugation_closure_check,
+    coset_image,
     double_coset_key,
     fix_mask,
     fixed_lattice,
@@ -22,6 +23,7 @@ from netgalois.groups import (
     intern_subgroup,
     is_normal_in,
     normalizes,
+    right_cosets,
     same_transvections,
     transvection_table,
     transvections,
@@ -217,7 +219,45 @@ def test_fixer_examples(f7):
     assert scalars.codes.tolist() == expect
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_right_coset_labels_match_explicit_products(name, request, member_mats):
+    """The labels are the right cosets gD: every product g d, computed as a
+    matrix product, carries g's label, there are |GL|/|D| labels, each
+    representative is the smallest code of its coset, and the labels use the
+    smallest dtype."""
+    inst = request.getfixturevalue(name)
+    m = inst.modulus
+    label, reps = right_cosets(inst)
+    mats = member_mats(inst.gl()).astype(np.int64)
+    smallest = inst.gl_codes.copy()
+    for d in member_mats(inst.diagonal()).astype(np.int64):
+        codes = pack_matrices(mats @ d % m, m)
+        assert np.array_equal(label[inst.positions(codes)], label)
+        smallest = np.minimum(smallest, codes)
+    assert reps.size * len(inst.diagonal()) == len(inst.gl())
+    assert np.array_equal(np.unique(label), np.arange(reps.size))
+    assert np.array_equal(reps[label], smallest)
+    assert label.dtype == np.min_scalar_type(reps.size - 1)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_coset_columns_match_the_action_on_all_of_gl(name, request, act_reference, member_mats):
+    """Each L0' element's coset column, gathered by label, is its image under
+    every GL element by definition; elements outside L0' have no column."""
+    inst = request.getfixturevalue(name)
+    label = right_cosets(inst)[0]
+    mats = member_mats(inst.gl())
+    l0p = inst.l0_prime().members
+    for x in l0p:
+        assert np.array_equal(coset_image(inst, x)[label], act_reference(inst, mats, x))
+    outside = [x for x in range(len(inst.lattice)) if x not in l0p]
+    assert outside or inst.ring.p == 2  # over F2, D is trivial and fixes everything
+    for x in outside[:3]:
+        with pytest.raises(InputError):
+            coset_image(inst, x)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_reference, member_mats):
     """fix_mask against the action on all of GL; fixer against the AND of
     those brute-force masks, for L0', the componentwise span, the whole
@@ -350,7 +390,7 @@ def test_transvection_table_matches_classify_transvection(
                 assert int(table[k]) == (-1 if x is None else x)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_transvection_table_matches_dense_reference(
     name, request, dense_transvection_table, transvection_table_reference
 ):
@@ -580,6 +620,34 @@ def test_sampled_conjugation_check_unpacks_no_matrices(monkeypatch):
     unpacked = _count_unpacked(monkeypatch)
     assert conjugation_closure_check(inst, gl, gl, rng=rng, samples=200) == (True, None)
     assert 0 < sum(unpacked) <= 2 * 200
+
+
+def test_sampled_conjugation_check_draws_member_ranks(z49, monkeypatch):
+    """The sampled check draws member ranks and gathers only the drawn codes:
+    `codes_at` is `codes[ranks]`, the pairs are those `rng.choice` draws from
+    the member codes, and no subgroup's member codes are listed."""
+    fixer_k = fixer(z49, z49.frame.lbar0)
+    borel_k = borel(z49)
+    rng = np.random.default_rng(3)
+    for sub in (z49.diagonal(), fixer_k, borel_k, z49.gl()):
+        ranks = rng.integers(0, len(sub), 5000)
+        assert np.array_equal(sub.codes_at(ranks), sub.codes[ranks])
+    draws = np.random.default_rng(9)
+    fs = draws.choice(borel_k.codes, size=300)
+    ss = draws.choice(fixer_k.codes, size=300)
+    expect = [(int(f), int(s)) for f, s in zip(fs, ss) if not fixer_k.contains(
+        z49.code_of_mat(z49.inv(z49.mat_of_code(int(f))) @ z49.mat_of_code(int(s))
+                        @ z49.mat_of_code(int(f)) % z49.modulus))]
+    assert expect  # the fixer of the componentwise span is D, not normal in the Borel
+
+    def refuse(self):
+        raise AssertionError("listed the member codes")
+
+    monkeypatch.setattr(Subgroup, "codes", property(refuse))
+    holds, witness = conjugation_closure_check(
+        z49, fixer_k, borel_k, rng=np.random.default_rng(9), samples=300
+    )
+    assert (holds, witness) == (False, expect[0])
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])

@@ -177,7 +177,7 @@ def test_stable_lbar0(f7):
     assert set(k.members) <= set(stable_lbar0(f7, b).members)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_stable_lbar0_matches_action_on_sweep_subgroups(name, request, act_reference, member_mats):
     """The gathered stable span against acting with every member, for every
     distinct <D, g> of the exhaustive sweep family."""
@@ -198,7 +198,7 @@ def test_stable_lbar0_matches_action_on_sweep_subgroups(name, request, act_refer
         assert stable_lbar0(inst, sub).members == tuple(expect)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_stable_lbar0_matches_member_mask_reference(name, request, stable_lbar0_reference):
     """The generator fixpoint against the member-mask route, on subgroups with
     generators (D, the sweep family) and without (GL, bare copies of family
@@ -284,7 +284,7 @@ def test_sweep_after_prewarm_computes_no_fixer(name, request, monkeypatch):
     assert calls["is_normal_in"] == len(payload["subgroups"]) * (classes + 1)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_fixer_class_by_sublattice_matches_the_fixer_hash_lookup(
     name, request, monkeypatch, fixer_class_reference
 ):
@@ -347,7 +347,7 @@ def test_stable_lbar0_reads_no_gl_sized_mask(prewarmed_z49, monkeypatch, stable_
     assert stable_lbar0(inst, gl).members == expect
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_net_checks_match_per_element_definition(name, request, act_reference, member_mats):
     """Both readings of is_net_collection against the definition applied to
     each group element's action, for every candidate net, valid or not."""
@@ -393,6 +393,83 @@ def test_net_checks_match_per_element_definition(name, request, act_reference, m
                 expect = (False, {"kind": "per_triple", "g": g_code, "triple": [i, j, k]})
                 break
         assert is_net_collection(inst, net, mode="per_triple") == expect
+
+
+def test_f3n3_candidate_nets_fail_35_of_64(f3n3):
+    """F3 rank 3 has failing candidates, so the witness path is exercised:
+    35 of its 64 candidate nets fail the aggregate reading."""
+    lat, n, l0p = f3n3.lattice, f3n3.n, f3n3.l0_prime().members
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    choices = [[x for x in l0p if lat.leq(x, f3n3.atoms[j])] for _, j in slots]
+    verdicts = []
+    for combo in itertools.product(*choices):
+        tau = np.diag(f3n3.atoms).astype(np.int64)
+        for (i, j), x in zip(slots, combo):
+            tau[i, j] = x
+        verdicts.append(is_net_collection(f3n3, NetCollection(f3n3, tau, check=False))[0])
+    assert (len(verdicts), verdicts.count(False)) == (64, 35)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_fixer_classes_match_brute_force_masks(name, request, act_reference, member_mats):
+    """The sublattices of the base sublattice grouped by fixer masks built
+    from the action on all of GL, by definition: the same classes in the same
+    order, each with that mask as its common fixer, and `fixer` of every
+    sublattice is that mask."""
+    inst = request.getfixturevalue(name)
+    mats = member_mats(inst.gl())
+    l0p = inst.l0_prime().members
+    fixes = {x: act_reference(inst, mats, x) == x for x in l0p}
+    expect = {}
+    handles = inst.lattice.enumerate_sublattices(universe=l0p)
+    for h in handles:
+        mask = np.logical_and.reduce([fixes[x] for x in h.members])
+        expect.setdefault(mask.tobytes(), (mask, []))[1].append(h.members)
+        assert np.array_equal(fixer(inst, h.members).gl_mask(), mask)
+    classes = all_fixer_classes(inst)
+    assert len(classes) == len(expect)
+    for cls, (mask, members) in zip(classes, expect.values()):
+        assert [h.members for h in cls.representatives] == members
+        assert np.array_equal(cls.common_fixer.gl_mask(), mask)
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_prewarm_works_on_gl_per_atom_and_per_distinct_fixer(ring, n, monkeypatch):
+    """On a fresh instance `prewarm` acts with all of GL at most n times (the
+    atoms' columns, which label the right cosets of D), builds no per-element
+    fix mask and no other `gl_image` column, and builds one GL-sized fixer
+    per distinct fixer: none per enumerated sublattice or candidate net."""
+    inst = Instance(RingSpec(*ring), n)
+    size = len(inst.gl())
+    passes, fix_masks, fixers = [], [], []
+    act_batch, fix_mask, fixer_fn = Instance.act_batch, groups.fix_mask, groups.fixer
+
+    def counted_act_batch(self, codes, x):
+        if np.size(codes) == size:
+            passes.append(x)
+        return act_batch(self, codes, x)
+
+    def counted_fix_mask(instance, x):
+        fix_masks.append(x)
+        return fix_mask(instance, x)
+
+    def counted_fixer(instance, elements):
+        fixers.append(fixer_fn(instance, elements))
+        return fixers[-1]
+
+    monkeypatch.setattr(Instance, "act_batch", counted_act_batch)
+    for module in (groups, nets, glnr, sweep):
+        for name, wrapper in (("fix_mask", counted_fix_mask), ("fixer", counted_fixer)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    prewarm(inst, cap=10_000_000)
+    monkeypatch.undo()
+    assert len(passes) <= n
+    assert not fix_masks
+    built = {key[1] for key in inst._caches if key[0] == "Instance.gl_image"}
+    assert built == set(inst.atoms)
+    distinct = {fx.key() for fx in fixers}
+    assert len(fixers) == len(distinct) == len(all_fixer_classes(inst))
 
 
 def test_stable_lbar0_fixer_shares_transvections(f7):
