@@ -40,12 +40,14 @@ from .errors import InputError
 from .groups import (
     axis_subgroup,
     coset_closure,
+    coset_fix_mask,
     double_coset_key,
-    fix_mask,
     fixer,
     gl_code_list,
+    gl_column,
     instance_cache,
     intern_subgroup,
+    right_cosets,
     scalar_coset_key,
     transvection_table,
     transvections,
@@ -102,8 +104,8 @@ class _Ctx:
         return values
 
     def atom_image_support(self, i, j):
-        """[g(e_i)]_j for every group element, read through the atom's image column."""
-        return self.support[self.instance.gl_image(self.atoms[i]), j]
+        """[g(e_i)]_j for every group element, read through the atom's GL column."""
+        return self.support[gl_column(self.instance, self.atoms[i]), j]
 
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
@@ -238,17 +240,14 @@ def _cond_5(ctx, mode, rng, samples):
     inst = ctx.instance
     g_codes = inst.gl_codes[pos]
     pg = inst.perm(g_codes)
-    meet = ctx.lat.meet_table
+    meet, label = ctx.lat.meet_table, right_cosets(inst)[0]
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
-        # t with t(e_s) = e_s for s != i, the first one per image w = t(e_i)
-        keep = np.ones(len(ctx.g), dtype=bool)
-        for s in range(ctx.n):
-            if s != i:
-                keep &= fix_mask(inst, ctx.atoms[s])
-        t_pos = np.flatnonzero(keep)
-        ws, first = np.unique(inst.gl_image(e_i)[t_pos], return_index=True)
+        # t with t(e_s) = e_s for s != i, the first one per image w = t(e_i);
+        # atoms lie in L0', so the t are the cosets fixing the others
+        t_pos = np.flatnonzero(coset_fix_mask(inst, np.delete(ctx.atoms, i))[label])
+        ws, first = np.unique(gl_column(inst, e_i)[t_pos], return_index=True)
         t_codes = inst.gl_codes[t_pos[first]]
         back = ctx.support[pg[:, ws], i] == e_i  # [g, w]: [g(w)]_i = e_i
         for u in ctx.frame.lbar0:
@@ -307,7 +306,7 @@ def _cond_6(ctx, mode, rng, samples):
             xs = [x for x in ctx.frame.atom_downsets[i] if x in l0p]
             if samples is None:
                 for x in xs:
-                    sx = ctx.support[inst.gl_image(x), j]
+                    sx = ctx.support[gl_column(inst, x), j]
                     hit = _first_order_violation(ctx.lat, sij, sx)
                     if hit is not None:
                         return failure(i, j, x, *hit)
@@ -349,7 +348,7 @@ def _cond_8(ctx, mode, rng, samples):
             if i == j:
                 continue
             us = [u for u in ctx.frame.atom_downsets[i]]
-            sig_cols = [ctx.support[inst.gl_image(u), j].astype(np.int64) for u in us]
+            sig_cols = [ctx.support[gl_column(inst, u), j].astype(np.int64) for u in us]
             sig = np.zeros(len(ctx.g), dtype=np.int64)
             for col in sig_cols:
                 sig = sig * len(ctx.lat) + col

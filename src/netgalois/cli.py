@@ -142,18 +142,24 @@ def cmd_support(args) -> int:
 
 
 def _parse_conditions(spec: str) -> list[str]:
+    """Condition ids from a comma list of ids and ascending ranges lo-hi of
+    numbered conditions; a malformed range or an empty list is an `InputError`."""
     out: list[str] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part and not part.endswith("'"):
-            lo, hi = part.split("-", 1)
+            lo, hi = (p.strip() for p in part.split("-", 1))
+            if not {lo, hi} <= set(CONDITION_IDS) or int(lo) > int(hi):
+                raise InputError(f"condition range {part!r} needs ascending ids in 1-12")
             out.extend(str(i) for i in range(int(lo), int(hi) + 1))
         elif part in CONDITION_IDS or part in PRIME_IDS:
             out.append(part)
         else:
             raise InputError(f"unknown condition {part!r}")
+    if not out:
+        raise InputError(f"--conditions {spec!r} names no condition")
     return out
 
 

@@ -257,40 +257,6 @@ class Instance:
             digits.append(digit)
         return digits
 
-    @instance_cache
-    def gl_image(self, x: int) -> np.ndarray:
-        """Lattice index of g(x) for every g in GL, aligned with `gl_codes`.
-
-        Cached per element: the atoms' columns label the right cosets of D
-        (`groups.right_cosets`), and a GL-wide question about where g sends
-        an element outside L0' reads its column, a predicate on g(x) becoming
-        a table over the lattice gathered by it.  Each g is R-linear and
-        permutes submodules, so g(a + b) = g(a) + g(b) and g(p y) = p g(y): a
-        non-cyclic x, the join of its basis rows' cyclic submodules, joins
-        their columns; a cyclic x = R(p w) scales the column of Rw; only a
-        cyclic x with a unimodular generator takes an `act_batch` pass,
-        constant at bottom.
-        """
-        self.gl()
-        m, n, p, lat = self.modulus, self.n, self.ring.p, self.lattice
-        dtype = np.min_scalar_type(len(lat) - 1)
-        gens = np.flatnonzero(self.cyclic_index == x)
-        vec = rings.unpack_vectors(gens[:1], m, n)
-        if not gens.size:
-            rows = self.cyclic_index[rings.pack_vectors(self.basis_rows[x], m)]
-            col, join = self.gl_image(rows[0]), lat.join_table.astype(dtype)
-            for row in rows[1:]:
-                col = join[col, self.gl_image(row)]
-            return col
-        if np.any(vec % p) or x == lat.bottom:
-            return self.act_batch(self.gl_codes, x).astype(dtype)
-        # x = p Rw for w = v / p, and p Rv = R(p v): g(Rw) is cyclic, so only
-        # the cyclic entries of `scale` are read
-        scale = np.zeros(len(lat), dtype=dtype)
-        vecs = rings.unpack_vectors(np.arange(m**n), m, n)
-        scale[self.cyclic_index] = self.cyclic_index[rings.pack_vectors(vecs * p % m, m)]
-        return scale[self.gl_image(self.cyclic_index[rings.pack_vectors(vec[0] // p, m)])]
-
     def perm(self, codes) -> np.ndarray:
         """Lattice permutations of a batch of codes, one row each: entry
         [k, x] is the index of g_k(x), one `act_batch` pass per element."""
@@ -387,21 +353,26 @@ class Instance:
         return Subgroup(self, self.mask_of(codes), generator_codes=gens, closed=True)
 
     def diagonal_generator_codes(self) -> list[int]:
-        """diag(1, .., r at i, .., 1) for each i, r a generator of the units."""
+        """diag(1, .., r at i, .., 1) for each r of `_unit_group_generators`
+        and each i."""
         eye = np.eye(self.n, dtype=bool)
-        return self.diagonal_codes(np.where(eye, self._unit_group_generator(), 1)).tolist()
+        gens = [np.where(eye, r, 1) for r in self._unit_group_generators()]
+        return self.diagonal_codes(np.concatenate(gens)).tolist()
 
-    def _unit_group_generator(self) -> int:
-        target = self.ring.unit_count
-        for g in self.ring.units():
-            x, order = g, 1
-            while x != 1:
-                x = x * g % self.modulus
-                order += 1
-            if order == target:
-                return g
-        # (Z/2)* and friends are trivial
-        return 1
+    def _unit_group_generators(self) -> list[int]:
+        """Units generating the unit group: the first of full order where the
+        group is cyclic (odd p, Z/2, Z/4); else, as (Z/2^k)* = <-1> x <5> for
+        k >= 3, the units of largest order, ascending, each taken if it lies
+        outside the group generated by those before it (3 and 5)."""
+        m, units = self.modulus, self.ring.units()
+        powers = {g: {pow(g, e, m) for e in range(len(units))} for g in units}
+        gens, reached = [], {1}
+        for g in sorted(units, key=lambda g: -len(powers[g])):
+            if g not in reached:
+                gens.append(g)
+                reached = {r * c % m for r in reached for c in powers[g]}
+        # (Z/2)* is trivial
+        return gens or [1]
 
     @instance_cache
     def l0_prime(self):

@@ -8,14 +8,16 @@ reproducible; all set iterations run in canonical code order.  The matrix
 group acts non-faithfully (scalar-like units act trivially), and fixers
 absorb that kernel automatically.  Every closed object of the
 correspondence is the fixer of elements of the base sublattice L0', which D
-fixes, so (g d)(x) = g(x) there: a question about where g sends an L0'
-element is decided once per right coset gD (`right_cosets`, |GL|/|D| of
-them) on that coset's `coset_image` column, and a GL-sized mask is gathered
-by the coset labels only where a subgroup or a result is stored (`fixer`,
-the transvection tables).  Other elements read their `Instance.gl_image`
-column (`fix_mask`).  Smaller batches of codes (generators, members of a
-subgroup) go through `fixes_mask`, or through `Instance.perm` where whole
-lattice permutations are read (`axis_subgroup`, `classify_transvection`).
+fixes, so (g d)(x) = g(x) there: where all of GL sends an L0' element is
+read once per right coset gD (`right_cosets`, |GL|/|D| of them) off that
+coset's `coset_image` column, and a GL-sized mask or column is gathered by
+the coset labels only where a subgroup or a GL-aligned result is needed
+(`fixer`, `gl_column`, the transvection tables).  This is the one route to
+GL-wide images: an element outside L0', which only tests pass to `fixer`,
+takes an uncached `fixes_mask` pass over `gl_codes`.  Smaller batches of
+codes (generators, members of a subgroup) go through `fixes_mask`, or
+through `Instance.perm` where whole lattice permutations are read
+(`axis_subgroup`, `classify_transvection`).
 Every closure is one BFS on the cosets of the row scalings inside a seed
 subgroup (`coset_closure`), by table lookups on the row codes and no matrix
 product: D scales rows, and a matrix acting on the right acts on each row
@@ -357,15 +359,6 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
 
 
 @instance_cache
-def fix_mask(instance, x: int) -> np.ndarray:
-    """Mask over GL (aligned with `gl_codes`) of the matrices fixing x, read
-    off the element's `gl_image` column: for elements outside L0', whose
-    fixers need not be unions of right cosets of D (`fixer` decides L0'
-    elements per coset)."""
-    return instance.gl_image(x) == x
-
-
-@instance_cache
 def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
     """(label, reps): the right coset gD of each GL position as a dense label
     in the smallest dtype, and the smallest code of each coset.
@@ -373,17 +366,19 @@ def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
     g sends a row v to v g^T, so column i of g spans g(e_i); over a local
     ring Rv = Rw iff w = u v for a unit u (`Instance._build_lattice`).  So
     g and g' have equal atom images iff g' = g diag(u), i.e. gD = g'D, and
-    the label is the tuple of atom images (`gl_image` columns), relabelled
+    the label is the tuple of atom images (one `act_batch` pass over
+    `gl_codes` per atom, in the lattice dtype, kept by no memo), relabelled
     densely one atom at a time through a presence table: no sort runs over
     GL.  D fixes every element of L0', so (g d)(x) = g(x) there, and a
     predicate on the images of L0' elements is constant on each coset.
     """
     instance.gl()
     size, count = len(instance.lattice), 1
+    dtype = np.min_scalar_type(size - 1)
     label = np.zeros(len(instance.gl_codes), dtype=np.uint8)
     for atom in instance.atoms:
         tuples = label.astype(np.min_scalar_type(count * size - 1)) * size
-        tuples += instance.gl_image(atom)
+        tuples += instance.act_batch(instance.gl_codes, atom).astype(dtype)
         present = np.zeros(count * size, dtype=bool)
         present[tuples] = True
         dense = np.cumsum(present) - 1
@@ -398,11 +393,19 @@ def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
 
 @instance_cache
 def coset_image(instance, x: int) -> np.ndarray:
-    """g(x) for the smallest code g of each right coset gD, for x in L0':
-    every member of the coset sends x there (`right_cosets`)."""
+    """g(x) for the smallest code g of each right coset gD, for x in L0', in
+    the lattice dtype: every member of the coset sends x there
+    (`right_cosets`)."""
     if x not in instance.l0_prime():
         raise InputError("coset images are defined on the stabiliser-fixed sublattice")
-    return instance.act_batch(right_cosets(instance)[1], x)
+    reps = right_cosets(instance)[1]
+    return instance.act_batch(reps, x).astype(np.min_scalar_type(len(instance.lattice) - 1))
+
+
+def gl_column(instance, x: int) -> np.ndarray:
+    """g(x) for every g in GL, aligned with `gl_codes`, for x in L0': its
+    `coset_image` column gathered by label.  Not cached."""
+    return coset_image(instance, x)[right_cosets(instance)[0]]
 
 
 def coset_fix_mask(instance, members) -> np.ndarray:
@@ -422,13 +425,13 @@ def first_coset(instance, marked) -> int:
 
 def fixer(instance, elements) -> Subgroup:
     """All GL matrices fixing every listed element: the L0' elements decided
-    per right coset of D and gathered by label, any others ANDed by their
-    `fix_mask`s."""
+    per right coset of D and gathered by label, any others ANDed by an
+    uncached `fixes_mask` pass over `gl_codes`."""
     elements = set(int(e) for e in elements)
     base = elements & set(instance.l0_prime().members)
     mask = coset_fix_mask(instance, base)[right_cosets(instance)[0]]
     for x in elements - base:
-        mask &= fix_mask(instance, x)
+        mask &= fixes_mask(instance, instance.gl_codes, x)
     return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
 
 

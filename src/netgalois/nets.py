@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .groups import (
     Subgroup,
     conjugation_closure_check,
@@ -39,7 +39,6 @@ from .groups import (
 )
 from .lattice import SublatticeHandle
 
-TRIANGLE_FULL_MODE_LIMIT = 100_000
 # the largest base sublattice whose sublattices are enumerated into fixer classes
 CLASS_BOUND = 32
 
@@ -298,38 +297,24 @@ def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
 # -- the appendix construction: maximal compatible entries --------------------
 
 
-def triangle_entry(instance, x: int, i: int, j: int, mode: str = "auto") -> int:
+def triangle_entry(instance, x: int, i: int, j: int) -> int:
     """Largest u below atom j such that every group element whose (i, j)
     support stays under u also keeps the image of x's i-part under x's j-part.
 
-    full mode quantifies over the whole group; transvection_reduced only over
-    the transvection family for (i, j), which the support-transfer condition
-    makes equivalent.  Entries below atom j form a chain here, so the maximal
-    passing candidate is the join of all passing ones.
+    Both images read are of L0' elements (atom i and x's i-part), so every
+    group element is quantified over exactly, once per right coset of D on
+    its `coset_image` columns.  Entries below atom j form a chain here, so
+    the maximal passing candidate is the join of all passing ones.
     """
     lat = instance.lattice
     frame = instance.frame
     if x not in frame._lbar0_set or x not in instance.l0_prime():
         raise InputError("triangle entries need x in both the componentwise span and the fixed sublattice")
-    if mode == "auto":
-        mode = "full" if len(instance.gl()) <= TRIANGLE_FULL_MODE_LIMIT else "transvection_reduced"
     support = instance.support_table
-    x_i = int(support[x, i])
-    # whether each lattice element's j-support stays under x's j-part
+    lhs_val = support[coset_image(instance, instance.atoms[i]), j]
+    # whether each coset keeps x's i-part under x's j-part
     x_j_bounded = _leq_mask(instance, support[:, j], int(support[x, j]))
-    if mode == "full":
-        if len(instance.gl()) > TRIANGLE_FULL_MODE_LIMIT:
-            raise CapExceeded(
-                f"full quantification over {len(instance.gl())} elements refused", len(instance.gl())
-            )
-        lhs_val = support[instance.gl_image(instance.atoms[i]), j]
-        rhs = x_j_bounded[instance.gl_image(x_i)]
-    elif mode == "transvection_reduced":
-        positions, lhs_val = transvection_table(instance, i, j)
-        label = right_cosets(instance)[0]
-        rhs = x_j_bounded[coset_image(instance, x_i)[label[positions]]]
-    else:
-        raise InputError(f"unknown triangle mode {mode!r}")
+    rhs = x_j_bounded[coset_image(instance, int(support[x, i]))]
     passing = []
     for u in frame.atom_downsets[j]:
         applicable = _leq_mask(instance, lhs_val, u)
@@ -345,7 +330,7 @@ def triangle_entry(instance, x: int, i: int, j: int, mode: str = "auto") -> int:
     return lat.join_many(passing)
 
 
-def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
+def element_net(instance, x: int) -> NetCollection:
     """The net collection of maximal compatible entries for one element."""
     n = instance.n
     tau = np.zeros((n, n), dtype=np.int64)
@@ -353,7 +338,7 @@ def element_net(instance, x: int, mode: str = "auto") -> NetCollection:
         tau[i, i] = instance.atoms[i]
         for j in range(n):
             if i != j:
-                tau[i, j] = triangle_entry(instance, x, i, j, mode=mode)
+                tau[i, j] = triangle_entry(instance, x, i, j)
     return NetCollection(instance, tau)
 
 

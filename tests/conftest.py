@@ -102,8 +102,14 @@ def member_mats():
 
 @pytest.fixture(scope="session")
 def image_table():
-    """(|GL|, N) table of g(x): the `gl_image` columns side by side."""
-    return lambda inst: np.stack([inst.gl_image(x) for x in range(len(inst.lattice))], axis=1)
+    """(|GL|, N) table of g(x): one `act_batch` pass over `gl_codes` per element."""
+    return lambda inst: np.stack([_gl_act(inst, x) for x in range(len(inst.lattice))], axis=1)
+
+
+def _gl_act(inst, x):
+    """g(x) for every g in GL, aligned with `gl_codes`, by one `act_batch` pass."""
+    inst.gl()
+    return inst.act_batch(inst.gl_codes, x)
 
 
 def _orbit_min(inst, code):
@@ -201,10 +207,10 @@ def _transvection_table_reference(inst, i, j):
     for s in range(inst.n):
         if s != i:
             for xs in frame.atom_downsets[s]:
-                ok &= inst.gl_image(xs) == xs
+                ok &= _gl_act(inst, xs) == xs
     for xi in frame.atom_downsets[i]:
-        ok &= support[inst.gl_image(xi), i] == xi
-    img = support[inst.gl_image(e_i)]
+        ok &= support[_gl_act(inst, xi), i] == xi
+    img = support[_gl_act(inst, e_i)]
     others = np.delete(img, [i, j], axis=1)
     ok &= (img[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
     out = np.full(len(ok), -1, dtype=np.int32)
@@ -219,13 +225,13 @@ def transvection_table_reference():
 
 def _stable_lbar0_reference(inst, subgroup):
     """Members l of the componentwise span with g(l) in the span for every
-    member g, read off the whole `gl_image` column at the subgroup's mask.
+    member g, read off an `act_batch` pass over the subgroup's member codes.
     The reference for `stable_lbar0`."""
     lbar0 = inst.frame.lbar0
     in_lbar0 = np.zeros(len(inst.lattice), dtype=bool)
     in_lbar0[list(lbar0)] = True
-    mask = subgroup.gl_mask()
-    return tuple(l for l in lbar0 if bool(np.all(in_lbar0[inst.gl_image(l)[mask]])))
+    codes = subgroup.codes
+    return tuple(l for l in lbar0 if bool(np.all(in_lbar0[inst.act_batch(codes, l)])))
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,9 @@ from netgalois.groups import (
     axis_subgroup,
     coset_closure,
     double_coset_key,
-    fix_mask,
     fixer,
+    gl_column,
+    right_cosets,
     scalar_coset_key,
     transvections,
 )
@@ -122,17 +123,24 @@ def test_sampled_conditions_hold_z49(z49):
         assert v.holds, (cid, v.witness)
 
 
-def test_sampled_conditions_read_gl_columns_of_atom_downsets_only():
+def test_sampled_conditions_read_gl_columns_of_atom_downsets_only(monkeypatch):
     """On a fresh Z/49 instance the sampled outer elements and the axis
     candidates get their lattice rows from `Instance.perm`: the only
-    `gl_image` columns built are the atoms' (2 of the 75), which label the
-    right cosets of D; the GL-wide masks of elements below an atom are read
-    per coset."""
+    elements acted on by all of GL are the atoms (2 of the 75), whose images
+    label the right cosets of D; the GL-wide columns and masks of elements
+    below an atom are read per coset and gathered by label."""
     inst = Instance(RingSpec(7, 2), 2)
+    size, built, act_batch = len(inst.gl()), set(), Instance.act_batch
+
+    def counted(self, codes, x):
+        if np.size(codes) == size:
+            built.add(int(x))
+        return act_batch(self, codes, x)
+
+    monkeypatch.setattr(Instance, "act_batch", counted)
     for cid in ("3", "5", "6", "11"):
         assert check_condition(inst, cid, samples=10).holds, cid
     below_atoms = set().union(*inst.frame.atom_downsets)
-    built = {key[1] for key in inst._caches if key[0] == "Instance.gl_image"}
     assert built <= below_atoms
     assert len(built) == 2
 
@@ -339,6 +347,12 @@ def _reference_axis(inst, i):
     return axis_subgroup(inst, i)
 
 
+def _reference_column(inst, x):
+    """The GL-aligned image column of an L0' element the checkers read,
+    planted coset columns included."""
+    return gl_column(inst, x)
+
+
 def _reference_coded_rows(inst, mask):
     codes = inst.gl_codes[mask]
     return list(zip(codes.tolist(), _reference_rows(inst, codes)))
@@ -420,8 +434,8 @@ def _reference_cond_5(inst, mode, samples, seed):
         keep = np.ones(len(inst.gl()), dtype=bool)
         for s in range(inst.n):
             if s != i:
-                keep &= fix_mask(inst, inst.atoms[s])
-        w_vals = inst.gl_image(e_i)
+                keep &= _reference_column(inst, inst.atoms[s]) == inst.atoms[s]
+        w_vals = _reference_column(inst, e_i)
         w_to_t = {}
         for idx in np.nonzero(keep)[0].tolist():
             w_to_t.setdefault(int(w_vals[idx]), int(inst.gl_codes[idx]))
@@ -493,8 +507,9 @@ def test_conditions_3_4_5_match_references_sampled(name, samples, seed, request)
 def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
     """Conditions 3 and 5 hold on the instances above, so plant smaller
     member sets on fresh instances: a few GL elements as each axis subgroup
-    (conditions 3 and 4 pick h from these) and as each atom's fix mask
-    (condition 5 picks t from these)."""
+    (conditions 3 and 4 pick h from these) and, as each atom's coset column,
+    a few right cosets of D that keep the atom while the rest send it to
+    bottom (condition 5 picks t from the cosets fixing the other atoms)."""
     outcomes = []
     for trial in range(4):
         inst = Instance(RingSpec(*ring), 2)
@@ -508,8 +523,11 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
 
         for i in range(inst.n):
             inst._caches[("axis_subgroup", i)] = Subgroup(inst, planted())
+        cosets, dtype = len(right_cosets(inst)[1]), np.min_scalar_type(len(inst.lattice) - 1)
         for atom in inst.atoms:
-            inst._caches[("fix_mask", int(atom))] = planted()
+            column = np.full(cosets, inst.lattice.bottom, dtype=dtype)
+            column[rng.choice(cosets, size=min(cosets, 1 + trial), replace=False)] = atom
+            inst._caches[("coset_image", int(atom))] = column
         outcomes += _assert_matches_references(inst, samples=samples, seed=trial)
     assert {cid for cid, _, holds, _ in outcomes if not holds} == {"3", "4", "5"}
     # a failure after a pass carries both the witness and the found record

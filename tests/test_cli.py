@@ -572,6 +572,17 @@ def test_check_axioms_samples_needs_sampled_mode(f2_spec, tmp_path, capsys):
     assert [(v["exhaustive"], v["samples"]) for v in read(out)["verdicts"]] == [(False, 200)]
 
 
+@pytest.mark.parametrize("spec", ["a-b", "1'-2", "5-3", "0-2", "1-13", ",", " , "])
+def test_check_axioms_rejects_malformed_or_empty_condition_lists(spec, f2_spec, tmp_path, capsys):
+    """A range that is not ascending numbered ids, or a list naming no
+    condition, exits 2 with a message and writes no report."""
+    out = tmp_path / "verdicts.json"
+    args = ["check-axioms", "--instance", f2_spec, "--conditions", spec, "--out", str(out)]
+    assert main(args) == 2
+    assert "condition" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "p, k, n, digest",
     [

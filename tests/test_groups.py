@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netgalois.errors import InputError
-from netgalois.glnr import gl_order
+from netgalois.glnr import Instance, gl_order
 from netgalois.groups import (
     Subgroup,
     axis_subgroup,
@@ -14,7 +14,6 @@ from netgalois.groups import (
     conjugation_closure_check,
     coset_image,
     double_coset_key,
-    fix_mask,
     fixed_lattice,
     fixer,
     galois_phi,
@@ -55,6 +54,19 @@ def test_close_subgroup_examples(f7):
     assert len(close_subgroup(f7, gens)) == 2016
 
 
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f3n3", "z16"])
+def test_diagonal_generators_generate_the_stabiliser(name, request, act_reference, member_mats):
+    """The diagonal generators close to all of D, also where the unit group
+    is not cyclic ((Z/8)* and (Z/16)*), so `l0_prime`, read off them, is the
+    sublattice fixed by every member of D."""
+    inst = Instance(RingSpec(2, 4), 2) if name == "z16" else request.getfixturevalue(name)
+    d = inst.diagonal()
+    assert close_subgroup(inst, inst.diagonal_generator_codes()) == d
+    mats = member_mats(d)
+    fixed = [x for x in range(len(inst.lattice)) if np.all(act_reference(inst, mats, x) == x)]
+    assert list(inst.l0_prime().members) == fixed
+
+
 def test_coset_closure_matches_plain_closure(f7, element_closure):
     rng = np.random.default_rng(5)
     for code in rng.choice(f7.gl().codes, size=6, replace=False).tolist():
@@ -63,7 +75,7 @@ def test_coset_closure_matches_plain_closure(f7, element_closure):
         assert np.array_equal(fast.codes, slow)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f3n3"])
 def test_coset_closure_matches_element_bfs(name, request, element_closure):
     """Seeds: the trivial group, D, the Borel group, a previous closure and
     <diag(u, 1, ...)> for a generator u of the units, whose row scalings are
@@ -240,7 +252,7 @@ def test_right_coset_labels_match_explicit_products(name, request, member_mats):
     assert label.dtype == np.min_scalar_type(reps.size - 1)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_coset_columns_match_the_action_on_all_of_gl(name, request, act_reference, member_mats):
     """Each L0' element's coset column, gathered by label, is its image under
     every GL element by definition; elements outside L0' have no column."""
@@ -257,18 +269,20 @@ def test_coset_columns_match_the_action_on_all_of_gl(name, request, act_referenc
             coset_image(inst, x)
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_reference, member_mats):
-    """fix_mask against the action on all of GL; fixer against the AND of
-    those brute-force masks, for L0', the componentwise span, the whole
-    lattice and each valid net's canonical sublattice."""
+    """Each element's fix mask (the fixer of that element alone: per right
+    coset of D inside L0', one `fixes_mask` pass over GL outside it) against
+    the action on all of GL; fixer against the AND of those brute-force
+    masks, for L0', the componentwise span, the whole lattice and each valid
+    net's canonical sublattice."""
     from netgalois.nets import canonical_sublattice, enumerate_net_collections
 
     inst = request.getfixturevalue(name)
     g = inst.gl()
     brute = [act_reference(inst, member_mats(g), x) == x for x in range(len(inst.lattice))]
     for x, expect in enumerate(brute):
-        assert np.array_equal(fix_mask(inst, x), expect)
+        assert np.array_equal(fixer(inst, [x]).gl_mask(), expect)
     sets = [inst.l0_prime().members, inst.frame.lbar0, range(len(inst.lattice))]
     sets += [canonical_sublattice(inst, net).members for net in enumerate_net_collections(inst)]
     for members in sets:

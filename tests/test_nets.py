@@ -436,22 +436,24 @@ def test_fixer_classes_match_brute_force_masks(name, request, act_reference, mem
 @pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
 def test_prewarm_works_on_gl_per_atom_and_per_distinct_fixer(ring, n, monkeypatch):
     """On a fresh instance `prewarm` acts with all of GL at most n times (the
-    atoms' columns, which label the right cosets of D), builds no per-element
-    fix mask and no other `gl_image` column, and builds one GL-sized fixer
-    per distinct fixer: none per enumerated sublattice or candidate net."""
+    atoms, whose images label the right cosets of D), builds no per-element
+    GL-wide fix mask and acts with all of GL on no other element, and builds
+    one GL-sized fixer per distinct fixer: none per enumerated sublattice or
+    candidate net."""
     inst = Instance(RingSpec(*ring), n)
     size = len(inst.gl())
     passes, fix_masks, fixers = [], [], []
-    act_batch, fix_mask, fixer_fn = Instance.act_batch, groups.fix_mask, groups.fixer
+    act_batch, fixes_mask, fixer_fn = Instance.act_batch, groups.fixes_mask, groups.fixer
 
     def counted_act_batch(self, codes, x):
         if np.size(codes) == size:
             passes.append(x)
         return act_batch(self, codes, x)
 
-    def counted_fix_mask(instance, x):
-        fix_masks.append(x)
-        return fix_mask(instance, x)
+    def counted_fixes_mask(instance, codes, x):
+        if np.size(codes) == size:
+            fix_masks.append(x)
+        return fixes_mask(instance, codes, x)
 
     def counted_fixer(instance, elements):
         fixers.append(fixer_fn(instance, elements))
@@ -459,17 +461,59 @@ def test_prewarm_works_on_gl_per_atom_and_per_distinct_fixer(ring, n, monkeypatc
 
     monkeypatch.setattr(Instance, "act_batch", counted_act_batch)
     for module in (groups, nets, glnr, sweep):
-        for name, wrapper in (("fix_mask", counted_fix_mask), ("fixer", counted_fixer)):
+        for name, wrapper in (("fixes_mask", counted_fixes_mask), ("fixer", counted_fixer)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     prewarm(inst, cap=10_000_000)
     monkeypatch.undo()
     assert len(passes) <= n
     assert not fix_masks
-    built = {key[1] for key in inst._caches if key[0] == "Instance.gl_image"}
+    built = set(passes)
     assert built == set(inst.atoms)
     distinct = {fx.key() for fx in fixers}
     assert len(fixers) == len(distinct) == len(all_fixer_classes(inst))
+
+
+def _large_arrays(obj, size, path=(), seen=None):
+    """Paths to the arrays of at least `size` entries held in a memo entry,
+    through containers and object attributes; subgroups (their member masks)
+    and the instance are not entered."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (Subgroup, Instance)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.size >= size else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        items = getattr(obj, "__dict__", {}).items()
+    return [p for key, value in items for p in _large_arrays(value, size, path + (key,), seen)]
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_memo_holds_no_gl_sized_array_but_the_coset_labels(ring, n, monkeypatch):
+    """After `prewarm` and the sampled axiom suite on a fresh instance, the
+    per-instance memo holds no GL-sized array except the right-coset labels
+    and the subgroups' member masks, and all of GL acted on at most n
+    elements (the atoms, whose images make the labels)."""
+    from netgalois.axioms import check_all
+
+    inst = Instance(RingSpec(*ring), n)
+    size, passes, act_batch = len(inst.gl()), [], Instance.act_batch
+
+    def counted(self, codes, x):
+        if np.size(codes) == size:
+            passes.append(x)
+        return act_batch(self, codes, x)
+
+    monkeypatch.setattr(Instance, "act_batch", counted)
+    prewarm(inst, cap=10_000_000)
+    check_all(inst, samples=20)
+    assert _large_arrays(inst._caches, size) == [(("right_cosets",), 0)]
+    assert len(passes) <= n
 
 
 def test_stable_lbar0_fixer_shares_transvections(f7):
@@ -527,14 +571,75 @@ def test_triangle_entries(f7):
     # bottom element: its parts are zero and images of zero stay zero, so the
     # implication is vacuous and the whole atom passes
     assert triangle_entry(f7, bot, 0, 1) == f7.atoms[1]
-    # both quantifier families agree where both run
-    for x in f7.l0_prime().members:
-        for i, j in ((0, 1), (1, 0)):
-            assert triangle_entry(f7, x, i, j, mode="full") == triangle_entry(
-                f7, x, i, j, mode="transvection_reduced"
-            )
     with pytest.raises(InputError):
         triangle_entry(f7, f7.element_by_label("1,1;0,0"), 0, 1)
+
+
+def _largest_passing_entry(inst, j, lhs_val, rhs):
+    """The join of the entries u below atom j with no element whose (i, j)
+    atom support lies under u while rhs is False; None if none passes."""
+    lat = inst.lattice
+    passing = [
+        u
+        for u in inst.frame.atom_downsets[j]
+        if not np.any((lat.meet_table[lhs_val, u] == lhs_val) & ~rhs)
+    ]
+    return lat.join_many(passing) if passing else None
+
+
+def _triangle_by_definition(inst, x, i, j, image):
+    """`triangle_entry` over every group element, its images by definition:
+    image(y) is y's image under each element of GL (`act_reference`)."""
+    support, lat = inst.support_table, inst.lattice
+    lhs_val = support[image(inst.atoms[i]), j]
+    img = support[image(int(support[x, i])), j]
+    rhs = lat.meet_table[img, int(support[x, j])] == img
+    return _largest_passing_entry(inst, j, lhs_val, rhs)
+
+
+def _triangle_by_transvections(inst, x, i, j):
+    """`triangle_entry` over the transvection family for (i, j) only, which
+    the support-transfer condition makes equivalent; images by `act_batch`
+    over the family's codes."""
+    support, lat = inst.support_table, inst.lattice
+    positions, lhs_val = groups.transvection_table(inst, i, j)
+    img = support[inst.act_batch(inst.gl_codes[positions], int(support[x, i])), j]
+    rhs = lat.meet_table[img, int(support[x, j])] == img
+    return _largest_passing_entry(inst, j, lhs_val, rhs)
+
+
+def _assert_triangle_entries_match(inst, act_reference, member_mats):
+    mats, images = member_mats(inst.gl()), {}
+
+    def image(y):
+        if y not in images:
+            images[y] = act_reference(inst, mats, y)
+        return images[y]
+
+    xs = [x for x in inst.l0_prime().members if x in inst.frame._lbar0_set]
+    for x in xs:
+        for i, j in itertools.permutations(range(inst.n), 2):
+            expect = _triangle_by_definition(inst, x, i, j, image)
+            assert _triangle_by_transvections(inst, x, i, j) == expect, (x, i, j)
+            if expect is None:
+                with pytest.raises(InputError):
+                    triangle_entry(inst, x, i, j)
+            else:
+                assert triangle_entry(inst, x, i, j) == expect, (x, i, j)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_triangle_entry_matches_both_readings(name, request, act_reference, member_mats):
+    """`triangle_entry`, quantified once per right coset of D, against the
+    brute-force definition over all of GL and the transvection-family reading."""
+    _assert_triangle_entries_match(request.getfixturevalue(name), act_reference, member_mats)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ring", [(5, 2), (7, 2)], ids=["z25", "z49"])
+def test_triangle_entry_matches_both_readings_on_chain_rings(ring, act_reference, member_mats):
+    inst = Instance(RingSpec(*ring), 2)
+    _assert_triangle_entries_match(inst, act_reference, member_mats)
 
 
 def test_zero_entry_always_satisfies_transfer(f7, z49, act_reference, member_mats):
