@@ -480,11 +480,11 @@ def _cond_11(ctx, mode, rng, samples):
         # a failure before this label's first use already is the first failure
         if fails.any() and firsts[k] > np.argmax(fails.any(axis=(1, 2))):
             break
-        inside = ctx.closure_of_keys([int(keys[k])]).gl_mask()
+        closure = ctx.closure_of_keys([int(keys[k])])
         meets = np.zeros((len(pairs), len(ctx.lat)), dtype=bool)
         for p, (positions, values) in enumerate(tables):
             # T(i, j, x) = the positions of value x: the closure meets it iff it holds one
-            meets[p, values[inside[positions]]] = True
+            meets[p, values[closure.contains_positions(positions)]] = True
         mine = label == k
         fails[mine] = ~meets[np.arange(len(pairs)), xs[mine]]
     if not fails.any():

@@ -332,6 +332,8 @@ def cmd_classes(args) -> int:
 
 def cmd_replay(args) -> int:
     data = _load_json(args.report)
+    if not isinstance(data, dict):
+        raise InputError(f"report {args.report} is not a JSON object")
     instance = _load_instance(args) if args.instance else None
     reproduced, missing, total = 0, 0, 0
 
@@ -371,6 +373,8 @@ def cmd_replay(args) -> int:
         else:
             pools.extend(c for c in data["checks"] if not c.get("holds", True))
     rows = data["rows"] if isinstance(data.get("rows"), list) else []
+    if not all(isinstance(r, dict) for r in rows):
+        raise InputError("every sweep row must be a JSON object")
     failing = [r for r in rows if not r.get("holds", True)]
     if failing:
         if instance is None:
@@ -385,10 +389,15 @@ def cmd_replay(args) -> int:
                 closures[key] = coset_closure(instance, instance.diagonal(), [code])
             fp = closures[key].fingerprint()
             total += 1
-            if fp != row["subgroup"]:
+            if fp != row.get("subgroup"):
                 continue
             if fp not in again:
-                failed_ids = {c["id"] for c in data["subgroups"][fp]["checks"] if not c["holds"]}
+                subgroups = data.get("subgroups")
+                detail = subgroups.get(fp) if isinstance(subgroups, dict) else None
+                checks = detail.get("checks") if isinstance(detail, dict) else None
+                if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
+                    raise InputError(f"the report lists no checks for subgroup {fp}")
+                failed_ids = {c.get("id") for c in checks if not c.get("holds", True)}
                 seed = derived_seed(data.get("seed") or 0, fp)
                 again[fp] = reverify_subgroup(closures[key], seed, failed_ids)
             reproduced += again[fp]

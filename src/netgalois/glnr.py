@@ -27,10 +27,12 @@ from .groups import (
     Subgroup,
     classify_transvection,
     coset_closure,
+    coset_labels,
     fixed_by,
     generating_subset,
     instance_cache,
     intern_subgroup,
+    right_cosets,
 )
 from .lattice import FiniteLattice
 from .nets import (
@@ -322,9 +324,8 @@ class Instance:
             self.gl_codes = codes
             self._gl_index = np.full(m ** (n * n), -1, dtype=np.int32)
             self._gl_index[codes] = np.arange(codes.size, dtype=np.int32)
-            self._gl = intern_subgroup(
-                self, Subgroup(self, np.ones(codes.size, dtype=bool), closed=True)
-            )
+            cosets = np.ones(codes.size // self.ring.unit_count**n, dtype=bool)
+            self._gl = intern_subgroup(self, Subgroup.from_cosets(self, cosets))
         return self._gl
 
     def positions(self, codes) -> np.ndarray:
@@ -347,10 +348,12 @@ class Instance:
 
     @instance_cache
     def diagonal(self):
-        """The group of invertible diagonal matrices (the frame stabiliser)."""
-        codes = self.diagonal_codes(list(itertools.product(self.ring.units(), repeat=self.n)))
-        gens = tuple(self.diagonal_generator_codes())
-        return Subgroup(self, self.mask_of(codes), generator_codes=gens, closed=True)
+        """The group of invertible diagonal matrices (the frame stabiliser):
+        the right coset of D holding the identity."""
+        cosets = np.zeros(len(right_cosets(self)[1]), dtype=bool)
+        cosets[coset_labels(self, [self.code_of_mat(self.identity)])] = True
+        gens = self.diagonal_generator_codes()
+        return Subgroup.from_cosets(self, cosets, generator_codes=gens)
 
     def diagonal_generator_codes(self) -> list[int]:
         """diag(1, .., r at i, .., 1) for each r of `_unit_group_generators`
@@ -506,15 +509,17 @@ def net_subgroup(instance: Instance, dnet: DNet):
     the entry lies in (p^lev) iff it is divisible by p^lev: whether a row
     fits is a table over the m^n row codes.  A code is the sum over rows i of
     m^(n i) times row i's code, so the C-order outer AND of the row tables,
-    row n - 1 first, is the verdict of every code, gathered once.
+    row n - 1 first, is the verdict of every code.  A right factor in D
+    scales columns by units, and a unit multiple of an entry lies in the
+    same ideal, so the verdict is constant on each right coset gD: it is
+    read at the cosets' smallest codes, one per coset.
     """
-    instance.gl()
     m, n, p = instance.modulus, instance.n, instance.ring.p
     entries = rings.unpack_vectors(np.arange(m**n), m, n)  # [v, j]: entry j of row code v
     levels = np.where(np.eye(n, dtype=bool), 0, dnet.levels)[:, None]
     fits = np.all(entries % p**levels == 0, axis=2)  # [i, v]: row code v fits row i
     passes = functools.reduce(np.logical_and.outer, fits[::-1]).ravel()  # by code
-    return Subgroup(instance, passes[instance.gl_codes], closed=True)
+    return Subgroup.from_cosets(instance, passes[right_cosets(instance)[1]])
 
 
 def net_subgroup_generators(instance: Instance, dnet: DNet) -> list[int]:
@@ -574,9 +579,7 @@ def verified_net_subgroup(instance: Instance, dnet: DNet):
     closure = coset_closure(instance, instance.diagonal(), gens)
     if closure != entrywise:
         raise RuntimeError("generator closure does not reproduce the entrywise net subgroup")
-    return intern_subgroup(
-        instance, Subgroup(instance, entrywise.gl_mask(), generator_codes=tuple(gens), closed=True)
-    )
+    return intern_subgroup(instance, entrywise.with_generators(gens))
 
 
 def verify_sandwich(

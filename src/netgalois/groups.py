@@ -1,39 +1,44 @@
 """Matrix subgroups acting on the lattice: closure, fixers, fixed sublattices,
 transvection sets, the Galois maps, and normality.
 
-Subgroups are explicit: a boolean mask over GL positions (`Instance.gl_codes`,
-ascending), read off as codes on demand.  Target orders stay below a few
-million, so full enumeration beats stabiliser chains and is exactly
-reproducible; all set iterations run in canonical code order.  The matrix
-group acts non-faithfully (scalar-like units act trivially), and fixers
-absorb that kernel automatically.  Every closed object of the
-correspondence is the fixer of elements of the base sublattice L0', which D
-fixes, so (g d)(x) = g(x) there: where all of GL sends an L0' element is
-read once per right coset gD (`right_cosets`, |GL|/|D| of them) off that
-coset's `coset_image` column, and a GL-sized mask or column is gathered by
-the coset labels only where a subgroup or a GL-aligned result is needed
-(`fixer`, `gl_column`, the transvection tables).  This is the one route to
-GL-wide images: an element outside L0', which only tests pass to `fixer`,
-takes an uncached `fixes_mask` pass over `gl_codes`.  Smaller batches of
-codes (generators, members of a subgroup) go through `fixes_mask`, or
-through `Instance.perm` where whole lattice permutations are read
-(`axis_subgroup`, `classify_transvection`).
-Every closure is one BFS on the cosets of the row scalings inside a seed
-subgroup (`coset_closure`), by table lookups on the row codes and no matrix
-product: D scales rows, and a matrix acting on the right acts on each row
-alone.  `close_subgroup` runs it over the trivial subgroup, and
-`double_coset_key` reads the same row-scale table.  The one normality
-routine is `normalizes`: every f of a call against chunks of the s, one
-broadcast product per chunk, read for the first failing (f, s).
-`is_normal_in` and the exhaustive `conjugation_closure_check` (one f per
-right coset of the subgroup) call it; only the sampled check conjugates
-aligned (f, s) pairs of its own.  Instance-wide tables live in
+Subgroups are explicit member sets, read off as codes on demand.  Target
+orders stay below a few million, so full enumeration beats stabiliser chains
+and is exactly reproducible; all set iterations run in canonical code order.
+The matrix group acts non-faithfully (scalar-like units act trivially), and
+fixers absorb that kernel automatically.  The objects of the correspondence
+all contain the frame stabiliser D (<D, g>, fixers of elements of the base
+sublattice L0', the net subgroups, GL), so each is a union of right cosets
+gD: a `Subgroup` that contains D is a boolean mask over the |GL|/|D| coset
+labels of `right_cosets` (2 744 on Z/49, against 4 840 416 GL positions),
+any other member set a boolean mask over GL positions (`Instance.gl_codes`,
+ascending).  A GL-sized mask or code list is expanded from the labels only
+where a GL-aligned result is read (`Subgroup.gl_mask`, `codes`,
+`fingerprint`).  D fixes every element of L0', so (g d)(x) = g(x) there:
+where all of GL sends an L0' element is read once per right coset off that
+coset's `coset_image` column, and fixers of L0' elements are coset masks
+(`coset_fix_mask`).  An element outside L0', which only tests pass to
+`fixer`, takes an uncached `fixes_mask` pass over `gl_codes`.  Smaller
+batches of codes (generators, members of a subgroup) go through
+`fixes_mask`, or through `Instance.perm` where whole lattice permutations
+are read (`axis_subgroup`, `classify_transvection`).
+Every closure is `coset_closure`: over a seed that contains D an orbit on
+the right cosets of D under left multiplication by the generators, and over
+any other seed one BFS on the cosets of the row scalings inside the seed,
+by table lookups on the row codes: D scales rows, and a matrix acting on
+the right acts on each row alone.  `close_subgroup` runs the BFS over the
+trivial subgroup, and `double_coset_key` reads the same row-scale table.
+The one normality routine is `normalizes`: every f of a call against chunks
+of the s, one broadcast product per chunk, read for the first failing
+(f, s).  `is_normal_in` and the exhaustive `conjugation_closure_check` (one
+f per right coset of the subgroup) call it; only the sampled check
+conjugates aligned (f, s) pairs of its own.  Instance-wide tables live in
 `Instance._caches`, read only here: the `instance_cache` memo, the subgroup
 pool and the row-product tables.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -45,6 +50,7 @@ from .errors import InputError
 from .lattice import SublatticeHandle
 
 _BFS_CHUNK = 1 << 18
+_GATHER_CHUNK = 1 << 16
 
 
 def instance_cache(fn):
@@ -65,19 +71,53 @@ def instance_cache(fn):
 
 
 class Subgroup:
-    """Member set as a boolean mask over GL (aligned with `Instance.gl_codes`),
-    with generator provenance."""
+    """Member set with generator provenance.
+
+    A member set that contains D and is a union of right cosets gD (every
+    subgroup containing D is) is held as a boolean mask over the
+    `right_cosets` labels; any other one as a boolean mask over GL positions
+    (aligned with `Instance.gl_codes`).  The constructor takes a GL mask and
+    keeps the coset form whenever it applies, so equal member sets share one
+    form, key and pool entry; `from_cosets` takes a coset mask.  `gl_mask`,
+    `codes`, `codes_at` and `fingerprint` expand a coset mask by one label
+    gather on demand.
+    """
 
     def __init__(self, instance, mask, generator_codes=(), closed=False):
         if mask.dtype != bool or mask.shape != instance.gl_codes.shape:
             raise InputError("a subgroup is a boolean mask over the GL positions")
         self.instance = instance
-        self._mask = mask
+        self._cosets = _coset_form(instance, mask, closed)
+        self._mask = mask if self._cosets is None else None
         self._order = int(np.count_nonzero(mask))
         self.generator_codes = tuple(int(c) for c in generator_codes)
         self.closed = closed
         # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
         self._identity = {}
+
+    @classmethod
+    def from_cosets(cls, instance, cosets, generator_codes=()) -> "Subgroup":
+        """The subgroup made of the marked right cosets of D (a mask over
+        the `right_cosets` labels, |GL|/|D| of them)."""
+        per_coset = instance.ring.unit_count**instance.n
+        if cosets.dtype != bool or cosets.shape != (instance.gl_codes.size // per_coset,):
+            raise InputError("a coset mask is a boolean mask over the right cosets of D")
+        self = cls.__new__(cls)
+        self.instance = instance
+        self._cosets, self._mask = cosets, None
+        self._order = int(np.count_nonzero(cosets)) * per_coset
+        self.generator_codes = tuple(int(c) for c in generator_codes)
+        self.closed = True
+        self._identity = {}
+        return self
+
+    def with_generators(self, generator_codes) -> "Subgroup":
+        """This member set with a verified generating set attached, sharing
+        the member mask and the record of key and fingerprint."""
+        out = copy.copy(self)
+        out.generator_codes = tuple(int(c) for c in generator_codes)
+        out.closed = True
+        return out
 
     def __len__(self):
         return self._order
@@ -85,20 +125,23 @@ class Subgroup:
     @property
     def codes(self) -> np.ndarray:
         """Member codes, ascending (GL positions follow code order)."""
-        return self.instance.gl_codes[self._mask]
+        if self._order == self.instance.gl_codes.size:
+            return self.instance.gl_codes
+        return self.instance.gl_codes[self.gl_mask()]
 
     def codes_at(self, ranks) -> np.ndarray:
         """`codes[ranks]`, found through per-block member counts of the mask
         so that no list of all member codes is built."""
         ranks = np.asarray(ranks, dtype=np.int64)
-        if self._order == self._mask.size:  # all of GL: ranks are positions
+        if self._order == self.instance.gl_codes.size:  # all of GL: ranks are positions
             return self.instance.gl_codes[ranks]
-        starts = np.arange(0, self._mask.size, _BFS_CHUNK).tolist()
-        ends = np.cumsum([np.count_nonzero(self._mask[s : s + _BFS_CHUNK]) for s in starts])
+        mask = self.gl_mask()
+        starts = np.arange(0, mask.size, _BFS_CHUNK).tolist()
+        ends = np.cumsum([np.count_nonzero(mask[s : s + _BFS_CHUNK]) for s in starts])
         blocks = np.searchsorted(ends, ranks, side="right")
         positions = np.empty_like(ranks)
         for b in np.unique(blocks).tolist():
-            members = np.flatnonzero(self._mask[starts[b] : starts[b] + _BFS_CHUNK])
+            members = np.flatnonzero(mask[starts[b] : starts[b] + _BFS_CHUNK])
             drawn = blocks == b
             positions[drawn] = starts[b] + members[ranks[drawn] - ends[b] + members.size]
         return self.instance.gl_codes[positions]
@@ -108,38 +151,63 @@ class Subgroup:
 
     def contains_many(self, codes) -> np.ndarray:
         pos = self.instance.positions(codes)
-        return (pos >= 0) & self._mask[pos]
+        return (pos >= 0) & self.contains_positions(pos)
+
+    def contains_positions(self, positions) -> np.ndarray:
+        """Membership of the GL elements at these positions: the coset mask
+        read at their labels, or the GL mask read there."""
+        if self._cosets is None:
+            return self._mask[positions]
+        return self._cosets[right_cosets(self.instance)[0][positions]]
 
     def gl_mask(self) -> np.ndarray:
-        """The member mask over GL positions."""
-        return self._mask
+        """The member mask over GL positions: in coset form the coset mask
+        read at every position's label, a block at a time, so the indices
+        numpy widens for the gather stay small."""
+        if self._cosets is None:
+            return self._mask
+        label = right_cosets(self.instance)[0]
+        mask = np.empty(label.size, dtype=bool)
+        for start in range(0, label.size, _GATHER_CHUNK):
+            block = slice(start, start + _GATHER_CHUNK)
+            np.take(self._cosets, label[block], out=mask[block])
+        return mask
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return not bool(np.any(self._mask & ~other._mask))
+        if self._cosets is not None and other._cosets is not None:
+            return not bool(np.any(self._cosets & ~other._cosets))
+        return not bool(np.any(self.gl_mask() & ~other.gl_mask()))
 
     def __eq__(self, other):
+        # equal member sets have the same form (see the class docstring)
         if not isinstance(other, Subgroup) or self._order != other._order:
             return False
-        return self._mask is other._mask or np.array_equal(self._mask, other._mask)
+        if self._cosets is None:
+            mine, theirs = self._mask, other._mask
+        else:
+            mine, theirs = self._cosets, other._cosets
+        return mine is theirs or (theirs is not None and np.array_equal(mine, theirs))
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> bytes:
-        """In-process content key: the SHA-1 digest of the packed member mask.
+        """In-process content key: the SHA-1 digest of the packed member
+        mask, over the cosets of D in coset form.
 
         Computed once per member set: `intern_subgroup` swaps the mask for an
         equal one and shares the record holding the key.
         """
         if "key" not in self._identity:
-            self._identity["key"] = hashlib.sha1(np.packbits(self._mask)).digest()
+            mask = self._mask if self._cosets is None else self._cosets
+            self._identity["key"] = hashlib.sha1(np.packbits(mask)).digest()
         return self._identity["key"]
 
     def fingerprint(self) -> str:
         """Stable across processes; names subgroups in sweep reports.
 
         Computed once per pooled member set, like `key`.  Hashes the ascending
-        int64 member codes.
+        int64 member codes, in either form.
         """
         if "fingerprint" not in self._identity:
             self._identity["fingerprint"] = hashlib.sha1(self.codes).hexdigest()[:16]
@@ -182,12 +250,31 @@ class Subgroup:
         return close_subgroup(instance, codes)
 
 
-def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share the mask and identity between equal subgroups held in caches.
+def _coset_form(instance, mask, closed):
+    """The coset mask of a GL mask that contains D and is a union of right
+    cosets of D, else None.  A closed mask is a subgroup: holding D's
+    generators it holds D, and then it is the union of its cosets gD."""
+    if closed:
+        d_codes = instance.diagonal_generator_codes()
+    else:
+        units = itertools.product(instance.ring.units(), repeat=instance.n)
+        d_codes = instance.diagonal_codes(list(units))
+    if not bool(np.all(mask[instance.positions(d_codes)])):
+        return None
+    label, reps = right_cosets(instance)
+    cosets = mask[instance.positions(reps)]
+    if closed or np.array_equal(cosets[label], mask):
+        return cosets
+    return None
 
-    The returned object keeps its own generator provenance; the GL mask and
-    the record of key and fingerprint are pooled, keyed by `Subgroup.key`, so
-    each pooled member set is fingerprinted once.
+
+def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
+    """Share the member mask and identity between equal subgroups held in
+    caches.
+
+    The returned object keeps its own generator provenance; the mask (over
+    cosets or GL) and the record of key and fingerprint are pooled, keyed by
+    `Subgroup.key`, so each pooled member set is fingerprinted once.
     """
     # keyed by the subgroup's content, not by arguments: no `instance_cache`
     pool = instance._caches.setdefault("subgroup_pool", {})
@@ -197,7 +284,7 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
         pool[key] = subgroup
         return subgroup
     if base is not subgroup:
-        subgroup._mask = base._mask
+        subgroup._mask, subgroup._cosets = base._mask, base._cosets
         if "fingerprint" in subgroup._identity:
             base._identity.setdefault("fingerprint", subgroup._identity["fingerprint"])
         subgroup._identity = base._identity
@@ -266,8 +353,77 @@ def scalar_coset_key(instance, codes) -> np.ndarray:
 
 
 def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
-    """Closure of <seed, extras> by BFS on the cosets T y of the row scalings
-    T in the seed, by table lookups on row codes: no matrix is multiplied.
+    """Closure of <seed, extras>, the seed closed and given by generators
+    (or trivial): over a seed that contains D an orbit on the right cosets
+    of D (`_coset_orbit`), over any other one a BFS on the cosets T y of
+    the row scalings T in the seed (`_row_scaling_bfs`).  Closure under
+    products yields the subgroup, inverses included, in a finite group."""
+    if not seed.closed:
+        raise InputError("coset closure needs a closed seed subgroup")
+    if len(seed) > 1 and not seed.generator_codes:
+        raise InputError("coset closure needs a seed given by its generators")
+    extra_codes = sorted(set(gl_code_list(instance, extra_codes)))
+    gen_codes = list(seed.generator_codes) + extra_codes
+    if not gen_codes:
+        return seed
+    if seed._cosets is not None:
+        cosets = _coset_orbit(instance, seed._cosets, gen_codes)
+        return Subgroup.from_cosets(instance, cosets, generator_codes=gen_codes)
+    mask = _row_scaling_bfs(instance, seed, gen_codes)
+    return Subgroup(instance, mask, generator_codes=gen_codes, closed=True)
+
+
+def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
+    """The right cosets of D reached from the marked ones by left
+    multiplication with the generators, as a mask over the labels.
+
+    For H containing D and s in H, s (h D) = (s h) D, so the cosets of H
+    are the orbit of the seed's cosets under the seed's generators and the
+    extras.  Each round steps the whole frontier by every generator at once,
+    by table lookups on transposes: (s h)^T = h^T s^T, and row i of
+    h^T s^T is row i of h^T times s^T, a gather from s^T's `row_products`
+    table.  (s h)'s code is read back off the rows of its transpose
+    (`_transposed`), its coset by `coset_labels`, and one product per fresh
+    coset goes on.  No matrix is multiplied and no GL-sized array is built.
+    """
+    reps = right_cosets(instance)[1]
+    columns = _column_codes(instance)
+    transposed = _transposed(instance, columns, instance.row_digits(gen_codes))
+    tables = row_products(instance, transposed.tolist())
+    marked = cosets.copy()
+    # the rows of the transposes of one member per marked coset
+    frontier = _transposed(instance, columns, instance.row_digits(reps[cosets]))
+    frontier = np.stack(instance.row_digits(frontier))
+    while frontier.shape[1]:
+        rows = tables[:, frontier].transpose(1, 0, 2).reshape(instance.n, -1)  # [i, (k, f)]
+        reached, first = np.unique(
+            coset_labels(instance, _transposed(instance, columns, rows)), return_index=True
+        )
+        fresh = ~marked[reached]
+        marked[reached[fresh]] = True
+        frontier = rows[:, first[fresh]]
+    return marked
+
+
+def _column_codes(instance) -> np.ndarray:
+    """Entry [v]: the code of the matrix whose column 0 is the vector with
+    row code v and whose other entries are 0, sum_j m^(j n) v_j."""
+    m, n = instance.modulus, instance.n
+    vectors = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+    return vectors @ m ** (n * np.arange(n, dtype=np.int64))
+
+
+def _transposed(instance, columns, rows) -> np.ndarray:
+    """Codes of the transposes of the matrices with these row codes, row i
+    first: row i of a matrix is column i of its transpose, m^i times its
+    `_column_codes` entry."""
+    return sum(instance.modulus**i * columns[r] for i, r in enumerate(rows))
+
+
+def _row_scaling_bfs(instance, seed: Subgroup, gen_codes) -> np.ndarray:
+    """The GL mask of <seed, generators> by BFS on the cosets T y of the row
+    scalings T in the seed, by table lookups on row codes: no matrix is
+    multiplied.
 
     Row i of y is its digit y_i in base m^n (`Instance.row_digits`), and
     T = T_0 x ... x T_(n-1), T_i the units u with diag(1, .., u at i, .., 1)
@@ -280,15 +436,8 @@ def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
     coset before it is expanded.  The BFS starts from the seed's cosets (its
     members equal to their key).  y -> y g permutes the cosets, so a step of
     distinct cosets by one generator gives distinct keys: the reached ones
-    are dropped, the rest scattered in before the next step.  Closure under
-    products yields the subgroup, inverses included, in a finite group.
+    are dropped, the rest scattered in before the next step.
     """
-    if not seed.closed:
-        raise InputError("coset closure needs a closed seed subgroup")
-    extra_codes = sorted(set(gl_code_list(instance, extra_codes)))
-    gen_codes = list(seed.generator_codes) + extra_codes
-    if not gen_codes:
-        return seed
     m, n = instance.modulus, instance.n
     weights, rows = m ** (n * np.arange(n, dtype=np.int64)), np.arange(n)[:, None]
     # T_i: the seed's mask at diag(1, .., u at i, .., 1), u over the units
@@ -319,7 +468,7 @@ def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
                 reached[_coset_codes(parts, keys)] = True
                 fresh.append(keys)
         frontier = np.concatenate(fresh, axis=1) if fresh else frontier[:, :0]
-    return Subgroup(instance, reached[instance.gl_codes], generator_codes=gen_codes, closed=True)
+    return reached[instance.gl_codes]
 
 
 def _coset_codes(parts, keys) -> np.ndarray:
@@ -384,11 +533,16 @@ def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
         dense = np.cumsum(present) - 1
         count = int(dense[-1]) + 1
         label = dense.astype(np.min_scalar_type(count - 1))[tuples]
-    if count * len(instance.diagonal()) != label.size:
+    if count * instance.ring.unit_count**instance.n != label.size:
         raise RuntimeError("the atom images do not label the right cosets of D")
     first = np.full(count, label.size, dtype=np.int64)
     np.minimum.at(first, label, np.arange(label.size))
     return label, instance.gl_codes[first]
+
+
+def coset_labels(instance, codes) -> np.ndarray:
+    """The `right_cosets` label of each GL code."""
+    return right_cosets(instance)[0][instance.positions(codes)]
 
 
 @instance_cache
@@ -424,12 +578,16 @@ def first_coset(instance, marked) -> int:
 
 
 def fixer(instance, elements) -> Subgroup:
-    """All GL matrices fixing every listed element: the L0' elements decided
-    per right coset of D and gathered by label, any others ANDed by an
-    uncached `fixes_mask` pass over `gl_codes`."""
+    """All GL matrices fixing every listed element: of L0' elements alone the
+    `coset_fix_mask`, which contains D; with any others the coset mask
+    gathered by label and ANDed by an uncached `fixes_mask` pass over
+    `gl_codes` per other element."""
     elements = set(int(e) for e in elements)
     base = elements & set(instance.l0_prime().members)
-    mask = coset_fix_mask(instance, base)[right_cosets(instance)[0]]
+    cosets = coset_fix_mask(instance, base)
+    if base == elements:
+        return intern_subgroup(instance, Subgroup.from_cosets(instance, cosets))
+    mask = cosets[right_cosets(instance)[0]]
     for x in elements - base:
         mask &= fixes_mask(instance, instance.gl_codes, x)
     return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
@@ -556,15 +714,14 @@ def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
 
 
 def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
-    """Whether two subgroups meet every transvection set identically."""
-    m1 = f1.gl_mask()
-    m2 = f2.gl_mask()
+    """Whether two subgroups meet every transvection set identically, read
+    at the transvections' positions (`Subgroup.contains_positions`)."""
     for i in range(instance.n):
         for j in range(instance.n):
             if i == j:
                 continue
             positions, _ = transvection_table(instance, i, j)
-            if bool(np.any(m1[positions] != m2[positions])):
+            if bool(np.any(f1.contains_positions(positions) != f2.contains_positions(positions))):
                 return False
     return True
 

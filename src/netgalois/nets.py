@@ -23,6 +23,7 @@ from .groups import (
     coset_closure,
     coset_fix_mask,
     coset_image,
+    coset_labels,
     first_coset,
     fixer,
     fixer_contains_stabiliser,
@@ -116,7 +117,6 @@ def transvection_ideals(instance, subgroup: Subgroup) -> NetCollection:
     """sigma(F): entry (i, j) joins every x whose transvection set meets F."""
     if not fixer_contains_stabiliser(instance, subgroup):
         raise InputError("transvection ideals need a subgroup containing the frame stabiliser")
-    mask = subgroup.gl_mask()
     n = instance.n
     lat = instance.lattice
     tau = np.zeros((n, n), dtype=np.int64)
@@ -126,7 +126,8 @@ def transvection_ideals(instance, subgroup: Subgroup) -> NetCollection:
             if i == j:
                 continue
             positions, values = transvection_table(instance, i, j)
-            tau[i, j] = lat.join_many(np.unique(values[mask[positions]]).tolist())
+            met = values[subgroup.contains_positions(positions)]
+            tau[i, j] = lat.join_many(np.unique(met).tolist())
     return NetCollection(instance, tau)
 
 
@@ -263,16 +264,8 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
     closure = coset_closure(instance, instance.diagonal(), reps)
     if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
-    return intern_subgroup(
-        instance,
-        Subgroup(
-            instance,
-            fx.gl_mask(),
-            generator_codes=tuple(instance.diagonal_generator_codes())
-            + tuple(sorted(set(reps))),
-            closed=True,
-        ),
-    )
+    gens = instance.diagonal_generator_codes() + sorted(set(reps))
+    return intern_subgroup(instance, fx.with_generators(gens))
 
 
 def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -283,7 +276,7 @@ def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
     it into itself, so no step drops it; a set each g maps into itself is
     F-stable, so the fixpoint lies in M."""
     lbar0 = np.array(instance.frame.lbar0)
-    gens = right_cosets(instance)[0][instance.positions(generating_subset(subgroup))]
+    gens = coset_labels(instance, generating_subset(subgroup))
     images = np.stack([coset_image(instance, l)[gens] for l in lbar0])  # [l, k]: g_k(l)
     keep = np.zeros(len(instance.lattice), dtype=bool)
     keep[lbar0] = True

@@ -435,6 +435,51 @@ def test_replay_rejects_sweep_rows_naming_no_gl_element(f7_spec, tmp_path, g):
     assert main(["replay", "--report", str(report), "--instance", f7_spec]) == 2
 
 
+def test_replay_rejects_reports_that_are_not_objects(f7_spec, tmp_path):
+    report = tmp_path / "list.json"
+    report.write_text("[]")
+    assert main(["replay", "--report", str(report), "--instance", f7_spec]) == 2
+    report.write_text(json.dumps({"rows": ["row"]}))
+    assert main(["replay", "--report", str(report), "--instance", f7_spec]) == 2
+
+
+@pytest.mark.parametrize(
+    "subgroups", [None, {}, {"other": {"checks": []}}, "fp", {"fp": {"checks": "none"}}],
+    ids=["missing", "empty", "other-fingerprint", "text", "checks-text"],
+)
+def test_replay_rejects_failing_rows_without_their_subgroup_checks(f7_spec, tmp_path, subgroups):
+    """A failing sweep row whose g closes to its subgroup needs that
+    subgroup's checks in the report: without them the replay is an input
+    error (exit 2), not a crash."""
+    from netgalois.glnr import Instance
+    from netgalois.groups import coset_closure
+
+    inst = Instance.load(f7_spec)
+    g = int(inst.gl().codes[100])
+    fp = coset_closure(inst, inst.diagonal(), [g]).fingerprint()
+    if isinstance(subgroups, dict) and "fp" in subgroups:
+        subgroups = {fp: subgroups["fp"]}
+    data = {"rows": [{"g": g, "holds": False, "order": 36, "subgroup": fp}]}
+    if subgroups is not None:
+        data["subgroups"] = subgroups
+    report = tmp_path / "sweep.json"
+    report.write_text(json.dumps(data))
+    assert main(["replay", "--report", str(report), "--instance", f7_spec]) == 2
+
+
+@pytest.mark.slow
+def test_z49_sweep_report_does_not_depend_on_jobs(tmp_path):
+    """The sampled Z/49 sweep writes the same bytes with one worker and two."""
+    spec = tmp_path / "z49n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 7, "k": 2}, "n": 2}))
+    args = ["sweep", "--instance", str(spec), "--sample", "8", "--conjugation-samples", "10000"]
+    outs = []
+    for jobs in ("1", "2"):
+        outs.append(tmp_path / f"jobs{jobs}.json")
+        assert main(args + ["--seed", "7", "--jobs", jobs, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize(
     "t, reproduced",
     [(99999999999, True), (10**30, True), (-5, True), (0, True), (7**4, True), (None, False)],

@@ -104,9 +104,9 @@ def test_coset_closure_matches_element_bfs(name, request, element_closure):
 
 
 def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
-    """<D, g> = GL visits all 56 cosets of D in fewer coset gathers than
-    cosets: each BFS round steps its whole frontier by one generator at a
-    time and gathers all the fresh cosets of that step at once."""
+    """<D, g> = GL visits all 56 cosets of D in fewer label reads than
+    cosets: each orbit round steps its whole frontier by one generator at a
+    time and reads the labels of all the products of that step at once."""
     from netgalois import groups
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -116,17 +116,17 @@ def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
     inst = Instance(RingSpec(7, 1), 2)
     d = inst.diagonal()
     calls = []
-    original = groups._coset_codes
+    original = groups.coset_labels
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(groups, "_coset_codes", counted)
+    monkeypatch.setattr(groups, "coset_labels", counted)
     full = coset_closure(inst, d, [g])
     assert len(full) // len(d) == 56
     assert np.array_equal(full.codes, f7.gl().codes)
-    assert len(calls) < 56
+    assert 0 < len(calls) < 56
 
 
 @pytest.mark.parametrize("name", ["f7", "z9"])
@@ -769,7 +769,8 @@ def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
 def test_sweep_fingerprints_each_member_set_once(monkeypatch):
     """Equal subgroups share their pooled key and fingerprint: the Z/9 sweep
     hashes member codes once per distinct subgroup, not once per double-coset
-    representative, and equal subgroups compare equal through a shared mask."""
+    representative, and equal subgroups compare equal through a shared
+    coset mask."""
     from netgalois import sweep
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -789,7 +790,7 @@ def test_sweep_fingerprints_each_member_set_once(monkeypatch):
     assert len(hashed) == len(report["subgroups"]) < reps
     first = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
     again = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
-    assert again is not first and again.gl_mask() is first.gl_mask() and again == first
+    assert again is not first and again._cosets is first._cosets and again == first
     assert again.fingerprint() == first.fingerprint() and len(hashed) == len(report["subgroups"])
 
 
@@ -876,13 +877,15 @@ def test_generating_subset_matches_greedy_reference(name, request, element_closu
 @pytest.mark.parametrize("name", ["f7", "z9"])
 def test_coset_closure_multiplies_only_candidates_outside_the_members(name, request, monkeypatch):
     """A candidate whose key is already in the mask lies in a reached coset,
-    so the BFS gathers only unreached cosets: 20 seeded <D, g> closures
-    gather fewer than two codes per member they produce, and in fact each
-    member outside D exactly once."""
+    so the BFS gathers only unreached cosets: 20 seeded <T, g> closures, T
+    the row scalings diag(u, 1) of a seed without D, gather fewer than two
+    codes per member they produce, and in fact each member outside T exactly
+    once."""
     from netgalois import groups
 
     inst = request.getfixturevalue(name)
-    d = inst.diagonal()
+    seed = close_subgroup(inst, inst.diagonal_generator_codes()[:1])
+    assert 1 < len(seed) < len(inst.diagonal())
     codes = np.random.default_rng(0).choice(inst.gl().codes, size=20, replace=False)
     gathered = []
     original = groups._coset_codes
@@ -893,9 +896,36 @@ def test_coset_closure_multiplies_only_candidates_outside_the_members(name, requ
         return out
 
     monkeypatch.setattr(groups, "_coset_codes", counted)
-    members = sum(len(coset_closure(inst, d, [int(c)])) for c in codes)
+    members = sum(len(coset_closure(inst, seed, [int(c)])) for c in codes)
     assert sum(gathered) < 2 * members
-    assert sum(gathered) == members - len(codes) * len(d)
+    assert sum(gathered) == members - len(codes) * len(seed)
+
+
+@pytest.mark.parametrize("name", ["f7", "z9"])
+def test_orbit_over_d_steps_each_coset_once_per_generator(name, request, monkeypatch):
+    """Each right coset of D in <D, g> enters the orbit's frontier once: 20
+    seeded closures read the labels of exactly one product per coset and
+    generator, and no GL-sized mask."""
+    from netgalois import groups
+
+    inst = request.getfixturevalue(name)
+    d = inst.diagonal()
+    codes = np.random.default_rng(0).choice(inst.gl().codes, size=20, replace=False)
+    labelled, original = [], groups.coset_labels
+
+    def counted(instance, batch):
+        labelled.append(np.size(batch))
+        return original(instance, batch)
+
+    def refuse(self):
+        raise AssertionError("expanded a GL-sized mask")
+
+    monkeypatch.setattr(groups, "coset_labels", counted)
+    monkeypatch.setattr(Subgroup, "gl_mask", refuse)
+    closures = [coset_closure(inst, d, [int(c)]) for c in codes]
+    monkeypatch.undo()
+    expect = sum(len(sub.generator_codes) * len(sub) // len(d) for sub in closures)
+    assert sum(labelled) == expect
 
 
 @pytest.mark.slow
@@ -951,10 +981,10 @@ def test_fingerprint_is_cached_and_survives_interning(f7):
     copy = Subgroup(f7, pooled.gl_mask().copy(), closed=True)
     first = copy.fingerprint()
     assert intern_subgroup(f7, copy) is copy
-    assert copy.gl_mask() is pooled.gl_mask()
+    assert copy._cosets is pooled._cosets
     assert copy.fingerprint() == first
     assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
-    assert copy.key() == pooled.key() == hashlib.sha1(np.packbits(copy.gl_mask())).digest()
+    assert copy.key() == pooled.key() == hashlib.sha1(np.packbits(copy._cosets)).digest()
     assert hash(copy) == hash(pooled)
 
 
@@ -971,3 +1001,93 @@ def test_temporary_closures_stay_out_of_the_pool():
     gens = generating_subset(gl)
     assert len(gens) >= 2
     assert len(pool) == before
+
+
+def test_coset_closure_refuses_a_seed_without_generators(f7):
+    """A closed seed with members besides the identity but no generators
+    (a fixer) gives no closure: the orbit of its cosets under the extras
+    alone is no subgroup (756 elements on F7, not dividing 2016)."""
+    seed = fixer(f7, [f7.atoms[0]])
+    assert len(seed) > 1 and not seed.generator_codes
+    g = int(f7.gl().codes[100])
+    with pytest.raises(InputError):
+        coset_closure(f7, seed, [g])
+    with pytest.raises(InputError):
+        coset_closure(f7, f7.gl(), [g])
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_orbit_over_d_matches_the_closure_from_the_identity(name, request, element_closure):
+    """<D, g> by the orbit on the right cosets of D equals the closure of D's
+    generators and g from the trivial group (the row-scaling BFS) and the
+    matrix BFS reference, with one coset mask and key.  Over F2, D is
+    trivial and both routes run the orbit."""
+    inst = request.getfixturevalue(name)
+    d, gens = inst.diagonal(), inst.diagonal_generator_codes()
+    for g in np.random.default_rng(8).choice(inst.gl().codes, size=5, replace=False).tolist():
+        orbit = coset_closure(inst, d, [g])
+        from_identity = close_subgroup(inst, gens + [g])
+        assert orbit._cosets is not None and from_identity._cosets is not None
+        assert orbit == from_identity and orbit.key() == from_identity.key()
+        assert np.array_equal(orbit.gl_mask(), from_identity.gl_mask())
+        assert np.array_equal(orbit.codes, element_closure(inst, gens + [g]))
+
+
+# (pooled subgroups, SHA-256 prefix of their sorted (fingerprint, order,
+# SHA-1 of the packed GL mask)) after prewarm and a sweep with seed 3, as
+# the GL-mask representation gave them
+POOL_DIGESTS = {
+    "f2": (6, "9757e3bfa81164d6"),
+    "z4": (17, "27be34e01963cb6f"),
+    "f3": (6, "80653a378d42ba5e"),
+    "f7": (5, "8582c53c380a198a"),
+    "z9": (21, "fbe0b03e8f4eb31d"),
+    "f2n3": (157, "21ec89fc7be12d1d"),
+    "f3n3": (31, "9507feb57a140503"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
+def test_pooled_subgroups_keep_members_and_fingerprints(name):
+    """After prewarm and a sweep (60 sampled rows on F3 rank 3) on a fresh
+    instance, every pooled subgroup has the GL mask and fingerprint it had
+    as a GL mask; it is in coset form iff it contains D; and a copy built
+    from its GL mask, closed or not, equals it under the same key."""
+    from netgalois import sweep
+
+    ring, n = {"f2": ((2, 1), 2), "z4": ((2, 2), 2), "f3": ((3, 1), 2), "f7": ((7, 1), 2),
+               "z9": ((3, 2), 2), "f2n3": ((2, 1), 3), "f3n3": ((3, 1), 3)}[name]
+    inst = Instance(RingSpec(*ring), n)
+    sweep.prewarm(inst, cap=10_000_000)
+    sweep.sweep_cyclic(inst, sample=60 if name == "f3n3" else None, seed=3, jobs=1)
+    pool = list(inst._caches["subgroup_pool"].values())
+    rows = sorted(
+        (sub.fingerprint(), len(sub), hashlib.sha1(np.packbits(sub.gl_mask())).hexdigest())
+        for sub in pool
+    )
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == POOL_DIGESTS[name]
+    d_positions = inst.positions(inst.diagonal().codes)
+    for sub in pool:
+        mask = sub.gl_mask()
+        assert (sub._cosets is not None) == bool(np.all(mask[d_positions]))
+        for closed in (True, False):
+            copy = Subgroup(inst, mask.copy(), closed=closed)
+            assert copy == sub and copy.key() == sub.key() and len(copy) == len(sub)
+
+
+def test_coset_form_holds_exactly_the_unions_of_cosets_of_d(f7):
+    """A member set holding D is kept over the cosets when it is a union of
+    them; D plus one element outside it stays a GL mask, equal to no subgroup
+    over the cosets."""
+    d = f7.diagonal()
+    mask = d.gl_mask()
+    assert Subgroup(f7, mask.copy())._cosets is not None
+    assert Subgroup(f7, mask.copy()) == d
+    outside = mask.copy()
+    outside[np.argmin(mask)] = True
+    ragged = Subgroup(f7, outside)
+    assert ragged._cosets is None and len(ragged) == len(d) + 1
+    assert ragged != borel(f7) and not borel(f7).is_subset_of(ragged)
+    assert d.is_subset_of(ragged) and d.is_subset_of(borel(f7))
+    with pytest.raises(InputError):
+        Subgroup.from_cosets(f7, np.ones(len(f7.gl()), dtype=bool))

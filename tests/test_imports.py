@@ -1,7 +1,7 @@
 """Every module-level import in `src/netgalois` is read somewhere in its
 module: an import nothing reads keeps dead code looking alive.  And only
-`groups` reads `Instance._caches`, so the cache layout is decided in one
-module.  Stdlib only (`ast`), so it runs wherever the tests do."""
+`groups` reads `Instance._caches` or a `Subgroup`'s member masks, so the
+cache layout and the subgroup representation are decided in one module.  Stdlib only (`ast`), so it runs wherever the tests do."""
 
 import ast
 import pathlib
@@ -92,3 +92,33 @@ def test_only_groups_reads_the_instance_caches(path):
         return
     allowed = {("Instance.__init__", True)} if path.name == "glnr.py" else set()
     assert set(cache_accesses(path.read_text(encoding="utf-8"))) <= allowed, path.name
+
+
+SUBGROUP_MASKS = ("_mask", "_cosets")
+
+
+def private_mask_reads(source: str) -> list[str]:
+    """The `Subgroup` member-mask attributes the module reads or writes."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SUBGROUP_MASKS
+    ]
+
+
+def test_private_mask_reads_are_found():
+    source = (
+        "def f(sub, other):\n"
+        "    _mask = sub.gl_mask()\n"
+        "    return sub._cosets[other._mask]\n"
+    )
+    assert private_mask_reads(source) == ["_cosets", "_mask"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_groups_reads_the_subgroup_masks(path):
+    """Other modules go through `Subgroup`'s methods (`gl_mask`,
+    `contains_positions`, `with_generators`, ...), never its masks."""
+    if path.name == "groups.py":
+        return
+    assert private_mask_reads(path.read_text(encoding="utf-8")) == [], path.name

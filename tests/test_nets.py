@@ -327,7 +327,7 @@ def test_fixer_classes_share_the_pooled_identity(prewarmed_z49):
     for cls in all_fixer_classes(prewarmed_z49):
         base = pool[cls.common_fixer.key()]
         assert cls.common_fixer._identity is base._identity
-        assert cls.common_fixer.gl_mask() is base.gl_mask()
+        assert cls.common_fixer._cosets is base._cosets is not None
 
 
 def test_stable_lbar0_reads_no_gl_sized_mask(prewarmed_z49, monkeypatch, stable_lbar0_reference):
@@ -514,6 +514,19 @@ def test_memo_holds_no_gl_sized_array_but_the_coset_labels(ring, n, monkeypatch)
     check_all(inst, samples=20)
     assert _large_arrays(inst._caches, size) == [(("right_cosets",), 0)]
     assert len(passes) <= n
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_subgroup_pool_holds_no_gl_sized_array(ring, n):
+    """After `prewarm` on a fresh instance every pooled subgroup contains D
+    and holds its members as a mask over the |GL|/|D| right cosets of D: the
+    pool holds no GL-sized array."""
+    inst = Instance(RingSpec(*ring), n)
+    prewarm(inst, cap=10_000_000)
+    pool = inst._caches["subgroup_pool"].values()
+    held = [a for sub in pool for a in vars(sub).values() if isinstance(a, np.ndarray)]
+    assert len(held) == len(pool)
+    assert max(a.size for a in held) == len(inst.gl()) // len(inst.diagonal())
 
 
 def test_stable_lbar0_fixer_shares_transvections(f7):
