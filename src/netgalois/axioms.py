@@ -10,9 +10,9 @@ quantifier readings (the inner choice may or may not depend on the outer
 group element); both are checked, downstream verification relies only on the
 weak one.
 
-Conditions 3, 4, 5, 8 and 11 (with 4') quantify over an outer element a of
-GL and are array programs: a table of which inner candidates work for which
-a, gathered from the lattice permutations of the outer elements and the axis
+Conditions 3, 4, 5 and 11 (with 4') quantify over an outer element a of GL
+and are array programs: a table of which inner candidates work for which a,
+gathered from the lattice permutations of the outer elements and the axis
 candidates (`Instance.perm`, one row per code), read in the loop order with
 argmax.  Axis candidates h enter only through their rows, so one h per
 distinct row, the first, stands for all (`_distinct_rows`).  Exhaustive mode
@@ -26,6 +26,13 @@ takes one a per coset of the scalar matrices Z = {uI}, its smallest code
   fails or passes is the first of its coset, a key, so the witnesses and
   found records are those of the loop over all of GL.
 Sampled mode draws its outer elements from all of GL.
+
+Conditions 6 and 8 read only images of L0' elements, constant on each right
+coset gD, so they run on `coset_image` columns: one entry per coset in
+exhaustive mode, the drawn elements' cosets in sampled mode.  The cosets
+are numbered in code order, so the first element of the loop over GL that
+fails or passes is the smallest code of the first such coset; transvection
+sets are read per coset the same way (`transvection_table`).
 """
 
 from __future__ import annotations
@@ -41,10 +48,11 @@ from .groups import (
     axis_subgroup,
     coset_closure,
     coset_fix_mask,
+    coset_image,
+    coset_labels,
     double_coset_key,
     fixer,
     gl_code_list,
-    gl_column,
     instance_cache,
     intern_subgroup,
     right_cosets,
@@ -104,8 +112,8 @@ class _Ctx:
         return values
 
     def atom_image_support(self, i, j):
-        """[g(e_i)]_j for every group element, read through the atom's GL column."""
-        return self.support[gl_column(self.instance, self.atoms[i]), j]
+        """[g(e_i)]_j for each right coset gD, off the atom's coset column."""
+        return self.support[coset_image(self.instance, self.atoms[i]), j]
 
     def closure_with(self, codes_tuple):
         """<D, listed elements>, cached by the double-coset keys."""
@@ -240,15 +248,16 @@ def _cond_5(ctx, mode, rng, samples):
     inst = ctx.instance
     g_codes = inst.gl_codes[pos]
     pg = inst.perm(g_codes)
-    meet, label = ctx.lat.meet_table, right_cosets(inst)[0]
+    meet, reps = ctx.lat.meet_table, right_cosets(inst)[1]
     found = None
     for i in range(ctx.n):
         e_i = ctx.atoms[i]
         # t with t(e_s) = e_s for s != i, the first one per image w = t(e_i);
-        # atoms lie in L0', so the t are the cosets fixing the others
-        t_pos = np.flatnonzero(coset_fix_mask(inst, np.delete(ctx.atoms, i))[label])
-        ws, first = np.unique(gl_column(inst, e_i)[t_pos], return_index=True)
-        t_codes = inst.gl_codes[t_pos[first]]
+        # atoms lie in L0', so the t are the cosets fixing the others, and a
+        # w's first t is the smallest code of its first coset
+        t = np.flatnonzero(coset_fix_mask(inst, np.delete(ctx.atoms, i)))
+        ws, first = np.unique(coset_image(inst, e_i)[t], return_index=True)
+        t_codes = reps[t[first]]
         back = ctx.support[pg[:, ws], i] == e_i  # [g, w]: [g(w)]_i = e_i
         for u in ctx.frame.lbar0:
             if not ctx.lat.leq(e_i, u):
@@ -288,83 +297,74 @@ def _first_order_violation(lat, a, b):
 
 
 def _cond_6(ctx, mode, rng, samples):
+    """Loop order (i, j, x, f, g) over pairs of cosets, or (i, j, pair, x)
+    over the drawn pairs."""
     inst = ctx.instance
     l0p = set(inst.l0_prime().members)
+    reps, meet = right_cosets(inst)[1], ctx.lat.meet_table
     if samples is not None:
-        idx = rng.integers(0, len(ctx.g), size=(samples, 2))
-        frows, grows = inst.perm(inst.gl_codes[idx.T]).reshape(2, samples, -1)
+        drawn = inst.gl_codes[rng.integers(0, len(ctx.g), size=(samples, 2))]
+        f_c, g_c = coset_labels(inst, drawn.T)
 
-    def failure(i, j, x, f_idx, g_idx):
-        f, g = (int(c) for c in inst.gl_codes[[f_idx, g_idx]])
-        return False, {"i": i, "j": j, "x": int(x), "f": f, "g": g}, None
+    def failure(i, j, x, f, g):
+        return False, {"i": i, "j": j, "x": int(x), "f": int(f), "g": int(g)}, None
 
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
-                continue
-            sij = ctx.atom_image_support(i, j)
-            xs = [x for x in ctx.frame.atom_downsets[i] if x in l0p]
-            if samples is None:
-                for x in xs:
-                    sx = ctx.support[gl_column(inst, x), j]
-                    hit = _first_order_violation(ctx.lat, sij, sx)
-                    if hit is not None:
-                        return failure(i, j, x, *hit)
-            else:
-                for f_i, g_i, pf, pg in zip(*idx.T.tolist(), frows, grows):
-                    if not ctx.lat.leq(int(sij[f_i]), int(sij[g_i])):
-                        continue
-                    for x in xs:
-                        if not ctx.lat.leq(
-                            int(ctx.support[pf[x], j]), int(ctx.support[pg[x], j])
-                        ):
-                            return failure(i, j, x, f_i, g_i)
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        sij = ctx.atom_image_support(i, j)
+        xs = [x for x in ctx.frame.atom_downsets[i] if x in l0p]
+        sxs = np.stack([ctx.support[coset_image(inst, x), j] for x in xs], axis=1)
+        if samples is None:
+            for x, sx in zip(xs, sxs.T):
+                hit = _first_order_violation(ctx.lat, sij, sx)
+                if hit is not None:
+                    return failure(i, j, x, *reps[list(hit)])
+            continue
+        # viol[k, x]: pair k has [f(e_i)]_j <= [g(e_i)]_j but not [f(x)]_j <= [g(x)]_j
+        hyp = meet[sij[f_c], sij[g_c]] == sij[f_c]
+        viol = hyp[:, None] & (meet[sxs[f_c], sxs[g_c]] != sxs[f_c])
+        if viol.any():
+            k, col = np.unravel_index(int(np.argmax(viol)), viol.shape)
+            return failure(i, j, xs[col], *drawn[k])
     return True, None, None
 
 
 def _realisable(ctx, i, j):
-    return np.unique(transvection_table(ctx.instance, i, j)[1]).tolist()
+    table = transvection_table(ctx.instance, i, j)
+    return np.unique(table[table >= 0]).tolist()
 
 
 def _cond_7(ctx, mode, rng, samples):
-    for j in range(ctx.n):
-        for i in range(ctx.n):
-            if i == j:
-                continue
-            real = _realisable(ctx, i, j)
-            for u in ctx.frame.atom_downsets[j]:
-                below = [y for y in real if ctx.lat.leq(y, u)]
-                if ctx.lat.join_many(below) != u:
-                    return False, {"i": i, "j": j, "u": int(u)}, None
+    for j, i in itertools.permutations(range(ctx.n), 2):
+        real = _realisable(ctx, i, j)
+        for u in ctx.frame.atom_downsets[j]:
+            below = [y for y in real if ctx.lat.leq(y, u)]
+            if ctx.lat.join_many(below) != u:
+                return False, {"i": i, "j": j, "u": int(u)}, None
     return True, None, None
 
 
 def _cond_8(ctx, mode, rng, samples):
+    """f's signature ([f(u)]_j, u below e_i) is some transvection's of value
+    x = [f(e_i)]_j: e_i is below itself, so the signature fixes x."""
     inst = ctx.instance
-    pos = _iter_group(ctx, rng, samples)
+    reps = right_cosets(inst)[1]
+    if samples is None:
+        f_codes, f_c = reps, np.arange(reps.size)
+    else:
+        f_codes = inst.gl_codes[_iter_group(ctx, rng, samples)]
+        f_c = coset_labels(inst, f_codes)
     found = None
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
-                continue
-            us = [u for u in ctx.frame.atom_downsets[i]]
-            sig_cols = [ctx.support[gl_column(inst, u), j].astype(np.int64) for u in us]
-            sig = np.zeros(len(ctx.g), dtype=np.int64)
-            for col in sig_cols:
-                sig = sig * len(ctx.lat) + col
-            positions, values = transvection_table(inst, i, j)
-            sig_sets: dict[int, set] = {}
-            for x in _realisable(ctx, i, j):
-                sig_sets[x] = set(sig[positions[values == x]].tolist())
-            sij = ctx.atom_image_support(i, j)
-            for gi in pos.tolist():
-                code = int(ctx.instance.gl_codes[gi])
-                x = int(sij[gi])
-                if int(sig[gi]) not in sig_sets.get(x, set()):
-                    return False, {"i": i, "j": j, "f": code}, found
-                if found is None:
-                    match = transvections(inst, i, j, x)
-                    found = {"i": i, "j": j, "f": code, "g": int(match[0])}
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        sig = np.zeros(reps.size, dtype=np.int64)
+        for u in ctx.frame.atom_downsets[i]:
+            sig = sig * len(ctx.lat) + ctx.support[coset_image(inst, u), j]
+        table = transvection_table(inst, i, j)
+        fails = ~np.isin(sig[f_c], sig[table >= 0])
+        if found is None and not fails[0]:
+            x = ctx.atom_image_support(i, j)[f_c[0]]
+            found = {"i": i, "j": j, "f": int(f_codes[0]), "g": int(reps[np.argmax(table == x)])}
+        if fails.any():
+            return False, {"i": i, "j": j, "f": int(f_codes[np.argmax(fails)])}, found
     return True, None, found
 
 
@@ -387,69 +387,70 @@ def _cond_9_targets(ctx, i, j):
 def _cond_9(ctx, mode, rng, samples):
     inst = ctx.instance
     found = None
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        real = set(_realisable(ctx, i, j))
+        targets = _cond_9_targets(ctx, i, j)
+        if samples is not None and len(targets) > samples:
+            pick = rng.choice(len(targets), size=samples, replace=False)
+            targets = [targets[int(t)] for t in pick]
+        for w, x in targets:
+            if x not in real:
                 continue
-            real = set(_realisable(ctx, i, j))
-            targets = _cond_9_targets(ctx, i, j)
-            if samples is not None and len(targets) > samples:
-                pick = rng.choice(len(targets), size=samples, replace=False)
-                targets = [targets[int(t)] for t in pick]
-            for w, x in targets:
-                if x not in real:
-                    continue
-                t_codes = transvections(inst, i, j, x)
-                imgs = inst.act_batch(t_codes, w)
-                hits = np.nonzero(imgs == ctx.atoms[i])[0]
-                if hits.size == 0:
-                    return False, {"i": i, "j": j, "w": int(w), "x": int(x)}, found
-                if found is None:
-                    found = {"i": i, "j": j, "w": int(w), "t": int(t_codes[hits[0]])}
+            t_codes = transvections(inst, i, j, x)
+            imgs = inst.act_batch(t_codes, w)
+            hits = np.nonzero(imgs == ctx.atoms[i])[0]
+            if hits.size == 0:
+                return False, {"i": i, "j": j, "w": int(w), "x": int(x)}, found
+            if found is None:
+                found = {"i": i, "j": j, "w": int(w), "t": int(t_codes[hits[0]])}
     return True, None, found
 
 
 def _cond_10(ctx, mode, rng, samples):
     inst = ctx.instance
+    coset_reps = right_cosets(inst)[1]
     max_tuple = 2
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
-                continue
-            real = _realisable(ctx, i, j)
-            reps: dict[int, list[int]] = {}
-            key_of: dict[int, int] = {}
-            for x in real:
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        real = _realisable(ctx, i, j)
+        table = transvection_table(inst, i, j)
+        reps: dict[int, list[int]] = {}
+        key_of: dict[int, int] = {}
+        for x in real:
+            if samples is None:
+                # D a D contains a D, so the key is constant on each
+                # right coset: its smallest code stands for it
+                codes = coset_reps[table == x]
+            else:
+                # sampled profile: a few members per value, no dedup pass
                 codes = transvections(inst, i, j, x)
-                if samples is not None:
-                    # sampled profile: a few members per value, no dedup pass
-                    pick = rng.choice(codes.size, size=min(3, codes.size), replace=False)
-                    codes = np.sort(codes[pick])
-                keys = double_coset_key(inst, codes)
-                key_of.update(zip(codes.tolist(), keys.tolist()))
-                if samples is None:
-                    # one representative per double coset; the generated
-                    # closure <D, a> only depends on those, so this is exact
-                    codes = codes[np.unique(keys, return_index=True)[1]]
-                reps[x] = sorted(codes.tolist())
-            for s in range(1, max_tuple + 1):
-                for xs in itertools.product(real, repeat=s):
-                    bound = ctx.lat.join_many(xs)
-                    ys = [y for y in real if ctx.lat.leq(y, bound)]
-                    for a_tuple in itertools.product(*(reps[x] for x in xs)):
-                        closure = ctx.closure_of_keys([key_of[a] for a in a_tuple])
-                        for y in ys:
-                            t_codes = transvections(inst, i, j, y)
-                            ok = closure.contains_many(t_codes)
-                            if not bool(np.all(ok)):
-                                return False, {
-                                    "i": i,
-                                    "j": j,
-                                    "xs": [int(x) for x in xs],
-                                    "as": [int(a) for a in a_tuple],
-                                    "y": int(y),
-                                    "t": int(t_codes[np.argmin(ok)]),
-                                }, None
+                pick = rng.choice(codes.size, size=min(3, codes.size), replace=False)
+                codes = np.sort(codes[pick])
+            keys = double_coset_key(inst, codes)
+            key_of.update(zip(codes.tolist(), keys.tolist()))
+            if samples is None:
+                # one representative per double coset; the generated
+                # closure <D, a> only depends on those, so this is exact
+                codes = codes[np.unique(keys, return_index=True)[1]]
+            reps[x] = sorted(codes.tolist())
+        for s in range(1, max_tuple + 1):
+            for xs in itertools.product(real, repeat=s):
+                bound = ctx.lat.join_many(xs)
+                ys = [y for y in real if ctx.lat.leq(y, bound)]
+                for a_tuple in itertools.product(*(reps[x] for x in xs)):
+                    closure = ctx.closure_of_keys([key_of[a] for a in a_tuple])
+                    outside = ~closure.coset_mask()
+                    for y in ys:
+                        # the first transvection outside: its first coset's smallest code
+                        missing = (table == y) & outside
+                        if bool(np.any(missing)):
+                            return False, {
+                                "i": i,
+                                "j": j,
+                                "xs": [int(x) for x in xs],
+                                "as": [int(a) for a in a_tuple],
+                                "y": int(y),
+                                "t": int(coset_reps[np.argmax(missing)]),
+                            }, None
     return True, None, None
 
 
@@ -480,11 +481,12 @@ def _cond_11(ctx, mode, rng, samples):
         # a failure before this label's first use already is the first failure
         if fails.any() and firsts[k] > np.argmax(fails.any(axis=(1, 2))):
             break
-        closure = ctx.closure_of_keys([int(keys[k])])
+        cosets = ctx.closure_of_keys([int(keys[k])]).coset_mask()
         meets = np.zeros((len(pairs), len(ctx.lat)), dtype=bool)
-        for p, (positions, values) in enumerate(tables):
-            # T(i, j, x) = the positions of value x: the closure meets it iff it holds one
-            meets[p, values[closure.contains_positions(positions)]] = True
+        for p, table in enumerate(tables):
+            # T(i, j, x) = the cosets of value x: the closure meets it iff it holds one
+            met = table[cosets]
+            meets[p, met[met >= 0]] = True
         mine = label == k
         fails[mine] = ~meets[np.arange(len(pairs)), xs[mine]]
     if not fails.any():
@@ -542,12 +544,9 @@ def _prime_2(ctx, mode, rng, samples):
 
 
 def _prime_3(ctx, mode, rng, samples):
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
-                continue
-            if transvections(ctx.instance, i, j, ctx.atoms[j]).size == 0:
-                return False, {"i": i, "j": j}, None
+    for i, j in itertools.permutations(range(ctx.n), 2):
+        if not bool(np.any(transvection_table(ctx.instance, i, j) == ctx.atoms[j])):
+            return False, {"i": i, "j": j}, None
     return True, None, None
 
 
@@ -683,10 +682,8 @@ def _replay_cond_10(ctx, mode, w):
 def _replay_cond_11(ctx, mode, w):
     i, j, x = ctx.witness_indices(w, "ijx")
     closure = ctx.closure_with(gl_code_list(ctx.instance, [w.get("a")]))
-    t_codes = transvections(ctx.instance, i, j, x)
-    if t_codes.size == 0:
-        return True
-    return not bool(np.any(closure.contains_many(t_codes)))
+    held = transvection_table(ctx.instance, i, j) == x
+    return not bool(np.any(held & closure.coset_mask()))
 
 
 def _replay_generic(ctx, mode, w):

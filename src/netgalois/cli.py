@@ -61,7 +61,7 @@ def jsonable(obj):
 def _load_instance(args) -> Instance:
     """The instance, with GL enumerated under `--cap` where the subcommand has it:
     every group the subcommands relate lies in GL, so this is the only cap check."""
-    instance = Instance.load(args.instance)
+    instance = Instance.from_json(_load_json(args.instance))
     if "cap" in args:
         instance.gl(cap=args.cap)
     return instance

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 import numpy as np
 
@@ -197,23 +196,20 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
+        if not isinstance(obj, dict):
+            raise InputError(f"an instance file holds a JSON object, not {obj!r}")
         version = obj.get("schema_version", 1)
         if version != 1:
             raise InputError(f"unsupported instance schema version {version}")
         if "ring" not in obj or "n" not in obj:
             raise InputError("instance file needs 'ring' and 'n'")
-        instance = Instance(RingSpec.from_json(obj["ring"]), int(obj["n"]))
+        instance = Instance(RingSpec.from_json(obj["ring"]), rings.json_int(obj["n"], "n"))
         declared = obj.get("atoms")
         if declared is not None:
             built = [instance.lattice.labels[a] for a in instance.atoms]
-            if list(declared) != built:
+            if declared != built:
                 raise InputError(f"declared frame atoms {declared} do not match {built}")
         return instance
-
-    @staticmethod
-    def load(path) -> "Instance":
-        with open(path, "r", encoding="utf-8") as fh:
-            return Instance.from_json(json.load(fh))
 
     def element_by_label(self, label: str) -> int:
         idx = self.lattice.label_index.get(label)

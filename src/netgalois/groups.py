@@ -11,16 +11,17 @@ sublattice L0', the net subgroups, GL), so each is a union of right cosets
 gD: a `Subgroup` that contains D is a boolean mask over the |GL|/|D| coset
 labels of `right_cosets` (2 744 on Z/49, against 4 840 416 GL positions),
 any other member set a boolean mask over GL positions (`Instance.gl_codes`,
-ascending).  A GL-sized mask or code list is expanded from the labels only
-where a GL-aligned result is read (`Subgroup.gl_mask`, `codes`,
-`fingerprint`).  D fixes every element of L0', so (g d)(x) = g(x) there:
-where all of GL sends an L0' element is read once per right coset off that
-coset's `coset_image` column, and fixers of L0' elements are coset masks
-(`coset_fix_mask`).  An element outside L0', which only tests pass to
-`fixer`, takes an uncached `fixes_mask` pass over `gl_codes`.  Smaller
-batches of codes (generators, members of a subgroup) go through
-`fixes_mask`, or through `Instance.perm` where whole lattice permutations
-are read (`axis_subgroup`, `classify_transvection`).
+ascending), the cosets numbered in code order.  A GL-sized mask or code
+list is expanded from the labels only where a GL-aligned result is read
+(`Subgroup.gl_mask`, `codes`, `fingerprint`, `transvections`).  D fixes
+every element of L0', so (g d)(x) = g(x) there: where all of GL sends an
+L0' element is read once per right coset off its `coset_image` column, and
+fixers of L0' elements and transvection sets are per-coset tables
+(`coset_fix_mask`, `transvection_table`).  An element outside L0', which
+only tests pass to `fixer`, takes an uncached `fixes_mask` pass over
+`gl_codes`.  Smaller batches of codes (generators, members of a subgroup)
+go through `fixes_mask`, or through `Instance.perm` where whole lattice
+permutations are read (`axis_subgroup`, `classify_transvection`).
 Every closure is `coset_closure`: over a seed that contains D an orbit on
 the right cosets of D under left multiplication by the generators, and over
 any other seed one BFS on the cosets of the row scalings inside the seed,
@@ -78,9 +79,9 @@ class Subgroup:
     `right_cosets` labels; any other one as a boolean mask over GL positions
     (aligned with `Instance.gl_codes`).  The constructor takes a GL mask and
     keeps the coset form whenever it applies, so equal member sets share one
-    form, key and pool entry; `from_cosets` takes a coset mask.  `gl_mask`,
-    `codes`, `codes_at` and `fingerprint` expand a coset mask by one label
-    gather on demand.
+    form, key and pool entry; `from_cosets` takes a coset mask, and
+    `coset_mask` reads it.  `gl_mask`, `codes`, `codes_at` and `fingerprint`
+    expand a coset mask by one label gather on demand.
     """
 
     def __init__(self, instance, mask, generator_codes=(), closed=False):
@@ -151,27 +152,22 @@ class Subgroup:
 
     def contains_many(self, codes) -> np.ndarray:
         pos = self.instance.positions(codes)
-        return (pos >= 0) & self.contains_positions(pos)
-
-    def contains_positions(self, positions) -> np.ndarray:
-        """Membership of the GL elements at these positions: the coset mask
-        read at their labels, or the GL mask read there."""
         if self._cosets is None:
-            return self._mask[positions]
-        return self._cosets[right_cosets(self.instance)[0][positions]]
+            return (pos >= 0) & self._mask[pos]
+        return (pos >= 0) & self._cosets[right_cosets(self.instance)[0][pos]]
+
+    def coset_mask(self) -> np.ndarray:
+        """The member mask over the right cosets of D; a member set that does
+        not contain D has none."""
+        if self._cosets is None:
+            raise InputError("a coset mask needs a subgroup containing the frame stabiliser")
+        return self._cosets
 
     def gl_mask(self) -> np.ndarray:
-        """The member mask over GL positions: in coset form the coset mask
-        read at every position's label, a block at a time, so the indices
-        numpy widens for the gather stay small."""
+        """The member mask over GL positions, in coset form expanded by label."""
         if self._cosets is None:
             return self._mask
-        label = right_cosets(self.instance)[0]
-        mask = np.empty(label.size, dtype=bool)
-        for start in range(0, label.size, _GATHER_CHUNK):
-            block = slice(start, start + _GATHER_CHUNK)
-            np.take(self._cosets, label[block], out=mask[block])
-        return mask
+        return _gl_mask_of(self.instance, self._cosets)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         if self._cosets is not None and other._cosets is not None:
@@ -261,9 +257,8 @@ def _coset_form(instance, mask, closed):
         d_codes = instance.diagonal_codes(list(units))
     if not bool(np.all(mask[instance.positions(d_codes)])):
         return None
-    label, reps = right_cosets(instance)
-    cosets = mask[instance.positions(reps)]
-    if closed or np.array_equal(cosets[label], mask):
+    cosets = mask[instance.positions(right_cosets(instance)[1])]
+    if closed or np.array_equal(_gl_mask_of(instance, cosets), mask):
         return cosets
     return None
 
@@ -329,6 +324,7 @@ def _row_product_tables(instance, codes) -> np.ndarray:
     return rings.pack_vectors(rows @ mats % m, m)
 
 
+@instance_cache
 def row_scale_table(instance) -> np.ndarray:
     """Entry [k, v] is the row code of u_k v, u_k the k-th unit: the row
     products of the scalar matrices u_k I."""
@@ -405,6 +401,7 @@ def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
     return marked
 
 
+@instance_cache
 def _column_codes(instance) -> np.ndarray:
     """Entry [v]: the code of the matrix whose column 0 is the vector with
     row code v and whose other entries are 0, sum_j m^(j n) v_j."""
@@ -509,40 +506,64 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
 
 @instance_cache
 def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
-    """(label, reps): the right coset gD of each GL position as a dense label
-    in the smallest dtype, and the smallest code of each coset.
+    """(label, reps): reps the smallest code of each right coset gD,
+    ascending, so the first marked coset holds the smallest marked code, and
+    label each GL position's coset, an index into reps in the smallest dtype.
 
-    g sends a row v to v g^T, so column i of g spans g(e_i); over a local
-    ring Rv = Rw iff w = u v for a unit u (`Instance._build_lattice`).  So
-    g and g' have equal atom images iff g' = g diag(u), i.e. gD = g'D, and
-    the label is the tuple of atom images (one `act_batch` pass over
-    `gl_codes` per atom, in the lattice dtype, kept by no memo), relabelled
-    densely one atom at a time through a presence table: no sort runs over
-    GL.  D fixes every element of L0', so (g d)(x) = g(x) there, and a
-    predicate on the images of L0' elements is constant on each coset.
+    A position's `_coset_key` is the smallest code of its coset: the
+    positions equal to their key hold the reps, and a label counts the reps
+    before its key.  D fixes every element of L0', so (g d)(x) = g(x) there,
+    and a predicate on the images of L0' elements is constant on each coset.
     """
     instance.gl()
-    size, count = len(instance.lattice), 1
-    dtype = np.min_scalar_type(size - 1)
-    label = np.zeros(len(instance.gl_codes), dtype=np.uint8)
-    for atom in instance.atoms:
-        tuples = label.astype(np.min_scalar_type(count * size - 1)) * size
-        tuples += instance.act_batch(instance.gl_codes, atom).astype(dtype)
-        present = np.zeros(count * size, dtype=bool)
-        present[tuples] = True
-        dense = np.cumsum(present) - 1
-        count = int(dense[-1]) + 1
-        label = dense.astype(np.min_scalar_type(count - 1))[tuples]
-    if count * instance.ring.unit_count**instance.n != label.size:
-        raise RuntimeError("the atom images do not label the right cosets of D")
-    first = np.full(count, label.size, dtype=np.int64)
-    np.minimum.at(first, label, np.arange(label.size))
-    return label, instance.gl_codes[first]
+    codes = instance.gl_codes
+    count = codes.size // instance.ring.unit_count**instance.n
+    key_pos, is_rep = np.empty(codes.size, dtype=np.int32), np.empty(codes.size, dtype=bool)
+    for start in range(0, codes.size, _GATHER_CHUNK):
+        block = slice(start, start + _GATHER_CHUNK)
+        keys = _coset_key(instance, codes[block])
+        is_rep[block] = keys == codes[block]
+        key_pos[block] = instance.positions(keys)
+    if np.count_nonzero(is_rep) != count:
+        raise RuntimeError("the column keys do not label the right cosets of D")
+    rank = np.cumsum(is_rep, dtype=np.int32)
+    rank -= 1
+    return rank.astype(np.min_scalar_type(count - 1))[key_pos], codes[is_rep]
+
+
+def _coset_key(instance, codes) -> np.ndarray:
+    """Smallest code of the right coset gD of each GL code g.
+
+    g d scales column k of g by the unit d_k, each column on its own.  Entry
+    (r, k) of a code weighs m^(r n + k), so codes compare at their heaviest
+    differing entry, and inside column k in the order of the column's own
+    vector code (row r at m^r): the smallest member of gD scales each column
+    to its smallest unit multiple (`row_scale_table`).  Column k of g is row
+    k of its transpose (`_transposed`) and weighs m^k times its
+    `_column_codes` entry.
+    """
+    columns = _column_codes(instance)
+    smallest = columns[row_scale_table(instance).min(axis=0)]
+    cols = instance.row_digits(_transposed(instance, columns, instance.row_digits(codes)))
+    return sum(instance.modulus**k * smallest[c] for k, c in enumerate(cols))
 
 
 def coset_labels(instance, codes) -> np.ndarray:
-    """The `right_cosets` label of each GL code."""
-    return right_cosets(instance)[0][instance.positions(codes)]
+    """The `right_cosets` label of each GL code: the rank of its
+    `_coset_key` among the ascending reps, read with no GL-sized array."""
+    return np.searchsorted(right_cosets(instance)[1], _coset_key(instance, codes))
+
+
+def _gl_mask_of(instance, cosets) -> np.ndarray:
+    """The GL mask of the marked right cosets of D: the coset mask read at
+    every position's label, a block at a time, so the indices numpy widens
+    for the gather stay small."""
+    label = right_cosets(instance)[0]
+    mask = np.empty(label.size, dtype=bool)
+    for start in range(0, label.size, _GATHER_CHUNK):
+        block = slice(start, start + _GATHER_CHUNK)
+        np.take(cosets, label[block], out=mask[block])
+    return mask
 
 
 @instance_cache
@@ -556,12 +577,6 @@ def coset_image(instance, x: int) -> np.ndarray:
     return instance.act_batch(reps, x).astype(np.min_scalar_type(len(instance.lattice) - 1))
 
 
-def gl_column(instance, x: int) -> np.ndarray:
-    """g(x) for every g in GL, aligned with `gl_codes`, for x in L0': its
-    `coset_image` column gathered by label.  Not cached."""
-    return coset_image(instance, x)[right_cosets(instance)[0]]
-
-
 def coset_fix_mask(instance, members) -> np.ndarray:
     """Which right cosets of D fix every listed element of L0'."""
     mask = np.ones(len(right_cosets(instance)[1]), dtype=bool)
@@ -570,24 +585,17 @@ def coset_fix_mask(instance, members) -> np.ndarray:
     return mask
 
 
-def first_coset(instance, marked) -> int:
-    """The marked coset holding the smallest code: where a GL-wide mask
-    gathered from `marked` by label first reads True."""
-    cosets = np.flatnonzero(marked)
-    return int(cosets[np.argmin(right_cosets(instance)[1][cosets])])
-
-
 def fixer(instance, elements) -> Subgroup:
     """All GL matrices fixing every listed element: of L0' elements alone the
     `coset_fix_mask`, which contains D; with any others the coset mask
-    gathered by label and ANDed by an uncached `fixes_mask` pass over
+    expanded by label and ANDed by an uncached `fixes_mask` pass over
     `gl_codes` per other element."""
     elements = set(int(e) for e in elements)
     base = elements & set(instance.l0_prime().members)
     cosets = coset_fix_mask(instance, base)
     if base == elements:
         return intern_subgroup(instance, Subgroup.from_cosets(instance, cosets))
-    mask = cosets[right_cosets(instance)[0]]
+    mask = _gl_mask_of(instance, cosets)
     for x in elements - base:
         mask &= fixes_mask(instance, instance.gl_codes, x)
     return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
@@ -674,12 +682,13 @@ def classify_transvection(instance, mat: np.ndarray, i: int, j: int):
 
 
 @instance_cache
-def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, values): the GL positions, ascending, of the transvection
-    set for (i, j) (86 436 of 4 840 416 on Z/49), and the x of each one's class.
+def transvection_table(instance, i: int, j: int) -> np.ndarray:
+    """Entry [c]: the x of the (i, j) transvection class of the right coset
+    c of D, or -1 where it holds no transvection (49 of 2 744 on Z/49 do).
 
-    Cached; this is the exact full filter, the elementary family is only a
-    cross-check.
+    Every clause reads an element below an atom, inside L0', so it is
+    decided per coset on the `coset_image` columns.  This is the exact full
+    filter, the elementary family is only a cross-check.
     """
     if i == j:
         raise InputError("transvections need i != j")
@@ -687,8 +696,6 @@ def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     frame = instance.frame
     support = instance.support_table
     e_i = frame.atoms[i]
-    # every clause reads an element below an atom, so inside L0': decided
-    # per right coset of D, the transvections gathered by label
     ok = coset_fix_mask(
         instance, [xs for s in range(instance.n) if s != i for xs in frame.atom_downsets[s]]
     )
@@ -702,28 +709,23 @@ def transvection_table(instance, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     atom_ok = (support[:, i] == e_i) & np.all(others == lat.bottom, axis=1)
     img = coset_image(instance, e_i)
     ok &= atom_ok[img]
-    label = right_cosets(instance)[0]
-    positions = np.flatnonzero(ok[label])
-    return positions, support[img[label[positions]], j]
+    return np.where(ok, support[img, j], -1)
 
 
 def transvections(instance, i: int, j: int, x: int) -> np.ndarray:
-    """Sorted codes of the full transvection set for (i, j) at x (may be empty)."""
-    positions, values = transvection_table(instance, i, j)
-    return instance.gl_codes[positions[values == int(x)]]
+    """Sorted codes of the full transvection set for (i, j) at x (may be
+    empty): its right cosets of D expanded by label."""
+    marked = transvection_table(instance, i, j) == int(x)
+    return instance.gl_codes[_gl_mask_of(instance, marked)]
 
 
 def same_transvections(instance, f1: Subgroup, f2: Subgroup) -> bool:
-    """Whether two subgroups meet every transvection set identically, read
-    at the transvections' positions (`Subgroup.contains_positions`)."""
-    for i in range(instance.n):
-        for j in range(instance.n):
-            if i == j:
-                continue
-            positions, _ = transvection_table(instance, i, j)
-            if bool(np.any(f1.contains_positions(positions) != f2.contains_positions(positions))):
-                return False
-    return True
+    """Whether two subgroups that contain D meet every transvection set
+    identically: transvection sets are unions of right cosets of D, so one
+    XOR of the coset masks, read on the cosets that hold a transvection."""
+    pairs = itertools.permutations(range(instance.n), 2)
+    held = np.any([transvection_table(instance, i, j) >= 0 for i, j in pairs], axis=0)
+    return not bool(np.any((f1.coset_mask() ^ f2.coset_mask()) & held))
 
 
 # -- normality and conjugation ----------------------------------------------

@@ -24,7 +24,6 @@ from .groups import (
     coset_fix_mask,
     coset_image,
     coset_labels,
-    first_coset,
     fixer,
     fixer_contains_stabiliser,
     galois_psi,
@@ -36,7 +35,6 @@ from .groups import (
     right_cosets,
     same_transvections,
     transvection_table,
-    transvections,
 )
 from .lattice import SublatticeHandle
 
@@ -114,20 +112,12 @@ class EquivClass:
 
 
 def transvection_ideals(instance, subgroup: Subgroup) -> NetCollection:
-    """sigma(F): entry (i, j) joins every x whose transvection set meets F."""
-    if not fixer_contains_stabiliser(instance, subgroup):
-        raise InputError("transvection ideals need a subgroup containing the frame stabiliser")
-    n = instance.n
-    lat = instance.lattice
-    tau = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        tau[i, i] = instance.atoms[i]
-        for j in range(n):
-            if i == j:
-                continue
-            positions, values = transvection_table(instance, i, j)
-            met = values[subgroup.contains_positions(positions)]
-            tau[i, j] = lat.join_many(np.unique(met).tolist())
+    """sigma(F): entry (i, j) joins every x whose transvection set meets F,
+    read per right coset of D off F's coset mask (F must contain D)."""
+    cosets, tau = subgroup.coset_mask(), np.diag(np.array(instance.atoms, dtype=np.int64))
+    for i, j in itertools.permutations(range(instance.n), 2):
+        met = transvection_table(instance, i, j)[cosets]
+        tau[i, j] = instance.lattice.join_many(np.unique(met[met >= 0]).tolist())
     return NetCollection(instance, tau)
 
 
@@ -167,7 +157,8 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
     Every element read (atoms, entries of tau, members of the canonical
     sublattice) lies in L0', so both readings are decided once per right
     coset of D on its `coset_image` columns; a failure names the smallest
-    code of the failing cosets (`first_coset`), the first failing element.
+    code of the first failing coset, the first failing element (the cosets
+    are numbered in code order).
     """
     bad = net.clause_violation()
     if bad is not None:
@@ -183,7 +174,7 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
         fixes = coset_fix_mask(instance, canonical_sublattice(instance, net).members)
         diff = bounded != fixes
         if bool(np.any(diff)):
-            c = first_coset(instance, diff)
+            c = int(np.argmax(diff))
             return False, {
                 "kind": "aggregate",
                 "g": int(reps[c]),
@@ -202,7 +193,7 @@ def is_net_collection(instance, net: NetCollection, mode: str = "aggregate"):
                 net.tau[k, i], j, net.tau[k, j]
             )
             if bool(np.any(viol)):
-                g = int(reps[first_coset(instance, viol)])
+                g = int(reps[np.argmax(viol)])
                 return False, {"kind": "per_triple", "g": g, "triple": [i, j, k]}
         return True, None
     raise InputError(f"unknown net-collection mode {mode!r}")
@@ -241,26 +232,22 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
 
     Always re-derived a second way before being cached: the coset closure of
     the frame stabiliser together with one representative per realised
-    transvection value below tau must reproduce the fixer exactly, and every
-    such transvection must already lie in it.
+    transvection value below tau, the smallest code of its first coset, must
+    reproduce the fixer exactly, and every such transvection coset must
+    already lie in it.
     """
     lat = instance.lattice
     k_handle = canonical_sublattice(instance, net)
     fx = fixer(instance, k_handle.members)
-    reps = []
-    for i in range(instance.n):
-        for j in range(instance.n):
-            if i == j:
+    cosets, coset_reps, reps = fx.coset_mask(), right_cosets(instance)[1], []
+    for i, j in itertools.permutations(range(instance.n), 2):
+        table = transvection_table(instance, i, j)
+        for x in np.unique(table[table >= 0]).tolist():
+            if not lat.leq(int(x), int(net.tau[i, j])):
                 continue
-            for x in np.unique(transvection_table(instance, i, j)[1]).tolist():
-                if not lat.leq(int(x), int(net.tau[i, j])):
-                    continue
-                codes = transvections(instance, i, j, int(x))
-                if not bool(np.all(fx.contains_many(codes))):
-                    raise RuntimeError(
-                        "a transvection below the collection escapes the canonical fixer"
-                    )
-                reps.append(int(codes[0]))
+            if bool(np.any((table == x) & ~cosets)):
+                raise RuntimeError("a transvection below the collection escapes the canonical fixer")
+            reps.append(int(coset_reps[np.argmax(table == x)]))
     closure = coset_closure(instance, instance.diagonal(), reps)
     if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")

@@ -89,10 +89,9 @@ class RingSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "RingSpec":
-        try:
-            p, k = int(obj["p"]), int(obj.get("k", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad ring spec {obj!r}") from exc
+        if not isinstance(obj, dict) or "p" not in obj:
+            raise InputError(f"bad ring spec {obj!r}")
+        p, k = json_int(obj["p"], "p"), json_int(obj.get("k", 1), "k")
         kind = obj.get("kind")
         if kind not in (None, "prime_field", "chain"):
             raise InputError(f"unknown ring kind {kind!r}")
@@ -100,6 +99,13 @@ class RingSpec:
         if kind is not None and spec.kind != kind:
             raise InputError(f"ring kind {kind!r} inconsistent with p={p}, k={k}")
         return spec
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field: floats, booleans, text and null are refused, not cast."""
+    if type(value) is not int:
+        raise InputError(f"{name} = {value!r} is not an integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from netgalois.glnr import DNet, Instance
-from netgalois.groups import fixer, transvection_table
+from netgalois.groups import fixer, right_cosets, transvection_table
 from netgalois.nets import enumerate_net_collections, net_fixer
 from netgalois.rings import (
     RingSpec,
@@ -183,12 +183,9 @@ def act_reference():
 
 
 def _dense_transvection_table(inst, i, j):
-    """`transvection_table` scattered over GL: per position, the x of its
-    transvection class for (i, j), else -1."""
-    positions, values = transvection_table(inst, i, j)
-    out = np.full(len(inst.gl()), -1, dtype=np.int32)
-    out[positions] = values
-    return out
+    """`transvection_table` gathered over GL by the right-coset labels: per
+    position, the x of its transvection class for (i, j), else -1."""
+    return transvection_table(inst, i, j)[right_cosets(inst)[0]]
 
 
 @pytest.fixture(scope="session")
@@ -200,7 +197,7 @@ def _transvection_table_reference(inst, i, j):
     """The dense table by its clauses, one GL-wide mask per clause: fixes
     every element below the other atoms, keeps the i-support of everything
     below atom i, and sends atom i to (atom i at i, x at j, bottom elsewhere).
-    The reference for the sparse `transvection_table`."""
+    The reference for the per-coset `transvection_table`."""
     lat, frame, support = inst.lattice, inst.frame, inst.support_table
     e_i = frame.atoms[i]
     ok = np.ones(len(inst.gl()), dtype=bool)

@@ -18,8 +18,8 @@ from netgalois.groups import (
     axis_subgroup,
     coset_closure,
     double_coset_key,
+    coset_image,
     fixer,
-    gl_column,
     right_cosets,
     scalar_coset_key,
     transvections,
@@ -125,10 +125,9 @@ def test_sampled_conditions_hold_z49(z49):
 
 def test_sampled_conditions_read_gl_columns_of_atom_downsets_only(monkeypatch):
     """On a fresh Z/49 instance the sampled outer elements and the axis
-    candidates get their lattice rows from `Instance.perm`: the only
-    elements acted on by all of GL are the atoms (2 of the 75), whose images
-    label the right cosets of D; the GL-wide columns and masks of elements
-    below an atom are read per coset and gathered by label."""
+    candidates get their lattice rows from `Instance.perm`, and no element
+    is acted on by all of GL: the right cosets of D are labelled by column
+    keys, and the images of elements below an atom are read per coset."""
     inst = Instance(RingSpec(7, 2), 2)
     size, built, act_batch = len(inst.gl()), set(), Instance.act_batch
 
@@ -140,9 +139,9 @@ def test_sampled_conditions_read_gl_columns_of_atom_downsets_only(monkeypatch):
     monkeypatch.setattr(Instance, "act_batch", counted)
     for cid in ("3", "5", "6", "11"):
         assert check_condition(inst, cid, samples=10).holds, cid
-    below_atoms = set().union(*inst.frame.atom_downsets)
-    assert built <= below_atoms
-    assert len(built) == 2
+    assert built == set()
+    inst.act_batch(inst.gl_codes, inst.atoms[0])  # the count works
+    assert built == {inst.atoms[0]}
 
 
 @pytest.mark.slow
@@ -349,8 +348,8 @@ def _reference_axis(inst, i):
 
 def _reference_column(inst, x):
     """The GL-aligned image column of an L0' element the checkers read,
-    planted coset columns included."""
-    return gl_column(inst, x)
+    planted coset columns included: its coset column gathered by label."""
+    return coset_image(inst, x)[right_cosets(inst)[0]]
 
 
 def _reference_coded_rows(inst, mask):
@@ -461,17 +460,87 @@ def _reference_cond_5(inst, mode, samples, seed):
     return True, None, found
 
 
+def _reference_cond_6(inst, mode, samples, seed):
+    """Condition 6 as loops over i, j, x in L0' below e_i and every pair
+    (f, g) of GL elements in row-major code order, or over the seeded pairs
+    and then x: [f(e_i)]_j <= [g(e_i)]_j must give [f(x)]_j <= [g(x)]_j."""
+    support, lat, codes = inst.support_table, inst.lattice, inst.gl().codes
+    l0p = set(inst.l0_prime().members)
+    if samples is not None:
+        pairs = np.random.default_rng(seed).integers(0, codes.size, size=(samples, 2)).tolist()
+
+    def leq(a, b):
+        return lat.meet_table[a, b] == a
+
+    def failure(i, j, x, f, g):
+        return False, {"i": i, "j": j, "x": int(x), "f": int(codes[f]), "g": int(codes[g])}, None
+
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            sij = support[_reference_column(inst, inst.atoms[i]), j]
+            xs = [x for x in inst.frame.atom_downsets[i] if x in l0p]
+            sx = {x: support[_reference_column(inst, x), j] for x in xs}
+            if samples is None:
+                for x in xs:
+                    for f in range(codes.size):
+                        bad = leq(sij[f], sij) & ~leq(sx[x][f], sx[x])
+                        if bad.any():
+                            return failure(i, j, x, f, int(np.argmax(bad)))
+                continue
+            for f, g in pairs:
+                if leq(sij[f], sij[g]):
+                    for x in xs:
+                        if not leq(sx[x][f], sx[x][g]):
+                            return failure(i, j, x, f, g)
+    return True, None, None
+
+
+def _reference_cond_8(inst, mode, samples, seed):
+    """Condition 8 as a loop over pairs (i, j) and outer f, every GL element
+    in code order or the seeded draw: f's signature ([f(u)]_j for every u
+    below e_i) must be that of some member of T(i, j, x), x = [f(e_i)]_j.
+    The found record names the first passing f and the smallest member of
+    its T(i, j, x)."""
+    support, codes = inst.support_table, inst.gl().codes
+    outer = range(codes.size)
+    if samples is not None:
+        outer = np.random.default_rng(seed).choice(codes.size, size=samples, replace=True).tolist()
+    found = None
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            downset = inst.frame.atom_downsets[i]
+            sig = np.stack([support[_reference_column(inst, u), j] for u in downset], axis=1)
+            sij = support[_reference_column(inst, inst.atoms[i]), j]
+            members = {}
+            for x in np.unique(sij).tolist():
+                t_codes = transvections(inst, i, j, x)
+                members[x] = t_codes, {tuple(s) for s in sig[inst.positions(t_codes)].tolist()}
+            for f in outer:
+                t_codes, signatures = members[int(sij[f])]
+                if tuple(sig[f].tolist()) not in signatures:
+                    return False, {"i": i, "j": j, "f": int(codes[f])}, found
+                if found is None:
+                    found = {"i": i, "j": j, "f": int(codes[f]), "g": int(t_codes[0])}
+    return True, None, found
+
+
 _REFERENCES = [
     ("3", "as_stated", _reference_cond_3),
     ("4", "weak", _reference_cond_4),
     ("4", "strong", _reference_cond_4),
     ("5", "as_stated", _reference_cond_5),
+    ("6", "as_stated", _reference_cond_6),
+    ("8", "as_stated", _reference_cond_8),
 ]
 
 
 def _assert_matches_references(inst, samples=None, seed=0):
-    """Whole records of conditions 3, 4 (both readings) and 5 against the
-    loops; returns the reference outcomes."""
+    """Whole records of conditions 3, 4 (both readings), 5, 6 and 8 against
+    the loops; returns the reference outcomes."""
     outcomes = []
     for cid, mode, reference in _REFERENCES:
         holds, witness, found = reference(inst, mode, samples, seed)
@@ -509,7 +578,9 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
     member sets on fresh instances: a few GL elements as each axis subgroup
     (conditions 3 and 4 pick h from these) and, as each atom's coset column,
     a few right cosets of D that keep the atom while the rest send it to
-    bottom (condition 5 picks t from the cosets fixing the other atoms)."""
+    bottom (condition 5 picks t from the cosets fixing the other atoms;
+    conditions 6 and 8 read the planted columns as the atoms' images, and
+    8 fails wherever they leave a value with no transvection)."""
     outcomes = []
     for trial in range(4):
         inst = Instance(RingSpec(*ring), 2)
@@ -529,7 +600,8 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
             column[rng.choice(cosets, size=min(cosets, 1 + trial), replace=False)] = atom
             inst._caches[("coset_image", int(atom))] = column
         outcomes += _assert_matches_references(inst, samples=samples, seed=trial)
-    assert {cid for cid, _, holds, _ in outcomes if not holds} == {"3", "4", "5"}
+    # condition 6 fails on the planted columns of Z/4 and Z/8 only, in both modes
+    assert {cid for cid, _, holds, _ in outcomes if not holds} - {"6"} == {"3", "4", "5", "8"}
     # a failure after a pass carries both the witness and the found record
     assert any(not holds and found for _, _, holds, found in outcomes)
 
@@ -564,7 +636,9 @@ def test_exhaustive_z49_suite_stays_under_the_memory_cap(tmp_path, run_measured)
     subprocess: exhaustive verdicts, the child's own peak RSS under the 2 GB
     cap and under 700 MB, and every failing witness replays.  The outer
     elements' lattice permutations come from `Instance.perm` over their codes,
-    not from a `gl_image` column of every lattice element."""
+    not from a `gl_image` column of every lattice element.  The report's
+    bytes are pinned: its found records and witnesses name the first element
+    in code order of each loop over GL."""
     spec = tmp_path / "z49n2.json"
     spec.write_text(json.dumps({"ring": {"kind": "chain", "p": 7, "k": 2}, "n": 2}))
     out = tmp_path / "axioms.json"
@@ -574,6 +648,8 @@ def test_exhaustive_z49_suite_stays_under_the_memory_cap(tmp_path, run_measured)
     verdicts = json.loads(out.read_text())["verdicts"]
     assert len(verdicts) == 13
     assert all(v["exhaustive"] and v["samples"] is None for v in verdicts)
+    digest = "e8650602411acaa8410c43419d3a9db934f78319efc8c7ac9fa236192520fd62"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert peak_mb < 2048
     assert peak_mb < 700
     proc, _ = run_measured(["replay", "--report", str(out), "--instance", str(spec)])

@@ -170,6 +170,34 @@ def test_malformed_subgroup_file_is_an_input_error(f7_spec, tmp_path, capsys, ge
         assert repr(generator) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '"x"',
+        '{"ring": {"p": 7}, "n": "two"}',
+        '{"ring": {"p": 7}, "n": null}',
+        '{"ring": {"p": 7}, "n": 2, "atoms": 5}',
+        '{"ring": {"p": 7}, "n": 2.5}',
+        '{"ring": {"p": 7.9}, "n": 2}',
+        '{"ring": {"p": 7}, "n',
+        None,
+    ],
+    ids=["list", "text", "n-text", "n-null", "atoms-number", "n-float", "p-float", "truncated", "missing"],
+)
+def test_malformed_instance_file_is_an_input_error(tmp_path, capsys, text):
+    """A malformed or missing instance file exits 2 with an input error and
+    writes no report: not a traceback (exit 1, a verification failure), and
+    no float is truncated into a valid instance."""
+    spec = tmp_path / "bad.json"
+    if text is not None:
+        spec.write_text(text)
+    out = tmp_path / "report.json"
+    assert main(["build", "--instance", str(spec), "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nets_and_classes_subcommands(f7_spec, tmp_path):
     out = str(tmp_path / "nets.json")
     assert main(["nets", "--instance", f7_spec, "--out", out]) == 0
@@ -454,7 +482,7 @@ def test_replay_rejects_failing_rows_without_their_subgroup_checks(f7_spec, tmp_
     from netgalois.glnr import Instance
     from netgalois.groups import coset_closure
 
-    inst = Instance.load(f7_spec)
+    inst = Instance.from_json(read(f7_spec))
     g = int(inst.gl().codes[100])
     fp = coset_closure(inst, inst.diagonal(), [g]).fingerprint()
     if isinstance(subgroups, dict) and "fp" in subgroups:

@@ -18,7 +18,7 @@ from netgalois.glnr import (
     verified_net_subgroup,
     verify_sandwich,
 )
-from netgalois.groups import Subgroup, coset_closure, fixer, gl_column
+from netgalois.groups import Subgroup, coset_closure, coset_image, fixer, right_cosets
 from netgalois.nets import enumerate_net_collections
 from netgalois.rings import mat_mul, unpack_matrices
 
@@ -169,10 +169,10 @@ def test_z49_lattice_takes_one_howell_form_per_submodule(monkeypatch):
 
 
 def test_z49_setup_acts_on_all_of_gl_for_the_atoms_only(monkeypatch):
-    """Set-up on a fresh Z/49 (GL, then `prewarm`) makes one `act_batch` pass
-    over `gl_codes` that does work per unimodular cyclic column it reads, the
-    two atoms: the other columns are joins and p-multiples of those (nine
-    passes when every column took one)."""
+    """Set-up on a fresh Z/49 (GL, then `prewarm`) makes no `act_batch` pass
+    over `gl_codes` that does work, not even for the atoms: the right-coset
+    labels come from column keys, and every image of an L0' element is read
+    per coset.  One pass made on purpose afterwards shows the count works."""
     from netgalois import sweep
 
     passes = []
@@ -187,14 +187,16 @@ def test_z49_setup_acts_on_all_of_gl_for_the_atoms_only(monkeypatch):
     inst = Instance(rings.RingSpec(7, 2), 2)
     inst.gl()
     sweep.prewarm(inst, cap=10_000_000)
-    assert sorted(passes) == sorted(inst.atoms)
+    assert passes == []
+    inst.act_batch(inst.gl_codes, inst.atoms[0])
+    assert passes == [inst.atoms[0]]
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f3n3"])
 def test_gl_image_is_the_action_on_all_of_gl(name, request, act_reference, member_mats):
     """The image of every element under all of GL against the action by
     definition: `act_batch` over `gl_codes` for every element, and for every
-    L0' element also its coset column gathered by label (`gl_column`)."""
+    L0' element also its coset column gathered by the right-coset labels."""
     inst = request.getfixturevalue(name)
     mats = member_mats(inst.gl())
     l0p = inst.l0_prime()
@@ -202,7 +204,7 @@ def test_gl_image_is_the_action_on_all_of_gl(name, request, act_reference, membe
         expect = act_reference(inst, mats, x)
         assert np.array_equal(inst.act_batch(inst.gl_codes, x), expect)
         if x in l0p:
-            col = gl_column(inst, x)
+            col = coset_image(inst, x)[right_cosets(inst)[0]]
             assert col.dtype == np.min_scalar_type(len(inst.lattice) - 1)
             assert np.array_equal(col, expect)
 
@@ -428,7 +430,7 @@ def test_instance_json_roundtrip(f7, tmp_path):
     data = f7.to_json()
     assert data["atoms"] == [f7.lattice.labels[a] for a in f7.atoms]
     path.write_text(json.dumps(data))
-    again = Instance.load(path)
+    again = Instance.from_json(json.loads(path.read_text()))
     assert again.describe() == f7.describe()
     assert len(again.lattice) == len(f7.lattice)
     with pytest.raises(InputError):
@@ -437,6 +439,30 @@ def test_instance_json_roundtrip(f7, tmp_path):
         Instance.from_json({"ring": {"p": 7, "k": 1}, "n": 1})
     with pytest.raises(InputError):
         Instance.from_json({"ring": {"p": 7, "k": 1}, "n": 2, "atoms": ["bogus", "labels"]})
+
+
+MALFORMED_INSTANCES = {
+    "list": [1],
+    "text": "x",
+    "n-text": {"ring": {"p": 7}, "n": "two"},
+    "n-null": {"ring": {"p": 7}, "n": None},
+    "n-float": {"ring": {"p": 7}, "n": 2.5},
+    "n-integral-float": {"ring": {"p": 7}, "n": 2.0},
+    "n-boolean": {"ring": {"p": 7}, "n": True},
+    "atoms-number": {"ring": {"p": 7}, "n": 2, "atoms": 5},
+    "ring-text": {"ring": "F7", "n": 2},
+    "p-float": {"ring": {"p": 7.9}, "n": 2},
+    "p-missing": {"ring": {"k": 1}, "n": 2},
+    "k-text": {"ring": {"p": 7, "k": "1"}, "n": 2},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES.keys())
+def test_malformed_instance_json_is_an_input_error(obj):
+    """Instance and ring specs take JSON objects and JSON integers only:
+    nothing is truncated, cast or left to fail with a traceback."""
+    with pytest.raises(InputError):
+        Instance.from_json(obj)
 
 
 def test_dnet_json_roundtrip(z49):

@@ -13,6 +13,7 @@ from netgalois.groups import (
     coset_closure,
     conjugation_closure_check,
     coset_image,
+    coset_labels,
     double_coset_key,
     fixed_lattice,
     fixer,
@@ -235,8 +236,9 @@ def test_fixer_examples(f7):
 def test_right_coset_labels_match_explicit_products(name, request, member_mats):
     """The labels are the right cosets gD: every product g d, computed as a
     matrix product, carries g's label, there are |GL|/|D| labels, each
-    representative is the smallest code of its coset, and the labels use the
-    smallest dtype."""
+    representative is the smallest code of its coset, the cosets are
+    numbered in code order (the representatives strictly ascend), the labels
+    use the smallest dtype, and `coset_labels` reads every code's label."""
     inst = request.getfixturevalue(name)
     m = inst.modulus
     label, reps = right_cosets(inst)
@@ -249,7 +251,9 @@ def test_right_coset_labels_match_explicit_products(name, request, member_mats):
     assert reps.size * len(inst.diagonal()) == len(inst.gl())
     assert np.array_equal(np.unique(label), np.arange(reps.size))
     assert np.array_equal(reps[label], smallest)
+    assert bool(np.all(np.diff(reps) > 0))
     assert label.dtype == np.min_scalar_type(reps.size - 1)
+    assert np.array_equal(coset_labels(inst, inst.gl_codes), label)
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
@@ -295,9 +299,11 @@ def test_fix_masks_and_fixers_agree_with_brute_force(name, request, act_referenc
 @pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
 def test_gl_action_runs_once_per_element(ring, monkeypatch):
     """Set-up plus one sandwich verification on a fresh instance acts with all
-    of GL on each lattice element at most once.  Every GL-sized `act_batch`
-    or `fixes_mask` call counts as one pass; the `act_batch` call inside a
-    `fixes_mask` call is the same pass."""
+    of GL on each lattice element at most once, and in fact on none: the
+    right-coset labels come from column keys, and every image of an L0'
+    element is read per coset.  Every GL-sized `act_batch` or `fixes_mask`
+    call counts as one pass; the `act_batch` call inside a `fixes_mask` call
+    is the same pass."""
     from netgalois import groups, sweep
     from netgalois.glnr import Instance, verify_sandwich
     from netgalois.rings import RingSpec
@@ -326,8 +332,9 @@ def test_gl_action_runs_once_per_element(ring, monkeypatch):
     sweep.prewarm(inst, cap=10_000_000)
     sub = coset_closure(inst, inst.diagonal(), [inst.code_of_mat(inst.elementary(0, 1, 1))])
     verify_sandwich(inst, sub)
-    assert passes
-    assert len(passes) == len(set(passes))
+    assert passes == []
+    groups.fixes_mask(inst, inst.gl_codes, inst.atoms[0])  # the count works
+    assert passes == [inst.atoms[0]]
 
 
 def test_fixed_lattice_examples(f7, z49):
@@ -408,18 +415,71 @@ def test_transvection_table_matches_classify_transvection(
 def test_transvection_table_matches_dense_reference(
     name, request, dense_transvection_table, transvection_table_reference
 ):
-    """The sparse table holds strictly ascending positions, and scattered
-    over GL it is the dense table of the clauses, on all of GL."""
+    """The table holds one entry per right coset of D, a class value or -1,
+    and gathered over GL by label it is the dense table of the clauses, on
+    all of GL."""
     inst = request.getfixturevalue(name)
     for i in range(inst.n):
         for j in range(inst.n):
             if i == j:
                 continue
-            positions, values = transvection_table(inst, i, j)
-            assert positions.shape == values.shape
-            assert bool(np.all(np.diff(positions) > 0)) and bool(np.all(values >= 0))
+            table = transvection_table(inst, i, j)
+            assert table.shape == right_cosets(inst)[1].shape
+            assert bool(np.all(table >= -1)) and bool(np.any(table >= 0))
             expect = transvection_table_reference(inst, i, j)
             assert np.array_equal(dense_transvection_table(inst, i, j), expect)
+
+
+class _Unread:
+    """Stands in for the GL-aligned coset labels: any use of it raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("read the GL-aligned right-coset labels")
+
+    __getitem__ = __getattr__ = __array__ = __len__ = __iter__ = _refuse
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_transvection_reads_are_per_coset(ring, n, monkeypatch):
+    """On a fresh instance, `transvection_ideals`, `same_transvections` and
+    `net_fixer` read the transvection sets and the subgroups per right coset
+    of D: they expand no GL mask and never read the GL-aligned labels of
+    `right_cosets`, and each `transvection_table` has |GL|/|D| entries.  A
+    transvection read of a subgroup without D is an input error."""
+    from netgalois import axioms, glnr, groups, nets, sweep
+    from netgalois.glnr import Instance
+    from netgalois.nets import enumerate_net_collections, net_fixer, transvection_ideals
+
+    inst = Instance(RingSpec(*ring), n)
+    count = len(inst.gl()) // inst.ring.unit_count**n
+    trivial = close_subgroup(inst, [])
+    original = groups.right_cosets
+
+    def reps_only(instance):
+        return _Unread(), original(instance)[1]
+
+    def refuse(self):
+        raise AssertionError("expanded a GL-sized mask")
+
+    for module in (axioms, glnr, groups, nets, sweep):
+        if hasattr(module, "right_cosets"):
+            monkeypatch.setattr(module, "right_cosets", reps_only)
+    monkeypatch.setattr(Subgroup, "gl_mask", refuse)
+    gl = inst.gl()
+    for net in enumerate_net_collections(inst):
+        fx = net_fixer(inst, net)
+        assert transvection_ideals(inst, fx) == net
+        assert same_transvections(inst, fx, fx)
+    assert transvection_ideals(inst, gl).tau.tolist() == [
+        [inst.atoms[j] for j in range(n)] for _ in range(n)
+    ]
+    assert not same_transvections(inst, inst.diagonal(), gl)
+    with pytest.raises(InputError):
+        same_transvections(inst, trivial, gl)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert transvection_table(inst, i, j).shape == (count,)
 
 
 def test_transvection_sets_f7(f7):
@@ -624,12 +684,15 @@ def _count_unpacked(monkeypatch):
 
 def test_sampled_conjugation_check_unpacks_no_matrices(monkeypatch):
     """Only the sampled pairs are unpacked: a sampled check on all of GL
-    unpacks at most 2 x samples matrices."""
+    unpacks at most 2 x samples matrices.  GL and its right-coset labels
+    (whose column keys read the scalar matrices' row tables) are instance
+    set-up, built before the count."""
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
     inst = Instance(RingSpec(3, 2), 2)
     gl = inst.gl()
+    right_cosets(inst)
     rng = np.random.default_rng(5)
     unpacked = _count_unpacked(monkeypatch)
     assert conjugation_closure_check(inst, gl, gl, rng=rng, samples=200) == (True, None)

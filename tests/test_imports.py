@@ -1,7 +1,8 @@
 """Every module-level import in `src/netgalois` is read somewhere in its
 module: an import nothing reads keeps dead code looking alive.  And only
-`groups` reads `Instance._caches` or a `Subgroup`'s member masks, so the
-cache layout and the subgroup representation are decided in one module.  Stdlib only (`ast`), so it runs wherever the tests do."""
+`groups` reads `Instance._caches`, a `Subgroup`'s member masks or the
+GL-aligned right-coset labels, so the cache layout, the subgroup
+representation and the expansion to GL are decided in one module.  Stdlib only (`ast`), so it runs wherever the tests do."""
 
 import ast
 import pathlib
@@ -118,7 +119,49 @@ def test_private_mask_reads_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_groups_reads_the_subgroup_masks(path):
     """Other modules go through `Subgroup`'s methods (`gl_mask`,
-    `contains_positions`, `with_generators`, ...), never its masks."""
+    `coset_mask`, `with_generators`, ...), never its masks."""
     if path.name == "groups.py":
         return
     assert private_mask_reads(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def gl_label_reads(source: str) -> list[int]:
+    """Lines of the `right_cosets(...)` calls whose result is not read at
+    [1], its reps: a read of [0] (the GL-aligned labels), an unpacking or
+    any other use of the pair."""
+    tree = ast.parse(source)
+    reps_reads = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 1
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "right_cosets"
+        and id(node) not in reps_reads
+    )
+
+
+def test_gl_label_reads_are_found():
+    source = (
+        "def f(inst, groups):\n"
+        "    reps = right_cosets(inst)[1]\n"
+        "    label = right_cosets(inst)[0]\n"
+        "    label, reps = groups.right_cosets(inst)\n"
+        "    return groups.right_cosets(inst)[1][label]\n"
+    )
+    assert gl_label_reads(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_groups_reads_the_gl_aligned_coset_labels(path):
+    """Outside `groups`, `right_cosets(...)` is read for its reps only:
+    predicates on L0' are read per coset, and GL-aligned results are
+    expanded by `groups` alone."""
+    if path.name == "groups.py":
+        return
+    assert gl_label_reads(path.read_text(encoding="utf-8")) == [], path.name
