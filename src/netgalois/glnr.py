@@ -14,7 +14,6 @@ than by assuming a convention.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -27,6 +26,7 @@ from .groups import (
     classify_transvection,
     coset_closure,
     coset_labels,
+    enumerate_gl,
     fixed_by,
     generating_subset,
     instance_cache,
@@ -95,6 +95,7 @@ class Instance:
     def __init__(self, ring: RingSpec, n: int):
         if n < 2:
             raise InputError("instances need rank n >= 2")
+        rings.check_code_size(ring.modulus, n * n, f"GL({n}, Z/{ring.modulus})")
         self.ring = ring
         self.n = n
         self.modulus = ring.modulus
@@ -278,49 +279,18 @@ class Instance:
     # -- groups -------------------------------------------------------------
 
     def gl(self, cap: int = DEFAULT_GL_CAP):
-        """The whole group; also fills `gl_codes` (ascending) and the `positions` index.
-
-        A matrix over Z/p^k is invertible iff its reduction mod p is (its
-        determinant is a unit iff it is nonzero mod p), so determinants run
-        over the p^(n^2) residue matrices only, in chunks.  For k = 1 the
-        residue code is the code itself; for k > 1 each code reads the verdict
-        at its residue code, the sum over rows i of p^(n i) times the residue
-        code of row i, from an m^n-entry table.  Cached by hand, not by
-        `instance_cache`: `cap` is checked on the first call only, so it is
-        no key.
-        """
+        """The whole group; also fills `gl_codes` (ascending) and the
+        `positions` index, from `groups.enumerate_gl`.  Cached by hand, not
+        by `instance_cache`: `cap` is checked on the first call only, so it
+        is no key."""
         if self._gl is None:
             expected = gl_order(self.ring, self.n)
             if expected > cap:
                 raise CapExceeded(
                     f"|GL({self.n}, Z/{self.modulus})| = {expected} exceeds cap {cap}"
                 )
-            m, n, p = self.modulus, self.n, self.ring.p
-            residues, step = p ** (n * n), 1 << 20
-            blocks = (np.arange(s, min(s + step, residues)) for s in range(0, residues, step))
-            invertible = np.concatenate(  # by residue code
-                [rings.det_batch(rings.unpack_matrices(b, p, n), p) != 0 for b in blocks]
-            )
-            if self.ring.k == 1:
-                codes = np.arange(residues, dtype=np.int64)[invertible]
-            else:
-                rows = rings.pack_vectors(rings.unpack_vectors(np.arange(m**n), m, n) % p, p)
-                low = rows  # residue codes of rows 0..n-2, in code order
-                for i in range(1, n - 1):
-                    low = (rows[:, None] * p ** (n * i) + low).ravel()
-                top, step = rows * p ** (n * (n - 1)), max(1, step // low.size)
-                codes = np.concatenate([
-                    np.flatnonzero(invertible[top[s : s + step, None] + low]) + s * low.size
-                    for s in range(0, m**n, step)
-                ])
-            if codes.size != expected:
-                raise RuntimeError(
-                    f"GL enumeration found {codes.size} matrices, lift count says {expected}"
-                )
-            self.gl_codes = codes
-            self._gl_index = np.full(m ** (n * n), -1, dtype=np.int32)
-            self._gl_index[codes] = np.arange(codes.size, dtype=np.int32)
-            cosets = np.ones(codes.size // self.ring.unit_count**n, dtype=bool)
+            self.gl_codes, self._gl_index = enumerate_gl(self, expected)
+            cosets = np.ones(expected // self.ring.unit_count**self.n, dtype=bool)
             self._gl = intern_subgroup(self, Subgroup.from_cosets(self, cosets))
         return self._gl
 
@@ -503,19 +473,17 @@ def net_subgroup(instance: Instance, dnet: DNet):
 
     Entry j of a row code is its digit j in base m, and p^lev divides m, so
     the entry lies in (p^lev) iff it is divisible by p^lev: whether a row
-    fits is a table over the m^n row codes.  A code is the sum over rows i of
-    m^(n i) times row i's code, so the C-order outer AND of the row tables,
-    row n - 1 first, is the verdict of every code.  A right factor in D
-    scales columns by units, and a unit multiple of an entry lies in the
-    same ideal, so the verdict is constant on each right coset gD: it is
-    read at the cosets' smallest codes, one per coset.
+    fits is a table over the m^n row codes, read at each row's code
+    (`row_digits`).  A right factor in D scales columns by units, and a unit
+    multiple of an entry lies in the same ideal, so the verdict is constant
+    on each right coset gD: it is read at the cosets' smallest codes.
     """
     m, n, p = instance.modulus, instance.n, instance.ring.p
     entries = rings.unpack_vectors(np.arange(m**n), m, n)  # [v, j]: entry j of row code v
     levels = np.where(np.eye(n, dtype=bool), 0, dnet.levels)[:, None]
     fits = np.all(entries % p**levels == 0, axis=2)  # [i, v]: row code v fits row i
-    passes = functools.reduce(np.logical_and.outer, fits[::-1]).ravel()  # by code
-    return Subgroup.from_cosets(instance, passes[right_cosets(instance)[1]])
+    rows = instance.row_digits(right_cosets(instance)[1])
+    return Subgroup.from_cosets(instance, np.all([f[r] for f, r in zip(fits, rows)], axis=0))
 
 
 def net_subgroup_generators(instance: Instance, dnet: DNet) -> list[int]:

@@ -11,9 +11,15 @@ sublattice L0', the net subgroups, GL), so each is a union of right cosets
 gD: a `Subgroup` that contains D is a boolean mask over the |GL|/|D| coset
 labels of `right_cosets` (2 744 on Z/49, against 4 840 416 GL positions),
 any other member set a boolean mask over GL positions (`Instance.gl_codes`,
-ascending), the cosets numbered in code order.  A GL-sized mask or code
-list is expanded from the labels only where a GL-aligned result is read
-(`Subgroup.gl_mask`, `codes`, `fingerprint`, `transvections`).  D fixes
+ascending), the cosets numbered in code order.  GL and the labels come
+from one pass over the code grid (`enumerate_gl`): over the local ring
+Z/p^k, g d for d in D scales column k of g by the unit d_k, a column with
+no unit entry puts det g in pR, and scaling columns by units multiplies
+det g by a unit, so whether g is invertible, and its coset gD, depend only
+on the tuple of its columns' classes up to units (`_column_classes`).  A
+GL-sized mask or code list is expanded from the labels only where a
+GL-aligned result is read (`Subgroup.gl_mask`, `codes`, `fingerprint`,
+`transvections`).  D fixes
 every element of L0', so (g d)(x) = g(x) there: where all of GL sends an
 L0' element is read once per right coset off its `coset_image` column, and
 fixers of L0' elements and transvection sets are per-coset tables
@@ -378,43 +384,23 @@ def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
     extras.  Each round steps the whole frontier by every generator at once,
     by table lookups on transposes: (s h)^T = h^T s^T, and row i of
     h^T s^T is row i of h^T times s^T, a gather from s^T's `row_products`
-    table.  (s h)'s code is read back off the rows of its transpose
-    (`_transposed`), its coset by `coset_labels`, and one product per fresh
-    coset goes on.  No matrix is multiplied and no GL-sized array is built.
+    table.  Row i of (s h)^T is column i of s h, so its coset is read off
+    those rows (`column_labels`), and one product per fresh coset goes on.
+    No matrix is multiplied and no GL-sized array is built.
     """
-    reps = right_cosets(instance)[1]
-    columns = _column_codes(instance)
-    transposed = _transposed(instance, columns, instance.row_digits(gen_codes))
-    tables = row_products(instance, transposed.tolist())
+    n, columns = instance.n, np.stack(_columns(instance, gen_codes))
+    # the codes of the s^T: row i of s^T is column i of s, at weight m^(n i)
+    tables = row_products(instance, (instance.modulus ** (n * np.arange(n)) @ columns).tolist())
     marked = cosets.copy()
-    # the rows of the transposes of one member per marked coset
-    frontier = _transposed(instance, columns, instance.row_digits(reps[cosets]))
-    frontier = np.stack(instance.row_digits(frontier))
+    # the columns of one member per marked coset
+    frontier = np.stack(_columns(instance, right_cosets(instance)[1][cosets]))
     while frontier.shape[1]:
-        rows = tables[:, frontier].transpose(1, 0, 2).reshape(instance.n, -1)  # [i, (k, f)]
-        reached, first = np.unique(
-            coset_labels(instance, _transposed(instance, columns, rows)), return_index=True
-        )
+        rows = tables[:, frontier].transpose(1, 0, 2).reshape(n, -1)  # [i, (k, f)]
+        reached, first = np.unique(column_labels(instance, rows), return_index=True)
         fresh = ~marked[reached]
         marked[reached[fresh]] = True
         frontier = rows[:, first[fresh]]
     return marked
-
-
-@instance_cache
-def _column_codes(instance) -> np.ndarray:
-    """Entry [v]: the code of the matrix whose column 0 is the vector with
-    row code v and whose other entries are 0, sum_j m^(j n) v_j."""
-    m, n = instance.modulus, instance.n
-    vectors = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
-    return vectors @ m ** (n * np.arange(n, dtype=np.int64))
-
-
-def _transposed(instance, columns, rows) -> np.ndarray:
-    """Codes of the transposes of the matrices with these row codes, row i
-    first: row i of a matrix is column i of its transpose, m^i times its
-    `_column_codes` entry."""
-    return sum(instance.modulus**i * columns[r] for i, r in enumerate(rows))
 
 
 def _row_scaling_bfs(instance, seed: Subgroup, gen_codes) -> np.ndarray:
@@ -504,54 +490,97 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
     return instance.act_batch(codes, x) == x
 
 
+def enumerate_gl(instance, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, index): the GL codes ascending and the dense code -> position
+    index (-1 off GL), from one pass over the code grid that also memoises
+    the `right_cosets` labels, with the lift count `order` checked first.
+    A code is its top row's code times m^(n(n-1)) plus its lower rows' code,
+    so a chunk of top rows at a time, each column's code is a broadcast sum
+    of a top part and a lower part, and `column_labels` reads the labels.
+    """
+    m, n = instance.modulus, instance.n
+    reps = _column_classes(instance)[2]
+    if reps.size * instance.ring.unit_count**n != order:  # |units|^n codes per coset
+        raise RuntimeError(f"GL enumeration found {reps.size} cosets, lift count says {order}")
+    low = m ** (n * (n - 1))
+    lows = _columns(instance, np.arange(low, dtype=np.int64))
+    tops = _columns(instance, np.arange(m**n, dtype=np.int64) * low)
+    codes, index = np.empty(order, dtype=np.int64), np.empty(m**n * low, dtype=np.int32)
+    label = np.empty(order, dtype=np.min_scalar_type(reps.size - 1))
+    pos, step = 0, max(1, _GATHER_CHUNK // low)
+    for start in range(0, m**n, step):
+        cols = [(top[start : start + step, None] + lo).ravel() for top, lo in zip(tops, lows)]
+        labels = column_labels(instance, cols)
+        found = np.flatnonzero(labels >= 0)
+        end = pos + found.size
+        codes[pos:end], label[pos:end] = found + start * low, labels[found]
+        block = index[start * low : start * low + labels.size]
+        block.fill(-1)
+        block[found] = np.arange(pos, end)
+        pos = end
+    instance._caches[("right_cosets",)] = label, reps
+    return codes, index
+
+
 @instance_cache
+def _column_classes(instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cls, table, reps): the class of each of the m^n column codes, the
+    `right_cosets` label of each tuple of classes (column 0 first) or -1,
+    and the smallest code of each right coset gD, ascending.
+
+    A class is a unimodular column up to units, named by its smallest unit
+    multiple (`row_scale_table`); other columns read a spare class.  One
+    `det_batch` over the class tuples, each column at its smallest unit
+    multiple, decides them (module docstring), and that matrix is its
+    coset's smallest code: entry (r, k) weighs m^(r n + k), so columns fill
+    disjoint digits and compare as their own codes (row r at m^r).
+    """
+    m, n, p = instance.modulus, instance.n, instance.ring.p
+    vecs = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+    unimodular = np.any(vecs % p != 0, axis=1)
+    heads, classes = np.unique(row_scale_table(instance).min(0)[unimodular], return_inverse=True)
+    cls = np.full(m**n, heads.size)
+    cls[unimodular] = classes
+    mats = vecs[heads[np.indices((heads.size,) * n).reshape(n, -1)]].transpose(1, 2, 0)  # [t, r, k]
+    codes, invertible = rings.pack_matrices(mats, m), rings.det_batch(mats, m) % p != 0
+    reps = np.sort(codes[invertible])
+    table = np.full((heads.size + 1,) * n, -1, dtype=np.int32)
+    ranks = np.where(invertible, np.searchsorted(reps, codes), -1)
+    table[(slice(-1),) * n] = ranks.reshape((heads.size,) * n)
+    return cls, table, reps
+
+
+def column_labels(instance, columns) -> np.ndarray:
+    """The `right_cosets` label of the matrices with these column codes,
+    column 0 first, or -1 where singular: a gather from `_column_classes`."""
+    cls, table, _ = _column_classes(instance)
+    return table[tuple(cls[col] for col in columns)]
+
+
+def _columns(instance, codes) -> list[np.ndarray]:
+    """Column codes of each matrix code, column 0 first: entry (r, k), digit
+    r n + k of the code, weighs m^r in column k's code."""
+    m, rows = instance.modulus, instance.row_digits(codes)
+    return [sum(m**r * (row // m**k % m) for r, row in enumerate(rows)) for k in range(instance.n)]
+
+
 def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
     """(label, reps): reps the smallest code of each right coset gD,
     ascending, so the first marked coset holds the smallest marked code, and
     label each GL position's coset, an index into reps in the smallest dtype.
 
-    A position's `_coset_key` is the smallest code of its coset: the
-    positions equal to their key hold the reps, and a label counts the reps
-    before its key.  D fixes every element of L0', so (g d)(x) = g(x) there,
-    and a predicate on the images of L0' elements is constant on each coset.
+    g d scales column k of g by the unit d_k, so gD depends only on g's
+    columns' classes up to units; `enumerate_gl` labels every code as it lists
+    GL.  D fixes every element of L0', so (g d)(x) = g(x) there, and a
+    predicate on the images of L0' elements is constant on each coset.
     """
     instance.gl()
-    codes = instance.gl_codes
-    count = codes.size // instance.ring.unit_count**instance.n
-    key_pos, is_rep = np.empty(codes.size, dtype=np.int32), np.empty(codes.size, dtype=bool)
-    for start in range(0, codes.size, _GATHER_CHUNK):
-        block = slice(start, start + _GATHER_CHUNK)
-        keys = _coset_key(instance, codes[block])
-        is_rep[block] = keys == codes[block]
-        key_pos[block] = instance.positions(keys)
-    if np.count_nonzero(is_rep) != count:
-        raise RuntimeError("the column keys do not label the right cosets of D")
-    rank = np.cumsum(is_rep, dtype=np.int32)
-    rank -= 1
-    return rank.astype(np.min_scalar_type(count - 1))[key_pos], codes[is_rep]
-
-
-def _coset_key(instance, codes) -> np.ndarray:
-    """Smallest code of the right coset gD of each GL code g.
-
-    g d scales column k of g by the unit d_k, each column on its own.  Entry
-    (r, k) of a code weighs m^(r n + k), so codes compare at their heaviest
-    differing entry, and inside column k in the order of the column's own
-    vector code (row r at m^r): the smallest member of gD scales each column
-    to its smallest unit multiple (`row_scale_table`).  Column k of g is row
-    k of its transpose (`_transposed`) and weighs m^k times its
-    `_column_codes` entry.
-    """
-    columns = _column_codes(instance)
-    smallest = columns[row_scale_table(instance).min(axis=0)]
-    cols = instance.row_digits(_transposed(instance, columns, instance.row_digits(codes)))
-    return sum(instance.modulus**k * smallest[c] for k, c in enumerate(cols))
+    return instance._caches[("right_cosets",)]
 
 
 def coset_labels(instance, codes) -> np.ndarray:
-    """The `right_cosets` label of each GL code: the rank of its
-    `_coset_key` among the ascending reps, read with no GL-sized array."""
-    return np.searchsorted(right_cosets(instance)[1], _coset_key(instance, codes))
+    """The `right_cosets` label of each GL code, read off its columns."""
+    return column_labels(instance, _columns(instance, codes))
 
 
 def _gl_mask_of(instance, cosets) -> np.ndarray:

@@ -8,22 +8,12 @@ base-m integer codes for hashing and fast set arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -38,10 +28,12 @@ class RingSpec:
     k: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
         if self.k < 1:
             raise InputError(f"k = {self.k} must be >= 1")
+        if self.p >= 2:  # rank-2 codes reach m^4, so p^k <= 55 108; before the sqrt(p) prime test
+            check_code_size(self.p, 4 * self.k, f"Z/{self.p}^{self.k}")
+        if self.p < 2 or not all(self.p % d for d in range(2, math.isqrt(self.p) + 1)):
+            raise InputError(f"p = {self.p} is not prime")
 
     @property
     def modulus(self) -> int:
@@ -99,6 +91,16 @@ class RingSpec:
         if kind is not None and spec.kind != kind:
             raise InputError(f"ring kind {kind!r} inconsistent with p={p}, k={k}")
         return spec
+
+
+def check_code_size(base: int, digits: int, what: str) -> None:
+    """Refuse `what` unless base^digits < 2^63, so that its codes fit int64;
+    multiplied up to the bound only, a huge exponent is refused at once."""
+    size = 1
+    for _ in range(digits):
+        size *= base
+        if size >= 2**63:
+            raise InputError(f"{what} is too large: codes up to {base}^{digits} overflow int64")
 
 
 def json_int(value, name: str) -> int:

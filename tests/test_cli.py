@@ -198,6 +198,20 @@ def test_malformed_instance_file_is_an_input_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p, k", [(2**61 - 1, 1), (2, 10**9)], ids=["mersenne-61", "k-1e9"])
+def test_oversized_ring_is_refused_at_once(tmp_path, run_measured, p, k):
+    """`build` on a ring whose matrix codes overflow int64 exits 2 with an
+    input error in a fresh process well inside 10 s: no primality test over
+    a 61-bit p, no power p^k with k = 10^9."""
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"ring": {"p": p, "k": k}, "n": 2}))
+    out = tmp_path / "report.json"
+    proc, _ = run_measured(["build", "--instance", str(spec), "--out", str(out)], timeout=10)
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert not out.exists()
+
+
 def test_nets_and_classes_subcommands(f7_spec, tmp_path):
     out = str(tmp_path / "nets.json")
     assert main(["nets", "--instance", f7_spec, "--out", out]) == 0

@@ -128,10 +128,40 @@ def test_matrix_action_against_raw_image(f7, z4):
 
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "z4n3", "f3n3"])
 def test_gl_codes_are_the_codes_with_unit_determinant(name, request, gl_codes_reference):
-    """GL read off the residue matrices against the determinant of every code."""
+    """GL read off the column classes against the determinant of every code."""
     inst = request.getfixturevalue(name)
     inst.gl()
     assert np.array_equal(inst.gl_codes, gl_codes_reference(inst))
+
+
+_PREWARM = """
+import sys
+from netgalois.glnr import Instance
+from netgalois.rings import RingSpec
+from netgalois.sweep import prewarm
+
+inst = Instance(RingSpec(int(sys.argv[1]), int(sys.argv[2])), int(sys.argv[3]))
+inst.gl(cap=int(sys.argv[4]))
+prewarm(inst, cap=int(sys.argv[4]))
+print(len(inst.gl()))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "args, order, limit_mb",
+    [(["7", "2", "2", "5000000"], 4_840_416, 140), (["7", "1", "3", "40000000"], 33_784_128, 1000)],
+    ids=["z49", "f7n3"],
+)
+def test_gl_and_prewarm_stay_under_their_memory_caps(run_measured, args, order, limit_mb):
+    """GL, its right-coset labels and `prewarm` in a subprocess whose own
+    peak RSS stays under the cap: 140 MB on Z/49 and 1 GB on F7 rank 3, where
+    GL and the labels come from one pass over the code grid with no GL-sized
+    temporaries beyond the codes, labels and code index it keeps."""
+    proc, peak_mb = run_measured(args, script=_PREWARM)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[0]) == order
+    assert peak_mb < limit_mb
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "z9", "f3n3", "z4n3"])

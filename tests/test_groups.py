@@ -106,8 +106,9 @@ def test_coset_closure_matches_element_bfs(name, request, element_closure):
 
 def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
     """<D, g> = GL visits all 56 cosets of D in fewer label reads than
-    cosets: each orbit round steps its whole frontier by one generator at a
-    time and reads the labels of all the products of that step at once."""
+    cosets: each orbit round steps its whole frontier by every generator and
+    reads the labels of all the products of that round at once, off their
+    columns (`column_labels`)."""
     from netgalois import groups
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -117,13 +118,13 @@ def test_coset_closure_steps_whole_frontiers(f7, monkeypatch):
     inst = Instance(RingSpec(7, 1), 2)
     d = inst.diagonal()
     calls = []
-    original = groups.coset_labels
+    original = groups.column_labels
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(groups, "coset_labels", counted)
+    monkeypatch.setattr(groups, "column_labels", counted)
     full = coset_closure(inst, d, [g])
     assert len(full) // len(d) == 56
     assert np.array_equal(full.codes, f7.gl().codes)
@@ -232,7 +233,7 @@ def test_fixer_examples(f7):
     assert scalars.codes.tolist() == expect
 
 
-@pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f2n3", "f3n3"])
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "z4n3", "f3n3"])
 def test_right_coset_labels_match_explicit_products(name, request, member_mats):
     """The labels are the right cosets gD: every product g d, computed as a
     matrix product, carries g's label, there are |GL|/|D| labels, each
@@ -254,6 +255,48 @@ def test_right_coset_labels_match_explicit_products(name, request, member_mats):
     assert bool(np.all(np.diff(reps) > 0))
     assert label.dtype == np.min_scalar_type(reps.size - 1)
     assert np.array_equal(coset_labels(inst, inst.gl_codes), label)
+
+
+@pytest.mark.slow
+def test_z49_right_coset_labels_match_products_by_d_generators(z49):
+    """On Z/49 every product g d, for each GL code g and each generator d of
+    D, computed as a matrix product a chunk at a time, carries g's label;
+    over each coset those products reach every member (g runs over the
+    coset), so their smallest code per label is the coset's representative."""
+    m, n = z49.modulus, z49.n
+    label, reps = right_cosets(z49)
+    for d in z49.diagonal_generator_codes():
+        d_mat = z49.mat_of_code(d)
+        smallest = np.full(reps.size, np.iinfo(np.int64).max)
+        for start in range(0, z49.gl_codes.size, 1 << 18):
+            block = slice(start, start + (1 << 18))
+            mats = unpack_matrices(z49.gl_codes[block], m, n)
+            codes = pack_matrices(mats @ d_mat % m, m)
+            assert np.array_equal(label[z49.positions(codes)], label[block])
+            np.minimum.at(smallest, label[block], codes)
+        assert np.array_equal(smallest, reps)
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_gl_and_its_cosets_unpack_no_gl_sized_batch(ring, n, monkeypatch):
+    """On a fresh instance, listing GL and labelling its right cosets of D
+    splits no GL-sized batch of codes into rows: the class pass reads the
+    code grid's columns off two small tables."""
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    sizes, original = [], Instance.row_digits
+
+    def counted(self, codes):
+        sizes.append(np.size(codes))
+        return original(self, codes)
+
+    monkeypatch.setattr(Instance, "row_digits", counted)
+    inst = Instance(RingSpec(*ring), n)
+    inst.gl()
+    label, reps = right_cosets(inst)
+    assert label.size == len(inst.gl()) and reps.size == label.size // len(inst.diagonal())
+    assert sizes and max(sizes) < label.size
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
@@ -968,22 +1011,23 @@ def test_coset_closure_multiplies_only_candidates_outside_the_members(name, requ
 def test_orbit_over_d_steps_each_coset_once_per_generator(name, request, monkeypatch):
     """Each right coset of D in <D, g> enters the orbit's frontier once: 20
     seeded closures read the labels of exactly one product per coset and
-    generator, and no GL-sized mask."""
+    generator, and no GL-sized mask.  Labels are read off the products'
+    columns, n rows of column codes per batch."""
     from netgalois import groups
 
     inst = request.getfixturevalue(name)
     d = inst.diagonal()
     codes = np.random.default_rng(0).choice(inst.gl().codes, size=20, replace=False)
-    labelled, original = [], groups.coset_labels
+    labelled, original = [], groups.column_labels
 
-    def counted(instance, batch):
-        labelled.append(np.size(batch))
-        return original(instance, batch)
+    def counted(instance, columns):
+        labelled.append(np.shape(columns)[1])
+        return original(instance, columns)
 
     def refuse(self):
         raise AssertionError("expanded a GL-sized mask")
 
-    monkeypatch.setattr(groups, "coset_labels", counted)
+    monkeypatch.setattr(groups, "column_labels", counted)
     monkeypatch.setattr(Subgroup, "gl_mask", refuse)
     closures = [coset_closure(inst, d, [int(c)]) for c in codes]
     monkeypatch.undo()

@@ -42,6 +42,35 @@ def test_ring_spec_rejects_bad_input():
         RingSpec.from_json({"kind": "prime_field", "p": 7, "k": 2})
 
 
+@pytest.mark.parametrize(
+    "p, k", [(2**61 - 1, 1), (2, 10**9), (55_109, 1), (7, 6), (2, 16), (1, 10**9), (7, 0)]
+)
+def test_ring_spec_refuses_oversized_rings_at_once(p, k):
+    """Matrix codes of rank n >= 2 reach m^4 and are int64, so p^k <= 55 108:
+    a larger ring is refused before the primality test and before p^k is
+    formed, so a huge p or k is refused at once."""
+    with pytest.raises(InputError):
+        RingSpec(p, k)
+
+
+def test_ring_spec_admits_the_largest_rings_whose_codes_fit():
+    assert 55_108**4 < 2**63 <= 55_109**4
+    assert RingSpec(55_103, 1).modulus == 55_103  # the largest prime <= 55 108
+    assert RingSpec(2, 15).modulus == 2**15 and RingSpec(37, 3).modulus == 50_653
+    with pytest.raises(InputError):
+        RingSpec(55_107, 1)  # 27 x 13 x 157, refused by the primality test
+
+
+@pytest.mark.parametrize("p, n", [(131, 3), (2, 8), (2, 10**9)])
+def test_instance_refuses_matrix_codes_beyond_int64(p, n):
+    """An instance whose m^(n^2) matrix codes overflow int64 is an input
+    error raised before its lattice is built."""
+    from netgalois.glnr import Instance
+
+    with pytest.raises(InputError, match="overflow int64"):
+        Instance(RingSpec(p, 1), n)
+
+
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(7)
     for m, n in [(7, 2), (49, 2), (4, 3)]:
