@@ -51,7 +51,6 @@ from .groups import (
     coset_image,
     coset_labels,
     double_coset_key,
-    fixer,
     gl_code_list,
     instance_cache,
     intern_subgroup,
@@ -104,7 +103,7 @@ class _Ctx:
         self.support = instance.support_table
 
     def witness_indices(self, w, names) -> list[int]:
-        """A witness's index fields: i and j name atoms, x and w lattice elements."""
+        """A witness's index fields: i and j name atoms, x, y and w lattice elements."""
         values = [w.get(name) for name in names]
         bounds = [self.n if name in "ij" else len(self.lat) for name in names]
         if any(type(v) is not int or not 0 <= v < b for v, b in zip(values, bounds)):
@@ -158,11 +157,11 @@ def _iter_group(ctx, rng, samples):
     return rng.choice(len(ctx.g), size=samples, replace=True)
 
 
-def _distinct_rows(ctx, mask):
-    """Codes and permutation rows of the members of a GL mask, one per
-    distinct row, in member order: a test that reads h only through its row
-    first holds at the first member of some row, so this keeps the first h."""
-    codes = ctx.instance.gl_codes[mask]
+def _distinct_rows(ctx, codes):
+    """Sorted codes and permutation rows of the members of a member set, one
+    per distinct row, in code order: a test that reads h only through its
+    row first holds at the first member of some row, so this keeps the
+    first h."""
     rows = ctx.instance.perm(codes)
     first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
     return codes[first], rows[first]
@@ -193,7 +192,7 @@ def _cond_3(ctx, mode, rng, samples):
     found = None
     for i in range(ctx.n):
         e_i, down = ctx.atoms[i], np.array(ctx.frame.atom_downsets[i])
-        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i))
         ha = ph[:, pa[:, down]].transpose(1, 0, 2)  # [a, h, x] = h(a(x))
         ah = pa[:, ph[:, down]]  # [a, h, x] = a(h(x))
         works = np.all((ctx.support[ha, i] == down) & (ctx.support[ah, i] == down), axis=2)
@@ -208,16 +207,20 @@ def _cond_3(ctx, mode, rng, samples):
 
 def _cond_4(ctx, mode, rng, samples):
     """mode 'weak': the witness may depend on the outer element; 'strong': one
-    witness per (t, i) works for all of them."""
+    witness per (t, i) works for all of them.
+
+    The inner h range over the axis candidates, which lie in D, and D fixes
+    every element of the componentwise span: each is a join of ideal
+    multiples of atoms, which unit scalings fix.  So every candidate fixes
+    the span, as the condition asks, with no test."""
     pos = _iter_group(ctx, rng, samples)
-    lbar_fixer = fixer(ctx.instance, ctx.frame.lbar0).gl_mask()
     a_codes = ctx.instance.gl_codes[pos]
     pa = ctx.instance.perm(a_codes)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     painv = np.argsort(pa, axis=1)
     found = None
     for t in range(ctx.n):
-        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t).gl_mask() & lbar_fixer)
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t))
         for i in range(ctx.n):
             down = ctx.frame.atom_downsets[i]
             others = ctx.support[:, [r for r in range(ctx.n) if r != i]]
@@ -465,7 +468,7 @@ def _cond_11(ctx, mode, rng, samples):
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
     cols, xs = [], []
     for t in range(ctx.n):
-        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t))
         cols += [(t, h) for h in h_codes.tolist()]
         img = ph[:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
         img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
@@ -517,7 +520,7 @@ def _prime_1(ctx, mode, rng, samples):
             for x in atoms_l
             if x != e_i and int(ctx.support[x, i]) == e_i
         ]
-        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i).gl_mask())
+        h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, i))
         moves = np.all(ph[:, targets] != targets, axis=1)
         if not moves.any():
             return False, {"i": i}, found
@@ -643,7 +646,7 @@ def _replay_cond_3(ctx, mode, w):
     e_i = ctx.atoms[i]
     if int(ctx.support[pa[e_i], i]) != e_i:
         return False
-    for ph in ctx.instance.perm(axis_subgroup(ctx.instance, i).codes):
+    for ph in ctx.instance.perm(axis_subgroup(ctx.instance, i)):
         if all(
             int(ctx.support[ph[pa[x]], i]) == x and int(ctx.support[pa[ph[x]], i]) == x
             for x in ctx.frame.atom_downsets[i]
@@ -673,10 +676,20 @@ def _replay_cond_9(ctx, mode, w):
 
 
 def _replay_cond_10(ctx, mode, w):
-    a_codes, t = w.get("as"), w.get("t")
-    if not isinstance(a_codes, list) or type(t) is not int:
-        raise InputError(f"witness fields 'as' = {a_codes!r}, 't' = {t!r} need a list and an int")
-    return not ctx.closure_with(gl_code_list(ctx.instance, a_codes)).contains(t)
+    """t is a transvection of value y for (i, j), y lies below the join of
+    the xs, and t lies outside <D, as>."""
+    i, j, y = ctx.witness_indices(w, "ijy")
+    xs, a_codes = w.get("xs"), w.get("as")
+    if not isinstance(xs, list) or not isinstance(a_codes, list):
+        raise InputError(f"witness fields 'xs' = {xs!r}, 'as' = {a_codes!r} need lists")
+    if any(type(x) is not int or not 0 <= x < len(ctx.lat) for x in xs):
+        raise InputError(f"witness field 'xs' = {xs} needs lattice indices")
+    t = gl_code_list(ctx.instance, [w.get("t")])
+    if transvection_table(ctx.instance, i, j)[coset_labels(ctx.instance, t)[0]] != y:
+        return False
+    if not ctx.lat.leq(y, ctx.lat.join_many(xs)):
+        return False
+    return not ctx.closure_with(gl_code_list(ctx.instance, a_codes)).contains(t[0])
 
 
 def _replay_cond_11(ctx, mode, w):

@@ -280,7 +280,7 @@ class Instance:
 
     def gl(self, cap: int = DEFAULT_GL_CAP):
         """The whole group; also fills `gl_codes` (ascending) and the
-        `positions` index, from `groups.enumerate_gl`.  Cached by hand, not
+        right-coset labels, from `groups.enumerate_gl`.  Cached by hand, not
         by `instance_cache`: `cap` is checked on the first call only, so it
         is no key."""
         if self._gl is None:
@@ -289,24 +289,10 @@ class Instance:
                 raise CapExceeded(
                     f"|GL({self.n}, Z/{self.modulus})| = {expected} exceeds cap {cap}"
                 )
-            self.gl_codes, self._gl_index = enumerate_gl(self, expected)
+            self.gl_codes = enumerate_gl(self, expected)
             cosets = np.ones(expected // self.ring.unit_count**self.n, dtype=bool)
-            self._gl = intern_subgroup(self, Subgroup.from_cosets(self, cosets))
+            self._gl = intern_subgroup(self, Subgroup(self, cosets))
         return self._gl
-
-    def positions(self, codes) -> np.ndarray:
-        """GL position of each code; -1 for any other integer, as codes outside
-        [0, m^(n^2)) (even beyond int64) read entry 0, the singular zero matrix."""
-        self.gl()
-        codes = np.asarray(codes)
-        inside = (codes >= 0) & (codes < self._gl_index.size)
-        return self._gl_index[np.where(inside, codes, 0).astype(np.int64, copy=False)]
-
-    def mask_of(self, codes) -> np.ndarray:
-        """Mask over GL positions of the GL codes among `codes` (-1 lands in a spare slot)."""
-        mask = np.zeros(len(self.gl()) + 1, dtype=bool)
-        mask[self.positions(codes)] = True
-        return mask[:-1]
 
     def diagonal_codes(self, entries) -> np.ndarray:
         """Codes of diag(e) for the rows e of `entries`: e_i is digit i n + i."""
@@ -319,7 +305,7 @@ class Instance:
         cosets = np.zeros(len(right_cosets(self)[1]), dtype=bool)
         cosets[coset_labels(self, [self.code_of_mat(self.identity)])] = True
         gens = self.diagonal_generator_codes()
-        return Subgroup.from_cosets(self, cosets, generator_codes=gens)
+        return Subgroup(self, cosets, generator_codes=gens)
 
     def diagonal_generator_codes(self) -> list[int]:
         """diag(1, .., r at i, .., 1) for each r of `_unit_group_generators`
@@ -328,7 +314,8 @@ class Instance:
         gens = [np.where(eye, r, 1) for r in self._unit_group_generators()]
         return self.diagonal_codes(np.concatenate(gens)).tolist()
 
-    def _unit_group_generators(self) -> list[int]:
+    @instance_cache
+    def _unit_group_generators(self) -> tuple[int, ...]:
         """Units generating the unit group: the first of full order where the
         group is cyclic (odd p, Z/2, Z/4); else, as (Z/2^k)* = <-1> x <5> for
         k >= 3, the units of largest order, ascending, each taken if it lies
@@ -341,7 +328,7 @@ class Instance:
                 gens.append(g)
                 reached = {r * c % m for r in reached for c in powers[g]}
         # (Z/2)* is trivial
-        return gens or [1]
+        return tuple(gens) or (1,)
 
     @instance_cache
     def l0_prime(self):
@@ -483,7 +470,7 @@ def net_subgroup(instance: Instance, dnet: DNet):
     levels = np.where(np.eye(n, dtype=bool), 0, dnet.levels)[:, None]
     fits = np.all(entries % p**levels == 0, axis=2)  # [i, v]: row code v fits row i
     rows = instance.row_digits(right_cosets(instance)[1])
-    return Subgroup.from_cosets(instance, np.all([f[r] for f, r in zip(fits, rows)], axis=0))
+    return Subgroup(instance, np.all([f[r] for f, r in zip(fits, rows)], axis=0))
 
 
 def net_subgroup_generators(instance: Instance, dnet: DNet) -> list[int]:

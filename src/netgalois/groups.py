@@ -6,34 +6,31 @@ orders stay below a few million, so full enumeration beats stabiliser chains
 and is exactly reproducible; all set iterations run in canonical code order.
 The matrix group acts non-faithfully (scalar-like units act trivially), and
 fixers absorb that kernel automatically.  The objects of the correspondence
-all contain the frame stabiliser D (<D, g>, fixers of elements of the base
-sublattice L0', the net subgroups, GL), so each is a union of right cosets
-gD: a `Subgroup` that contains D is a boolean mask over the |GL|/|D| coset
-labels of `right_cosets` (2 744 on Z/49, against 4 840 416 GL positions),
-any other member set a boolean mask over GL positions (`Instance.gl_codes`,
-ascending), the cosets numbered in code order.  GL and the labels come
-from one pass over the code grid (`enumerate_gl`): over the local ring
-Z/p^k, g d for d in D scales column k of g by the unit d_k, a column with
-no unit entry puts det g in pR, and scaling columns by units multiplies
-det g by a unit, so whether g is invertible, and its coset gD, depend only
-on the tuple of its columns' classes up to units (`_column_classes`).  A
-GL-sized mask or code list is expanded from the labels only where a
-GL-aligned result is read (`Subgroup.gl_mask`, `codes`, `fingerprint`,
-`transvections`).  D fixes
-every element of L0', so (g d)(x) = g(x) there: where all of GL sends an
-L0' element is read once per right coset off its `coset_image` column, and
-fixers of L0' elements and transvection sets are per-coset tables
-(`coset_fix_mask`, `transvection_table`).  An element outside L0', which
-only tests pass to `fixer`, takes an uncached `fixes_mask` pass over
-`gl_codes`.  Smaller batches of codes (generators, members of a subgroup)
-go through `fixes_mask`, or through `Instance.perm` where whole lattice
-permutations are read (`axis_subgroup`, `classify_transvection`).
-Every closure is `coset_closure`: over a seed that contains D an orbit on
-the right cosets of D under left multiplication by the generators, and over
-any other seed one BFS on the cosets of the row scalings inside the seed,
-by table lookups on the row codes: D scales rows, and a matrix acting on
-the right acts on each row alone.  `close_subgroup` runs the BFS over the
-trivial subgroup, and `double_coset_key` reads the same row-scale table.
+are the subgroups between the frame stabiliser D and GL (<D, g>, fixers of
+elements of the base sublattice L0', the net subgroups, GL), so each is a
+union of right cosets gD: a `Subgroup` is a boolean mask over the |GL|/|D|
+coset labels of `right_cosets` (2 744 on Z/49, against 4 840 416 GL
+elements), the cosets numbered in code order.  GL and the labels come from
+one pass over the code grid (`enumerate_gl`): over the local ring Z/p^k,
+g d for d in D scales column k of g by the unit d_k, a column with no unit
+entry puts det g in pR, and scaling columns by units multiplies det g by a
+unit, so whether g is invertible, and its coset gD, depend only on the
+tuple of its columns' classes up to units (`_column_classes`).  Membership
+reads a code's label off its columns (`coset_labels`), with no index over
+the code grid; a GL-sized mask or code list is expanded from the labels
+only where a GL-aligned result is read (`Subgroup.gl_mask`, `codes`,
+`fingerprint`, `transvections`).  D fixes every element of L0', so
+(g d)(x) = g(x) there: where all of GL sends an L0' element is read once per
+right coset off its `coset_image` column, and fixers (of L0' elements only)
+and transvection sets are per-coset tables (`coset_fix_mask`,
+`transvection_table`).  Smaller batches of codes (generators, members of a
+subgroup) go through `fixes_mask`, or through `Instance.perm` where whole
+lattice permutations are read (`axis_subgroup`, `classify_transvection`).
+Every closure of the program is `coset_closure`: an orbit on the right
+cosets of D under left multiplication by the generators, by table lookups.
+Only `close_subgroup`, which reads generator lists from subgroup files, runs
+a plain element BFS over the code grid, and it refuses a closure that misses
+D.  `double_coset_key` reads the row-scale table of D's scalings.
 The one normality routine is `normalizes`: every f of a call against chunks
 of the s, one broadcast product per chunk, read for the first failing
 (f, s).  `is_normal_in` and the exhaustive `conjugation_closure_check` (one
@@ -78,52 +75,29 @@ def instance_cache(fn):
 
 
 class Subgroup:
-    """Member set with generator provenance.
+    """A subgroup F with D <= F <= GL, and its generator provenance.
 
-    A member set that contains D and is a union of right cosets gD (every
-    subgroup containing D is) is held as a boolean mask over the
-    `right_cosets` labels; any other one as a boolean mask over GL positions
-    (aligned with `Instance.gl_codes`).  The constructor takes a GL mask and
-    keeps the coset form whenever it applies, so equal member sets share one
-    form, key and pool entry; `from_cosets` takes a coset mask, and
-    `coset_mask` reads it.  `gl_mask`, `codes`, `codes_at` and `fingerprint`
-    expand a coset mask by one label gather on demand.
+    F is the union of its right cosets gD, held as a boolean mask over the
+    `right_cosets` labels (`coset_mask`); `gl_mask`, `codes`, `codes_at` and
+    `fingerprint` expand it by one label gather on demand.
     """
 
-    def __init__(self, instance, mask, generator_codes=(), closed=False):
-        if mask.dtype != bool or mask.shape != instance.gl_codes.shape:
-            raise InputError("a subgroup is a boolean mask over the GL positions")
-        self.instance = instance
-        self._cosets = _coset_form(instance, mask, closed)
-        self._mask = mask if self._cosets is None else None
-        self._order = int(np.count_nonzero(mask))
-        self.generator_codes = tuple(int(c) for c in generator_codes)
-        self.closed = closed
-        # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
-        self._identity = {}
-
-    @classmethod
-    def from_cosets(cls, instance, cosets, generator_codes=()) -> "Subgroup":
-        """The subgroup made of the marked right cosets of D (a mask over
-        the `right_cosets` labels, |GL|/|D| of them)."""
+    def __init__(self, instance, cosets, generator_codes=()):
         per_coset = instance.ring.unit_count**instance.n
         if cosets.dtype != bool or cosets.shape != (instance.gl_codes.size // per_coset,):
-            raise InputError("a coset mask is a boolean mask over the right cosets of D")
-        self = cls.__new__(cls)
+            raise InputError("a subgroup is a boolean mask over the right cosets of D")
         self.instance = instance
-        self._cosets, self._mask = cosets, None
+        self._cosets = cosets
         self._order = int(np.count_nonzero(cosets)) * per_coset
         self.generator_codes = tuple(int(c) for c in generator_codes)
-        self.closed = True
+        # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
         self._identity = {}
-        return self
 
     def with_generators(self, generator_codes) -> "Subgroup":
         """This member set with a verified generating set attached, sharing
         the member mask and the record of key and fingerprint."""
         out = copy.copy(self)
         out.generator_codes = tuple(int(c) for c in generator_codes)
-        out.closed = True
         return out
 
     def __len__(self):
@@ -146,70 +120,55 @@ class Subgroup:
         starts = np.arange(0, mask.size, _BFS_CHUNK).tolist()
         ends = np.cumsum([np.count_nonzero(mask[s : s + _BFS_CHUNK]) for s in starts])
         blocks = np.searchsorted(ends, ranks, side="right")
-        positions = np.empty_like(ranks)
+        picks = np.empty_like(ranks)
         for b in np.unique(blocks).tolist():
             members = np.flatnonzero(mask[starts[b] : starts[b] + _BFS_CHUNK])
             drawn = blocks == b
-            positions[drawn] = starts[b] + members[ranks[drawn] - ends[b] + members.size]
-        return self.instance.gl_codes[positions]
+            picks[drawn] = starts[b] + members[ranks[drawn] - ends[b] + members.size]
+        return self.instance.gl_codes[picks]
 
     def contains(self, code: int) -> bool:
         return bool(self.contains_many([code])[0])
 
     def contains_many(self, codes) -> np.ndarray:
-        pos = self.instance.positions(codes)
-        if self._cosets is None:
-            return (pos >= 0) & self._mask[pos]
-        return (pos >= 0) & self._cosets[right_cosets(self.instance)[0][pos]]
+        """Which codes name members: each one's label, read off its columns."""
+        labels = coset_labels(self.instance, codes)
+        return (labels >= 0) & self._cosets[labels]
 
     def coset_mask(self) -> np.ndarray:
-        """The member mask over the right cosets of D; a member set that does
-        not contain D has none."""
-        if self._cosets is None:
-            raise InputError("a coset mask needs a subgroup containing the frame stabiliser")
+        """The member mask over the right cosets of D."""
         return self._cosets
 
     def gl_mask(self) -> np.ndarray:
-        """The member mask over GL positions, in coset form expanded by label."""
-        if self._cosets is None:
-            return self._mask
+        """The member mask over GL positions, the coset mask expanded by label."""
         return _gl_mask_of(self.instance, self._cosets)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        if self._cosets is not None and other._cosets is not None:
-            return not bool(np.any(self._cosets & ~other._cosets))
-        return not bool(np.any(self.gl_mask() & ~other.gl_mask()))
+        return not bool(np.any(self._cosets & ~other._cosets))
 
     def __eq__(self, other):
-        # equal member sets have the same form (see the class docstring)
         if not isinstance(other, Subgroup) or self._order != other._order:
             return False
-        if self._cosets is None:
-            mine, theirs = self._mask, other._mask
-        else:
-            mine, theirs = self._cosets, other._cosets
-        return mine is theirs or (theirs is not None and np.array_equal(mine, theirs))
+        return self._cosets is other._cosets or np.array_equal(self._cosets, other._cosets)
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> bytes:
-        """In-process content key: the SHA-1 digest of the packed member
-        mask, over the cosets of D in coset form.
+        """In-process content key: the SHA-1 digest of the packed coset mask.
 
         Computed once per member set: `intern_subgroup` swaps the mask for an
         equal one and shares the record holding the key.
         """
         if "key" not in self._identity:
-            mask = self._mask if self._cosets is None else self._cosets
-            self._identity["key"] = hashlib.sha1(np.packbits(mask)).digest()
+            self._identity["key"] = hashlib.sha1(np.packbits(self._cosets)).digest()
         return self._identity["key"]
 
     def fingerprint(self) -> str:
         """Stable across processes; names subgroups in sweep reports.
 
         Computed once per pooled member set, like `key`.  Hashes the ascending
-        int64 member codes, in either form.
+        int64 member codes.
         """
         if "fingerprint" not in self._identity:
             self._identity["fingerprint"] = hashlib.sha1(self.codes).hexdigest()[:16]
@@ -252,30 +211,13 @@ class Subgroup:
         return close_subgroup(instance, codes)
 
 
-def _coset_form(instance, mask, closed):
-    """The coset mask of a GL mask that contains D and is a union of right
-    cosets of D, else None.  A closed mask is a subgroup: holding D's
-    generators it holds D, and then it is the union of its cosets gD."""
-    if closed:
-        d_codes = instance.diagonal_generator_codes()
-    else:
-        units = itertools.product(instance.ring.units(), repeat=instance.n)
-        d_codes = instance.diagonal_codes(list(units))
-    if not bool(np.all(mask[instance.positions(d_codes)])):
-        return None
-    cosets = mask[instance.positions(right_cosets(instance)[1])]
-    if closed or np.array_equal(_gl_mask_of(instance, cosets), mask):
-        return cosets
-    return None
-
-
 def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share the member mask and identity between equal subgroups held in
+    """Share the coset mask and identity between equal subgroups held in
     caches.
 
-    The returned object keeps its own generator provenance; the mask (over
-    cosets or GL) and the record of key and fingerprint are pooled, keyed by
-    `Subgroup.key`, so each pooled member set is fingerprinted once.
+    The returned object keeps its own generator provenance; the mask and the
+    record of key and fingerprint are pooled, keyed by `Subgroup.key`, so
+    each pooled member set is fingerprinted once.
     """
     # keyed by the subgroup's content, not by arguments: no `instance_cache`
     pool = instance._caches.setdefault("subgroup_pool", {})
@@ -285,7 +227,7 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
         pool[key] = subgroup
         return subgroup
     if base is not subgroup:
-        subgroup._mask, subgroup._cosets = base._mask, base._cosets
+        subgroup._cosets = base._cosets
         if "fingerprint" in subgroup._identity:
             base._identity.setdefault("fingerprint", subgroup._identity["fingerprint"])
         subgroup._identity = base._identity
@@ -293,20 +235,46 @@ def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
 
 
 def close_subgroup(instance, generator_codes) -> Subgroup:
-    """Closure of the generators (plus identity): `coset_closure` over the
-    trivial subgroup, whose cosets are single elements."""
-    identity = instance.mask_of(instance.diagonal_codes([1] * instance.n))
-    trivial = Subgroup(instance, identity, closed=True)
-    return coset_closure(instance, trivial, generator_codes)
+    """<generators> by element BFS over the code grid from the identity, the
+    generators as `Subgroup.generator_codes` (sorted, without repeats).
+
+    Row i of y g is row i of y times g, so y -> y g is n gathers from g's
+    `row_products` table on y's row codes (`Instance.row_digits`), a chunk
+    of `_BFS_CHUNK` codes at a time; closure under products is the subgroup
+    in a finite group.  A closure that misses D's generators is no object of
+    the correspondence and is an `InputError`; one that holds them holds D,
+    so it is the union of its right cosets gD, read at their smallest codes.
+    """
+    gens = sorted(set(gl_code_list(instance, generator_codes)))
+    m, n = instance.modulus, instance.n
+    weights = m ** (n * np.arange(n, dtype=np.int64))
+    tables = row_products(instance, gens) if gens else []
+    identity = instance.diagonal_codes([1] * n)
+    reached = np.zeros(m ** (n * n), dtype=bool)
+    reached[identity] = True
+    frontier = np.array([identity], dtype=np.int64)
+    while frontier.size:
+        fresh = []
+        for start in range(0, frontier.size, _BFS_CHUNK):
+            digits = np.stack(instance.row_digits(frontier[start : start + _BFS_CHUNK]))
+            for table in tables:
+                codes = weights @ table[digits]
+                codes = np.unique(codes[~reached[codes]])
+                reached[codes] = True
+                fresh.append(codes)
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    if not bool(np.all(reached[instance.diagonal_generator_codes()])):
+        raise InputError("the subgroup must contain every invertible diagonal matrix")
+    return Subgroup(instance, reached[right_cosets(instance)[1]], generator_codes=gens)
 
 
 def gl_code_list(instance, codes) -> list[int]:
     """The codes as ints, each an integer (not a bool) naming a GL element
-    through `Instance.positions`; any other entry is an `InputError`."""
+    through `coset_labels`; any other entry is an `InputError`."""
     codes = list(codes)
     ints = [c if type(c) is not bool and isinstance(c, (int, np.integer)) else -1 for c in codes]
-    for code, pos in zip(codes, instance.positions(np.array(ints, dtype=object)).tolist()):
-        if pos < 0:
+    for code, label in zip(codes, coset_labels(instance, np.array(ints, dtype=object)).tolist()):
+        if label < 0:
             raise InputError(f"code {code!r} names no element of GL")
     return [int(c) for c in ints]
 
@@ -355,24 +323,18 @@ def scalar_coset_key(instance, codes) -> np.ndarray:
 
 
 def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
-    """Closure of <seed, extras>, the seed closed and given by generators
-    (or trivial): over a seed that contains D an orbit on the right cosets
-    of D (`_coset_orbit`), over any other one a BFS on the cosets T y of
-    the row scalings T in the seed (`_row_scaling_bfs`).  Closure under
-    products yields the subgroup, inverses included, in a finite group."""
-    if not seed.closed:
-        raise InputError("coset closure needs a closed seed subgroup")
+    """Closure of <seed, extras>, the seed given by its generators (or of
+    order 1): an orbit on the right cosets of D (`_coset_orbit`).  Closure
+    under products yields the subgroup, inverses included, in a finite
+    group."""
     if len(seed) > 1 and not seed.generator_codes:
         raise InputError("coset closure needs a seed given by its generators")
     extra_codes = sorted(set(gl_code_list(instance, extra_codes)))
     gen_codes = list(seed.generator_codes) + extra_codes
     if not gen_codes:
         return seed
-    if seed._cosets is not None:
-        cosets = _coset_orbit(instance, seed._cosets, gen_codes)
-        return Subgroup.from_cosets(instance, cosets, generator_codes=gen_codes)
-    mask = _row_scaling_bfs(instance, seed, gen_codes)
-    return Subgroup(instance, mask, generator_codes=gen_codes, closed=True)
+    cosets = _coset_orbit(instance, seed.coset_mask(), gen_codes)
+    return Subgroup(instance, cosets, generator_codes=gen_codes)
 
 
 def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
@@ -403,83 +365,24 @@ def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
     return marked
 
 
-def _row_scaling_bfs(instance, seed: Subgroup, gen_codes) -> np.ndarray:
-    """The GL mask of <seed, generators> by BFS on the cosets T y of the row
-    scalings T in the seed, by table lookups on row codes: no matrix is
-    multiplied.
-
-    Row i of y is its digit y_i in base m^n (`Instance.row_digits`), and
-    T = T_0 x ... x T_(n-1), T_i the units u with diag(1, .., u at i, .., 1)
-    in the seed.  Three exact facts: (y g)_i = y_i g, row i of a product
-    being row i of y times g, so y -> y g is n gathers from g's
-    `row_products` table; t in T scales row i by t_i, so T y is the outer
-    sum over i of m^(i n) scale[T_i, y_i] (`row_scale_table`); row i fills
-    its own digits, so min(T y) = sum_i m^(i n) rowmin_i[y_i], rowmin_i[v]
-    the smallest scale[T_i, v], and this key, itself a member, names the
-    coset before it is expanded.  The BFS starts from the seed's cosets (its
-    members equal to their key).  y -> y g permutes the cosets, so a step of
-    distinct cosets by one generator gives distinct keys: the reached ones
-    are dropped, the rest scattered in before the next step.
-    """
-    m, n = instance.modulus, instance.n
-    weights, rows = m ** (n * np.arange(n, dtype=np.int64)), np.arange(n)[:, None]
-    # T_i: the seed's mask at diag(1, .., u at i, .., 1), u over the units
-    units = np.array(instance.ring.units(), dtype=np.int64)[:, None]
-    scalings = instance.diagonal_codes(np.where(np.eye(n, dtype=bool)[:, None], units, 1))
-    scale, in_t = row_scale_table(instance), seed.gl_mask()[instance.positions(scalings)]
-    order = int(np.prod(in_t.sum(axis=1)))
-    rowmin = np.stack([scale[t].min(axis=0) for t in in_t])
-    parts = [w * scale[t] for w, t in zip(weights.tolist(), in_t)]
-    # steps[k, i, v]: row i of the key of T y g_k, for the row code v of y_i
-    steps = rowmin[rows[None], row_products(instance, gen_codes)[:, None]]
-
-    # the members reached, by code: a coset is scattered in with no GL index
-    reached, members = np.zeros(m ** (n * n), dtype=bool), seed.codes
-    reached[members] = True
-    digits = np.stack(instance.row_digits(members))
-    frontier = digits[:, weights @ rowmin[rows, digits] == members]
-    chunk = max(1, _BFS_CHUNK // order)
-    while frontier.shape[1]:
-        fresh = []
-        for start in range(0, frontier.shape[1], chunk):
-            block = frontier[:, start : start + chunk]
-            for step in steps:
-                keys = step[rows, block]
-                keys = keys[:, ~reached[weights @ keys]]
-                if not keys.size:
-                    continue
-                reached[_coset_codes(parts, keys)] = True
-                fresh.append(keys)
-        frontier = np.concatenate(fresh, axis=1) if fresh else frontier[:, :0]
-    return reached[instance.gl_codes]
-
-
-def _coset_codes(parts, keys) -> np.ndarray:
-    """Codes of T y, one row per key y (a column of row codes): the outer sum
-    over i of parts[i][:, y_i], the codes of T_i y_i weighted by m^(i n)."""
-    codes = parts[0][:, keys[0]].T
-    for part, row in zip(parts[1:], keys[1:]):
-        codes = (codes[:, :, None] + part[:, row].T[:, None, :]).reshape(len(codes), -1)
-    return codes
-
-
 def generating_subset(subgroup: Subgroup) -> list[int]:
     """Small generating set found greedily; exact by construction.
 
-    Each new generator is the smallest member outside the closure so far,
-    and the closure grows by one `coset_closure` step over the previous one.
+    Starts from D's generators, then adds the smallest member outside the
+    closure so far, the representative of the first missing right coset of
+    D (`right_cosets`: the cosets ascend by their smallest codes), and grows
+    the closure by one `coset_closure` step over the previous one.
     """
     if subgroup.generator_codes:
         return list(subgroup.generator_codes)
-    gens: list[int] = []
-    current = close_subgroup(subgroup.instance, gens)
+    instance = subgroup.instance
+    current, reps = instance.diagonal(), right_cosets(instance)[1]
     while len(current) < len(subgroup):
-        missing = np.argmax(subgroup.gl_mask() & ~current.gl_mask())
-        gens.append(int(subgroup.instance.gl_codes[missing]))
-        current = coset_closure(subgroup.instance, current, gens[-1:])
+        missing = np.argmax(subgroup.coset_mask() & ~current.coset_mask())
+        current = coset_closure(instance, current, [int(reps[missing])])
     if not current.is_subset_of(subgroup):
         raise InputError("member set is not closed; cannot extract generators")
-    return gens
+    return list(current.generator_codes)
 
 
 # -- fixers and fixed sublattices -------------------------------------------
@@ -490,13 +393,13 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
     return instance.act_batch(codes, x) == x
 
 
-def enumerate_gl(instance, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, index): the GL codes ascending and the dense code -> position
-    index (-1 off GL), from one pass over the code grid that also memoises
-    the `right_cosets` labels, with the lift count `order` checked first.
-    A code is its top row's code times m^(n(n-1)) plus its lower rows' code,
-    so a chunk of top rows at a time, each column's code is a broadcast sum
-    of a top part and a lower part, and `column_labels` reads the labels.
+def enumerate_gl(instance, order: int) -> np.ndarray:
+    """The GL codes ascending, from one pass over the code grid that also
+    memoises the `right_cosets` labels, with the lift count `order` checked
+    first.  A code is its top row's code times m^(n(n-1)) plus its lower
+    rows' code, so a chunk of top rows at a time, each column's code is a
+    broadcast sum of a top part and a lower part, and `column_labels` reads
+    the labels.
     """
     m, n = instance.modulus, instance.n
     reps = _column_classes(instance)[2]
@@ -505,7 +408,7 @@ def enumerate_gl(instance, order: int) -> tuple[np.ndarray, np.ndarray]:
     low = m ** (n * (n - 1))
     lows = _columns(instance, np.arange(low, dtype=np.int64))
     tops = _columns(instance, np.arange(m**n, dtype=np.int64) * low)
-    codes, index = np.empty(order, dtype=np.int64), np.empty(m**n * low, dtype=np.int32)
+    codes = np.empty(order, dtype=np.int64)
     label = np.empty(order, dtype=np.min_scalar_type(reps.size - 1))
     pos, step = 0, max(1, _GATHER_CHUNK // low)
     for start in range(0, m**n, step):
@@ -514,12 +417,9 @@ def enumerate_gl(instance, order: int) -> tuple[np.ndarray, np.ndarray]:
         found = np.flatnonzero(labels >= 0)
         end = pos + found.size
         codes[pos:end], label[pos:end] = found + start * low, labels[found]
-        block = index[start * low : start * low + labels.size]
-        block.fill(-1)
-        block[found] = np.arange(pos, end)
         pos = end
     instance._caches[("right_cosets",)] = label, reps
-    return codes, index
+    return codes
 
 
 @instance_cache
@@ -559,9 +459,19 @@ def column_labels(instance, columns) -> np.ndarray:
 
 def _columns(instance, codes) -> list[np.ndarray]:
     """Column codes of each matrix code, column 0 first: entry (r, k), digit
-    r n + k of the code, weighs m^r in column k's code."""
-    m, rows = instance.modulus, instance.row_digits(codes)
-    return [sum(m**r * (row // m**k % m) for r, row in enumerate(rows)) for k in range(instance.n)]
+    r n + k of the code and digit k of row r's code, weighs m^r in column
+    k's code, so column k sums one gather per row from `_column_parts`."""
+    parts, rows = _column_parts(instance), instance.row_digits(codes)
+    return [functools.reduce(np.add, [part[row] for part, row in zip(col, rows)]) for col in parts]
+
+
+@instance_cache
+def _column_parts(instance) -> np.ndarray:
+    """Entry [k, r, v]: m^r times entry k of the row with code v, what row r
+    adds to column k's code."""
+    m, n = instance.modulus, instance.n
+    entries = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)  # [v, k]
+    return entries.T[:, None, :] * m ** np.arange(n, dtype=np.int64)[None, :, None]
 
 
 def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
@@ -579,7 +489,12 @@ def right_cosets(instance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coset_labels(instance, codes) -> np.ndarray:
-    """The `right_cosets` label of each GL code, read off its columns."""
+    """The `right_cosets` label of each code, read off its columns, or -1
+    off GL: any integer outside [0, m^(n^2)), even beyond int64 in an object
+    array, reads code 0, the singular zero matrix."""
+    codes = np.asarray(codes)
+    inside = (codes >= 0) & (codes < instance.modulus ** (instance.n**2))
+    codes = np.where(inside, codes, 0).astype(np.int64, copy=False)
     return column_labels(instance, _columns(instance, codes))
 
 
@@ -615,19 +530,10 @@ def coset_fix_mask(instance, members) -> np.ndarray:
 
 
 def fixer(instance, elements) -> Subgroup:
-    """All GL matrices fixing every listed element: of L0' elements alone the
-    `coset_fix_mask`, which contains D; with any others the coset mask
-    expanded by label and ANDed by an uncached `fixes_mask` pass over
-    `gl_codes` per other element."""
-    elements = set(int(e) for e in elements)
-    base = elements & set(instance.l0_prime().members)
-    cosets = coset_fix_mask(instance, base)
-    if base == elements:
-        return intern_subgroup(instance, Subgroup.from_cosets(instance, cosets))
-    mask = _gl_mask_of(instance, cosets)
-    for x in elements - base:
-        mask &= fixes_mask(instance, instance.gl_codes, x)
-    return intern_subgroup(instance, Subgroup(instance, mask, closed=True))
+    """All GL matrices fixing every listed element, each of L0': their
+    `coset_fix_mask`, which contains D.  Any other element is an
+    `InputError` (`coset_image`)."""
+    return intern_subgroup(instance, Subgroup(instance, coset_fix_mask(instance, elements)))
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -646,11 +552,8 @@ def fixed_by(instance, codes) -> SublatticeHandle:
 
 
 def galois_phi(instance, members) -> Subgroup:
-    """Lattice side -> group side of the correspondence: the fixer of M."""
-    l0p = set(instance.l0_prime().members)
-    members = set(int(x) for x in members)
-    if not members <= l0p:
-        raise InputError("phi is defined on member sets of the stabiliser-fixed sublattice")
+    """Lattice side -> group side of the correspondence: the fixer of M, a
+    member set of L0' (`fixer` refuses any other)."""
     return fixer(instance, members)
 
 
@@ -671,12 +574,12 @@ def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
 
 
 @instance_cache
-def axis_subgroup(instance, i: int) -> Subgroup:
-    """Frame-stabiliser members fixing every element supported away from atom i."""
+def axis_subgroup(instance, i: int) -> np.ndarray:
+    """Sorted int64 codes of the frame-stabiliser members fixing every
+    element supported away from atom i."""
     away = np.flatnonzero(instance.support_table[:, i] == instance.lattice.bottom)
     codes = instance.diagonal().codes
-    keep = np.all(instance.perm(codes)[:, away] == away, axis=1)
-    return Subgroup(instance, instance.mask_of(codes[keep]), closed=False)
+    return codes[np.all(instance.perm(codes)[:, away] == away, axis=1)]
 
 
 def classify_transvection(instance, mat: np.ndarray, i: int, j: int):

@@ -335,8 +335,8 @@ def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
     A class whose fixer is a net fixer holds that pooled object, so its
     closure-verified generating set keeps later normality tests on generator
     level.  Fixers of sublattices of L0' are unions of right cosets of D, so
-    the sublattices are grouped by their `coset_fix_mask`, and a GL-sized
-    fixer is built only for a class no net fixer names.
+    the sublattices are grouped by their `coset_fix_mask`, and a fixer is
+    built only for a class no net fixer names.
     """
     named = {}
     for net in enumerate_net_collections(instance):

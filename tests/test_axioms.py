@@ -19,7 +19,6 @@ from netgalois.groups import (
     coset_closure,
     double_coset_key,
     coset_image,
-    fixer,
     right_cosets,
     scalar_coset_key,
     transvections,
@@ -204,7 +203,7 @@ def _reference_cond_11(inst, orbit_min, samples=None, seed=0):
     axis_perms = []
     for t in range(inst.n):
         seen, hs = set(), []
-        for h_code in axis_subgroup(inst, t).codes.tolist():
+        for h_code in axis_subgroup(inst, t).tolist():
             ph = perm(h_code)
             if ph.tobytes() not in seen:
                 seen.add(ph.tobytes())
@@ -352,8 +351,7 @@ def _reference_column(inst, x):
     return coset_image(inst, x)[right_cosets(inst)[0]]
 
 
-def _reference_coded_rows(inst, mask):
-    codes = inst.gl_codes[mask]
+def _reference_coded_rows(inst, codes):
     return list(zip(codes.tolist(), _reference_rows(inst, codes)))
 
 
@@ -362,7 +360,7 @@ def _reference_cond_3(inst, mode, samples, seed):
     support, outer, found = inst.support_table, _reference_outer(inst, samples, seed), None
     for i in range(inst.n):
         e_i = inst.atoms[i]
-        hi_perms = _reference_coded_rows(inst, _reference_axis(inst, i).gl_mask())
+        hi_perms = _reference_coded_rows(inst, _reference_axis(inst, i))
         downset = inst.frame.atom_downsets[i]
         for a_code, pa in outer:
             if int(support[pa[e_i], i]) != e_i:
@@ -386,10 +384,11 @@ def _reference_cond_4(inst, mode, samples, seed):
     """Condition 4 as loops; the strong reading needs one h for every outer a."""
     support, n = inst.support_table, inst.n
     outer = [(a, pa, np.argsort(pa)) for a, pa in _reference_outer(inst, samples, seed)]
-    lbar_fixer = fixer(inst, inst.frame.lbar0).gl_mask()
     found = None
     for t in range(n):
-        ht_perms = _reference_coded_rows(inst, _reference_axis(inst, t).gl_mask() & lbar_fixer)
+        # the h must also fix the componentwise span, which every axis
+        # candidate does (test_axis_candidates_fix_the_componentwise_span)
+        ht_perms = _reference_coded_rows(inst, _reference_axis(inst, t))
         for i in range(n):
             downset = inst.frame.atom_downsets[i]
             rs = [r for r in range(n) if r != i]
@@ -518,7 +517,8 @@ def _reference_cond_8(inst, mode, samples, seed):
             members = {}
             for x in np.unique(sij).tolist():
                 t_codes = transvections(inst, i, j, x)
-                members[x] = t_codes, {tuple(s) for s in sig[inst.positions(t_codes)].tolist()}
+                at = np.searchsorted(codes, t_codes)
+                members[x] = t_codes, {tuple(s) for s in sig[at].tolist()}
             for f in outer:
                 t_codes, signatures = members[int(sij[f])]
                 if tuple(sig[f].tolist()) not in signatures:
@@ -588,12 +588,10 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
         size = len(inst.gl())
 
         def planted():
-            mask = np.zeros(size, dtype=bool)
-            mask[rng.choice(size, size=min(size, 1 + trial), replace=False)] = True
-            return mask
+            return inst.gl_codes[np.sort(rng.choice(size, size=min(size, 1 + trial), replace=False))]
 
         for i in range(inst.n):
-            inst._caches[("axis_subgroup", i)] = Subgroup(inst, planted())
+            inst._caches[("axis_subgroup", i)] = planted()
         cosets, dtype = len(right_cosets(inst)[1]), np.min_scalar_type(len(inst.lattice) - 1)
         for atom in inst.atoms:
             column = np.full(cosets, inst.lattice.bottom, dtype=dtype)
@@ -604,6 +602,21 @@ def test_conditions_3_4_5_match_references_on_planted_failures(ring, samples):
     assert {cid for cid, _, holds, _ in outcomes if not holds} - {"6"} == {"3", "4", "5", "8"}
     # a failure after a pass carries both the witness and the found record
     assert any(not holds and found for _, _, holds, found in outcomes)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "z9", "f7", "z49", "f2n3", "f3n3"])
+def test_axis_candidates_fix_the_componentwise_span(name, request):
+    """Condition 4 asks its h to fix the componentwise span; the checker
+    takes that as given.  The span lies in L0', the elements D fixes, and
+    every axis candidate, a member of D, fixes each span element."""
+    inst = request.getfixturevalue(name)
+    lbar0 = list(inst.frame.lbar0)
+    assert set(lbar0) <= set(inst.l0_prime().members)
+    d_codes = inst.diagonal().codes
+    for t in range(inst.n):
+        axis = axis_subgroup(inst, t)
+        assert np.all(np.isin(axis, d_codes))
+        assert np.array_equal(inst.perm(axis)[:, lbar0], np.tile(lbar0, (axis.size, 1)))
 
 
 @pytest.mark.parametrize("name", ["f7", "z9", "f3n3"])
@@ -618,7 +631,7 @@ def test_scalar_coset_keys_share_lattice_rows(name, request, image_table):
     assert np.array_equal(keys, brute)
     assert np.unique(keys).size * len(inst.ring.units()) == codes.size
     table = image_table(inst)
-    assert np.array_equal(table, table[inst.positions(keys)])
+    assert np.array_equal(table, table[np.searchsorted(codes, keys)])
 
 
 def test_exhaustive_f3n3_fails_11_and_4p_with_replayable_witnesses(f3n3):

@@ -142,11 +142,21 @@ def test_sigma_and_sandwich_subcommands(f7_spec, tmp_path):
     assert report["summary"]["failed"] == []
     assert report["subgroup_order"] == 252
 
-    # a subgroup missing the diagonal part is rejected as input
+    # a subgroup missing the diagonal part is rejected as input, also when a
+    # sandwich report's failed checks are replayed on its generators
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
         json.dump({"schema_version": 1, "generators": [[[1, 0], [1, 1]]]}, fh)
-    assert main(["sandwich", "--instance", f7_spec, "--subgroup", bad]) == 2
+    for command in ("sandwich", "sigma"):
+        assert main([command, "--instance", f7_spec, "--subgroup", bad]) == 2
+    report["checks"][0]["holds"] = False
+    report["subgroup_generators"] = [[[1, 0], [1, 1]]]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(report))
+    assert main(["replay", "--report", str(forged), "--instance", f7_spec]) == 2
+    report["subgroup_generators"] = [[[3, 0], [0, 1]], [[1, 0], [0, 3]], [[1, 0], [1, 1]]]
+    forged.write_text(json.dumps(report))
+    assert main(["replay", "--report", str(forged), "--instance", f7_spec]) == 1
 
 
 @pytest.mark.parametrize(
@@ -522,13 +532,10 @@ def test_z49_sweep_report_does_not_depend_on_jobs(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-@pytest.mark.parametrize(
-    "t, reproduced",
-    [(99999999999, True), (10**30, True), (-5, True), (0, True), (7**4, True), (None, False)],
-)
+@pytest.mark.parametrize("t, reproduced", [(None, False)])
 def test_replay_condition_10_witness_with_any_code(f7_spec, tmp_path, t, reproduced):
-    """The witness claims t lies outside <D, a>: codes outside GL, even
-    outside the code range, are outside it; a member of D is not."""
+    """The witness claims t, a transvection of value y, lies outside <D, a>:
+    a member of D does not."""
     a = 1 + 7 + 3 * 7**3  # [[1, 1], [0, 3]]
     if t is None:
         t = 2 + 3 * 7**3  # diag(2, 3)
@@ -539,6 +546,17 @@ def test_replay_condition_10_witness_with_any_code(f7_spec, tmp_path, t, reprodu
     report.write_text(json.dumps({"verdicts": [{"id": "10", "holds": False, "witness": witness}]}))
     rc = main(["replay", "--report", str(report), "--instance", f7_spec])
     assert rc == (0 if reproduced else 1)
+
+
+@pytest.mark.parametrize("y", [0, 1])
+def test_replay_condition_10_needs_t_in_the_transvection_set(f7_spec, tmp_path, y):
+    """The swap matrix lies outside <D, a> but in no transvection set, so it
+    reproduces no failure, whatever value y the witness claims."""
+    a = 1 + 7 + 3 * 7**3  # [[1, 1], [0, 3]]
+    swap = 7 + 7**2  # [[0, 1], [1, 0]]
+    witness = {"condition": "10", "i": 0, "j": 1, "xs": [1], "as": [a], "y": y, "t": swap}
+    report = write_witness_report(tmp_path / "cond10.json", witness)
+    assert main(["replay", "--report", report, "--instance", f7_spec]) == 1
 
 
 def write_witness_report(path, witness):
@@ -556,12 +574,21 @@ F7_IDENTITY = 1 + 7**3
         {"condition": "6", "f": 10**30, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1},
         {"condition": "6", "f": F7_IDENTITY + 7**4, "g": F7_IDENTITY, "i": 0, "j": 1, "x": 1},
         {"condition": "11", "a": 10**30, "i": 0, "j": 1, "x": 1},
+        *(
+            {"condition": "10", "i": 0, "j": 1, "xs": [], "as": [1 + 7 + 3 * 7**3], "y": 0, "t": t}
+            for t in (99999999999, 10**30, -5, 0, 7**4)
+        ),
     ],
-    ids=["cond6-beyond-int64", "cond6-beyond-code-range", "cond11-beyond-int64"],
+    ids=[
+        "cond6-beyond-int64", "cond6-beyond-code-range", "cond11-beyond-int64",
+        "cond10-t-beyond-code-range", "cond10-t-beyond-int64", "cond10-t-negative",
+        "cond10-t-singular", "cond10-t-at-code-range",
+    ],
 )
 def test_replay_rejects_witness_codes_outside_gl(f7_spec, tmp_path, witness):
     """A witness matrix code naming no GL element is an input error, not an
-    overflow and not its residue mod 7^4 (the identity here)."""
+    overflow, not its residue mod 7^4 (the identity here) and not a member
+    outside every closure."""
     report = write_witness_report(tmp_path / "witness.json", witness)
     assert main(["replay", "--report", report, "--instance", f7_spec]) == 2
 
@@ -570,7 +597,7 @@ COND6 = {"condition": "6", "f": F7_IDENTITY, "g": F7_IDENTITY, "i": 0, "j": 1, "
 COND9 = {"condition": "9", "i": 0, "j": 1, "x": 1, "w": 2}
 COND11 = {"condition": "11", "a": F7_IDENTITY, "i": 0, "j": 1, "x": 1}
 COND3 = {"condition": "3", "a": F7_IDENTITY, "i": 0}
-COND10 = {"condition": "10", "i": 0, "j": 1, "xs": [], "as": [F7_IDENTITY], "y": 0, "t": 5}
+COND10 = {"condition": "10", "i": 0, "j": 1, "xs": [], "as": [F7_IDENTITY], "y": 0, "t": F7_IDENTITY}
 
 
 def _edit(witness, **fields):
@@ -599,19 +626,23 @@ def _edit(witness, **fields):
         _edit(COND10, **{"as": None}),
         _edit(COND10, **{"as": F7_IDENTITY}),
         _edit(COND10, t=None),
+        _edit(COND10, y=None),
+        _edit(COND10, xs=[10]),
+        _edit(COND10, xs=1),
     ],
     ids=[
         "cond6-no-x", "cond6-i-5", "cond6-j-negative", "cond6-x-past-lattice", "cond6-no-f",
         "cond9-no-w", "cond9-w-past-lattice", "cond9-j-2", "cond9-i-true",
         "cond11-no-i", "cond11-x-float", "cond11-j-7", "cond3-no-i", "cond3-i-2",
-        "cond10-no-as", "cond10-as-not-a-list", "cond10-no-t",
+        "cond10-no-as", "cond10-as-not-a-list", "cond10-no-t", "cond10-no-y",
+        "cond10-xs-past-lattice", "cond10-xs-not-a-list",
     ],
 )
 def test_replay_rejects_witness_indices_out_of_range(f7_spec, tmp_path, witness):
     """A witness's i and j name atoms (range(2) on F7) and its x and w name
-    lattice elements (range(10)); a condition-10 witness needs its list of
-    codes and its integer t: anything else is an input error, not a
-    KeyError, a TypeError or an IndexError."""
+    lattice elements (range(10)); a condition-10 witness needs its lists of
+    lattice indices xs and codes as, and its integer t and y: anything else
+    is an input error, not a KeyError, a TypeError or an IndexError."""
     report = write_witness_report(tmp_path / "witness.json", witness)
     assert main(["replay", "--report", report, "--instance", f7_spec]) == 2
 

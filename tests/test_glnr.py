@@ -157,7 +157,7 @@ def test_gl_and_prewarm_stay_under_their_memory_caps(run_measured, args, order, 
     """GL, its right-coset labels and `prewarm` in a subprocess whose own
     peak RSS stays under the cap: 140 MB on Z/49 and 1 GB on F7 rank 3, where
     GL and the labels come from one pass over the code grid with no GL-sized
-    temporaries beyond the codes, labels and code index it keeps."""
+    temporaries beyond the codes and labels it keeps."""
     proc, peak_mb = run_measured(args, script=_PREWARM)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[0]) == order
@@ -250,11 +250,13 @@ def test_act_batch_matches_reference_on_sampled_z49_codes(z49, act_reference):
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
 def test_gl_positions_index_every_code(name, request):
-    """The dense index against brute force: every code of [0, m^(n^2)) and
-    the two integers just outside it, on D, GL, a fixer and a <D, g>."""
+    """Membership read off the columns against brute force: every code of
+    [0, m^(n^2)) and the two integers just outside it, on D, GL, a fixer and
+    a <D, g>; a GL code's position is its rank in `gl_codes`, and the GL
+    mask marks exactly the members' positions."""
     inst = request.getfixturevalue(name)
     gl = inst.gl()
-    assert np.array_equal(inst.positions(inst.gl_codes), np.arange(len(gl)))
+    assert np.array_equal(np.searchsorted(inst.gl_codes, inst.gl_codes), np.arange(len(gl)))
     codes = np.arange(-1, inst.modulus ** (inst.n**2) + 1)
     g_code = int(inst.gl_codes[len(gl) // 3])
     subgroups = [
@@ -265,7 +267,7 @@ def test_gl_positions_index_every_code(name, request):
     ]
     for sub in subgroups:
         assert np.array_equal(sub.contains_many(codes), np.isin(codes, sub.codes))
-        assert np.array_equal(inst.mask_of(sub.codes), sub.gl_mask())
+        assert np.array_equal(np.flatnonzero(sub.gl_mask()), np.searchsorted(inst.gl_codes, sub.codes))
 
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
@@ -318,6 +320,26 @@ def test_perm_rows_are_the_action(name, request, act_reference, member_mats):
     for x in range(len(inst.lattice)):
         assert np.array_equal(rows[:, x], act_reference(inst, mats, x))
     assert inst.perm([]).shape == (0, len(inst.lattice))
+
+
+def test_unit_powers_are_computed_once_per_instance(monkeypatch):
+    """A fresh Z/49 prewarm and a two-row sweep ask for D's generators many
+    times, and the powers of the 42 units behind them are computed once."""
+    from netgalois import sweep
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(glnr, "pow", counted, raising=False)
+    inst = Instance(rings.RingSpec(7, 2), 2)
+    sweep.prewarm(inst, cap=10_000_000)
+    sweep.sweep_cyclic(inst, sample=2, seed=7, jobs=1)
+    units = inst.ring.unit_count
+    assert len(calls) == units**2 == 42**2
+    assert inst._unit_group_generators() == (3,)
 
 
 def test_identity_and_diagonal_fix_coordinates(f7):
@@ -439,7 +461,7 @@ def test_verify_sandwich_examples(f7):
 
     gl = Subgroup(
         f7,
-        f7.gl().gl_mask(),
+        f7.gl().coset_mask(),
         generator_codes=tuple(
             f7.diagonal_generator_codes()
             + [
@@ -447,7 +469,6 @@ def test_verify_sandwich_examples(f7):
                 f7.code_of_mat(f7.elementary(1, 0, 1)),
             ]
         ),
-        closed=True,
     )
     checks = verify_sandwich(f7, gl)
     assert all(c["holds"] for c in checks)

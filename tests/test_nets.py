@@ -11,6 +11,7 @@ from netgalois.errors import InputError
 from netgalois.glnr import Instance
 from netgalois.groups import (
     Subgroup,
+    close_subgroup,
     coset_closure,
     double_coset_key,
     fixer,
@@ -68,9 +69,10 @@ def test_sigma_of_borel_one_sided(f7):
 
 
 def test_sigma_requires_stabiliser(f7):
-    triv = Subgroup(f7, f7.mask_of([f7.code_of_mat(f7.identity)]), closed=True)
+    """Every subgroup sigma reads contains D: one that misses it, such as the
+    trivial group, cannot be built."""
     with pytest.raises(InputError):
-        transvection_ideals(f7, triv)
+        close_subgroup(f7, [f7.code_of_mat(f7.identity)])
 
 
 def test_exactly_four_valid_nets_with_expected_orders(f7):
@@ -210,7 +212,7 @@ def test_stable_lbar0_matches_member_mask_reference(name, request, stable_lbar0_
     for code in codes[np.sort(first)].tolist():
         sub = coset_closure(inst, inst.diagonal(), [code])
         family.setdefault(sub.fingerprint(), sub)
-    bare = [Subgroup(inst, sub.gl_mask(), closed=True) for sub in list(family.values())[:4]]
+    bare = [Subgroup(inst, sub.coset_mask()) for sub in list(family.values())[:4]]
     subgroups = [inst.diagonal(), inst.gl(), *family.values(), *bare]
     subgroups += [fixer(inst, [x]) for x in inst.l0_prime().members]
     for sub in subgroups:
@@ -543,11 +545,11 @@ def test_stable_fixer_is_normal(f7):
     for sub in (f7.diagonal(), borel(f7), borel(f7, 1, 0), f7.gl()):
         stable = stable_lbar0(f7, sub)
         fx = fixer(f7, stable.members)
-        sub_w = Subgroup(f7, sub.gl_mask(), generator_codes=sub.generator_codes or (), closed=True)
+        sub_w = Subgroup(f7, sub.coset_mask(), generator_codes=sub.generator_codes or ())
         if not sub_w.generator_codes:
             from netgalois.groups import generating_subset
 
-            sub_w = Subgroup(f7, sub.gl_mask(), generator_codes=tuple(generating_subset(sub_w)), closed=True)
+            sub_w = Subgroup(f7, sub.coset_mask(), generator_codes=tuple(generating_subset(sub_w)))
         normal, _ = is_normal_in(f7, fx, sub_w)
         assert normal
 
@@ -779,7 +781,7 @@ def test_fixer_class_maximal_member_is_closure(f7):
         sub = cls.common_fixer
         from netgalois.groups import generating_subset
 
-        sub = Subgroup(f7, sub.gl_mask(), generator_codes=tuple(generating_subset(sub)), closed=True)
+        sub = Subgroup(f7, sub.coset_mask(), generator_codes=tuple(generating_subset(sub)))
         closure = galois_psi(f7, sub)
         assert closure.members == maximal.members
         assert set(handle.members) <= set(closure.members)
