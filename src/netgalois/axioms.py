@@ -59,6 +59,7 @@ from .groups import (
     transvection_table,
     transvections,
 )
+from .rings import distinct
 
 CONDITION_IDS = [str(i) for i in range(1, 13)]
 PRIME_IDS = ["1'", "2'", "3'", "4'"]
@@ -333,7 +334,7 @@ def _cond_6(ctx, mode, rng, samples):
 
 def _realisable(ctx, i, j):
     table = transvection_table(ctx.instance, i, j)
-    return np.unique(table[table >= 0]).tolist()
+    return distinct(table[table >= 0]).tolist()
 
 
 def _cond_7(ctx, mode, rng, samples):
@@ -593,7 +594,7 @@ def check_condition(
         mode = AMBIGUOUS.get(cond_id, ("as_stated",))[0]
     used = samples if cond_id in SAMPLED else None
     ctx = _Ctx(instance)
-    rng = np.random.default_rng(seed)
+    rng = None if samples is None else np.random.default_rng(seed)
     start = time.perf_counter()
     holds, witness, found = checker(ctx, mode, rng, samples)
     elapsed = time.perf_counter() - start

@@ -121,7 +121,7 @@ class Subgroup:
         ends = np.cumsum([np.count_nonzero(mask[s : s + _BFS_CHUNK]) for s in starts])
         blocks = np.searchsorted(ends, ranks, side="right")
         picks = np.empty_like(ranks)
-        for b in np.unique(blocks).tolist():
+        for b in rings.distinct(blocks).tolist():
             members = np.flatnonzero(mask[starts[b] : starts[b] + _BFS_CHUNK])
             drawn = blocks == b
             picks[drawn] = starts[b] + members[ranks[drawn] - ends[b] + members.size]
@@ -259,7 +259,7 @@ def close_subgroup(instance, generator_codes) -> Subgroup:
             digits = np.stack(instance.row_digits(frontier[start : start + _BFS_CHUNK]))
             for table in tables:
                 codes = weights @ table[digits]
-                codes = np.unique(codes[~reached[codes]])
+                codes = rings.distinct(codes[~reached[codes]])
                 reached[codes] = True
                 fresh.append(codes)
         frontier = np.concatenate(fresh) if fresh else frontier[:0]

@@ -37,6 +37,7 @@ from .groups import (
     transvection_table,
 )
 from .lattice import SublatticeHandle
+from .rings import distinct
 
 # the largest base sublattice whose sublattices are enumerated into fixer classes
 CLASS_BOUND = 32
@@ -117,7 +118,7 @@ def transvection_ideals(instance, subgroup: Subgroup) -> NetCollection:
     cosets, tau = subgroup.coset_mask(), np.diag(np.array(instance.atoms, dtype=np.int64))
     for i, j in itertools.permutations(range(instance.n), 2):
         met = transvection_table(instance, i, j)[cosets]
-        tau[i, j] = instance.lattice.join_many(np.unique(met[met >= 0]).tolist())
+        tau[i, j] = instance.lattice.join_many(distinct(met[met >= 0]).tolist())
     return NetCollection(instance, tau)
 
 
@@ -242,7 +243,7 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
     cosets, coset_reps, reps = fx.coset_mask(), right_cosets(instance)[1], []
     for i, j in itertools.permutations(range(instance.n), 2):
         table = transvection_table(instance, i, j)
-        for x in np.unique(table[table >= 0]).tolist():
+        for x in distinct(table[table >= 0]).tolist():
             if not lat.leq(int(x), int(net.tau[i, j])):
                 continue
             if bool(np.any((table == x) & ~cosets)):
@@ -447,10 +448,8 @@ def verify_intermediate_subgroup(
     )
 
     # the canonical fixer is a normal subgroup of F
-    rng = np.random.default_rng(seed)
-    holds, wit = conjugation_closure_check(
-        instance, gk, subgroup, rng=rng, samples=conjugation_samples
-    )
+    rng = None if conjugation_samples is None else np.random.default_rng(seed)
+    holds, wit = conjugation_closure_check(instance, gk, subgroup, rng, conjugation_samples)
     record(
         checks,
         "canonical_fixer_normal",

@@ -143,6 +143,14 @@ def unpack_matrices(codes: np.ndarray, modulus: int, n: int, dtype=np.int64) -> 
     return flat.reshape(flat.shape[:-1] + (n, n))
 
 
+def distinct(values) -> np.ndarray:
+    """`np.unique(values)` without numpy >= 2.3's `np.ma.is_masked` probe, which imports numpy.ma."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 # ---------------------------------------------------------------------------
 # canonical row-span form (Howell form specialised to chain rings)
 

@@ -116,6 +116,24 @@ def test_sampled_mode_is_deterministic(z49):
         assert v.holds, (v.id, v.witness)
 
 
+@pytest.mark.parametrize(
+    "p, k, n", [(2, 1, 2), (2, 2, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3)],
+    ids=["f2", "z4", "f7", "z9", "f3n3"],
+)
+def test_exhaustive_conditions_build_no_generator(monkeypatch, p, k, n):
+    """`samples=None` draws nothing, so no checker needs a generator: every
+    condition, both readings of 4, runs with `default_rng` raising.  A fresh
+    instance, so no cached table stands in for a checker's own work."""
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("an exhaustive run built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    verdicts = check_all(Instance(RingSpec(p, k), n), CONDITION_IDS + PRIME_IDS)
+    assert len(verdicts) == len(CONDITION_IDS) + len(PRIME_IDS) + 1
+    assert all(v.exhaustive for v in verdicts)
+
+
 def test_sampled_conditions_hold_z49(z49):
     for cid in ("3", "5", "6", "11"):
         v = check_condition(z49, cid, samples=10)

@@ -426,6 +426,27 @@ def test_failing_sweep_report_bytes_are_pinned(tmp_path, p, n, extra, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, rc, digest",
+    [
+        (["check-axioms", "--mode", "sampled", "--samples", "50", "--report-only"], 0,
+         "d53da8e7a0bc54135186279a9536782984e0ef7a49fdd2a6eb1103a1ab6b5a71"),
+        (["sweep", "--sample", "12", "--conjugation-samples", "5", "--jobs", "1"], 1,
+         "d6d0279ac58016ebd453f0be4aa145f3e0d15763aaa768af83265d6356754151"),
+    ],
+    ids=["z9-axioms-sampled", "z9-sweep-conjugation-samples"],
+)
+def test_sampled_report_bytes_are_pinned(tmp_path, args, rc, digest):
+    """SHA-256s of Z/9 reports, seed 3, whose bytes show the draws: the
+    failing condition 11 names drawn codes, and four failing sampled
+    normality checks name drawn (f, s) pairs, besides the 12 drawn rows."""
+    spec = tmp_path / "z9n2.json"
+    spec.write_text(json.dumps({"ring": {"p": 3, "k": 2}, "n": 2}))
+    out = tmp_path / "report.json"
+    assert main([args[0], "--instance", str(spec), "--seed", "3", *args[1:], "--out", str(out)]) == rc
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.slow
 def test_canonical_report_bytes_are_pinned_on_z49(tmp_path):
     """SHA-256 of the sampled Z/49 sweep: 8 rows, 10 000 conjugation pairs."""

@@ -18,7 +18,15 @@ from netgalois.glnr import (
     verified_net_subgroup,
     verify_sandwich,
 )
-from netgalois.groups import Subgroup, coset_closure, coset_image, fixer, right_cosets
+from netgalois.groups import (
+    Subgroup,
+    coset_closure,
+    coset_image,
+    double_coset_key,
+    fixer,
+    intern_subgroup,
+    right_cosets,
+)
 from netgalois.nets import enumerate_net_collections
 from netgalois.rings import mat_mul, unpack_matrices
 
@@ -550,3 +558,25 @@ def test_ideal_elements(z49):
         assert z49.ideal_level_of(mid, atom) == 1
     with pytest.raises(InputError):
         z49.ideal_level_of(z49.lattice.top, 0)
+
+
+def test_exhaustive_sandwich_builds_no_generator(monkeypatch):
+    """Without conjugation samples the normality check draws nothing, so
+    `verify_sandwich` runs on every subgroup of F7's sweep with
+    `default_rng` raising.  A fresh instance, so nothing is cached."""
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("an exhaustive check built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    f7 = Instance(rings.RingSpec(7, 1), 2)
+    f7.gl()
+    reps = np.unique(double_coset_key(f7, f7.gl_codes), return_index=True)[1]
+    subgroups = {}
+    for g in f7.gl_codes[reps].tolist():
+        sub = intern_subgroup(f7, coset_closure(f7, f7.diagonal(), [g]))
+        subgroups[sub.fingerprint()] = sub
+    assert len(subgroups) == 5  # the F7 sweep report's subgroups
+    for sub in subgroups.values():
+        checks = verify_sandwich(f7, sub, conjugation_samples=None)
+        assert all(c["holds"] for c in checks), [c["id"] for c in checks if not c["holds"]]

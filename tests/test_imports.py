@@ -2,10 +2,17 @@
 module: an import nothing reads keeps dead code looking alive.  And only
 `groups` reads `Instance._caches`, a `Subgroup`'s member masks or the
 GL-aligned right-coset labels, so the cache layout, the subgroup
-representation and the expansion to GL are decided in one module.  Stdlib only (`ast`), so it runs wherever the tests do."""
+representation and the expansion to GL are decided in one module.  And an
+exhaustive run imports neither `numpy.random` nor `numpy.ma`: it draws
+nothing, and no plain `np.unique` probes for masked arrays.  Stdlib only
+(`ast`, `subprocess`), so it runs wherever the tests do."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -165,3 +172,100 @@ def test_only_groups_reads_the_gl_aligned_coset_labels(path):
     if path.name == "groups.py":
         return
     assert gl_label_reads(path.read_text(encoding="utf-8")) == [], path.name
+
+
+UNIQUE_FLAGS = ("return_index", "return_inverse", "return_counts")
+
+
+def plain_unique_calls(source: str) -> list[int]:
+    """Lines of the `np.unique` calls that ask for none of `UNIQUE_FLAGS`:
+    numpy >= 2.3 probes `np.ma.is_masked` on those, and its first call
+    imports numpy.ma.  `rings.distinct` stands in for them."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and getattr(node.func.value, "id", None) in ("np", "numpy")
+        and not any(
+            kw.arg in UNIQUE_FLAGS
+            and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+            for kw in node.keywords
+        )
+    )
+
+
+def test_plain_unique_calls_are_found():
+    source = (
+        "def f(x, keys):\n"
+        "    a = np.unique(x)\n"
+        "    b = np.unique(x, return_index=True)[1]\n"
+        "    c, d = np.unique(keys, axis=0, return_inverse=True)\n"
+        "    e = numpy.unique(x, return_counts=False)\n"
+        "    return np.unique(x, return_counts=True), distinct(x)\n"
+    )
+    assert plain_unique_calls(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_plain_unique_call(path):
+    assert plain_unique_calls(path.read_text(encoding="utf-8")) == [], path.name
+
+
+WATCHED = ("numpy.ma", "numpy.random")
+
+LIBRARY_RUN = """
+from netgalois.axioms import check_all
+from netgalois.glnr import Instance
+from netgalois.rings import RingSpec
+from netgalois.sweep import sweep_cyclic
+f7 = Instance(RingSpec(7, 1), 2)
+assert len(check_all(f7)) == 17
+assert sweep_cyclic(f7, jobs=1)["count"] == 2016
+"""
+
+
+def cli_run(*commands):
+    """Child source running each CLI argument list on the F7 spec `f7.json`."""
+    lines = ["from netgalois.cli import main"]
+    for k, args in enumerate(commands):
+        args = [*args, "--instance", "f7.json", "--out", f"report{k}.json"]
+        lines.append(f"assert main({args!r}) == 0")
+    return "\n".join(lines)
+
+
+def loaded_after(body: str, cwd) -> list[str]:
+    """The `WATCHED` modules loaded once `body` has run in a fresh
+    interpreter; skips where importing numpy alone loads them."""
+    (cwd / "f7.json").write_text(json.dumps({"ring": {"p": 7, "k": 1}, "n": 2}))
+    loaded = f"[m for m in {WATCHED!r} if m in sys.modules]"
+    script = "\n".join(
+        ["import json, sys", "import numpy", f"startup = {loaded}", body,
+         f"print(json.dumps([startup, {loaded}]))"]
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    startup, after = json.loads(proc.stdout.splitlines()[-1])
+    if startup:
+        pytest.skip(f"importing numpy alone loads {startup}")
+    return after
+
+
+@pytest.mark.parametrize(
+    "body",
+    [LIBRARY_RUN, cli_run(["check-axioms"], ["sweep", "--jobs", "1"])],
+    ids=["library", "cli"],
+)
+def test_exhaustive_f7_runs_import_neither_numpy_random_nor_numpy_ma(body, tmp_path):
+    """The exhaustive F7 axiom suite (17 verdicts) and the 2 016-row sweep."""
+    assert loaded_after(body, tmp_path) == []
+
+
+def test_a_sampled_sweep_imports_numpy_random(tmp_path):
+    """Control: the detector sees the import a sampled sweep makes."""
+    body = cli_run(["sweep", "--jobs", "1", "--sample", "3", "--conjugation-samples", "5"])
+    assert "numpy.random" in loaded_after(body, tmp_path)

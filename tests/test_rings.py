@@ -7,6 +7,7 @@ from netgalois.errors import InputError
 from netgalois.rings import (
     RingSpec,
     det_batch,
+    distinct,
     howell_form,
     inv_batch,
     inv_single,
@@ -78,6 +79,18 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(unpack_vectors(pack_vectors(vecs, m), m, n), vecs)
         mats = rng.integers(0, m, size=(50, n, n))
         assert np.array_equal(unpack_matrices(pack_matrices(mats, m), m, n), mats)
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for values in [
+        np.array([], dtype=np.int64),
+        np.array([5]),
+        rng.integers(-3, 4, size=50),
+        rng.integers(0, 9, size=(6, 7)).astype(np.uint16),
+    ]:
+        got, want = distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 1), RingSpec(2, 1)], ids=str)
