@@ -21,8 +21,9 @@ the code grid; a GL-sized mask or code list is expanded from the labels
 only where a GL-aligned result is read (`Subgroup.gl_mask`, `codes`,
 `fingerprint`, `transvections`).  D fixes every element of L0', so
 (g d)(x) = g(x) there: where all of GL sends an L0' element is read once per
-right coset off its `coset_image` column, and fixers (of L0' elements only)
-and transvection sets are per-coset tables (`coset_fix_mask`,
+right coset off its `coset_image` column, and fixers (of L0' elements only),
+fixed sublattices (a subgroup containing D fixes only L0' elements) and
+transvection sets are per-coset tables (`coset_fix_mask`, `fixed_lattice`,
 `transvection_table`).  Smaller batches of codes (generators, members of a
 subgroup) go through `fixes_mask`, or through `Instance.perm` where whole
 lattice permutations are read (`axis_subgroup`, `classify_transvection`).
@@ -30,12 +31,16 @@ Every closure of the program is `coset_closure`: an orbit on the right
 cosets of D under left multiplication by the generators, by table lookups.
 Only `close_subgroup`, which reads generator lists from subgroup files, runs
 a plain element BFS over the code grid, and it refuses a closure that misses
-D.  `double_coset_key` reads the row-scale table of D's scalings.
+D.  D a D is the union of the cosets d a D, so `double_coset_key` reads the
+first coset of each orbit under D's generators.
 The one normality routine is `normalizes`: every f of a call against chunks
 of the s, one broadcast product per chunk, read for the first failing
-(f, s).  `is_normal_in` and the exhaustive `conjugation_closure_check` (one
-f per right coset of the subgroup) call it; only the sampled check
-conjugates aligned (f, s) pairs of its own.  Instance-wide tables live in
+(f, s).  Against a whole subgroup it decides on the subgroup's generators
+and lists the members only for a failing f.  `is_normal_in` and the
+exhaustive `conjugation_closure_check` call it, the latter with one f per
+right coset fD of D in the ambient group (D normalises the subgroup, so the
+verdict is constant on fD); only the sampled check conjugates aligned
+(f, s) pairs of its own.  Instance-wide tables live in
 `Instance._caches`, read only here: the `instance_cache` memo, the subgroup
 pool and the row-product tables.
 """
@@ -286,16 +291,11 @@ def row_products(instance, codes) -> np.ndarray:
     tables = instance._caches.setdefault("row_products", {})
     new = [c for c in dict.fromkeys(codes) if c not in tables]
     if new:
-        tables.update(zip(new, _row_product_tables(instance, new)))
+        m, n = instance.modulus, instance.n
+        rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
+        mats = rings.unpack_matrices(np.array(new, dtype=np.int64), m, n)
+        tables.update(zip(new, rings.pack_vectors(rows @ mats % m, m)))
     return np.stack([tables[c] for c in codes])
-
-
-def _row_product_tables(instance, codes) -> np.ndarray:
-    """`row_products` of the codes, uncached."""
-    m, n = instance.modulus, instance.n
-    rows = rings.unpack_vectors(np.arange(m**n, dtype=np.int64), m, n)
-    mats = rings.unpack_matrices(np.array(codes, dtype=np.int64), m, n)
-    return rings.pack_vectors(rows @ mats % m, m)
 
 
 @instance_cache
@@ -344,15 +344,11 @@ def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
     For H containing D and s in H, s (h D) = (s h) D, so the cosets of H
     are the orbit of the seed's cosets under the seed's generators and the
     extras.  Each round steps the whole frontier by every generator at once,
-    by table lookups on transposes: (s h)^T = h^T s^T, and row i of
-    h^T s^T is row i of h^T times s^T, a gather from s^T's `row_products`
-    table.  Row i of (s h)^T is column i of s h, so its coset is read off
-    those rows (`column_labels`), and one product per fresh coset goes on.
+    a gather from `_left_tables` on each column, reads the cosets off the
+    columns (`column_labels`), and sends one product per fresh coset on.
     No matrix is multiplied and no GL-sized array is built.
     """
-    n, columns = instance.n, np.stack(_columns(instance, gen_codes))
-    # the codes of the s^T: row i of s^T is column i of s, at weight m^(n i)
-    tables = row_products(instance, (instance.modulus ** (n * np.arange(n)) @ columns).tolist())
+    n, tables = instance.n, _left_tables(instance, gen_codes)
     marked = cosets.copy()
     # the columns of one member per marked coset
     frontier = np.stack(_columns(instance, right_cosets(instance)[1][cosets]))
@@ -363,6 +359,15 @@ def _coset_orbit(instance, cosets, gen_codes) -> np.ndarray:
         marked[reached[fresh]] = True
         frontier = rows[:, first[fresh]]
     return marked
+
+
+def _left_tables(instance, gen_codes) -> np.ndarray:
+    """Entry [k, v]: the code of the column s_k v, for each generator s_k and
+    each of the m^n column codes v.  (s v)^T = v^T s^T, so this is the
+    `row_products` table of s^T, whose row i is column i of s, at weight
+    m^(n i); column i of s h is s times column i of h."""
+    n, columns = instance.n, np.stack(_columns(instance, gen_codes))
+    return row_products(instance, (instance.modulus ** (n * np.arange(n)) @ columns).tolist())
 
 
 def generating_subset(subgroup: Subgroup) -> list[int]:
@@ -537,11 +542,14 @@ def fixer(instance, elements) -> Subgroup:
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
-    """Elements fixed by the whole subgroup, tested on its generators when it
-    has them (fixing the generators is fixing the group they generate)."""
-    if subgroup.generator_codes:
-        return fixed_by(instance, np.array(subgroup.generator_codes, dtype=np.int64))
-    return fixed_by(instance, subgroup.codes)
+    """Elements fixed by the whole subgroup.  It contains D, so they lie in
+    L0', where every member of a right coset gD sends x to g(x): x is fixed
+    when its `coset_image` is x on every marked coset."""
+    cosets = subgroup.coset_mask()
+    members = [
+        x for x in instance.l0_prime().members if bool(np.all(coset_image(instance, x)[cosets] == x))
+    ]
+    return SublatticeHandle(instance.lattice, members)
 
 
 def fixed_by(instance, codes) -> SublatticeHandle:
@@ -558,12 +566,11 @@ def galois_phi(instance, members) -> Subgroup:
 
 
 def galois_psi(instance, subgroup: Subgroup) -> SublatticeHandle:
-    """Group side -> lattice side: fixed points inside the base sublattice."""
+    """Group side -> lattice side: the fixed points, all inside the base
+    sublattice (`fixed_lattice`)."""
     if not fixer_contains_stabiliser(instance, subgroup):
         raise InputError("psi is defined on subgroups containing the frame stabiliser")
-    fixed = fixed_lattice(instance, subgroup)
-    members = set(fixed.members) & set(instance.l0_prime().members)
-    return SublatticeHandle(instance.lattice, members)
+    return fixed_lattice(instance, subgroup)
 
 
 def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
@@ -673,17 +680,23 @@ def conjugate_codes(instance, f_mats: np.ndarray, mats: np.ndarray) -> np.ndarra
 
 def normalizes(instance, f_codes, subgroup: Subgroup, gens=None):
     """(holds, witness): whether every f conjugates every s of `gens` into
-    the subgroup, and else the first failing (f, s) in f-major order.
+    the subgroup G, and else the first failing (f, s) in f-major order.
 
-    `gens` defaults to a generating set of the subgroup: conjugation is an
+    Without `gens` the s are all of G in code order.  Conjugation is an
     automorphism, and containment of a finite subgroup of equal order forces
-    equality.  All f go through one broadcast `conjugate_codes` per chunk of
-    s, of at most `_BFS_CHUNK // len(f_codes)` codes.  A failure at f_k
-    leaves only f_0 .. f_(k-1) to test on the later chunks.
+    equality, so an f conjugates G into G when it does so on a generating set:
+    the verdict and the failing f are read on `generating_subset(G)`, and only
+    that f is conjugated against G's member codes for its first failing s.
+    All f go through one broadcast `conjugate_codes` per chunk of s, of at
+    most `_BFS_CHUNK // len(f_codes)` codes.  A failure at f_k leaves only
+    f_0 .. f_(k-1) to test on the later chunks.
     """
+    if gens is None:
+        holds, witness = normalizes(instance, f_codes, subgroup, generating_subset(subgroup))
+        return (True, None) if holds else normalizes(instance, witness[:1], subgroup, subgroup.codes)
     m, n = instance.modulus, instance.n
     f_codes = np.asarray(f_codes, dtype=np.int64)
-    s_codes = np.asarray(generating_subset(subgroup) if gens is None else gens, dtype=np.int64)
+    s_codes = np.asarray(gens, dtype=np.int64)
     f_mats = rings.unpack_matrices(f_codes, m, n)[:, None]
     chunk, witness = max(1, _BFS_CHUNK // max(1, f_codes.size)), None
     for start in range(0, s_codes.size, chunk):
@@ -700,79 +713,78 @@ def normalizes(instance, f_codes, subgroup: Subgroup, gens=None):
 
 
 def is_normal_in(instance, subgroup: Subgroup, ambient: Subgroup):
-    """(normal?, witness) where the witness is a failing (f, s) code pair.
+    """(normal?, witness) where the witness is a failing (f, s) code pair, or
+    (None, s) for a member s outside the ambient group.
 
-    Containment and conjugation run on the subgroup's generators when it
-    carries a verified generating set, else on the whole member set.
+    With a verified generating set, containment and conjugation run on the
+    subgroup's generators.  Without one, containment reads the coset masks
+    (both contain D, so the first marked coset outside the ambient group
+    holds the smallest member outside it), and conjugation runs against the
+    whole subgroup (`normalizes`).
     """
     gens_s = subgroup.generator_codes
-    probe_codes = np.array(gens_s, dtype=np.int64) if gens_s else subgroup.codes
-    outside = probe_codes[~ambient.contains_many(probe_codes)]
+    if gens_s:
+        outside = np.array(gens_s, dtype=np.int64)[~ambient.contains_many(gens_s)]
+    else:
+        outside = right_cosets(instance)[1][subgroup.coset_mask() & ~ambient.coset_mask()]
     if outside.size:
         return False, (None, int(outside[0]))
     gens_f = ambient.generator_codes or generating_subset(ambient)
-    return normalizes(instance, gens_f, subgroup, probe_codes)
+    return normalizes(instance, gens_f, subgroup, gens_s or None)
 
 
 def double_coset_key(instance, codes) -> np.ndarray:
-    """Smallest code over D a D for each code a of a batch; <D, a> depends only on it.
+    """Smallest code over D a D for each GL code a of a batch; <D, a> depends
+    only on it.
 
-    Row i of a fills its own digits at weight m^(i n), and d in D scales row
-    i by d_i: the minimum over D a is sum_i m^(i n) rowmin[a_i], with
-    rowmin[v] the smallest code of u v over units u (`row_scale_table`).  On
-    the right a d' = (uI) a (u^-1 d') with u = d'_0 and uI in D, so the right
-    scalings with d'_0 = 1 reach every D a d'; row i of a d' is a_i d'.  So
-    the key is the smallest left minimum over those |units|^(n-1) scalings,
-    with tables[s] = rowmin[row code of v d'_s] (`_double_coset_tables`).
+    D a D is the union of the right cosets d a D over d in D, the orbit of
+    a D under left multiplication by D, so its smallest code is the smallest
+    code of the orbit's first coset (`_double_coset_first`; the reps ascend).
+    The labels are read a chunk of codes at a time.
     """
-    m, n = instance.modulus, instance.n
-    tables = _double_coset_tables(instance)
     codes = np.asarray(codes, dtype=np.int64)
+    reps, first = right_cosets(instance)[1], _double_coset_first(instance)
     keys = np.empty(codes.size, dtype=np.int64)
-    step = max(1, _BFS_CHUNK // len(tables))
-    for start in range(0, codes.size, step):
-        digits = instance.row_digits(codes[start : start + step])
-        left = sum(m ** (i * n) * tables[:, d] for i, d in enumerate(digits))
-        keys[start : start + step] = left.min(axis=0)
+    for start in range(0, codes.size, _BFS_CHUNK):
+        block = slice(start, start + _BFS_CHUNK)
+        keys[block] = reps[first[coset_labels(instance, codes[block])]]
     return keys
 
 
 @instance_cache
-def _double_coset_tables(instance) -> np.ndarray:
-    """Entry [s, v]: the smallest code of u (v d'_s) over units u, for the
-    right scalings d'_s with d'_0 = 1 and the m^n row codes v."""
-    right = itertools.product(instance.ring.units(), repeat=instance.n - 1)
-    scalings = instance.diagonal_codes([(1,) + d for d in right]).tolist()
-    return row_scale_table(instance).min(axis=0)[row_products(instance, scalings)]
+def _double_coset_first(instance) -> np.ndarray:
+    """Entry [c]: the first right coset of D in the orbit of coset c under
+    left multiplication by D.  Every coset takes the smallest label among
+    itself and its images under D's generators (read off `_left_tables`, as
+    `_coset_orbit` steps), until no label falls: D is finite, so each
+    generator's inverse is a power of it and the steps reach the orbit."""
+    reps = right_cosets(instance)[1]
+    columns = np.stack(_columns(instance, reps))
+    tables = _left_tables(instance, instance.diagonal_generator_codes())
+    steps = np.stack([column_labels(instance, table[columns]) for table in tables])
+    first = np.arange(reps.size)
+    while True:
+        lower = np.minimum(first, first[steps].min(axis=0))
+        if np.array_equal(lower, first):
+            return first
+        first = lower
 
 
 def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, rng=None, samples=None):
     """Explicit check that f^-1 s f stays in the subgroup.
 
-    Exhaustive over all (f, s) pairs, one f per right coset G f of the
-    subgroup G, unless a sample count is given; returns (holds, witness codes).
+    Exhaustive over all (f, s) pairs, one f per right coset fD of D in the
+    ambient group F, unless a sample count is given; returns (holds, witness
+    codes).
     """
     m, n = instance.modulus, instance.n
     if samples is None:
-        # (g f)^-1 s (g f) = f^-1 (g^-1 s g) f for g in G, and s -> g^-1 s g
-        # permutes G: every f of a right coset G f conjugates G onto the same
-        # set (even when G is not inside F), so one f per coset decides it.
-        # Ascending order reaches each coset at its smallest code, so no f
-        # before the first failing one fails and the witness is the all-f
-        # loop's.  Row i of g f is g_i f, so G f is marked by gathers from
-        # f's row-product table on G's row digits; the table is not cached,
-        # as no later call reads a representative's table.
-        s_codes, weights = subgroup.codes, m ** (n * np.arange(n, dtype=np.int64))
-        seen = np.zeros(m ** (n * n), dtype=bool)
-        for f_code in _unseen_codes(instance, ambient.gl_mask(), seen):
-            holds, witness = normalizes(instance, [f_code], subgroup, s_codes)
-            if not holds:
-                return False, witness
-            table = _row_product_tables(instance, [f_code])[0]
-            for start in range(0, s_codes.size, _BFS_CHUNK):
-                digits = np.stack(instance.row_digits(s_codes[start : start + _BFS_CHUNK]))
-                seen[weights @ table[digits]] = True
-        return True, None
+        # (f d)^-1 G (f d) = d^-1 (f^-1 G f) d, and d in D <= G normalises G,
+        # so the verdict is constant on each right coset fD of D in F and one
+        # f per coset decides it.  The reps ascend and each is its coset's
+        # smallest code, so the first failing one is the all-f loop's first
+        # failing f, and `normalizes` reads its first failing s.
+        return normalizes(instance, right_cosets(instance)[1][ambient.coset_mask()], subgroup)
     # rng.choice(codes) draws codes[rng.choice(len(codes))]: the same draws
     fs = ambient.codes_at(rng.choice(len(ambient), size=samples, replace=True))
     ss = subgroup.codes_at(rng.choice(len(subgroup), size=samples, replace=True))
@@ -784,21 +796,3 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
         return False, (int(fs[k]), int(ss[k]))
     return True, None
 
-
-def _unseen_codes(instance, inside, seen):
-    """The GL codes at the `inside` positions, ascending, less the codes
-    marked in `seen`, which is read as each position is reached.
-
-    Each search doubles its window until the window holds a hit, so the scan
-    stays linear in |GL| and lists no positions.
-    """
-    codes, pos, width = instance.gl_codes, 0, 1
-    while pos < codes.size:
-        window = slice(pos, pos + width)
-        free = inside[window] & ~seen[codes[window]]
-        if bool(np.any(free)):
-            pos += int(np.argmax(free))
-            yield int(codes[pos])
-            pos, width = pos + 1, 1
-        else:
-            pos, width = pos + width, 2 * width

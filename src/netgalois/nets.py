@@ -389,13 +389,12 @@ def sandwich(instance, lower: Subgroup, subgroup: Subgroup, gens_f):
     """(inside, outside) for lower <= F <= N(lower), F the subgroup with
     generators `gens_f`.
 
-    `inside`: whether lower's generators lie in F, an exact containment test
-    as its generating set is closure-verified.  `outside`: an iterator over
-    the gens_f outside N(lower), in order; each is the first failing f of one
-    broadcast `normalizes` over the generators after the previous one, so
-    whether there is any takes one call.
+    `inside`: whether lower lies in F, by their coset masks.  `outside`: an
+    iterator over the gens_f outside N(lower), in order; each is the first
+    failing f of one broadcast `normalizes` over the generators after the
+    previous one, so whether there is any takes one call.
     """
-    inside = bool(np.all(subgroup.contains_many(lower.generator_codes)))
+    inside = lower.is_subset_of(subgroup)
 
     def outside(rest):
         while rest:

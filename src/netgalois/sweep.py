@@ -5,8 +5,9 @@ generated by the frame stabiliser plus one extra group element.
 1. label every row with `double_coset_key`, in one batched call;
 2. pick one representative per key: its first row in code order;
 3. close <D, rep> once per representative (`verify_one`) and verify each new
-   subgroup fingerprint once; the exhaustive normality check conjugates by
-   one element per right coset G f of the canonical fixer G;
+   subgroup fingerprint once; the exhaustive normality check conjugates the
+   canonical fixer's generators by one element per right coset fD of D in
+   the subgroup;
 4. emit the rows from the tables key -> fingerprint -> detail.
 Worker processes fork after the parent prewarms the shared caches and take
 representatives round-robin.  Each fingerprint keeps the detail of its

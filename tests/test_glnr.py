@@ -172,6 +172,33 @@ def test_gl_and_prewarm_stay_under_their_memory_caps(run_measured, args, order, 
     assert peak_mb < limit_mb
 
 
+_F7N3_SAMPLED = """
+from netgalois.axioms import check_all
+from netgalois.glnr import Instance
+from netgalois.rings import RingSpec
+from netgalois.sweep import prewarm, sweep_cyclic
+
+inst = Instance(RingSpec(7, 1), 3)
+inst.gl(cap=40_000_000)
+prewarm(inst, cap=40_000_000)
+verdicts = check_all(inst, samples=20, seed=1)
+payload = sweep_cyclic(
+    inst, sample=4, seed=1, jobs=1, cap=40_000_000, conjugation_samples=100
+)
+print(len(verdicts), payload["count"])
+"""
+
+
+@pytest.mark.slow
+def test_f7n3_sampled_suite_and_sweep_stay_under_1gb(run_measured):
+    """F7 rank 3: GL, `prewarm`, the sampled axiom suite and a 4-row sampled
+    sweep in one subprocess whose own peak RSS stays under 1 000 MB."""
+    proc, peak_mb = run_measured([], script=_F7N3_SAMPLED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "4"
+    assert peak_mb < 1000
+
+
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "z9", "f3n3", "z4n3"])
 def test_lattice_matches_one_form_per_vector(name, request, lattice_reference):
     """The lattice built from one Howell form per unit orbit, with joins

@@ -15,6 +15,7 @@ from netgalois.groups import (
     coset_image,
     coset_labels,
     double_coset_key,
+    fixed_by,
     fixed_lattice,
     fixer,
     galois_phi,
@@ -440,6 +441,29 @@ def test_fixed_lattice_examples(f7, z49):
     assert fixed_lattice(z49, full).members == fixed.members
 
 
+@pytest.mark.parametrize(
+    "ring, n", [((2, 1), 2), ((2, 2), 2), ((7, 1), 2), ((3, 2), 2), ((3, 1), 3)],
+    ids=["f2", "z4", "f7", "z9", "f3n3"],
+)
+def test_fixed_lattice_matches_fixed_by_member_codes(ring, n):
+    """`fixed_lattice`, read per right coset of D, against `fixed_by` on every
+    member code, for every pooled subgroup (with and without generators)
+    after `prewarm` and a sweep, and `galois_psi` on every net fixer."""
+    from netgalois import sweep
+    from netgalois.nets import enumerate_net_collections, net_fixer
+
+    inst = Instance(RingSpec(*ring), n)
+    sweep.prewarm(inst, cap=10_000_000)
+    sweep.sweep_cyclic(inst, jobs=1)
+    pool = list(inst._caches["subgroup_pool"].values())
+    assert {bool(sub.generator_codes) for sub in pool} == {True, False}
+    for sub in pool:
+        assert fixed_lattice(inst, sub).members == fixed_by(inst, sub.codes).members
+    for net in enumerate_net_collections(inst):
+        fx = net_fixer(inst, net)
+        assert galois_psi(inst, fx).members == fixed_by(inst, fx.codes).members
+
+
 def test_axis_subgroup_is_one_batched_perm(z49, monkeypatch):
     """The axis subgroup reads one `perm` over D's codes: one `act_batch` call
     per lattice element, not one permutation per member of D."""
@@ -727,6 +751,8 @@ def test_conjugation_check_matches_all_f_reference(name, request):
 
 
 def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
+    """A holding exhaustive check on F7 is one broadcast `conjugate_codes`
+    call: one f per right coset of D in F against G's generators."""
     from netgalois import groups
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -745,7 +771,7 @@ def test_conjugation_check_visits_one_f_per_coset(monkeypatch):
     for f, gk in pairs:
         calls.clear()
         assert conjugation_closure_check(inst, gk, f)[0]
-        assert len(calls) <= len(f) // len(gk)
+        assert len(calls) == 1
     # the coset representatives' row-product tables are not kept
     assert not inst._caches.get("row_products")
 
@@ -811,10 +837,10 @@ def test_sampled_conjugation_check_draws_member_ranks(z49, monkeypatch):
 
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
 def test_normality_routines_match_per_pair_reference(name, request):
-    """`normalizes` (on generators and on whole member sets), `is_normal_in`
-    and the exhaustive conjugation check against the per-f reference, witnesses
-    included, for G(K(F)) in F over the sweep family and for D, the upper
-    triangular group and an atom's fixer in GL.  The exhaustive reference
+    """`normalizes` (on generators, on whole member sets and by default),
+    `is_normal_in` and the exhaustive conjugation check against the per-f
+    reference, witnesses included, for G(K(F)) in F over the sweep family and
+    for D, the upper triangular group and an atom's fixer in GL.  The exhaustive reference
     runs where |F| |G| <= 2 * 10^6 (all but GL in GL on F3 rank 3)."""
     inst = request.getfixturevalue(name)
     gl, d = inst.gl(), inst.diagonal()
@@ -829,7 +855,10 @@ def test_normality_routines_match_per_pair_reference(name, request):
             expected = _first_failing_pair(inst, gens_f, subgroup, s_codes)
             assert normalizes(inst, gens_f, subgroup, s_codes) == expected
             verdicts.add(expected[0])
-        assert normalizes(inst, gens_f, subgroup) == _first_failing_pair(inst, gens_f, subgroup, gens_s)
+        # without generators the s run over the whole subgroup in code order
+        assert normalizes(inst, gens_f, subgroup) == _first_failing_pair(
+            inst, gens_f, subgroup, subgroup.codes
+        )
         probe = np.array(subgroup.generator_codes or subgroup.codes, dtype=np.int64)
         outside = probe[~ambient.contains_many(probe)]
         expected = (False, (None, int(outside[0]))) if outside.size else _first_failing_pair(
@@ -1058,10 +1087,14 @@ def test_z49_closures_over_d_match_closures_from_the_identity(z49):
         assert np.array_equal(over_d.gl_mask(), close_subgroup(z49, gens + [g]).gl_mask())
 
 
-def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min, member_mats):
-    """The table key is the brute-force smallest code of D a D on all of GL
-    (F3 rank 3: three rows and 4 right scalings) and on 10 Z/49 codes, and
-    it does not move under a -> d a d'."""
+def test_double_coset_key_invariance(
+    f2, z4, z8, f3, f7, z9, f2n3, f3n3, z49, orbit_min, member_mats
+):
+    """The key read off the orbit of a D under D's generators is the
+    brute-force smallest code of D a D on all of GL (Z/8: units not cyclic,
+    two D generators per slot; F2 rank 3: D trivial; F3 rank 3: three D
+    generators) and on 10 Z/49 codes, and it does not move under
+    a -> d a d'."""
     from netgalois.rings import det_batch, mat_mul, pack_matrices, unpack_matrices
 
     rng = np.random.default_rng(9)
@@ -1069,7 +1102,7 @@ def test_double_coset_key_invariance(f2, z4, f3, f7, z9, f3n3, z49, orbit_min, m
     z49_mats = z49_mats[det_batch(z49_mats, z49.modulus) % 7 != 0][:8]
     # entries in the maximal ideal (7) too, not only units
     z49_mats = np.concatenate([[[[1, 3], [5, 2]], [[7, 1], [1, 0]]], z49_mats])
-    cases = [(inst, inst.gl().codes) for inst in (f2, z4, f3, f7, z9, f3n3)]
+    cases = [(inst, inst.gl().codes) for inst in (f2, z4, z8, f3, f7, z9, f2n3, f3n3)]
     cases.append((z49, pack_matrices(z49_mats, z49.modulus)))
     for inst, codes in cases:
         m = inst.modulus

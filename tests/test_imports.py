@@ -2,7 +2,8 @@
 module: an import nothing reads keeps dead code looking alive.  And only
 `groups` reads `Instance._caches`, a `Subgroup`'s member masks or the
 GL-aligned right-coset labels, so the cache layout, the subgroup
-representation and the expansion to GL are decided in one module.  And an
+representation and the expansion to GL are decided in one module; nor
+does any other module call `Subgroup.gl_mask` or `codes_at`.  And an
 exhaustive run imports neither `numpy.random` nor `numpy.ma`: it draws
 nothing, and no plain `np.unique` probes for masked arrays.  Stdlib only
 (`ast`, `subprocess`), so it runs wherever the tests do."""
@@ -172,6 +173,41 @@ def test_only_groups_reads_the_gl_aligned_coset_labels(path):
     if path.name == "groups.py":
         return
     assert gl_label_reads(path.read_text(encoding="utf-8")) == [], path.name
+
+
+GL_EXPANSIONS = ("gl_mask", "codes_at")
+
+
+def gl_expansion_calls(source: str) -> list[int]:
+    """Lines of the method calls named in `GL_EXPANSIONS`, a `Subgroup`
+    expanded to GL positions or read at member ranks."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GL_EXPANSIONS
+    )
+
+
+def test_gl_expansion_calls_are_found():
+    source = (
+        "def f(sub, ranks, gl_mask):\n"
+        "    mask = sub.gl_mask()\n"
+        "    cosets = sub.coset_mask()\n"
+        "    picks = groups.Subgroup.codes_at(sub, ranks)\n"
+        "    return mask, gl_mask(cosets), picks, sub.codes\n"
+    )
+    assert gl_expansion_calls(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_groups_expands_subgroups_over_gl(path):
+    """Outside `groups` a subgroup is read by its coset mask, membership and
+    generators; GL-aligned masks and ranked member draws stay in `groups`."""
+    if path.name == "groups.py":
+        return
+    assert gl_expansion_calls(path.read_text(encoding="utf-8")) == [], path.name
 
 
 UNIQUE_FLAGS = ("return_index", "return_inverse", "return_counts")
