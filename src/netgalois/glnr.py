@@ -279,10 +279,10 @@ class Instance:
     # -- groups -------------------------------------------------------------
 
     def gl(self, cap: int = DEFAULT_GL_CAP):
-        """The whole group; also fills `gl_codes` (ascending) and the
-        right-coset labels, from `groups.enumerate_gl`.  Cached by hand, not
-        by `instance_cache`: `cap` is checked on the first call only, so it
-        is no key."""
+        """The whole group; also fills `gl_codes` (ascending, in the
+        narrowest unsigned dtype below m^(n^2)) and the right-coset labels,
+        from `groups.enumerate_gl`.  Cached by hand, not by `instance_cache`:
+        `cap` is checked on the first call only, so it is no key."""
         if self._gl is None:
             expected = gl_order(self.ring, self.n)
             if expected > cap:

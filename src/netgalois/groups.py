@@ -19,7 +19,10 @@ tuple of its columns' classes up to units (`_column_classes`).  Membership
 reads a code's label off its columns (`coset_labels`), with no index over
 the code grid; a GL-sized mask or code list is expanded from the labels
 only where a GL-aligned result is read (`Subgroup.gl_mask`, `codes`,
-`fingerprint`, `transvections`).  D fixes every element of L0', so
+`fingerprint`, `transvections`).  GL's codes are held in the narrowest
+unsigned dtype below m^(n^2); every reader that computes with codes widens
+them to int64 first (`row_digits`, `coset_labels`, `unpack_vectors`), and
+`fingerprint` hashes int64 blocks.  D fixes every element of L0', so
 (g d)(x) = g(x) there: where all of GL sends an L0' element is read once per
 right coset off its `coset_image` column, and fixers (of L0' elements only),
 fixed sublattices (a subgroup containing D fixes only L0' elements) and
@@ -110,7 +113,8 @@ class Subgroup:
 
     @property
     def codes(self) -> np.ndarray:
-        """Member codes, ascending (GL positions follow code order)."""
+        """Member codes, ascending (GL positions follow code order), in
+        `gl_codes`' narrow unsigned dtype."""
         if self._order == self.instance.gl_codes.size:
             return self.instance.gl_codes
         return self.instance.gl_codes[self.gl_mask()]
@@ -173,10 +177,14 @@ class Subgroup:
         """Stable across processes; names subgroups in sweep reports.
 
         Computed once per pooled member set, like `key`.  Hashes the ascending
-        int64 member codes.
+        member codes as int64, fed a `_GATHER_CHUNK` block at a time so that
+        no int64 copy of a narrow member list is built.
         """
         if "fingerprint" not in self._identity:
-            self._identity["fingerprint"] = hashlib.sha1(self.codes).hexdigest()[:16]
+            codes, digest = self.codes, hashlib.sha1()
+            for start in range(0, codes.size, _GATHER_CHUNK):
+                digest.update(codes[start : start + _GATHER_CHUNK].astype(np.int64))
+            self._identity["fingerprint"] = digest.hexdigest()[:16]
         return self._identity["fingerprint"]
 
     def __repr__(self):
@@ -399,12 +407,12 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
 
 
 def enumerate_gl(instance, order: int) -> np.ndarray:
-    """The GL codes ascending, from one pass over the code grid that also
-    memoises the `right_cosets` labels, with the lift count `order` checked
-    first.  A code is its top row's code times m^(n(n-1)) plus its lower
-    rows' code, so a chunk of top rows at a time, each column's code is a
-    broadcast sum of a top part and a lower part, and `column_labels` reads
-    the labels.
+    """The GL codes ascending, in the narrowest unsigned dtype below
+    m^(n^2), from one pass over the code grid that also memoises the
+    `right_cosets` labels, with the lift count `order` checked first.  A
+    code is its top row's code times m^(n(n-1)) plus its lower rows' code,
+    so a chunk of top rows at a time, each column's code is a broadcast sum
+    of a top part and a lower part, and `column_labels` reads the labels.
     """
     m, n = instance.modulus, instance.n
     reps = _column_classes(instance)[2]
@@ -413,7 +421,7 @@ def enumerate_gl(instance, order: int) -> np.ndarray:
     low = m ** (n * (n - 1))
     lows = _columns(instance, np.arange(low, dtype=np.int64))
     tops = _columns(instance, np.arange(m**n, dtype=np.int64) * low)
-    codes = np.empty(order, dtype=np.int64)
+    codes = np.empty(order, dtype=np.min_scalar_type(m ** (n * n) - 1))
     label = np.empty(order, dtype=np.min_scalar_type(reps.size - 1))
     pos, step = 0, max(1, _GATHER_CHUNK // low)
     for start in range(0, m**n, step):
@@ -582,8 +590,8 @@ def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
 
 @instance_cache
 def axis_subgroup(instance, i: int) -> np.ndarray:
-    """Sorted int64 codes of the frame-stabiliser members fixing every
-    element supported away from atom i."""
+    """Sorted codes, in `gl_codes`' dtype, of the frame-stabiliser members
+    fixing every element supported away from atom i."""
     away = np.flatnonzero(instance.support_table[:, i] == instance.lattice.bottom)
     codes = instance.diagonal().codes
     return codes[np.all(instance.perm(codes)[:, away] == away, axis=1)]
@@ -785,9 +793,14 @@ def conjugation_closure_check(instance, subgroup: Subgroup, ambient: Subgroup, r
         # smallest code, so the first failing one is the all-f loop's first
         # failing f, and `normalizes` reads its first failing s.
         return normalizes(instance, right_cosets(instance)[1][ambient.coset_mask()], subgroup)
-    # rng.choice(codes) draws codes[rng.choice(len(codes))]: the same draws
-    fs = ambient.codes_at(rng.choice(len(ambient), size=samples, replace=True))
-    ss = subgroup.codes_at(rng.choice(len(subgroup), size=samples, replace=True))
+    # rng.choice(codes) draws codes[rng.choice(len(codes))]: the same draws;
+    # equal member sets are expanded by one `codes_at` read of both draws
+    f_ranks = rng.choice(len(ambient), size=samples, replace=True)
+    s_ranks = rng.choice(len(subgroup), size=samples, replace=True)
+    if subgroup == ambient:
+        fs, ss = np.split(ambient.codes_at(np.concatenate([f_ranks, s_ranks])), [samples])
+    else:
+        fs, ss = ambient.codes_at(f_ranks), subgroup.codes_at(s_ranks)
     f_mats = rings.unpack_matrices(fs, m, n)
     s_mats = rings.unpack_matrices(ss, m, n)
     bad = ~subgroup.contains_many(conjugate_codes(instance, f_mats, s_mats))

@@ -835,6 +835,36 @@ def test_sampled_conjugation_check_draws_member_ranks(z49, monkeypatch):
     assert (holds, witness) == (False, expect[0])
 
 
+def test_sampled_check_of_a_subgroup_in_itself_expands_it_once(z49, monkeypatch):
+    """With the subgroup as its own ambient group, as when a sweep row's
+    subgroup is its canonical fixer, the sampled check reads both draws
+    through one `codes_at` call: one GL expansion instead of two, and the
+    pairs of two separate reads in the same rng order."""
+    from netgalois import groups
+
+    sub, m = borel(z49), z49.modulus
+    same = Subgroup(z49, sub.coset_mask().copy())
+    draws = np.random.default_rng(7)
+    fs = same.codes_at(draws.choice(len(same), size=500))
+    ss = sub.codes_at(draws.choice(len(sub), size=500))
+    expanded, pairs = [], []
+    gl_mask, conjugate = Subgroup.gl_mask, groups.conjugate_codes
+
+    def counted(self):
+        expanded.append(self)
+        return gl_mask(self)
+
+    def recorded(instance, f_mats, s_mats):
+        pairs.append((pack_matrices(f_mats, m), pack_matrices(s_mats, m)))
+        return conjugate(instance, f_mats, s_mats)
+
+    monkeypatch.setattr(Subgroup, "gl_mask", counted)
+    monkeypatch.setattr(groups, "conjugate_codes", recorded)
+    got = conjugation_closure_check(z49, sub, same, rng=np.random.default_rng(7), samples=500)
+    assert got == (True, None) and len(expanded) == 1
+    assert np.array_equal(pairs[0][0], fs) and np.array_equal(pairs[0][1], ss)
+
+
 @pytest.mark.parametrize("name", ["f2", "z4", "f3", "f7", "z9", "f3n3"])
 def test_normality_routines_match_per_pair_reference(name, request):
     """`normalizes` (on generators, on whole member sets and by default),
@@ -952,12 +982,27 @@ def test_sweep_fingerprints_each_member_set_once(monkeypatch):
     hashed = []
     sha1 = hashlib.sha1
 
-    def counted(data=b""):
-        if isinstance(data, np.ndarray) and data.dtype == np.int64:
-            hashed.append(data.size)
-        return sha1(data)
+    class Counted:
+        """A SHA-1 that records each digest taken of int64 member codes."""
 
-    monkeypatch.setattr(hashlib, "sha1", counted)
+        def __init__(self, data=b""):
+            self.digest_of, self.codes = sha1(), 0
+            self.update(data)
+
+        def update(self, data):
+            if isinstance(data, np.ndarray) and data.dtype == np.int64:
+                self.codes += data.size
+            self.digest_of.update(data)
+
+        def digest(self):
+            return self.digest_of.digest()
+
+        def hexdigest(self):
+            if self.codes:
+                hashed.append(self.codes)
+            return self.digest_of.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha1", Counted)
     report = sweep.sweep_cyclic(inst, jobs=1)
     reps = np.unique(double_coset_key(inst, inst.gl_codes)).size
     assert len(hashed) == len(report["subgroups"]) < reps
@@ -1135,7 +1180,8 @@ def test_fingerprint_is_cached_and_survives_interning(f7):
     assert intern_subgroup(f7, copy) is copy
     assert copy._cosets is pooled._cosets
     assert copy.fingerprint() == first
-    assert copy.fingerprint() == hashlib.sha1(copy.codes.tobytes()).hexdigest()[:16]
+    expect = hashlib.sha1(copy.codes.astype(np.int64).tobytes()).hexdigest()[:16]
+    assert copy.fingerprint() == expect
     assert copy.key() == pooled.key() == hashlib.sha1(np.packbits(copy._cosets)).digest()
     assert hash(copy) == hash(pooled)
 
@@ -1198,16 +1244,23 @@ POOL_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
-def test_pooled_subgroups_keep_members_and_fingerprints(name):
-    """After prewarm and a sweep (60 sampled rows on F3 rank 3) on a fresh
-    instance, every pooled subgroup has the GL mask and fingerprint it had
-    as a GL mask; it contains D; and a copy built from its coset mask equals
-    it under the same key."""
+def test_pooled_subgroups_keep_members_and_fingerprints(name, gl_codes_reference, element_closure):
+    """GL's codes are held in the narrowest unsigned dtype below m^(n^2)
+    (uint8 on F2, Z/4 and F3, uint16 on the others here), with the values of
+    the definition.  After prewarm and a sweep (60 sampled rows on F3 rank 3)
+    on a fresh instance, every pooled subgroup has the GL mask and
+    fingerprint it had as a GL mask; the fingerprint is the SHA-1 of its
+    members, found by element BFS, ascending as int64; it contains D; and a
+    copy built from its coset mask equals it under the same key."""
     from netgalois import sweep
 
     ring, n = {"f2": ((2, 1), 2), "z4": ((2, 2), 2), "f3": ((3, 1), 2), "f7": ((7, 1), 2),
                "z9": ((3, 2), 2), "f2n3": ((2, 1), 3), "f3n3": ((3, 1), 3)}[name]
     inst = Instance(RingSpec(*ring), n)
+    inst.gl()
+    assert inst.gl_codes.dtype == np.min_scalar_type(inst.modulus ** (n * n) - 1)
+    assert inst.gl_codes.dtype == (np.uint8 if name in ("f2", "z4", "f3") else np.uint16)
+    assert np.array_equal(inst.gl_codes, gl_codes_reference(inst))
     sweep.prewarm(inst, cap=10_000_000)
     sweep.sweep_cyclic(inst, sample=60 if name == "f3n3" else None, seed=3, jobs=1)
     pool = list(inst._caches["subgroup_pool"].values())
@@ -1217,6 +1270,8 @@ def test_pooled_subgroups_keep_members_and_fingerprints(name):
     )
     assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == POOL_DIGESTS[name]
     for sub in pool:
+        members = np.sort(element_closure(inst, generating_subset(sub))).astype(np.int64)
+        assert sub.fingerprint() == hashlib.sha1(members).hexdigest()[:16]
         assert inst.diagonal().is_subset_of(sub)
         copy = Subgroup(inst, sub.coset_mask().copy())
         assert copy == sub and copy.key() == sub.key() and len(copy) == len(sub)

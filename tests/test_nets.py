@@ -232,9 +232,9 @@ def test_sweep_after_prewarm_hashes_no_sublattice_fixer(prewarmed_z49, monkeypat
     each shares the key its member set was pooled under."""
     calls, hashed, key = [], [], Subgroup.key
 
-    def sha1(data):
-        calls.append(len(data))
-        return hashlib.sha1(data)
+    def sha1(*data):
+        calls.append(data)
+        return hashlib.sha1(*data)
 
     def counted_key(self):
         before = len(calls)
@@ -514,23 +514,25 @@ def test_prewarm_works_on_gl_per_atom_and_per_distinct_fixer(ring, n, monkeypatc
     assert len(fixers) == len(distinct) == len(all_fixer_classes(inst))
 
 
-def _large_arrays(obj, size, path=(), seen=None):
-    """Paths to the arrays of at least `size` entries held in a memo entry,
-    through containers and object attributes; subgroups (their member masks)
-    and the instance are not entered."""
+def _large_arrays(obj, size, dtype=None, path=(), seen=None):
+    """Paths to the arrays of at least `size` entries (of `dtype`, if given)
+    held in a memo entry, through containers and object attributes;
+    subgroups (their member masks) and the instance are not entered."""
     seen = set() if seen is None else seen
     if id(obj) in seen or isinstance(obj, (Subgroup, Instance)):
         return []
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
-        return [path] if obj.size >= size else []
+        return [path] if obj.size >= size and (dtype is None or obj.dtype == dtype) else []
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
         items = enumerate(obj)
     else:
         items = getattr(obj, "__dict__", {}).items()
-    return [p for key, value in items for p in _large_arrays(value, size, path + (key,), seen)]
+    return [
+        p for key, value in items for p in _large_arrays(value, size, dtype, path + (key,), seen)
+    ]
 
 
 @pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
@@ -554,6 +556,17 @@ def test_memo_holds_no_gl_sized_array_but_the_coset_labels(ring, n, monkeypatch)
     check_all(inst, samples=20)
     assert _large_arrays(inst._caches, size) == [(("right_cosets",), 0)]
     assert not passes
+
+
+@pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
+def test_instance_holds_no_gl_sized_int64_array(ring, n):
+    """After `gl` and `prewarm` on a fresh instance, neither the instance's
+    attributes nor its memo hold an int64 array of |GL| or more entries: GL's
+    codes are stored in the narrowest unsigned dtype that holds them."""
+    inst = Instance(RingSpec(*ring), n)
+    size = len(inst.gl())
+    prewarm(inst, cap=10_000_000)
+    assert _large_arrays(vars(inst), size, np.int64) == []
 
 
 @pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
