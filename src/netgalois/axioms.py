@@ -53,7 +53,6 @@ from .groups import (
     double_coset_key,
     gl_code_list,
     instance_cache,
-    intern_subgroup,
     right_cosets,
     scalar_coset_key,
     transvection_table,
@@ -130,7 +129,7 @@ def _key_closure(instance, keys):
     A key is the code of some d a d' (d, d' in D), and <D, a> = <D, d a d'>:
     each lies in the group the other generates with D.
     """
-    return intern_subgroup(instance, coset_closure(instance, instance.diagonal(), list(keys)))
+    return coset_closure(instance, instance.diagonal(), list(keys))
 
 
 # -- individual conditions ----------------------------------------------------

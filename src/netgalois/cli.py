@@ -28,7 +28,6 @@ from .glnr import DEFAULT_GL_CAP, Instance, bridge_to_dnet, enumerate_dnets, ver
 from .groups import Subgroup, close_subgroup, coset_closure, double_coset_key, gl_code_list
 from .lattice import FiniteLattice, pentagon
 from .nets import (
-    CLASS_BOUND,
     all_fixer_classes,
     canonical_sublattice,
     enumerate_net_collections,
@@ -293,7 +292,7 @@ def cmd_nets(args) -> int:
 
 def cmd_classes(args) -> int:
     instance = _load_instance(args)
-    classes = all_fixer_classes(instance, bound=args.bound)
+    classes = all_fixer_classes(instance)
     # K(net) lies in the class of its fixer, the net fixer
     nets = enumerate_net_collections(instance)
     canonical = {canonical_sublattice(instance, net).members for net in nets}
@@ -489,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="equivalence classes of sublattices by fixer")
     common(p)
-    p.add_argument("--bound", type=int, default=CLASS_BOUND)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("replay", help="re-run the failure witnesses of a report")

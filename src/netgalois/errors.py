@@ -7,7 +7,8 @@ class InputError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An enumeration passed its cap (CLI exit code 3): |GL| over the cap given to
-    `Instance.gl`, the submodule lattice or a full quantification over its bound.
+    `Instance.gl`, the submodule lattice, a base sublattice too large to enumerate
+    its sublattices (`enumerate_sublattices`) or a full quantification over its bound.
 
     Carries the count that passed the cap, where one is known.
     """

@@ -25,12 +25,11 @@ from .groups import (
     Subgroup,
     classify_transvection,
     coset_closure,
-    coset_labels,
+    d_label,
     enumerate_gl,
     fixed_by,
     generating_subset,
     instance_cache,
-    intern_subgroup,
     right_cosets,
 )
 from .lattice import FiniteLattice
@@ -291,7 +290,7 @@ class Instance:
                 )
             self.gl_codes = enumerate_gl(self, expected)
             cosets = np.ones(expected // self.ring.unit_count**self.n, dtype=bool)
-            self._gl = intern_subgroup(self, Subgroup(self, cosets))
+            self._gl = Subgroup(self, cosets)
         return self._gl
 
     def diagonal_codes(self, entries) -> np.ndarray:
@@ -303,7 +302,7 @@ class Instance:
         """The group of invertible diagonal matrices (the frame stabiliser):
         the right coset of D holding the identity."""
         cosets = np.zeros(len(right_cosets(self)[1]), dtype=bool)
-        cosets[coset_labels(self, [self.code_of_mat(self.identity)])] = True
+        cosets[d_label(self)] = True
         gens = self.diagonal_generator_codes()
         return Subgroup(self, cosets, generator_codes=gens)
 
@@ -530,7 +529,7 @@ def verified_net_subgroup(instance: Instance, dnet: DNet):
     closure = coset_closure(instance, instance.diagonal(), gens)
     if closure != entrywise:
         raise RuntimeError("generator closure does not reproduce the entrywise net subgroup")
-    return intern_subgroup(instance, entrywise.with_generators(gens))
+    return Subgroup(instance, entrywise.coset_mask(), gens)
 
 
 def verify_sandwich(

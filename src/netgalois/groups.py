@@ -44,13 +44,12 @@ exhaustive `conjugation_closure_check` call it, the latter with one f per
 right coset fD of D in the ambient group (D normalises the subgroup, so the
 verdict is constant on fD); only the sampled check conjugates aligned
 (f, s) pairs of its own.  Instance-wide tables live in
-`Instance._caches`, read only here: the `instance_cache` memo, the subgroup
-pool and the row-product tables.
+`Instance._caches`, read only here: the `instance_cache` memo (fingerprints
+among them, one per member set) and the row-product tables.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -86,27 +85,21 @@ class Subgroup:
     """A subgroup F with D <= F <= GL, and its generator provenance.
 
     F is the union of its right cosets gD, held as a boolean mask over the
-    `right_cosets` labels (`coset_mask`); `gl_mask`, `codes`, `codes_at` and
-    `fingerprint` expand it by one label gather on demand.
+    `right_cosets` labels (`coset_mask`); a mask that misses D's coset is
+    refused.  `gl_mask`, `codes`, `codes_at` and `fingerprint` expand it by
+    one label gather on demand.
     """
 
     def __init__(self, instance, cosets, generator_codes=()):
         per_coset = instance.ring.unit_count**instance.n
         if cosets.dtype != bool or cosets.shape != (instance.gl_codes.size // per_coset,):
             raise InputError("a subgroup is a boolean mask over the right cosets of D")
+        if not cosets[d_label(instance)]:
+            raise InputError("a subgroup must contain the frame stabiliser D")
         self.instance = instance
         self._cosets = cosets
         self._order = int(np.count_nonzero(cosets)) * per_coset
         self.generator_codes = tuple(int(c) for c in generator_codes)
-        # key and fingerprint; `intern_subgroup` shares one record between equal subgroups
-        self._identity = {}
-
-    def with_generators(self, generator_codes) -> "Subgroup":
-        """This member set with a verified generating set attached, sharing
-        the member mask and the record of key and fingerprint."""
-        out = copy.copy(self)
-        out.generator_codes = tuple(int(c) for c in generator_codes)
-        return out
 
     def __len__(self):
         return self._order
@@ -158,34 +151,19 @@ class Subgroup:
     def __eq__(self, other):
         if not isinstance(other, Subgroup) or self._order != other._order:
             return False
-        return self._cosets is other._cosets or np.array_equal(self._cosets, other._cosets)
+        return np.array_equal(self._cosets, other._cosets)
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self) -> bytes:
-        """In-process content key: the SHA-1 digest of the packed coset mask.
-
-        Computed once per member set: `intern_subgroup` swaps the mask for an
-        equal one and shares the record holding the key.
-        """
-        if "key" not in self._identity:
-            self._identity["key"] = hashlib.sha1(np.packbits(self._cosets)).digest()
-        return self._identity["key"]
+        """Exact in-process content key: the packed coset mask."""
+        return np.packbits(self._cosets).tobytes()
 
     def fingerprint(self) -> str:
         """Stable across processes; names subgroups in sweep reports.
-
-        Computed once per pooled member set, like `key`.  Hashes the ascending
-        member codes as int64, fed a `_GATHER_CHUNK` block at a time so that
-        no int64 copy of a narrow member list is built.
-        """
-        if "fingerprint" not in self._identity:
-            codes, digest = self.codes, hashlib.sha1()
-            for start in range(0, codes.size, _GATHER_CHUNK):
-                digest.update(codes[start : start + _GATHER_CHUNK].astype(np.int64))
-            self._identity["fingerprint"] = digest.hexdigest()[:16]
-        return self._identity["fingerprint"]
+        Computed once per member set and instance (`_fingerprint_of`)."""
+        return _fingerprint_of(self.instance, self.key())
 
     def __repr__(self):
         return f"Subgroup(order={len(self)})"
@@ -224,27 +202,23 @@ class Subgroup:
         return close_subgroup(instance, codes)
 
 
-def intern_subgroup(instance, subgroup: Subgroup) -> Subgroup:
-    """Share the coset mask and identity between equal subgroups held in
-    caches.
+@instance_cache
+def _fingerprint_of(instance, key: bytes) -> str:
+    """The fingerprint of the subgroup with this `Subgroup.key`: the SHA-1
+    of its ascending member codes as int64, fed a `_GATHER_CHUNK` block at a
+    time so that no int64 copy of a narrow member list is built."""
+    count = len(right_cosets(instance)[1])
+    cosets = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count).view(bool)
+    codes, digest = Subgroup(instance, cosets).codes, hashlib.sha1()
+    for start in range(0, codes.size, _GATHER_CHUNK):
+        digest.update(codes[start : start + _GATHER_CHUNK].astype(np.int64))
+    return digest.hexdigest()[:16]
 
-    The returned object keeps its own generator provenance; the mask and the
-    record of key and fingerprint are pooled, keyed by `Subgroup.key`, so
-    each pooled member set is fingerprinted once.
-    """
-    # keyed by the subgroup's content, not by arguments: no `instance_cache`
-    pool = instance._caches.setdefault("subgroup_pool", {})
-    key = subgroup.key()
-    base = pool.get(key)
-    if base is None:
-        pool[key] = subgroup
-        return subgroup
-    if base is not subgroup:
-        subgroup._cosets = base._cosets
-        if "fingerprint" in subgroup._identity:
-            base._identity.setdefault("fingerprint", subgroup._identity["fingerprint"])
-        subgroup._identity = base._identity
-    return subgroup
+
+@instance_cache
+def d_label(instance) -> int:
+    """The `right_cosets` label of D, the coset of the identity."""
+    return int(coset_labels(instance, [instance.code_of_mat(instance.identity)])[0])
 
 
 def close_subgroup(instance, generator_codes) -> Subgroup:
@@ -546,7 +520,7 @@ def fixer(instance, elements) -> Subgroup:
     """All GL matrices fixing every listed element, each of L0': their
     `coset_fix_mask`, which contains D.  Any other element is an
     `InputError` (`coset_image`)."""
-    return intern_subgroup(instance, Subgroup(instance, coset_fix_mask(instance, elements)))
+    return Subgroup(instance, coset_fix_mask(instance, elements))
 
 
 def fixed_lattice(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -576,13 +550,7 @@ def galois_phi(instance, members) -> Subgroup:
 def galois_psi(instance, subgroup: Subgroup) -> SublatticeHandle:
     """Group side -> lattice side: the fixed points, all inside the base
     sublattice (`fixed_lattice`)."""
-    if not fixer_contains_stabiliser(instance, subgroup):
-        raise InputError("psi is defined on subgroups containing the frame stabiliser")
     return fixed_lattice(instance, subgroup)
-
-
-def fixer_contains_stabiliser(instance, subgroup: Subgroup) -> bool:
-    return instance.diagonal().is_subset_of(subgroup)
 
 
 # -- distinguished member sets ----------------------------------------------

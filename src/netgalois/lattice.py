@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
 
 class FiniteLattice:
@@ -190,17 +190,16 @@ class FiniteLattice:
 
         Walks the closure system (close each seed, then grow closed sets one
         element at a time), deduplicating on frozen member sets, so the cost
-        is proportional to the number of sublattices rather than 2^N.  Still
-        refuses universes past `bound`; restrict to a small fixed sublattice
-        first if that trips.
+        is proportional to the number of sublattices rather than 2^N.  A
+        universe past `bound` is `CapExceeded`.
         """
         if universe is None:
             universe = range(len(self))
         universe = sorted(set(int(x) for x in universe))
         if len(universe) > bound:
-            raise InputError(
-                f"sublattice enumeration over {len(universe)} elements exceeds bound "
-                f"{bound}; restrict the universe first"
+            raise CapExceeded(
+                f"sublattice enumeration over {len(universe)} elements exceeds bound {bound}",
+                len(universe),
             )
         uset = set(universe)
 

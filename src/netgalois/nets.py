@@ -25,11 +25,9 @@ from .groups import (
     coset_image,
     coset_labels,
     fixer,
-    fixer_contains_stabiliser,
     galois_psi,
     generating_subset,
     instance_cache,
-    intern_subgroup,
     is_normal_in,
     normalizes,
     right_cosets,
@@ -38,10 +36,6 @@ from .groups import (
 )
 from .lattice import SublatticeHandle
 from .rings import distinct
-
-# the largest base sublattice whose sublattices are enumerated into fixer classes
-CLASS_BOUND = 32
-
 
 class NetCollection:
     """Square array of lattice elements tau[i][j] <= e_j with full diagonal,
@@ -253,7 +247,7 @@ def net_fixer(instance, net: NetCollection) -> Subgroup:
     if closure != fx:
         raise RuntimeError("stabiliser-plus-transvection closure misses the canonical fixer")
     gens = instance.diagonal_generator_codes() + sorted(set(reps))
-    return intern_subgroup(instance, fx.with_generators(gens))
+    return Subgroup(instance, cosets, gens)
 
 
 def stable_lbar0(instance, subgroup: Subgroup) -> SublatticeHandle:
@@ -327,13 +321,13 @@ def element_net(instance, x: int) -> NetCollection:
 
 
 @instance_cache
-def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
+def _fixer_classes(instance) -> tuple[list, dict]:
     """(classes, by_members): the sublattices of the base sublattice grouped
     by their fixer, classes and representatives in enumeration order, and
-    each sublattice's member tuple -> its class; cached per bound, which
-    every caller passes positionally so that they share one entry.
+    each sublattice's member tuple -> its class.  A base sublattice past
+    `enumerate_sublattices`' bound is `CapExceeded`.
 
-    A class whose fixer is a net fixer holds that pooled object, so its
+    A class whose fixer is a net fixer holds that object, so its
     closure-verified generating set keeps later normality tests on generator
     level.  Fixers of sublattices of L0' are unions of right cosets of D, so
     the sublattices are grouped by their `coset_fix_mask`, and a fixer is
@@ -345,7 +339,7 @@ def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
         named.setdefault(key, net_fixer(instance, net))
     classes, by_members = {}, {}
     l0p = instance.l0_prime()
-    for h in instance.lattice.enumerate_sublattices(universe=l0p.members, bound=bound):
+    for h in instance.lattice.enumerate_sublattices(universe=l0p.members):
         key = coset_fix_mask(instance, h.members).tobytes()
         if key not in classes:
             fx = named[key] if key in named else fixer(instance, h.members)
@@ -355,20 +349,20 @@ def _fixer_classes(instance, bound: int) -> tuple[list, dict]:
     return list(classes.values()), by_members
 
 
-def fixer_class(instance, members, bound: int = CLASS_BOUND) -> EquivClass:
+def fixer_class(instance, members) -> EquivClass:
     """All sublattices of the stabiliser-fixed sublattice sharing M's fixer."""
     members = set(int(x) for x in members)
     if not members <= set(instance.l0_prime().members):
         raise InputError("equivalence classes live inside the base sublattice")
-    _, by_members = _fixer_classes(instance, bound)
+    _, by_members = _fixer_classes(instance)
     # fixing M is fixing the sublattice M generates, an enumerated one ({bottom} if M is empty)
     lat = instance.lattice
     return by_members[lat.sublattice_generated(members or {lat.bottom}).members]
 
 
-def all_fixer_classes(instance, bound: int = CLASS_BOUND) -> list[EquivClass]:
+def all_fixer_classes(instance) -> list[EquivClass]:
     """The sublattices of the base sublattice, grouped by their fixer."""
-    return list(_fixer_classes(instance, bound)[0])
+    return list(_fixer_classes(instance)[0])
 
 
 def closed_sublattice(instance, net: NetCollection) -> SublatticeHandle:
@@ -419,8 +413,6 @@ def verify_intermediate_subgroup(
     Each record: {"id", "holds", "witness", "details"}.  Conjugation checks
     run exhaustively unless a sample count is given (recorded in details).
     """
-    if not fixer_contains_stabiliser(instance, subgroup):
-        raise InputError("verification needs a subgroup containing the frame stabiliser")
     lat = instance.lattice
     checks: list[dict] = []
     sigma = transvection_ideals(instance, subgroup)

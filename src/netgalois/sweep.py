@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InputError
 from .glnr import DEFAULT_GL_CAP, enumerate_dnets, verified_net_subgroup, verify_sandwich
-from .groups import coset_closure, double_coset_key, intern_subgroup, transvection_table
-from .nets import CLASS_BOUND, _fixer_classes, enumerate_net_collections, net_fixer
+from .groups import coset_closure, double_coset_key, transvection_table
+from .nets import _fixer_classes, enumerate_net_collections, net_fixer
 
 FAMILIES = ("cyclic-over-D",)
 
@@ -49,12 +49,12 @@ def prewarm(instance, *, cap: int) -> None:
         net_fixer(instance, net)
     for dnet in enumerate_dnets(instance):
         verified_net_subgroup(instance, dnet)
-    _fixer_classes(instance, CLASS_BOUND)
+    _fixer_classes(instance)
 
 
 def verify_one(instance, g_code: int, opts: dict, details: dict) -> str:
     """Fingerprint of <D, g>; verifies it into `details` when it is new there."""
-    subgroup = intern_subgroup(instance, coset_closure(instance, instance.diagonal(), [g_code]))
+    subgroup = coset_closure(instance, instance.diagonal(), [g_code])
     fp = subgroup.fingerprint()
     if fp not in details:
         checks = verify_sandwich(

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import pathlib
+import shlex
 
 import pytest
 
 from netgalois import report
-from netgalois.cli import main
+from netgalois.cli import build_parser, main
 from netgalois.lattice import pentagon
 
 
@@ -787,6 +789,42 @@ def test_cap_is_the_users_in_every_group_subcommand(tmp_path, capsys):
     ):
         assert main(command + ["--instance", str(spec), "--cap", "20000000"]) == 3, command
         assert "exceeds cap 20000000" in capsys.readouterr().err, command
+
+
+def test_base_sublattice_past_the_class_bound_is_a_cap(tmp_path, capsys):
+    """On Z/4 rank 3 the base sublattice has 79 elements, past the 32 whose
+    sublattices are enumerated into fixer classes: `classes`, `sweep` and
+    `sandwich` exit 3 and write no report."""
+    spec = tmp_path / "z4n3.json"
+    spec.write_text(json.dumps({"ring": {"p": 2, "k": 2}, "n": 3}))
+    sub = tmp_path / "d.json"
+    gens = [[[3, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 3, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 3]]]
+    sub.write_text(json.dumps({"schema_version": 1, "generators": gens}))
+    for command in (["classes"], ["sweep", "--sample", "2"], ["sandwich", "--subgroup", str(sub)]):
+        out = tmp_path / "report.json"
+        assert main(command + ["--instance", str(spec), "--out", str(out)]) == 3, command
+        assert "79 elements exceeds bound 32" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def readme_cli_lines() -> list[str]:
+    """The `netgalois ...` lines of README's CLI block."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text[text.index("## CLI") :].split("```")[3]
+    return [line for line in block.splitlines() if line.startswith("netgalois ")]
+
+
+def test_readme_cli_lines_parse():
+    """Every documented command line parses, optional parts (in brackets)
+    included: a documented flag the parser no longer has would exit 2."""
+    lines = readme_cli_lines()
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        args = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        assert callable(parser.parse_args(args).func), line
 
 
 def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ from netgalois.groups import (
     coset_image,
     double_coset_key,
     fixer,
-    intern_subgroup,
     right_cosets,
 )
 from netgalois.nets import enumerate_net_collections
@@ -602,7 +601,7 @@ def test_exhaustive_sandwich_builds_no_generator(monkeypatch):
     reps = np.unique(double_coset_key(f7, f7.gl_codes), return_index=True)[1]
     subgroups = {}
     for g in f7.gl_codes[reps].tolist():
-        sub = intern_subgroup(f7, coset_closure(f7, f7.diagonal(), [g]))
+        sub = coset_closure(f7, f7.diagonal(), [g])
         subgroups[sub.fingerprint()] = sub
     assert len(subgroups) == 5  # the F7 sweep report's subgroups
     for sub in subgroups.values():

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from netgalois.groups import (
     galois_psi,
     generating_subset,
     gl_code_list,
-    intern_subgroup,
     is_normal_in,
     normalizes,
     right_cosets,
@@ -441,23 +441,51 @@ def test_fixed_lattice_examples(f7, z49):
     assert fixed_lattice(z49, full).members == fixed.members
 
 
+def produced_subgroups(inst, report) -> list:
+    """The subgroups that `gl`, `diagonal`, `fixer`, `net_fixer`,
+    `verified_net_subgroup` and the sweep's closures <D, g> return after
+    `prewarm` and a sweep with this report, the first of each member set.
+
+    Every fixer is of a sublattice of L0' (`fixer` refuses any other), so
+    its member set is a fixer class's: the class fixers and the fixer of
+    each class's first representative stand for them.  <D, g> depends only
+    on g's double-coset key, so one closure per key stands for the rows.
+    """
+    from netgalois.glnr import enumerate_dnets, verified_net_subgroup
+    from netgalois.nets import all_fixer_classes, enumerate_net_collections, net_fixer
+
+    classes = all_fixer_classes(inst)
+    rows = [row["g"] for row in report["rows"]]
+    subs = [inst.gl(), inst.diagonal()]
+    subs += [cls.common_fixer for cls in classes]
+    subs += [fixer(inst, cls.representatives[0].members) for cls in classes]
+    subs += [net_fixer(inst, net) for net in enumerate_net_collections(inst)]
+    subs += [verified_net_subgroup(inst, dnet) for dnet in enumerate_dnets(inst)]
+    subs += [
+        coset_closure(inst, inst.diagonal(), [int(key)])
+        for key in np.unique(double_coset_key(inst, rows)).tolist()
+    ]
+    return list({sub.key(): sub for sub in reversed(subs)}.values())[::-1]
+
+
 @pytest.mark.parametrize(
     "ring, n", [((2, 1), 2), ((2, 2), 2), ((7, 1), 2), ((3, 2), 2), ((3, 1), 3)],
     ids=["f2", "z4", "f7", "z9", "f3n3"],
 )
 def test_fixed_lattice_matches_fixed_by_member_codes(ring, n):
     """`fixed_lattice`, read per right coset of D, against `fixed_by` on every
-    member code, for every pooled subgroup (with and without generators)
-    after `prewarm` and a sweep, and `galois_psi` on every net fixer."""
+    member code, for every subgroup the producers return (with and without
+    generators) after `prewarm` and a sweep, and `galois_psi` on every net
+    fixer."""
     from netgalois import sweep
     from netgalois.nets import enumerate_net_collections, net_fixer
 
     inst = Instance(RingSpec(*ring), n)
     sweep.prewarm(inst, cap=10_000_000)
-    sweep.sweep_cyclic(inst, jobs=1)
-    pool = list(inst._caches["subgroup_pool"].values())
-    assert {bool(sub.generator_codes) for sub in pool} == {True, False}
-    for sub in pool:
+    report = sweep.sweep_cyclic(inst, jobs=1)
+    produced = produced_subgroups(inst, report)
+    assert {bool(sub.generator_codes) for sub in produced} == {True, False}
+    for sub in produced:
         assert fixed_lattice(inst, sub).members == fixed_by(inst, sub.codes).members
     for net in enumerate_net_collections(inst):
         fx = net_fixer(inst, net)
@@ -943,8 +971,8 @@ def test_normalizes_broadcasts_every_f_once_per_chunk(f7, monkeypatch):
 
 @pytest.mark.parametrize("ring", [(7, 1), (3, 2)])
 def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
-    """Set-up pools and matches subgroups by `Subgroup.key` and fingerprints
-    none; the sweep fingerprints each double-coset representative once.  Set-up
+    """Set-up matches subgroups by their coset masks and fingerprints none;
+    the sweep fingerprints each double-coset representative once.  Set-up
     unpacks no member set: fewer matrices than |D|."""
     from netgalois import sweep
     from netgalois.glnr import Instance
@@ -970,10 +998,10 @@ def test_fingerprints_only_name_sweep_subgroups(ring, monkeypatch):
 
 
 def test_sweep_fingerprints_each_member_set_once(monkeypatch):
-    """Equal subgroups share their pooled key and fingerprint: the Z/9 sweep
-    hashes member codes once per distinct subgroup, not once per double-coset
-    representative, and equal subgroups compare equal through a shared
-    coset mask."""
+    """Equal subgroups share one fingerprint memo entry: the Z/9 sweep hashes
+    member codes once per distinct subgroup, not once per double-coset
+    representative, and a second closure of a swept subgroup, a distinct
+    object under the same key, hashes nothing."""
     from netgalois import sweep
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
@@ -1006,9 +1034,9 @@ def test_sweep_fingerprints_each_member_set_once(monkeypatch):
     report = sweep.sweep_cyclic(inst, jobs=1)
     reps = np.unique(double_coset_key(inst, inst.gl_codes)).size
     assert len(hashed) == len(report["subgroups"]) < reps
-    first = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
-    again = intern_subgroup(inst, coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])]))
-    assert again is not first and again._cosets is first._cosets and again == first
+    first = coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])])
+    again = coset_closure(inst, inst.diagonal(), [int(inst.gl_codes[-1])])
+    assert again is not first and again.key() == first.key() and again == first
     assert again.fingerprint() == first.fingerprint() and len(hashed) == len(report["subgroups"])
 
 
@@ -1173,32 +1201,66 @@ def test_subgroup_json_roundtrip(f7):
         Subgroup.from_json(f7, {"schema_version": 2, "generators": [[[1, 0], [0, 1]]]})
 
 
-def test_fingerprint_is_cached_and_survives_interning(f7):
-    pooled = intern_subgroup(f7, borel(f7))
-    copy = Subgroup(f7, pooled.coset_mask().copy())
-    first = copy.fingerprint()
-    assert intern_subgroup(f7, copy) is copy
-    assert copy._cosets is pooled._cosets
+def test_fingerprint_is_cached_and_survives_interning(f7, monkeypatch):
+    """The fingerprint is memoised by member set: an equal copy, built from
+    a copy of the coset mask, reads its fingerprint from the memo without
+    hashing, under the same key, the packed coset mask."""
+    from netgalois import groups
+
+    sub = borel(f7)
+    first = sub.fingerprint()
+    copy = Subgroup(f7, sub.coset_mask().copy())
+    hashed = []
+
+    def sha1(*data):
+        hashed.append(data)
+        return hashlib.sha1(*data)
+
+    monkeypatch.setattr(groups, "hashlib", SimpleNamespace(sha1=sha1))
     assert copy.fingerprint() == first
+    assert copy.fingerprint() == first
+    monkeypatch.undo()
+    assert hashed == []
     expect = hashlib.sha1(copy.codes.astype(np.int64).tobytes()).hexdigest()[:16]
     assert copy.fingerprint() == expect
-    assert copy.key() == pooled.key() == hashlib.sha1(np.packbits(copy._cosets)).digest()
-    assert hash(copy) == hash(pooled)
+    assert copy.key() == sub.key() == np.packbits(copy.coset_mask()).tobytes()
+    assert hash(copy) == hash(sub)
 
 
-def test_temporary_closures_stay_out_of_the_pool():
-    """Closures are interned only where they are kept: generating a group's
-    generators closes three intermediate groups on F3 rank 3 and pools none."""
+def test_temporary_closures_stay_out_of_the_pool(monkeypatch):
+    """Nothing keeps a subgroup by its content: generating a group's
+    generators closes three intermediate groups on F3 rank 3, and once they
+    are fingerprinted the memo gains only key-sized entries, each a packed
+    coset mask naming 16 hex digits, and holds no new subgroup or mask."""
+    from netgalois import groups
     from netgalois.glnr import Instance
     from netgalois.rings import RingSpec
 
     inst = Instance(RingSpec(3, 1), 3)
-    gl = inst.gl()
-    pool = inst._caches["subgroup_pool"]
-    before = len(pool)
+    gl, _ = inst.gl(), inst.diagonal()
+    closures, closure = [], groups.coset_closure
+
+    def recorded(*args):
+        closures.append(closure(*args))
+        return closures[-1]
+
+    before = set(inst._caches)
+    monkeypatch.setattr(groups, "coset_closure", recorded)
     gens = generating_subset(gl)
-    assert len(gens) >= 2
-    assert len(pool) == before
+    monkeypatch.undo()
+    assert len(gens) >= 2 and len(closures) >= 3
+    fps = [sub.fingerprint() for sub in closures + [gl]]
+    added = {key: inst._caches[key] for key in set(inst._caches) - before}
+    memo = {key: value for key, value in added.items() if key[0] == "_fingerprint_of"}
+    assert len(memo) == len({sub.key() for sub in closures + [gl]})
+    assert sorted(memo.values()) == sorted(set(fps))
+    size = len(gl.key())
+    assert size == -(-len(right_cosets(inst)[1]) // 8)
+    assert all(type(key[1]) is bytes and len(key[1]) == size for key in memo)
+    assert all(len(fp) == 16 for fp in memo.values())
+    rest = [value for key, value in added.items() if key not in memo]
+    assert not [v for v in rest if isinstance(v, Subgroup)]
+    assert not [v for v in rest if isinstance(v, np.ndarray) and v.dtype == bool]
 
 
 def test_coset_closure_refuses_a_seed_without_generators(f7):
@@ -1229,9 +1291,9 @@ def test_orbit_over_d_matches_the_closure_from_the_identity(name, request, eleme
         assert np.array_equal(orbit.codes, element_closure(inst, gens + [g]))
 
 
-# (pooled subgroups, SHA-256 prefix of their sorted (fingerprint, order,
-# SHA-1 of the packed GL mask)) after prewarm and a sweep with seed 3, as
-# the GL-mask representation gave them
+# (distinct produced subgroups, SHA-256 prefix of their sorted (fingerprint,
+# order, SHA-1 of the packed GL mask)) after prewarm and a sweep with seed 3,
+# as the GL-mask representation gave them
 POOL_DIGESTS = {
     "f2": (6, "9757e3bfa81164d6"),
     "z4": (17, "27be34e01963cb6f"),
@@ -1248,10 +1310,11 @@ def test_pooled_subgroups_keep_members_and_fingerprints(name, gl_codes_reference
     """GL's codes are held in the narrowest unsigned dtype below m^(n^2)
     (uint8 on F2, Z/4 and F3, uint16 on the others here), with the values of
     the definition.  After prewarm and a sweep (60 sampled rows on F3 rank 3)
-    on a fresh instance, every pooled subgroup has the GL mask and
-    fingerprint it had as a GL mask; the fingerprint is the SHA-1 of its
-    members, found by element BFS, ascending as int64; it contains D; and a
-    copy built from its coset mask equals it under the same key."""
+    on a fresh instance, every subgroup the producers return
+    (`produced_subgroups`) has the GL mask and fingerprint it had as a GL
+    mask; the fingerprint is the SHA-1 of its members, found by element BFS,
+    ascending as int64; it contains D; and a copy built from its coset mask
+    equals it under the same key."""
     from netgalois import sweep
 
     ring, n = {"f2": ((2, 1), 2), "z4": ((2, 2), 2), "f3": ((3, 1), 2), "f7": ((7, 1), 2),
@@ -1262,14 +1325,14 @@ def test_pooled_subgroups_keep_members_and_fingerprints(name, gl_codes_reference
     assert inst.gl_codes.dtype == (np.uint8 if name in ("f2", "z4", "f3") else np.uint16)
     assert np.array_equal(inst.gl_codes, gl_codes_reference(inst))
     sweep.prewarm(inst, cap=10_000_000)
-    sweep.sweep_cyclic(inst, sample=60 if name == "f3n3" else None, seed=3, jobs=1)
-    pool = list(inst._caches["subgroup_pool"].values())
+    report = sweep.sweep_cyclic(inst, sample=60 if name == "f3n3" else None, seed=3, jobs=1)
+    produced = produced_subgroups(inst, report)
     rows = sorted(
         (sub.fingerprint(), len(sub), hashlib.sha1(np.packbits(sub.gl_mask())).hexdigest())
-        for sub in pool
+        for sub in produced
     )
     assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:16]) == POOL_DIGESTS[name]
-    for sub in pool:
+    for sub in produced:
         members = np.sort(element_closure(inst, generating_subset(sub))).astype(np.int64)
         assert sub.fingerprint() == hashlib.sha1(members).hexdigest()[:16]
         assert inst.diagonal().is_subset_of(sub)
@@ -1285,3 +1348,16 @@ def test_subgroup_is_a_mask_over_the_cosets_of_d(f7):
     for mask in (d.gl_mask(), d.coset_mask().astype(np.uint8)):
         with pytest.raises(InputError):
             Subgroup(f7, mask)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f7", "z9", "f3n3"])
+def test_subgroup_refuses_a_mask_without_d(name, request):
+    """Every `Subgroup` contains D: a coset mask that misses D's coset is
+    refused, even when it marks every other coset, and a mask that marks
+    D's coset alone is D."""
+    inst = request.getfixturevalue(name)
+    d = inst.diagonal()
+    for mask in (~d.coset_mask(), np.zeros_like(d.coset_mask())):
+        with pytest.raises(InputError, match="frame stabiliser"):
+            Subgroup(inst, mask)
+    assert Subgroup(inst, d.coset_mask().copy()) == d

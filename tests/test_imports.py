@@ -103,6 +103,79 @@ def test_only_groups_reads_the_instance_caches(path):
     assert set(cache_accesses(path.read_text(encoding="utf-8"))) <= allowed, path.name
 
 
+def cache_writes(source: str) -> list[tuple[str, object]]:
+    """(enclosing class and function names, key) for each write into an
+    `_caches` store: a subscript assignment or deletion, or a method call
+    other than `get`; the key is the literal subscript or first argument,
+    or None where it is not a literal."""
+    found = []
+
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    def is_caches(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_caches"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Subscript)
+                and isinstance(child.ctx, (ast.Store, ast.Del))
+                and is_caches(child.value)
+            ):
+                found.append((".".join(scope), literal(child.slice)))
+            elif (
+                isinstance(child, ast.Call)
+                and is_caches(getattr(child.func, "value", None))
+                and child.func.attr != "get"
+            ):
+                found.append((".".join(scope), literal(child.args[0]) if child.args else None))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cache_writes_are_found():
+    source = (
+        "def cached(inst, key):\n"
+        "    out = inst._caches.get(key)\n"
+        "    out = inst._caches[key] = 1\n"
+        "    return inst._caches[('t',)]\n"
+        "def pool(inst):\n"
+        "    inst._caches.setdefault('pool', {})\n"
+        "    inst._caches[('labels',)] = 2\n"
+        "    del inst._caches['x']\n"
+    )
+    assert cache_writes(source) == [
+        ("cached", None),
+        ("pool", "pool"),
+        ("pool", ("labels",)),
+        ("pool", "x"),
+    ]
+
+
+def test_groups_writes_the_caches_only_through_its_three_stores():
+    """`groups` fills `Instance._caches` only through the `instance_cache`
+    memo, the per-code `row_products` tables and `enumerate_gl`'s
+    right-coset labels, and reads it elsewhere only in `right_cosets`: no
+    hand-made store (a pool of subgroups keyed by content) sits beside them."""
+    source = (PACKAGE / "groups.py").read_text(encoding="utf-8")
+    assert cache_writes(source) == [
+        ("instance_cache.cached", None),
+        ("row_products", "row_products"),
+        ("enumerate_gl", ("right_cosets",)),
+    ]
+    scopes = {scope for scope, _ in cache_accesses(source)}
+    assert scopes == {"instance_cache.cached", "row_products", "enumerate_gl", "right_cosets"}
+
+
 SUBGROUP_MASKS = ("_mask", "_cosets")
 
 
@@ -127,7 +200,7 @@ def test_private_mask_reads_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_groups_reads_the_subgroup_masks(path):
     """Other modules go through `Subgroup`'s methods (`gl_mask`,
-    `coset_mask`, `with_generators`, ...), never its masks."""
+    `coset_mask`, `key`, ...), never its masks."""
     if path.name == "groups.py":
         return
     assert private_mask_reads(path.read_text(encoding="utf-8")) == [], path.name

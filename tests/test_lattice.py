@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from netgalois.errors import InputError
+from netgalois.errors import CapExceeded, InputError
 from netgalois.lattice import FiniteLattice, SublatticeHandle, chain, pentagon
 
 
@@ -165,8 +165,11 @@ def test_enumerate_sublattices_vs_brute_force(f7, z49):
 
 
 def test_enumerate_sublattices_bound(f7):
-    with pytest.raises(InputError):
+    """A universe past the bound is a cap, not bad input: it carries the
+    universe's size."""
+    with pytest.raises(CapExceeded, match="10 elements exceeds bound 5") as exc:
         f7.lattice.enumerate_sublattices(bound=5)
+    assert exc.value.partial_count == 10
 
 
 def test_is_boolean(f7, z4):

@@ -228,28 +228,28 @@ def prewarmed_z49():
 
 
 def test_sweep_after_prewarm_hashes_no_sublattice_fixer(prewarmed_z49, monkeypatch):
-    """A sampled sweep makes `Subgroup.key` hash no fixer of the class table:
-    each shares the key its member set was pooled under."""
-    calls, hashed, key = [], [], Subgroup.key
+    """A sampled sweep makes `Subgroup.fingerprint` hash no fixer of the class
+    table: it fingerprints its closures <D, g>, which are new, so hashed."""
+    calls, hashed, fingerprint = [], [], Subgroup.fingerprint
 
     def sha1(*data):
         calls.append(data)
         return hashlib.sha1(*data)
 
-    def counted_key(self):
+    def counted_fingerprint(self):
         before = len(calls)
-        out = key(self)
+        out = fingerprint(self)
         if len(calls) > before:
             hashed.append(self)
         return out
 
     monkeypatch.setattr(groups, "hashlib", SimpleNamespace(sha1=sha1))
-    monkeypatch.setattr(Subgroup, "key", counted_key)
+    monkeypatch.setattr(Subgroup, "fingerprint", counted_fingerprint)
     payload = sweep_cyclic(
         prewarmed_z49, sample=8, seed=7, jobs=1, cap=5_000_000, conjugation_samples=10_000
     )
     monkeypatch.undo()
-    assert payload["all_hold"] and hashed  # the closures <D, g> are new, so hashed
+    assert payload["all_hold"] and hashed
     fixers = [cls.common_fixer for cls in all_fixer_classes(prewarmed_z49)]
     assert not [fx for fx in hashed if any(fx is other for other in fixers)]
 
@@ -324,12 +324,28 @@ def test_fixer_class_by_sublattice_matches_the_fixer_hash_lookup(
         assert cls.common_fixer == fx
 
 
-def test_fixer_classes_share_the_pooled_identity(prewarmed_z49):
-    pool = prewarmed_z49._caches["subgroup_pool"]
-    for cls in all_fixer_classes(prewarmed_z49):
-        base = pool[cls.common_fixer.key()]
-        assert cls.common_fixer._identity is base._identity
-        assert cls.common_fixer._cosets is base._cosets is not None
+def test_fixer_classes_share_the_pooled_identity(prewarmed_z49, monkeypatch):
+    """Equal member sets share one fingerprint memo entry: once the class
+    fixers are fingerprinted, the fixer of every class representative, built
+    afresh as another object, reads the class fixer's fingerprint from the
+    memo and hashes nothing."""
+    inst = prewarmed_z49
+    classes = all_fixer_classes(inst)
+    expect = [cls.common_fixer.fingerprint() for cls in classes]
+    hashed = []
+
+    def sha1(*data):
+        hashed.append(data)
+        return hashlib.sha1(*data)
+
+    monkeypatch.setattr(groups, "hashlib", SimpleNamespace(sha1=sha1))
+    for cls, fp in zip(classes, expect):
+        for h in cls.representatives:
+            fresh = fixer(inst, h.members)
+            assert fresh is not cls.common_fixer and fresh.key() == cls.common_fixer.key()
+            assert fresh.fingerprint() == fp
+    monkeypatch.undo()
+    assert hashed == []
 
 
 def test_stable_lbar0_reads_no_gl_sized_mask(prewarmed_z49, monkeypatch, stable_lbar0_reference):
@@ -571,15 +587,40 @@ def test_instance_holds_no_gl_sized_int64_array(ring, n):
 
 @pytest.mark.parametrize("ring, n", [((3, 2), 2), ((3, 1), 3)], ids=["z9", "f3n3"])
 def test_subgroup_pool_holds_no_gl_sized_array(ring, n):
-    """After `prewarm` on a fresh instance every pooled subgroup contains D
-    and holds its members as a mask over the |GL|/|D| right cosets of D: the
-    pool holds no GL-sized array."""
+    """After `prewarm` and fingerprinting on a fresh instance, every subgroup
+    the instance holds (GL and the memo's) contains D and holds its members
+    as a mask over the |GL|/|D| right cosets of D, and the memo holds no
+    GL-sized array besides the right-coset labels: fingerprints are keyed
+    by packed coset masks."""
     inst = Instance(RingSpec(*ring), n)
     prewarm(inst, cap=10_000_000)
-    pool = inst._caches["subgroup_pool"].values()
-    held = [a for sub in pool for a in vars(sub).values() if isinstance(a, np.ndarray)]
-    assert len(held) == len(pool)
+    held_subgroups = _subgroups_in([inst._gl, inst._caches])
+    assert inst._gl in held_subgroups and len(held_subgroups) > 2
+    for sub in held_subgroups:
+        sub.fingerprint()
+        assert inst.diagonal().is_subset_of(sub)
+    held = [a for sub in held_subgroups for a in vars(sub).values() if isinstance(a, np.ndarray)]
+    assert len(held) == len(held_subgroups)
     assert max(a.size for a in held) == len(inst.gl()) // len(inst.diagonal())
+    assert _large_arrays(inst._caches, len(inst.gl())) == [(("right_cosets",), 0)]
+
+
+def _subgroups_in(obj, seen=None) -> list:
+    """The distinct `Subgroup` objects held in obj, through containers and
+    object attributes; the instance is not entered."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (Instance, np.ndarray)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Subgroup):
+        return [obj]
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        values = getattr(obj, "__dict__", {}).values()
+    return [sub for value in values for sub in _subgroups_in(value, seen)]
 
 
 def test_stable_lbar0_fixer_shares_transvections(f7):
@@ -811,19 +852,6 @@ def test_fixer_classes_f7(f7):
     cls = fixer_class(f7, f7.l0_prime().members)
     assert len(cls.representatives) == 1
     assert len(cls.common_fixer) == 36
-
-
-def test_fixer_classes_honour_the_bound_after_a_cached_call():
-    """A bound too small for the base sublattice raises whether or not a
-    larger bound filled the caches first."""
-    inst = Instance(RingSpec(7, 1), 2)
-    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
-        all_fixer_classes(inst, bound=2)
-    assert len(all_fixer_classes(inst, bound=32)) == 4
-    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
-        all_fixer_classes(inst, bound=2)
-    with pytest.raises(InputError, match="4 elements exceeds bound 2"):
-        fixer_class(inst, inst.l0_prime().members, bound=2)
 
 
 def test_fixer_class_maximal_member_is_closure(f7):
