@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -38,14 +39,19 @@ from .report import canonical_json, make_report, summarize_checks, write_report,
 from .sweep import derived_seed, sweep_cyclic
 
 AXIOM_SAMPLES = 200  # outer elements `check-axioms --mode sampled` draws by default
+_PLAIN = frozenset({str, int, float, bool, type(None)})  # what `jsonable` keeps as it is
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so reports serialize cleanly."""
+    """Recursively convert numpy scalars/arrays so reports serialize cleanly;
+    a list of flat rows (str keys, plain values) is checked and copied in C."""
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PLAIN else jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        rows = set(map(type, obj)) == {dict} and set(map(type, chain.from_iterable(obj))) <= {str}
+        if rows and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _PLAIN:
+            return list(map(dict, obj))
+        return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):

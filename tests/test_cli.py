@@ -4,6 +4,7 @@ import os
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from netgalois import report
@@ -828,7 +829,8 @@ def test_readme_cli_lines_parse():
 
 
 def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch):
-    """Reports and timing sidecars are serialised before their file opens."""
+    """Reports and timing sidecars are serialised before their file opens,
+    and a value json cannot write raises json's TypeError."""
 
     def fail(obj):
         raise MemoryError("serialisation failed")
@@ -839,6 +841,9 @@ def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch):
         main(["nets", "--instance", f7_spec, "--out", str(out)])
     with pytest.raises(MemoryError):
         report.write_timings(str(out) + ".timings.json", {"nets_seconds": 1.0})
+    monkeypatch.undo()
+    with pytest.raises(TypeError, match="Object of type int64 is not JSON serializable"):
+        report.write_report(out, {"rows": [{"g": 1}, {"g": np.int64(2)}]})
     assert list(tmp_path.iterdir()) == [tmp_path / "f7n2.json"]
 
 
