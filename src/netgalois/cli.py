@@ -6,9 +6,9 @@ whole family sweep, enumerate net collections and equivalence classes, and
 replay recorded failure witnesses.
 
 Exit codes: 0 all asserted checks pass, 1 verification failure, 2 bad
-input/usage, 3 |GL| or another enumeration exceeds its cap.  Exits 0 and 1
-write the report, whose bytes depend only on inputs and seed; exits 2 and 3
-write none.
+input/usage, 3 |GL| or another enumeration exceeds its cap, or memory runs
+out (`MemoryError`).  Exits 0 and 1 write the report, whose bytes depend only
+on inputs and seed; exits 2 and 3 write none.
 """
 
 from __future__ import annotations
@@ -535,6 +535,9 @@ def main(argv=None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"cap exhausted: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -113,7 +113,7 @@ class Instance:
         vec_total = m**n
         all_vecs = rings.unpack_vectors(np.arange(vec_total), m, n)
         forms, sizes, index = [], [], {}
-        members = np.zeros((64, vec_total), dtype=np.int64)  # row i: forms[i]'s members, 0/1
+        members = np.zeros((64, vec_total))  # row i: forms[i]'s members, 0/1
 
         def add(form) -> int:
             nonlocal members
@@ -142,11 +142,12 @@ class Instance:
         # close under joins with cyclic generators, each form a base once, all
         # in canonical-form algebra.  A known S holding base and v with |S| =
         # |base| |Rv| / |base n Rv| = |base + Rv| (second isomorphism theorem)
-        # is base + Rv, and then that join needs no form
+        # is base + Rv, and then that join needs no form.  Float64 member rows
+        # make |S n base| one BLAS product, exact as it is at most m^n < 2^53
         base = 0
         while base < len(forms):
             known, size = members[: len(forms)], np.array(sizes)
-            inter = known @ known[base]
+            inter = (known @ known[base]).astype(np.int64)
             joined_size = size[base] * size[: len(gens)] // inter[: len(gens)]
             above = inter == size[base]
             done = np.any((known[above][:, gens] > 0) & (size[above, None] == joined_size), axis=0)

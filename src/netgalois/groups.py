@@ -383,24 +383,27 @@ def fixes_mask(instance, codes, x: int) -> np.ndarray:
 def enumerate_gl(instance, order: int) -> np.ndarray:
     """The GL codes ascending, in the narrowest unsigned dtype below
     m^(n^2), from one pass over the code grid that also memoises the
-    `right_cosets` labels, with the lift count `order` checked first.  A
-    code is its top row's code times m^(n(n-1)) plus its lower rows' code,
-    so a chunk of top rows at a time, each column's code is a broadcast sum
-    of a top part and a lower part, and `column_labels` reads the labels.
+    `right_cosets` labels, with the lift count `order` checked first.  Entry
+    (r, k) weighs m^r in column k's code, so the code t m^(n(n-1)) + l has
+    column k = low_k(l) + m^(n-1) t_k, of class cls.reshape(m, -1)[t_k,
+    low_k(l)]: a chunk of top rows t sums n class rows, pre-multiplied by
+    their columns' strides, into flat indices of the class-tuple table.
     """
     m, n = instance.modulus, instance.n
-    reps = _column_classes(instance)[2]
+    cls, table, reps = _column_classes(instance)
     if reps.size * instance.ring.unit_count**n != order:  # |units|^n codes per coset
         raise RuntimeError(f"GL enumeration found {reps.size} cosets, lift count says {order}")
-    low = m ** (n * (n - 1))
-    lows = _columns(instance, np.arange(low, dtype=np.int64))
-    tops = _columns(instance, np.arange(m**n, dtype=np.int64) * low)
+    low, flat = m ** (n * (n - 1)), table.ravel()
+    strides, lows = np.array(table.strides) // table.itemsize, _columns(instance, np.arange(low))
+    index = np.min_scalar_type(flat.size - 1)
+    rows = [(cls.reshape(m, -1)[:, lo] * k).astype(index) for lo, k in zip(lows, strides)]
+    tops = rings.unpack_vectors(np.arange(m**n), m, n).T  # [k, t]: entry k of top row t
     codes = np.empty(order, dtype=np.min_scalar_type(m ** (n * n) - 1))
     label = np.empty(order, dtype=np.min_scalar_type(reps.size - 1))
     pos, step = 0, max(1, _GATHER_CHUNK // low)
     for start in range(0, m**n, step):
-        cols = [(top[start : start + step, None] + lo).ravel() for top, lo in zip(tops, lows)]
-        labels = column_labels(instance, cols)
+        top = tops[:, start : start + step]
+        labels = flat.take(functools.reduce(np.add, [row[t] for row, t in zip(rows, top)])).ravel()
         found = np.flatnonzero(labels >= 0)
         end = pos + found.size
         codes[pos:end], label[pos:end] = found + start * low, labels[found]

@@ -40,12 +40,14 @@ def _brackets(items) -> str | None:
     return brackets if all(items) and _flat(chain.from_iterable(values)) else None
 
 
-def _encode(obj, depth: int) -> str:
+def _encode(obj, depth: int, open_ids: set) -> str:
     """`obj` laid out as `json.dumps` does, opening at `depth`: a container
     holding no container is one encoder call, a list of such containers of one
     kind one call and a replace, any other a loop.  The replace is exact: json
     escapes control characters in strings, so a raw newline comes from a
-    separator, and one before a bracket from a separator between the items."""
+    separator, and one before a bracket from a separator between the items.
+    Only the loop recurses, so only it can meet a cycle: `open_ids` holds the
+    ids of the containers open on its path, and a repeat is json's ValueError."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return "".join(_encoder(depth)(obj, 0))
     ind, inner, deep = "  " * depth, "  " * (depth + 1), "  " * (depth + 2)
@@ -59,10 +61,14 @@ def _encode(obj, depth: int) -> str:
         text = "".join(_encoder(depth + 2)(obj, 0))
         text = text.replace(f"{c},\n{deep}{o}", f"\n{inner}{c},\n{inner}{o}\n{deep}")
         return f"[\n{inner}{o}\n{deep}{text[2:-2]}\n{inner}{c}\n{ind}]"
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
     if is_dict:
-        items = [f"{_key(k)}: {_encode(v, depth + 1)}" for k, v in sorted(obj.items())]
+        items = [f"{_key(k)}: {_encode(v, depth + 1, open_ids)}" for k, v in sorted(obj.items())]
     else:
-        items = [_encode(v, depth + 1) for v in obj]
+        items = [_encode(v, depth + 1, open_ids) for v in obj]
+    open_ids.remove(id(obj))
     o, c = "{}" if is_dict else "[]"
     return f"{o}\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}{c}"
 
@@ -76,7 +82,7 @@ def canonical_json(obj) -> str:
     """Exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
     and a newline, built by the C encoder: `json.dumps` with an indent runs
     the pure-Python encoder."""
-    return _encode(obj, 0) + "\n"
+    return _encode(obj, 0, set()) + "\n"
 
 
 def make_report(command: str, instance_desc: dict | None, seed: int | None, **payload) -> dict:

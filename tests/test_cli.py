@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from netgalois import report
+from netgalois import cli, report
 from netgalois.cli import build_parser, main
 from netgalois.lattice import pentagon
 
@@ -828,23 +828,38 @@ def test_readme_cli_lines_parse():
         assert callable(parser.parse_args(args).func), line
 
 
-def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch):
-    """Reports and timing sidecars are serialised before their file opens,
-    and a value json cannot write raises json's TypeError."""
+def test_failed_serialisation_leaves_no_report(f7_spec, tmp_path, monkeypatch, capsys):
+    """Reports and timing sidecars are serialised before their file opens
+    (the CLI exits 3 on the MemoryError), and a value json cannot write
+    raises json's TypeError."""
 
     def fail(obj):
         raise MemoryError("serialisation failed")
 
     monkeypatch.setattr(report, "canonical_json", fail)
     out = tmp_path / "nets.json"
-    with pytest.raises(MemoryError):
-        main(["nets", "--instance", f7_spec, "--out", str(out)])
+    assert main(["nets", "--instance", f7_spec, "--out", str(out)]) == 3
+    assert "out of memory: serialisation failed" in capsys.readouterr().err
     with pytest.raises(MemoryError):
         report.write_timings(str(out) + ".timings.json", {"nets_seconds": 1.0})
     monkeypatch.undo()
     with pytest.raises(TypeError, match="Object of type int64 is not JSON serializable"):
         report.write_report(out, {"rows": [{"g": 1}, {"g": np.int64(2)}]})
     assert list(tmp_path.iterdir()) == [tmp_path / "f7n2.json"]
+
+
+def test_out_of_memory_exits_3_and_writes_no_report(f7_spec, tmp_path, monkeypatch, capsys):
+    """A MemoryError is no verification failure (exit 1): the CLI exits 3,
+    names it on stderr and writes no report."""
+
+    def fail(instance):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(cli, "enumerate_net_collections", fail)
+    out = tmp_path / "nets.json"
+    assert main(["nets", "--instance", f7_spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 8.00 GiB\n"
+    assert not out.exists()
 
 
 def test_reports_are_byte_deterministic(f7_spec, tmp_path):

@@ -341,6 +341,35 @@ def test_gl_and_its_cosets_unpack_no_gl_sized_batch(ring, n, monkeypatch):
     assert sizes and max(sizes) < label.size
 
 
+def grid_pass(inst):
+    """GL's codes and right-coset labels by the former pass over the whole
+    code grid: each code's column codes summed from its top row's part and
+    its lower rows' part, its label read by `column_labels`, the codes with
+    a label kept."""
+    from netgalois import groups
+
+    m, n = inst.modulus, inst.n
+    low = m ** (n * (n - 1))
+    lows = groups._columns(inst, np.arange(low, dtype=np.int64))
+    tops = groups._columns(inst, np.arange(m**n, dtype=np.int64) * low)
+    labels = groups.column_labels(inst, [(top[:, None] + lo).ravel() for top, lo in zip(tops, lows)])
+    codes = np.flatnonzero(labels >= 0)
+    label_dtype = np.min_scalar_type(right_cosets(inst)[1].size - 1)
+    return codes.astype(np.min_scalar_type(m ** (n * n) - 1)), labels[codes].astype(label_dtype)
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
+def test_gl_and_its_coset_labels_match_the_grid_pass(name, request):
+    """`enumerate_gl`'s codes and `right_cosets` labels equal the grid pass,
+    values and dtypes."""
+    inst = request.getfixturevalue(name)
+    inst.gl()
+    codes, labels = grid_pass(inst)
+    label = right_cosets(inst)[0]
+    assert inst.gl_codes.dtype == codes.dtype and np.array_equal(inst.gl_codes, codes)
+    assert label.dtype == labels.dtype and np.array_equal(label, labels)
+
+
 @pytest.mark.parametrize("name", ["f2", "z4", "z8", "f3", "f7", "z9", "f2n3", "f3n3"])
 def test_coset_columns_match_the_action_on_all_of_gl(name, request, act_reference, member_mats):
     """Each L0' element's coset column, gathered by label, is its image under

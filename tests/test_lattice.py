@@ -90,6 +90,61 @@ def test_jordan_dedekind_all_instances(small_instances, z49):
         inst.lattice.dimensions()
 
 
+def strict_order(lat):
+    """less[a, b]: a < b, by `lt` on every pair."""
+    return np.array([[lat.lt(a, b) for b in range(len(lat))] for a in range(len(lat))])
+
+
+def brute_covers(lat):
+    """Covering pairs by the definition, row-major: a < b with no c such
+    that a < c < b, the c tested elementwise."""
+    n, less = len(lat), strict_order(lat)
+    between = [np.any(less[a][:, None] & less, axis=0) for a in range(n)]
+    return [(a, b) for a in range(n) for b in range(n) if less[a, b] and not between[a][b]]
+
+
+def chain_heights(lat):
+    """Length of the longest chain from the bottom to each element: h[b] =
+    max(h[a] + 1 over a < b), relaxed to its fixed point."""
+    less = strict_order(lat)
+    heights = np.zeros(len(lat), dtype=np.int64)
+    while True:
+        longer = np.where(less, heights[:, None] + 1, 0).max(axis=0)
+        if np.array_equal(longer, heights):
+            return heights
+        heights = longer
+
+
+@pytest.mark.parametrize("name", ["f2", "z4", "f7", "z9", "z49", "f2n3"])
+def test_covers_and_dimensions_match_the_definitions(name, request):
+    """`covers()` is the brute-force list, order included, and
+    `dimensions()` the chain-length heights."""
+    lat = request.getfixturevalue(name).lattice
+    assert lat.covers() == brute_covers(lat)
+    dims = lat.dimensions()
+    assert dims.dtype == np.int64 and np.array_equal(dims, chain_heights(lat))
+
+
+def test_pentagon_dimensions_name_the_ungraded_element():
+    """In N5 = 0 < a < b < 1, 0 < c < 1 the chains to 1 (element 4) have
+    lengths 2 and 3."""
+    n5 = pentagon()
+    assert n5.covers() == brute_covers(n5) == [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]
+    with pytest.raises(InputError, match=r"element 4 disagree \(2 vs 3\); lattice is not graded"):
+        n5.dimensions()
+
+
+@pytest.mark.slow
+def test_z8_rank3_covers_match_the_definition():
+    """The 802-element submodule lattice of (Z/8)^3."""
+    from netgalois.glnr import Instance
+    from netgalois.rings import RingSpec
+
+    lat = Instance(RingSpec(2, 3), 3).lattice
+    assert len(lat) == 802
+    assert lat.covers() == brute_covers(lat)
+
+
 def test_is_modular(f7, z4, z49):
     for inst in (f7, z4, z49):
         ok, witness = inst.lattice.is_modular()

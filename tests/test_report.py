@@ -109,6 +109,29 @@ def test_bad_keys_raise_jsons_type_error(obj):
     assert str(mine.value) == str(theirs.value)
 
 
+def cycles():
+    looped = []
+    looped.append(looped)
+    outer = {"a": 1}
+    outer["b"] = [2, outer]
+    return [looped, outer]
+
+
+@pytest.mark.parametrize("obj", cycles(), ids=["list-in-itself", "dict-list-dict"])
+def test_circular_references_raise_jsons_value_error(obj):
+    with pytest.raises(ValueError, match="Circular reference detected") as mine:
+        report.canonical_json(obj)
+    with pytest.raises(ValueError) as theirs:
+        reference(obj)
+    assert str(mine.value) == str(theirs.value)
+
+
+def test_a_container_seen_twice_is_no_cycle():
+    shared = [[1], 2]
+    obj = {"a": shared, "b": [shared, {"c": shared}]}
+    assert report.canonical_json(obj) == reference(obj)
+
+
 def reference_jsonable(obj):
     """`cli.jsonable` as it was before its fast paths."""
     if isinstance(obj, dict):
