@@ -15,23 +15,25 @@ and are array programs: a table of which inner candidates work for which a,
 gathered from the lattice permutations of the outer elements and the axis
 candidates (`Instance.perm`, one row per code), read in the loop order with
 argmax.  Axis candidates h enter only through their rows, so one h per
-distinct row, the first, stands for all (`_distinct_rows`).  Exhaustive mode
-takes one a per coset of the scalar matrices Z = {uI}, its smallest code
-(`groups.scalar_coset_key`).  This is exact:
-- a unit scalar fixes every submodule, so u a and a have the same row;
-- Z lies in D, so u a lies in D a D and <D, u a> = <D, a>, which is all
-  condition 11 reads of a besides its row;
-- GL positions follow code order, so a coset's smallest code is its first
-  member: every verdict is constant on a coset, and the first element that
-  fails or passes is the first of its coset, a key, so the witnesses and
-  found records are those of the loop over all of GL.
-Sampled mode draws its outer elements from all of GL.
+distinct row, the first, stands for all (`_distinct_rows`).
 
-Conditions 6 and 8 read only images of L0' elements, constant on each right
-coset gD, so they run on `coset_image` columns: one entry per coset in
-exhaustive mode, the drawn elements' cosets in sampled mode.  The cosets
-are numbered in code order, so the first element of the loop over GL that
-fails or passes is the smallest code of the first such coset; transvection
+Every exhaustive quantifier over GL, in these and in conditions 6 and 8,
+takes one element per right coset aD, its smallest code (`_iter_group`,
+`right_cosets`).  D fixes L0' pointwise (the atoms, the hats, everything
+below an atom, the componentwise span), so (ad)(x) = a(x) there, and each
+verdict is constant on every coset aD:
+- 3: it reads a at the elements below e_i, and h(x) = x there;
+- 4: the axis candidates lie in D, and D is abelian, so (ad)h(ad)^-1 =
+  aha^-1; d fixes every [y]_t, so (ad)[(ad)^-1 x]_t = a[a^-1 x]_t;
+- 5: u lies in the span, and d permutes the allowed images w = t(e_i), as
+  dt fixes the other atoms and [dw]_j = [w]_j;
+- 6 and 8: they read only images of L0' elements;
+- 11 and 4': x = [aha^-1 e_i]_j as in 4, and <D, ad> = <D, a>.
+The representatives ascend and each is its coset's smallest code, so the
+first element of the loop over GL that fails or passes is the
+representative of the first such coset: witnesses and found records are
+those of the all-GL loop.  Sampled mode draws its outer elements from all of
+GL, and conditions 6 and 8 read the drawn elements' cosets.  Transvection
 sets are read per coset the same way (`transvection_table`).
 """
 
@@ -54,7 +56,6 @@ from .groups import (
     gl_code_list,
     instance_cache,
     right_cosets,
-    scalar_coset_key,
     transvection_table,
     transvections,
 )
@@ -149,12 +150,11 @@ def _cond_2(ctx, mode, rng, samples):
 
 
 def _iter_group(ctx, rng, samples):
-    """GL positions of the outer elements: one per scalar coset, its key
-    (see the module docstring), or a seeded sample of all of GL."""
+    """Codes of the outer elements: the right-coset representatives, one per
+    coset aD (see the module docstring), or a seeded sample of all of GL."""
     if samples is None:
-        codes = ctx.instance.gl_codes
-        return np.flatnonzero(scalar_coset_key(ctx.instance, codes) == codes)
-    return rng.choice(len(ctx.g), size=samples, replace=True)
+        return right_cosets(ctx.instance)[1]
+    return ctx.instance.gl_codes[rng.choice(len(ctx.g), size=samples, replace=True)]
 
 
 def _distinct_rows(ctx, codes):
@@ -186,8 +186,7 @@ def _first_outcomes(active, hits):
 
 
 def _cond_3(ctx, mode, rng, samples):
-    pos = _iter_group(ctx, rng, samples)
-    a_codes = ctx.instance.gl_codes[pos]
+    a_codes = _iter_group(ctx, rng, samples)
     pa = ctx.instance.perm(a_codes)
     found = None
     for i in range(ctx.n):
@@ -213,8 +212,7 @@ def _cond_4(ctx, mode, rng, samples):
     every element of the componentwise span: each is a join of ideal
     multiples of atoms, which unit scalings fix.  So every candidate fixes
     the span, as the condition asks, with no test."""
-    pos = _iter_group(ctx, rng, samples)
-    a_codes = ctx.instance.gl_codes[pos]
+    a_codes = _iter_group(ctx, rng, samples)
     pa = ctx.instance.perm(a_codes)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     painv = np.argsort(pa, axis=1)
@@ -225,8 +223,8 @@ def _cond_4(ctx, mode, rng, samples):
             down = ctx.frame.atom_downsets[i]
             others = ctx.support[:, [r for r in range(ctx.n) if r != i]]
             pre = painv[:, down]  # [a, x] = a^-1(x)
-            lhs = ph[:, pre].transpose(1, 0, 2).reshape(len(pos), -1)
-            lhs = np.take_along_axis(pa, lhs, axis=1).reshape(len(pos), len(ph), len(down))
+            lhs = ph[:, pre].transpose(1, 0, 2).reshape(len(a_codes), -1)
+            lhs = np.take_along_axis(pa, lhs, axis=1).reshape(len(a_codes), len(ph), len(down))
             rhs = np.take_along_axis(pa, ctx.support[pre, t], axis=1)
             # works[a, h]: a h a^-1 x and a [a^-1 x]_t agree off atom i, for every x below e_i
             works = np.all(others[lhs] == others[rhs][:, None], axis=(2, 3))
@@ -238,7 +236,7 @@ def _cond_4(ctx, mode, rng, samples):
                     found = {"t": t, "i": i, "h": int(h_codes[np.argmax(every)])}
                 continue
             hits = _first_hits(works)
-            fail, passed = _first_outcomes(np.ones(len(pos), dtype=bool), hits)
+            fail, passed = _first_outcomes(np.ones(len(a_codes), dtype=bool), hits)
             if found is None and passed is not None:
                 found = {"t": t, "i": i, "a": int(a_codes[passed]), "h": int(h_codes[hits[passed]])}
             if fail is not None:
@@ -247,9 +245,8 @@ def _cond_4(ctx, mode, rng, samples):
 
 
 def _cond_5(ctx, mode, rng, samples):
-    pos = _iter_group(ctx, rng, samples)
     inst = ctx.instance
-    g_codes = inst.gl_codes[pos]
+    g_codes = _iter_group(ctx, rng, samples)
     pg = inst.perm(g_codes)
     meet, reps = ctx.lat.meet_table, right_cosets(inst)[1]
     found = None
@@ -351,11 +348,8 @@ def _cond_8(ctx, mode, rng, samples):
     x = [f(e_i)]_j: e_i is below itself, so the signature fixes x."""
     inst = ctx.instance
     reps = right_cosets(inst)[1]
-    if samples is None:
-        f_codes, f_c = reps, np.arange(reps.size)
-    else:
-        f_codes = inst.gl_codes[_iter_group(ctx, rng, samples)]
-        f_c = coset_labels(inst, f_codes)
+    f_codes = _iter_group(ctx, rng, samples)
+    f_c = coset_labels(inst, f_codes)
     found = None
     for i, j in itertools.permutations(range(ctx.n), 2):
         sig = np.zeros(reps.size, dtype=np.int64)
@@ -459,10 +453,9 @@ def _cond_10(ctx, mode, rng, samples):
 
 def _cond_11(ctx, mode, rng, samples):
     """One array program over outer elements a, axis rows (t, h) and pairs (i, j)."""
-    pos = _iter_group(ctx, rng, samples)
     pairs = [(i, j) for i in range(ctx.n) for j in range(ctx.n) if i != j]
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
-    a_codes = ctx.instance.gl_codes[pos]
+    a_codes = _iter_group(ctx, rng, samples)
     pa = ctx.instance.perm(a_codes)
     # a^-1 undoes a on vectors, hence on submodules: its row is the inverse permutation
     painv_atoms = np.argsort(pa, axis=1)[:, list(ctx.atoms)]
@@ -471,7 +464,7 @@ def _cond_11(ctx, mode, rng, samples):
         h_codes, ph = _distinct_rows(ctx, axis_subgroup(ctx.instance, t))
         cols += [(t, h) for h in h_codes.tolist()]
         img = ph[:, painv_atoms].transpose(1, 0, 2)  # [a, h, i] = h(a^-1 e_i)
-        img = np.take_along_axis(pa, img.reshape(len(pos), -1), axis=1).reshape(img.shape)
+        img = np.take_along_axis(pa, img.reshape(len(a_codes), -1), axis=1).reshape(img.shape)
         xs.append(ctx.support[img[:, :, ii], jj])  # [a, h, (i, j)] = x
     xs = np.concatenate(xs, axis=1)
     # <D, a> = <D, d a d'>, each lying in the other's group with D: one closure per label

@@ -36,7 +36,7 @@ from .nets import (
     transvection_ideals,
 )
 from .report import canonical_json, make_report, summarize_checks, write_report, write_timings
-from .sweep import derived_seed, sweep_cyclic
+from .sweep import sweep_cyclic
 
 AXIOM_SAMPLES = 200  # outer elements `check-axioms --mode sampled` draws by default
 _PLAIN = frozenset({str, int, float, bool, type(None)})  # what `jsonable` keeps as it is
@@ -355,8 +355,8 @@ def cmd_replay(args) -> int:
             return replay_witness(instance, witness)
         return None
 
-    def reverify_subgroup(subgroup, seed, failed_ids) -> bool:
-        again = verify_sandwich(instance, subgroup, seed=seed)
+    def reverify_subgroup(subgroup, failed_ids) -> bool:
+        again = verify_sandwich(instance, subgroup)
         return failed_ids <= {c["id"] for c in again if not c["holds"]}
 
     pools = []
@@ -370,7 +370,7 @@ def cmd_replay(args) -> int:
             gens = [instance.code_of_mat(np.asarray(g)) for g in data["subgroup_generators"]]
             subgroup = close_subgroup(instance, gens)
             total += 1
-            if reverify_subgroup(subgroup, data.get("seed") or 0, failed_ids):
+            if reverify_subgroup(subgroup, failed_ids):
                 reproduced += 1
         else:
             pools.extend(c for c in data["checks"] if not c.get("holds", True))
@@ -400,8 +400,7 @@ def cmd_replay(args) -> int:
                 if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
                     raise InputError(f"the report lists no checks for subgroup {fp}")
                 failed_ids = {c.get("id") for c in checks if not c.get("holds", True)}
-                seed = derived_seed(data.get("seed") or 0, fp)
-                again[fp] = reverify_subgroup(closures[key], seed, failed_ids)
+                again[fp] = reverify_subgroup(closures[key], failed_ids)
             reproduced += again[fp]
     for rec in pools:
         outcome = try_replay(rec.get("witness"))

@@ -427,18 +427,6 @@ class DNet:
     def __repr__(self):
         return f"DNet({self.levels.tolist()})"
 
-    def to_json(self) -> dict:
-        return {"schema_version": 1, "sigma": self.levels.tolist()}
-
-    @staticmethod
-    def from_json(ring: RingSpec, obj: dict) -> "DNet":
-        version = obj.get("schema_version", 1)
-        if version != 1:
-            raise InputError(f"unsupported net schema version {version}")
-        if "sigma" not in obj:
-            raise InputError("D-net file needs 'sigma'")
-        return DNet(ring, obj["sigma"])
-
 
 def enumerate_dnets(instance: Instance) -> list[DNet]:
     """All valid D-nets of the instance's order, off-diagonal levels free."""

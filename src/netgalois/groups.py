@@ -288,22 +288,6 @@ def row_scale_table(instance) -> np.ndarray:
     return row_products(instance, instance.diagonal_codes(scalars).tolist())
 
 
-def scalar_coset_key(instance, codes) -> np.ndarray:
-    """Smallest code of the scalar coset {u a : u a unit of R} of each GL code a.
-
-    Row i of u a is u a_i, at weight m^(i n), so the top row n - 1 orders
-    the coset first.  A row of an invertible matrix over the local ring has
-    a unit entry, so u a_(n-1) = u' a_(n-1) only for u = u': the unit with
-    the smallest top row (read off `row_scale_table`) is unique, and the key
-    is u a for that unit.
-    """
-    scale = row_scale_table(instance)
-    digits = instance.row_digits(codes)
-    best = scale.argmin(axis=0)[digits[-1]]
-    weights = instance.modulus ** (instance.n * np.arange(instance.n, dtype=np.int64))
-    return sum(w * scale[best, d] for w, d in zip(weights.tolist(), digits))
-
-
 def coset_closure(instance, seed: Subgroup, extra_codes) -> Subgroup:
     """Closure of <seed, extras>, the seed given by its generators (or of
     order 1): an orbit on the right cosets of D (`_coset_orbit`).  Closure

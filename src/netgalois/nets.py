@@ -84,16 +84,6 @@ class NetCollection:
             "tau": [[labels[x] for x in row] for row in self.tau.tolist()],
         }
 
-    @staticmethod
-    def from_json(instance, obj: dict) -> "NetCollection":
-        version = obj.get("schema_version", 1)
-        if version != 1:
-            raise InputError(f"unsupported net schema version {version}")
-        if "tau" not in obj:
-            raise InputError("net file needs 'tau'")
-        tau = [[instance.element_by_label(lab) for lab in row] for row in obj["tau"]]
-        return NetCollection(instance, tau)
-
 
 @dataclass
 class EquivClass:

@@ -386,6 +386,20 @@ def test_replay_sweep_rows_checks_their_subgroup(z9_sweep, tmp_path, capsys):
     assert "replayed 1800 failure witnesses: 1799 reproduced" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["x", [1]])
+def test_replay_reads_no_seed(f2_spec, tmp_path, capsys, seed):
+    """Replay re-verifies each failing subgroup with exact checks only, so a
+    report's seed, even one that is not an integer, changes nothing."""
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--instance", f2_spec, "--out", str(out)]) == 1
+    data = read(out)
+    data["seed"] = seed
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(out), "--instance", f2_spec]) == 0
+    assert "replayed 5 failure witnesses: 5 reproduced" in capsys.readouterr().out
+
+
 def test_canonical_report_bytes_are_pinned(f7_spec, z9_sweep, tmp_path):
     """SHA-256s of the canonical reports, witnesses of the failing Z/9 runs
     included; any change to them is a change of report bytes."""

@@ -551,16 +551,6 @@ def test_malformed_instance_json_is_an_input_error(obj):
         Instance.from_json(obj)
 
 
-def test_dnet_json_roundtrip(z49):
-    for dnet in enumerate_dnets(z49):
-        back = DNet.from_json(z49.ring, dnet.to_json())
-        assert back == dnet
-    with pytest.raises(InputError):
-        DNet.from_json(z49.ring, {"schema_version": 3, "sigma": [[0, 0], [0, 0]]})
-    with pytest.raises(InputError):
-        DNet.from_json(z49.ring, {"schema_version": 1})
-
-
 def test_rank_three_lattice(f7n3):
     # subspace counts by rank: 1 + 57 + 57 + 1
     assert len(f7n3.lattice) == 116

@@ -883,16 +883,6 @@ def test_closed_sublattice(f7):
     assert len(set(closed_sets)) == len(valid)
 
 
-def test_net_collection_json_roundtrip(f7):
-    for net in enumerate_net_collections(f7):
-        back = NetCollection.from_json(f7, net.to_json())
-        assert back == net
-    with pytest.raises(InputError):
-        NetCollection.from_json(f7, {"schema_version": 2, "tau": []})
-    with pytest.raises(InputError):
-        NetCollection.from_json(f7, {"schema_version": 1})
-
-
 def test_verify_intermediate_subgroup_stabiliser(f7):
     checks = verify_intermediate_subgroup(f7, f7.diagonal())
     by_id = {c["id"]: c for c in checks}
